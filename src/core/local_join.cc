@@ -10,20 +10,18 @@
 namespace shadoop::core {
 namespace {
 
-uint64_t RTreeProbeJoin(
-    const std::vector<index::RTree::Entry>& entries_a,
-    const std::vector<index::RTree::Entry>& entries_b,
-    const std::function<void(uint32_t, uint32_t)>& emit) {
+using Entry = index::PackedRTree::Entry;
+
+uint64_t RTreeProbeJoin(const std::vector<Entry>& entries_a,
+                        const std::vector<Entry>& entries_b,
+                        const std::function<void(uint32_t, uint32_t)>& emit) {
   uint64_t cpu = 0;
-  // The packed layout searches with batch MBR kernels; results, visit
-  // counts and therefore the simulated charges are identical to the
-  // pointer-chasing RTree it replaces.
   const index::PackedRTree tree(entries_a);
   const size_t n = tree.NumEntries();
   cpu += static_cast<uint64_t>(
       n > 1 ? n * std::log2(static_cast<double>(n)) * 10 : n);
   std::vector<uint32_t> hits;
-  for (const index::RTree::Entry& b : entries_b) {
+  for (const Entry& b : entries_b) {
     hits.clear();
     cpu += tree.Search(b.box, &hits) * 50;
     for (uint32_t a_payload : hits) {
@@ -39,12 +37,11 @@ struct SweepLanes {
   std::vector<double> min_x, min_y, max_x, max_y;
   std::vector<uint32_t> payload;
 
-  explicit SweepLanes(const std::vector<index::RTree::Entry>& entries) {
-    std::vector<index::RTree::Entry> sorted = entries;
-    std::sort(sorted.begin(), sorted.end(),
-              [](const index::RTree::Entry& u, const index::RTree::Entry& v) {
-                return u.box.min_x() < v.box.min_x();
-              });
+  explicit SweepLanes(const std::vector<Entry>& entries) {
+    std::vector<Entry> sorted = entries;
+    std::sort(sorted.begin(), sorted.end(), [](const Entry& u, const Entry& v) {
+      return u.box.min_x() < v.box.min_x();
+    });
     const size_t n = sorted.size();
     min_x.resize(n);
     min_y.resize(n);
@@ -67,10 +64,9 @@ struct SweepLanes {
   }
 };
 
-uint64_t PlaneSweepJoin(
-    const std::vector<index::RTree::Entry>& entries_a,
-    const std::vector<index::RTree::Entry>& entries_b,
-    const std::function<void(uint32_t, uint32_t)>& emit) {
+uint64_t PlaneSweepJoin(const std::vector<Entry>& entries_a,
+                        const std::vector<Entry>& entries_b,
+                        const std::function<void(uint32_t, uint32_t)>& emit) {
   // Both sides sorted by min-x (the sweep order) into SoA lanes, so the
   // inner scans run as batch kernels instead of per-entry branchy tests:
   // PrefixCountLessEqual finds how far the x-overlap run extends (that
@@ -140,8 +136,8 @@ uint64_t PlaneSweepJoin(
 }  // namespace
 
 uint64_t LocalJoinPairs(
-    const std::vector<index::RTree::Entry>& entries_a,
-    const std::vector<index::RTree::Entry>& entries_b,
+    const std::vector<index::PackedRTree::Entry>& entries_a,
+    const std::vector<index::PackedRTree::Entry>& entries_b,
     LocalJoinAlgorithm algorithm,
     const std::function<void(uint32_t, uint32_t)>& emit) {
   switch (algorithm) {

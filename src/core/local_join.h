@@ -5,7 +5,7 @@
 #include <functional>
 #include <vector>
 
-#include "index/rtree.h"
+#include "index/packed_rtree.h"
 
 namespace shadoop::core {
 
@@ -21,8 +21,8 @@ enum class LocalJoinAlgorithm { kRTreeProbe, kPlaneSweep };
 /// Invokes `emit(payload_a, payload_b)` for every intersecting pair.
 /// Returns the charged CPU operations for the cost model.
 uint64_t LocalJoinPairs(
-    const std::vector<index::RTree::Entry>& entries_a,
-    const std::vector<index::RTree::Entry>& entries_b,
+    const std::vector<index::PackedRTree::Entry>& entries_a,
+    const std::vector<index::PackedRTree::Entry>& entries_b,
     LocalJoinAlgorithm algorithm,
     const std::function<void(uint32_t, uint32_t)>& emit);
 

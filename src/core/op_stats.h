@@ -16,22 +16,7 @@ struct OpStats {
   double wall_ms = 0;
 
   void Accumulate(const mapreduce::JobResult& result) {
-    cost.total_ms += result.cost.total_ms;
-    cost.map_makespan_ms += result.cost.map_makespan_ms;
-    cost.shuffle_ms += result.cost.shuffle_ms;
-    cost.reduce_makespan_ms += result.cost.reduce_makespan_ms;
-    cost.bytes_read += result.cost.bytes_read;
-    cost.bytes_shuffled += result.cost.bytes_shuffled;
-    cost.bytes_written += result.cost.bytes_written;
-    cost.num_map_tasks += result.cost.num_map_tasks;
-    cost.num_reduce_tasks += result.cost.num_reduce_tasks;
-    cost.task_retries += result.cost.task_retries;
-    cost.speculative_launched += result.cost.speculative_launched;
-    cost.speculative_won += result.cost.speculative_won;
-    cost.replica_failovers += result.cost.replica_failovers;
-    cost.admission_queued += result.cost.admission_queued;
-    cost.admission_wait_ms += result.cost.admission_wait_ms;
-    cost.admission_preempted_specs += result.cost.admission_preempted_specs;
+    cost += result.cost;
     counters.MergeFrom(result.counters);
     ++jobs_run;
     wall_ms += result.wall_ms;

@@ -229,23 +229,6 @@ SpatialJobBuilder& SpatialJobBuilder::OutputTo(std::string path) {
   return *this;
 }
 
-SpatialJobBuilder& SpatialJobBuilder::WithFaultInjector(
-    mapreduce::FaultInjector injector) {
-  fault_injector_ = std::move(injector);
-  return *this;
-}
-
-SpatialJobBuilder& SpatialJobBuilder::WithFaultSource(
-    fault::FaultInjector* source) {
-  fault_source_ = source;
-  return *this;
-}
-
-SpatialJobBuilder& SpatialJobBuilder::MaxTaskAttempts(int attempts) {
-  max_task_attempts_ = attempts;
-  return *this;
-}
-
 Result<mapreduce::JobResult> SpatialJobBuilder::Run(OpStats* stats) {
   SHADOOP_RETURN_NOT_OK(status_);
   if (!mapper_) {
@@ -258,10 +241,7 @@ Result<mapreduce::JobResult> SpatialJobBuilder::Run(OpStats* stats) {
   job.combiner = combiner_;
   job.reducer = reducer_;
   job.partitioner = partitioner_;
-  job.fault_injector = fault_injector_;
-  job.fault_source = fault_source_;
   job.output_path = output_path_;
-  job.max_task_attempts = max_task_attempts_;
   if (parallel_merge_) {
     // Round 1 of the two-round merge: one reducer per ~4 partitions so no
     // single reducer absorbs every local result; the constant-key groups

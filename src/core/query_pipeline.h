@@ -71,7 +71,7 @@ class PartitionView {
 
   std::vector<Point> Points() { return reader_.Points(); }
   std::vector<Polygon> Polygons() { return reader_.Polygons(); }
-  std::vector<index::RTree::Entry> Envelopes() {
+  std::vector<index::PackedRTree::Entry> Envelopes() {
     return reader_.Envelopes();
   }
 
@@ -85,11 +85,10 @@ class PartitionView {
   /// once (e.g. the join refinement step).
   SpatialRecordReader& reader() { return reader_; }
 
-  /// The memoized local index, in the cache-packed SoA layout (identical
-  /// search results and visited counts to the RTree it replaces). The
-  /// first call bulk-loads it — or adopts a cached build of the same
-  /// block — and charges `ctx` the build cost; later calls are free. The
-  /// simulated charge is identical on cache hit and miss.
+  /// The memoized local index. The first call bulk-loads it — or adopts
+  /// a cached build of the same block — and charges `ctx` the build cost;
+  /// later calls are free. The simulated charge is identical on cache hit
+  /// and miss.
   const index::PackedRTree& LocalIndex(mapreduce::MapContext& ctx);
 
   /// R-tree range search through the memoized index, charging the cost
@@ -229,15 +228,6 @@ class SpatialJobBuilder {
   /// Also persists the job output as an HDFS file.
   SpatialJobBuilder& OutputTo(std::string path);
 
-  SpatialJobBuilder& WithFaultInjector(mapreduce::FaultInjector injector);
-
-  /// Deterministic fault source for this job's task scheduler (overrides
-  /// the runner-level injector installed via JobRunner::set_fault_injector).
-  /// Not owned; null is the default (no override).
-  SpatialJobBuilder& WithFaultSource(fault::FaultInjector* source);
-
-  SpatialJobBuilder& MaxTaskAttempts(int attempts);
-
   // ------------------------------------------------------------------
   // Plan inspection.
 
@@ -262,12 +252,9 @@ class SpatialJobBuilder {
   mapreduce::ReducerFactory combiner_;
   mapreduce::ReducerFactory reducer_;
   mapreduce::Partitioner partitioner_;
-  mapreduce::FaultInjector fault_injector_;
-  fault::FaultInjector* fault_source_ = nullptr;
   int num_reducers_ = 1;
   bool parallel_merge_ = false;
   std::string output_path_;
-  int max_task_attempts_ = 3;
 };
 
 }  // namespace shadoop::core

@@ -10,7 +10,7 @@
 #include "core/spatial_record_reader.h"
 #include "geometry/wkt.h"
 #include "index/grid_partitioner.h"
-#include "index/rtree.h"
+#include "index/packed_rtree.h"
 #include "index/str_partitioner.h"
 
 namespace shadoop::core {
@@ -45,9 +45,9 @@ bool JoinMatch(SpatialRecordReader& reader_a, uint32_t pa,
 /// swapped their inputs to move the build side use it to keep the output
 /// line format (original A record, separator, B record).
 uint64_t LocalJoin(SpatialRecordReader& reader_a,
-                   const std::vector<index::RTree::Entry>& entries_a,
+                   const std::vector<index::PackedRTree::Entry>& entries_a,
                    SpatialRecordReader& reader_b,
-                   const std::vector<index::RTree::Entry>& entries_b,
+                   const std::vector<index::PackedRTree::Entry>& entries_b,
                    LocalJoinAlgorithm algorithm,
                    const std::function<bool(const Point&)>& accept_ref,
                    const std::function<void(std::string)>& emit,
@@ -55,9 +55,9 @@ uint64_t LocalJoin(SpatialRecordReader& reader_a,
   // Payload -> envelope lookup (payloads index records(), but entries may
   // skip malformed records, so positions and payloads differ).
   std::vector<Envelope> env_of_a(reader_a.NumRecords());
-  for (const index::RTree::Entry& e : entries_a) env_of_a[e.payload] = e.box;
+  for (const auto& e : entries_a) env_of_a[e.payload] = e.box;
   std::vector<Envelope> env_of_b(reader_b.NumRecords());
-  for (const index::RTree::Entry& e : entries_b) env_of_b[e.payload] = e.box;
+  for (const auto& e : entries_b) env_of_b[e.payload] = e.box;
 
   uint64_t refine_cpu = 0;
   const uint64_t kernel_cpu = LocalJoinPairs(

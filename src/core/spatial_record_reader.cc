@@ -236,10 +236,10 @@ std::vector<Point> SpatialRecordReader::Points() {
   return points;
 }
 
-std::vector<index::RTree::Entry> SpatialRecordReader::Envelopes() {
+std::vector<index::PackedRTree::Entry> SpatialRecordReader::Envelopes() {
   EnsureEnvelopeColumn();
   bad_records_ += envelope_column_->bad;
-  std::vector<index::RTree::Entry> entries;
+  std::vector<index::PackedRTree::Entry> entries;
   entries.reserve(records_.size());
   for (size_t i = 0; i < records_.size(); ++i) {
     if (envelope_column_->valid[i]) {
@@ -266,10 +266,6 @@ std::vector<Polygon> SpatialRecordReader::Polygons() {
     }
   }
   return polygons;
-}
-
-index::RTree SpatialRecordReader::BuildLocalIndex() {
-  return index::RTree(Envelopes());
 }
 
 const Envelope* SpatialRecordReader::EnvelopeAt(size_t i) {

@@ -18,18 +18,6 @@ using mapreduce::JobResult;
 using mapreduce::MapContext;
 using mapreduce::Mapper;
 
-void AccumulateCost(mapreduce::JobCost* total, const mapreduce::JobCost& job) {
-  total->total_ms += job.total_ms;
-  total->map_makespan_ms += job.map_makespan_ms;
-  total->shuffle_ms += job.shuffle_ms;
-  total->reduce_makespan_ms += job.reduce_makespan_ms;
-  total->bytes_read += job.bytes_read;
-  total->bytes_shuffled += job.bytes_shuffled;
-  total->bytes_written += job.bytes_written;
-  total->num_map_tasks += job.num_map_tasks;
-  total->num_reduce_tasks += job.num_reduce_tasks;
-}
-
 uint64_t SplitSeed(const InputSplit& split) {
   uint64_t seed = 0xa1b2c3d4e5f60718ULL;
   for (const mapreduce::BlockRef& block : split.blocks) {
@@ -152,7 +140,7 @@ Result<SpatialFileInfo> IndexBuilder::Build(const std::string& source_path,
   };
   JobResult analysis_result = runner_->Run(analysis);
   SHADOOP_RETURN_NOT_OK(analysis_result.status);
-  AccumulateCost(&info.build_cost, analysis_result.cost);
+  info.build_cost += analysis_result.cost;
 
   Envelope space;
   std::vector<Point> sample;
@@ -210,7 +198,7 @@ Result<SpatialFileInfo> IndexBuilder::Build(const std::string& source_path,
       std::min(partitioner->NumCells(), runner_->cluster().num_slots);
   JobResult partition_result = runner_->Run(partition_job);
   SHADOOP_RETURN_NOT_OK(partition_result.status);
-  AccumulateCost(&info.build_cost, partition_result.cost);
+  info.build_cost += partition_result.cost;
 
   // Group routed records by cell id.
   std::map<int, std::vector<std::string>> cells;

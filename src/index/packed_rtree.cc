@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-
-#include "simd/mbr_kernels.h"
+#include <queue>
 
 namespace shadoop::index {
 namespace {
@@ -16,16 +15,15 @@ struct KeyIdx {
 
 }  // namespace
 
-PackedRTree::PackedRTree(const std::vector<RTree::Entry>& entries,
-                         int leaf_capacity)
+PackedRTree::PackedRTree(const std::vector<Entry>& entries, int leaf_capacity)
     : capacity_(std::max(2, leaf_capacity)) {
   const size_t n = entries.size();
   if (n == 0) return;
 
-  // STR packing, mirroring RTree's bulk load move for move. Sorting
-  // (key, index) pairs instead of Entry structs yields the identical
-  // permutation: every comparator call sees the same key values in the
-  // same positions, and std::sort's moves depend only on those outcomes.
+  // STR packing: sort by center x, cut into vertical slabs, sort each slab
+  // by center y. Sorting (key, index) pairs instead of Entry structs
+  // avoids moving 40-byte records; the lanes are filled through the
+  // resulting permutation.
   const size_t num_leaves = (n + capacity_ - 1) / capacity_;
   const size_t num_slabs = static_cast<size_t>(
       std::ceil(std::sqrt(static_cast<double>(num_leaves))));
@@ -56,7 +54,7 @@ PackedRTree::PackedRTree(const std::vector<RTree::Entry>& entries,
   entry_max_y_.resize(n);
   entry_payload_.resize(n);
   for (size_t i = 0; i < n; ++i) {
-    const RTree::Entry& entry = entries[order[i].idx];
+    const Entry& entry = entries[order[i].idx];
     entry_min_x_[i] = entry.box.min_x();
     entry_min_y_[i] = entry.box.min_y();
     entry_max_x_[i] = entry.box.max_x();
@@ -64,38 +62,6 @@ PackedRTree::PackedRTree(const std::vector<RTree::Entry>& entries,
     entry_payload_[i] = entry.payload;
   }
   BuildNodes(n);
-}
-
-PackedRTree::PackedRTree(const RTree& tree) : capacity_(tree.capacity_) {
-  const size_t n = tree.entries_.size();
-  entry_min_x_.resize(n);
-  entry_min_y_.resize(n);
-  entry_max_x_.resize(n);
-  entry_max_y_.resize(n);
-  entry_payload_.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    const RTree::Entry& entry = tree.entries_[i];
-    entry_min_x_[i] = entry.box.min_x();
-    entry_min_y_[i] = entry.box.min_y();
-    entry_max_x_[i] = entry.box.max_x();
-    entry_max_y_[i] = entry.box.max_y();
-    entry_payload_[i] = entry.payload;
-  }
-  const size_t m = tree.nodes_.size();
-  node_min_x_.resize(m);
-  node_min_y_.resize(m);
-  node_max_x_.resize(m);
-  node_max_y_.resize(m);
-  node_meta_.resize(m);
-  for (size_t i = 0; i < m; ++i) {
-    node_min_x_[i] = tree.nodes_[i].box.min_x();
-    node_min_y_[i] = tree.nodes_[i].box.min_y();
-    node_max_x_[i] = tree.nodes_[i].box.max_x();
-    node_max_y_[i] = tree.nodes_[i].box.max_y();
-    node_meta_[i] = {tree.nodes_[i].first, tree.nodes_[i].last,
-                     tree.nodes_[i].is_leaf};
-  }
-  root_ = tree.root_;
 }
 
 void PackedRTree::BuildNodes(size_t n) {
@@ -108,6 +74,7 @@ void PackedRTree::BuildNodes(size_t n) {
     node_meta_.push_back({first, last, is_leaf});
   };
 
+  // Leaves over consecutive runs of `capacity_` entries.
   std::vector<uint32_t> level;
   for (size_t s = 0; s < n; s += capacity_) {
     const size_t e = std::min(n, s + capacity_);
@@ -119,6 +86,9 @@ void PackedRTree::BuildNodes(size_t n) {
     level.push_back(static_cast<uint32_t>(node_meta_.size()));
     push_node(box, static_cast<uint32_t>(s), static_cast<uint32_t>(e), true);
   }
+  // Internal levels bottom-up: children are already in STR order, so
+  // consecutive grouping preserves locality, and each group's children
+  // are contiguous in the node lanes.
   while (level.size() > 1) {
     std::vector<uint32_t> next;
     for (size_t s = 0; s < level.size(); s += capacity_) {
@@ -135,6 +105,19 @@ void PackedRTree::BuildNodes(size_t n) {
     level = std::move(next);
   }
   root_ = level.front();
+}
+
+simd::BoxLanes PackedRTree::ChildLanes(const NodeMeta& node) const {
+  const uint32_t first = node.first;
+  return node.is_leaf
+             ? simd::BoxLanes{entry_min_x_.data() + first,
+                              entry_min_y_.data() + first,
+                              entry_max_x_.data() + first,
+                              entry_max_y_.data() + first}
+             : simd::BoxLanes{node_min_x_.data() + first,
+                              node_min_y_.data() + first,
+                              node_max_x_.data() + first,
+                              node_max_y_.data() + first};
 }
 
 Envelope PackedRTree::Bounds() const {
@@ -166,31 +149,18 @@ size_t PackedRTree::Search(const Envelope& query,
     const NodeMeta node = node_meta_[stack.back()];
     stack.pop_back();
     ++visited;
-    const uint32_t first = node.first;
-    const size_t count = node.last - first;
-    const simd::BoxLanes lanes =
-        node.is_leaf
-            ? simd::BoxLanes{entry_min_x_.data() + first,
-                             entry_min_y_.data() + first,
-                             entry_max_x_.data() + first,
-                             entry_max_y_.data() + first}
-            : simd::BoxLanes{node_min_x_.data() + first,
-                             node_min_y_.data() + first,
-                             node_max_x_.data() + first,
-                             node_max_y_.data() + first};
-    const size_t hits =
-        kernels.intersect_box_bitmap(lanes, count, query.min_x(),
-                                     query.min_y(), query.max_x(),
-                                     query.max_y(), bits);
+    const size_t count = node.last - node.first;
+    const size_t hits = kernels.intersect_box_bitmap(
+        ChildLanes(node), count, query.min_x(), query.min_y(), query.max_x(),
+        query.max_y(), bits);
     if (hits == 0) continue;
-    // Ascending bit order matches RTree's ascending child loop: pushed
-    // children pop in the same LIFO order, and leaf payloads append in
-    // the same sequence.
+    // Ascending bit order: leaf payloads append in entry order, and
+    // pushed children pop last-first.
     for (size_t w = 0; w < simd::BitmapWords(count); ++w) {
       uint64_t word = bits[w];
       while (word != 0) {
         const uint32_t offset =
-            first + static_cast<uint32_t>(w * 64) +
+            node.first + static_cast<uint32_t>(w * 64) +
             static_cast<uint32_t>(std::countr_zero(word));
         word &= word - 1;
         if (node.is_leaf) {
@@ -202,6 +172,43 @@ size_t PackedRTree::Search(const Envelope& query,
     }
   }
   return visited;
+}
+
+std::vector<uint32_t> PackedRTree::NearestNeighbors(const Point& q,
+                                                    size_t k) const {
+  std::vector<uint32_t> result;
+  if (node_meta_.empty() || k == 0) return result;
+  const simd::detail::KernelTable& kernels = simd::ActiveKernels();
+
+  // Best-first search over nodes and entries by MinDistance. The queue
+  // orders by distance only; ties resolve by the heap's push history,
+  // which is fixed because children are pushed in ascending order.
+  struct Item {
+    double dist;
+    bool is_entry;
+    uint32_t index;
+  };
+  auto greater = [](const Item& a, const Item& b) { return a.dist > b.dist; };
+  std::priority_queue<Item, std::vector<Item>, decltype(greater)> queue(
+      greater);
+  queue.push({Bounds().MinDistance(q), false, root_});
+  std::vector<double> dist(static_cast<size_t>(capacity_));
+  while (!queue.empty() && result.size() < k) {
+    const Item item = queue.top();
+    queue.pop();
+    if (item.is_entry) {
+      result.push_back(entry_payload_[item.index]);
+      continue;
+    }
+    const NodeMeta node = node_meta_[item.index];
+    const size_t count = node.last - node.first;
+    kernels.box_min_distance(ChildLanes(node), count, q.x, q.y, dist.data());
+    for (size_t i = 0; i < count; ++i) {
+      queue.push({dist[i], node.is_leaf,
+                  node.first + static_cast<uint32_t>(i)});
+    }
+  }
+  return result;
 }
 
 }  // namespace shadoop::index

@@ -5,37 +5,36 @@
 #include <vector>
 
 #include "geometry/envelope.h"
-#include "index/rtree.h"
+#include "geometry/point.h"
+#include "simd/mbr_kernels.h"
 
 namespace shadoop::index {
 
-/// Cache-packed, read-only flattening of the STR R-tree: node and entry
-/// boxes live in contiguous SoA lanes (separate min-x / min-y / max-x /
-/// max-y arrays) so Search tests a whole node's children with one batch
-/// MBR kernel call (simd::IntersectBoxBitmap) instead of a per-child
-/// branchy test.
+/// Static, STR-bulk-loaded R-tree used as the *local index* of a
+/// partition: built once over the records of a block and queried many
+/// times. Entries carry an opaque uint32 payload (the record's index in
+/// the block).
 ///
-/// Parity contract: for the same entries and capacity, a PackedRTree is
-/// *structurally identical* to the RTree it mirrors — same STR packing,
-/// same node boxes, same DFS push order — so Search returns the same
-/// payloads in the same order and reports the same visited-node count
-/// (the CPU-cost proxy charged to the simulated cost model). The
-/// bulk-load avoids sorting 40-byte Entry structs: it sorts (key, index)
-/// pairs, which is the identical permutation because std::sort's element
-/// moves are a function of comparator outcomes only, then fills the
-/// lanes through the permutation.
+/// Node and entry boxes live in contiguous SoA lanes (separate min-x /
+/// min-y / max-x / max-y arrays), so Search tests a whole node's children
+/// with one batch MBR kernel call (simd::IntersectBoxBitmap) and
+/// NearestNeighbors scores them with one simd::BoxMinDistance call. The
+/// kernels are bit-identical on every dispatch target, so hit order,
+/// neighbour order and visited-node counts (the CPU-cost proxy charged to
+/// the simulated cost model) do not depend on the CPU.
 class PackedRTree {
  public:
+  struct Entry {
+    Envelope box;
+    uint32_t payload = 0;
+  };
+
   PackedRTree() = default;
 
-  /// Bulk-loads with the same Sort-Tile-Recursive packing as
-  /// RTree(entries, leaf_capacity).
-  explicit PackedRTree(const std::vector<RTree::Entry>& entries,
+  /// Bulk-loads from entries with Sort-Tile-Recursive packing.
+  /// `leaf_capacity` is the R-tree node fan-out.
+  explicit PackedRTree(const std::vector<Entry>& entries,
                        int leaf_capacity = 32);
-
-  /// Flattens an already-built RTree (used by the parity suite as the
-  /// by-construction-identical reference, and by callers that hold one).
-  explicit PackedRTree(const RTree& tree);
 
   size_t NumEntries() const { return entry_payload_.size(); }
   bool IsEmpty() const { return entry_payload_.empty(); }
@@ -44,9 +43,15 @@ class PackedRTree {
   Envelope Bounds() const;
 
   /// Payloads of all entries whose box intersects `query`, appended to
-  /// `out` in RTree::Search order. Returns the number of tree nodes
-  /// visited — identical to RTree::Search on the same entries.
+  /// `out` in depth-first order (children in ascending node order).
+  /// Returns the number of tree nodes visited.
   size_t Search(const Envelope& query, std::vector<uint32_t>* out) const;
+
+  /// Payloads of the `k` entries nearest to `q` by MinDistance of their
+  /// boxes (exact for point entries), nearest first. Best-first search;
+  /// children are queued in ascending node order, so ties pop in a fixed
+  /// order.
+  std::vector<uint32_t> NearestNeighbors(const Point& q, size_t k) const;
 
  private:
   struct NodeMeta {
@@ -57,11 +62,16 @@ class PackedRTree {
 
   void BuildNodes(size_t n);
 
+  /// The lanes holding `node`'s children: entry lanes for a leaf, node
+  /// lanes otherwise.
+  simd::BoxLanes ChildLanes(const NodeMeta& node) const;
+
   // Entry lanes, in STR-packed order.
   std::vector<double> entry_min_x_, entry_min_y_, entry_max_x_, entry_max_y_;
   std::vector<uint32_t> entry_payload_;
 
-  // Node lanes, same index space as the mirrored RTree's nodes_.
+  // Node lanes: leaves first, then each internal level bottom-up; the
+  // root is the last node.
   std::vector<double> node_min_x_, node_min_y_, node_max_x_, node_max_y_;
   std::vector<NodeMeta> node_meta_;
   uint32_t root_ = 0;

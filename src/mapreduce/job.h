@@ -11,10 +11,6 @@
 
 #include "common/status.h"
 
-namespace shadoop::fault {
-class FaultInjector;
-}  // namespace shadoop::fault
-
 namespace shadoop::mapreduce {
 
 class ArtifactCache;
@@ -176,10 +172,6 @@ using ReducerFactory = std::function<std::unique_ptr<Reducer>()>;
 /// Routes an intermediate key to a reduce task in [0, num_reducers).
 using Partitioner = std::function<int(std::string_view key, int num_reducers)>;
 
-/// Fault-injection hook for tests: return true to make the given task
-/// attempt fail artificially.
-using FaultInjector = std::function<bool(int task_index, int attempt)>;
-
 /// Full specification of one MapReduce job.
 struct JobConfig {
   std::string name = "job";
@@ -191,13 +183,6 @@ struct JobConfig {
   int num_reducers = 1;
   /// When non-empty, the output lines are also written as an HDFS file.
   std::string output_path;
-  int max_task_attempts = 3;
-  FaultInjector fault_injector;  // Optional, tests only.
-  /// Deterministic fault source driving the task-attempt scheduler (task
-  /// failures, stragglers). Not owned; null means no injection. Jobs run
-  /// through SpatialJobBuilder inherit the pipeline's injector instead of
-  /// setting this directly.
-  fault::FaultInjector* fault_source = nullptr;
 };
 
 /// Deterministic simulated-cost breakdown of a finished job (see
@@ -225,6 +210,54 @@ struct JobCost {
   int64_t admission_queued = 0;       // 1 when this job queued for a slot.
   double admission_wait_ms = 0;       // Simulated queue wait.
   int64_t admission_preempted_specs = 0;  // Backups denied by the quota.
+
+  /// Field-wise sum: folds one job's (or one statement's) charges into a
+  /// running total.
+  JobCost& operator+=(const JobCost& other) {
+    total_ms += other.total_ms;
+    map_makespan_ms += other.map_makespan_ms;
+    shuffle_ms += other.shuffle_ms;
+    reduce_makespan_ms += other.reduce_makespan_ms;
+    bytes_read += other.bytes_read;
+    bytes_shuffled += other.bytes_shuffled;
+    bytes_written += other.bytes_written;
+    num_map_tasks += other.num_map_tasks;
+    num_reduce_tasks += other.num_reduce_tasks;
+    task_retries += other.task_retries;
+    speculative_launched += other.speculative_launched;
+    speculative_won += other.speculative_won;
+    replica_failovers += other.replica_failovers;
+    admission_queued += other.admission_queued;
+    admission_wait_ms += other.admission_wait_ms;
+    admission_preempted_specs += other.admission_preempted_specs;
+    return *this;
+  }
+
+  /// Field-wise difference `after - before` of two running totals: the
+  /// charges accrued in between. Charges only accumulate, so every field
+  /// of the result is non-negative.
+  friend JobCost operator-(const JobCost& after, const JobCost& before) {
+    JobCost d;
+    d.total_ms = after.total_ms - before.total_ms;
+    d.map_makespan_ms = after.map_makespan_ms - before.map_makespan_ms;
+    d.shuffle_ms = after.shuffle_ms - before.shuffle_ms;
+    d.reduce_makespan_ms = after.reduce_makespan_ms - before.reduce_makespan_ms;
+    d.bytes_read = after.bytes_read - before.bytes_read;
+    d.bytes_shuffled = after.bytes_shuffled - before.bytes_shuffled;
+    d.bytes_written = after.bytes_written - before.bytes_written;
+    d.num_map_tasks = after.num_map_tasks - before.num_map_tasks;
+    d.num_reduce_tasks = after.num_reduce_tasks - before.num_reduce_tasks;
+    d.task_retries = after.task_retries - before.task_retries;
+    d.speculative_launched =
+        after.speculative_launched - before.speculative_launched;
+    d.speculative_won = after.speculative_won - before.speculative_won;
+    d.replica_failovers = after.replica_failovers - before.replica_failovers;
+    d.admission_queued = after.admission_queued - before.admission_queued;
+    d.admission_wait_ms = after.admission_wait_ms - before.admission_wait_ms;
+    d.admission_preempted_specs =
+        after.admission_preempted_specs - before.admission_preempted_specs;
+    return d;
+  }
 };
 
 struct JobResult {

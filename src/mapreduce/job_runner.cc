@@ -193,15 +193,12 @@ double CpuMs(const ClusterConfig& cfg, const TaskAccounting& acct) {
 
 TaskSchedulerOptions SchedulerOptions(const JobConfig& job,
                                       const ClusterConfig& cluster,
-                                      fault::TaskKind kind,
-                                      int max_attempts_override,
+                                      fault::TaskKind kind, int max_attempts,
                                       AttemptGate* gate) {
   TaskSchedulerOptions options;
   options.job_name = job.name;
   options.kind = kind;
-  options.max_task_attempts = max_attempts_override > 0
-                                  ? max_attempts_override
-                                  : job.max_task_attempts;
+  options.max_task_attempts = max_attempts;
   options.task_startup_ms = cluster.task_startup_ms;
   options.retry_backoff_ms = cluster.retry_backoff_ms;
   options.speculative_execution = cluster.speculative_execution;
@@ -297,9 +294,6 @@ JobResult JobRunner::RunAdmitted(const JobConfig& job, int lanes,
     return result;
   }
 
-  fault::FaultInjector* injector =
-      job.fault_source != nullptr ? job.fault_source : fault_injector_;
-
   // Read-fault counters are owned by the file system's injector; the
   // job's share is the delta across the run.
   fault::FaultInjector* fs_injector = fs_->fault_injector();
@@ -318,11 +312,11 @@ JobResult JobRunner::RunAdmitted(const JobConfig& job, int lanes,
       num_maps);
 
   // Artifact caching is offered only on fully fault-free runs: any active
-  // injector (scheduler faults, legacy per-call hook, or HDFS read
-  // faults) could otherwise be masked by an artifact parsed before the
-  // fault fired. Block ids are resolved once per job from the namenode.
-  const bool cache_enabled = injector == nullptr && fs_injector == nullptr &&
-                             !job.fault_injector;
+  // injector (scheduler or HDFS read faults) could otherwise be masked by
+  // an artifact parsed before the fault fired. Block ids are resolved
+  // once per job from the namenode.
+  const bool cache_enabled =
+      fault_injector_ == nullptr && fs_injector == nullptr;
   std::vector<std::vector<uint64_t>> split_block_ids;
   if (cache_enabled) {
     split_block_ids.resize(num_maps);
@@ -349,20 +343,14 @@ JobResult JobRunner::RunAdmitted(const JobConfig& job, int lanes,
 
   TaskScheduler map_sched(
       SchedulerOptions(job, cluster_, fault::TaskKind::kMap,
-                       max_task_attempts_override_, gate),
-      injector);
+                       max_task_attempts_, gate),
+      fault_injector_);
   map_sched.RunTasks(
       num_maps, lanes,
       [&](size_t i, const AttemptInfo& info, int slot,
           const std::atomic<bool>& cancelled) -> AttemptOutcome {
+        (void)info;
         const InputSplit& split = job.splits[i];
-        // Legacy per-call fault hook (tests): fail before doing any work.
-        if (job.fault_injector &&
-            job.fault_injector(static_cast<int>(i), info.id)) {
-          return {Status::IoError("injected fault in map task " +
-                                  std::to_string(i)),
-                  /*transient=*/true};
-        }
         auto ctx = std::make_unique<MapContextImpl>(split, num_reducers);
         ctx->set_partitioner(job.partitioner);
         if (cache_enabled) {
@@ -412,8 +400,8 @@ JobResult JobRunner::RunAdmitted(const JobConfig& job, int lanes,
 
   TaskScheduler reduce_sched(
       SchedulerOptions(job, cluster_, fault::TaskKind::kReduce,
-                       max_task_attempts_override_, gate),
-      injector);
+                       max_task_attempts_, gate),
+      fault_injector_);
 
   auto finish_fault_accounting = [&] {
     result.cost.task_retries =

@@ -21,8 +21,8 @@ namespace shadoop::mapreduce {
 /// and reproduces the paper's cost structure (job startup, scan, shuffle).
 ///
 /// Failed task attempts (I/O errors on dead datanodes, injected faults)
-/// are retried with exponential backoff up to JobConfig::max_task_attempts
-/// before failing the job; stragglers are speculatively re-executed. See
+/// are retried with exponential backoff up to max_task_attempts() before
+/// failing the job; stragglers are speculatively re-executed. See
 /// TaskScheduler and DESIGN.md §9.
 class JobRunner {
  public:
@@ -33,8 +33,9 @@ class JobRunner {
   hdfs::FileSystem* file_system() const { return fs_; }
 
   /// Installs the deterministic fault source used by every subsequent
-  /// Run() (unless the job overrides it via JobConfig::fault_source).
-  /// Not owned; null (the default) disables task-fault injection.
+  /// Run() — the one task-fault entry point (block-read faults go through
+  /// FileSystem::set_fault_injector). Not owned; null (the default)
+  /// disables task-fault injection.
   void set_fault_injector(fault::FaultInjector* injector) {
     fault_injector_ = injector;
   }
@@ -53,15 +54,10 @@ class JobRunner {
   AdmissionController* admission_controller() const { return admission_; }
   const std::string& tenant() const { return tenant_; }
 
-  /// Session-level override of JobConfig::max_task_attempts (the Pigeon
-  /// `SET max_task_attempts` knob); 0 (the default) keeps each job's own
-  /// setting.
-  void set_max_task_attempts_override(int attempts) {
-    max_task_attempts_override_ = attempts;
-  }
-  int max_task_attempts_override() const {
-    return max_task_attempts_override_;
-  }
+  /// Attempts each task of every subsequent Run() gets before the job
+  /// fails (default 3; the Pigeon `SET max_task_attempts` knob).
+  void set_max_task_attempts(int attempts) { max_task_attempts_ = attempts; }
+  int max_task_attempts() const { return max_task_attempts_; }
 
   /// Runs the job to completion. Never throws; failures are reported in
   /// JobResult::status. With an admission controller bound, blocks until
@@ -85,7 +81,7 @@ class JobRunner {
   fault::FaultInjector* fault_injector_ = nullptr;
   AdmissionController* admission_ = nullptr;
   std::string tenant_ = "default";
-  int max_task_attempts_override_ = 0;
+  int max_task_attempts_ = 3;
 };
 
 /// Builds one split per block of `path`, with empty metadata — the

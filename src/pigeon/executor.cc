@@ -91,8 +91,7 @@ Status Executor::ExecuteStatement(const Statement& stmt,
           EnsureAdmission();
           admission_->SetTenantSlots(tenant_, static_cast<int>(stmt.number));
         } else if (stmt.target == "MAX_TASK_ATTEMPTS") {
-          runner_->set_max_task_attempts_override(
-              static_cast<int>(stmt.number));
+          runner_->set_max_task_attempts(static_cast<int>(stmt.number));
         } else if (stmt.target == "OPTIMIZER") {
           optimizer_on_ = stmt.path == "on";
         } else if (stmt.target == "SNAPSHOT_VERSION") {

@@ -16,51 +16,6 @@ mapreduce::AdmissionOptions AdmissionOptionsFor(const ServerOptions& options) {
   return admission;
 }
 
-/// after - before, field by field. Charges only accumulate, so every
-/// delta is non-negative.
-mapreduce::JobCost CostDelta(const mapreduce::JobCost& after,
-                             const mapreduce::JobCost& before) {
-  mapreduce::JobCost d;
-  d.total_ms = after.total_ms - before.total_ms;
-  d.map_makespan_ms = after.map_makespan_ms - before.map_makespan_ms;
-  d.shuffle_ms = after.shuffle_ms - before.shuffle_ms;
-  d.reduce_makespan_ms = after.reduce_makespan_ms - before.reduce_makespan_ms;
-  d.bytes_read = after.bytes_read - before.bytes_read;
-  d.bytes_shuffled = after.bytes_shuffled - before.bytes_shuffled;
-  d.bytes_written = after.bytes_written - before.bytes_written;
-  d.num_map_tasks = after.num_map_tasks - before.num_map_tasks;
-  d.num_reduce_tasks = after.num_reduce_tasks - before.num_reduce_tasks;
-  d.task_retries = after.task_retries - before.task_retries;
-  d.speculative_launched =
-      after.speculative_launched - before.speculative_launched;
-  d.speculative_won = after.speculative_won - before.speculative_won;
-  d.replica_failovers = after.replica_failovers - before.replica_failovers;
-  d.admission_queued = after.admission_queued - before.admission_queued;
-  d.admission_wait_ms = after.admission_wait_ms - before.admission_wait_ms;
-  d.admission_preempted_specs =
-      after.admission_preempted_specs - before.admission_preempted_specs;
-  return d;
-}
-
-void AddCost(mapreduce::JobCost* into, const mapreduce::JobCost& delta) {
-  into->total_ms += delta.total_ms;
-  into->map_makespan_ms += delta.map_makespan_ms;
-  into->shuffle_ms += delta.shuffle_ms;
-  into->reduce_makespan_ms += delta.reduce_makespan_ms;
-  into->bytes_read += delta.bytes_read;
-  into->bytes_shuffled += delta.bytes_shuffled;
-  into->bytes_written += delta.bytes_written;
-  into->num_map_tasks += delta.num_map_tasks;
-  into->num_reduce_tasks += delta.num_reduce_tasks;
-  into->task_retries += delta.task_retries;
-  into->speculative_launched += delta.speculative_launched;
-  into->speculative_won += delta.speculative_won;
-  into->replica_failovers += delta.replica_failovers;
-  into->admission_queued += delta.admission_queued;
-  into->admission_wait_ms += delta.admission_wait_ms;
-  into->admission_preempted_specs += delta.admission_preempted_specs;
-}
-
 bool IsCacheableExpr(pigeon::Expr::Kind kind) {
   switch (kind) {
     case pigeon::Expr::Kind::kCount:
@@ -175,7 +130,7 @@ Result<RequestResult> QueryServer::Execute(SessionId session,
   RequestResult out;
   out.rows.assign(s->report.dump_output.begin() + dump_before,
                   s->report.dump_output.end());
-  out.cost = CostDelta(s->report.stats.cost, cost_before);
+  out.cost = s->report.stats.cost - cost_before;
   // Modeled end-to-end latency of the request: simulated cluster time of
   // its jobs plus simulated admission queueing.
   out.sim_latency_ms = out.cost.total_ms + out.cost.admission_wait_ms;
@@ -240,7 +195,7 @@ Status QueryServer::ExecuteSessionStatement(Session& session,
     dataset.shape = hit->shape;
     dataset.lines = hit->lines;
     session.executor->Bind(stmt.target, std::move(dataset));
-    AddCost(&session.report.stats.cost, hit->cost);
+    session.report.stats.cost += hit->cost;
     for (const auto& [name, value] : hit->counters) {
       session.report.stats.counters.Increment(name, value);
     }
@@ -260,7 +215,7 @@ Status QueryServer::ExecuteSessionStatement(Session& session,
     auto entry = std::make_shared<CachedResult>();
     entry->lines = it->second.lines;
     entry->shape = it->second.shape;
-    entry->cost = CostDelta(session.report.stats.cost, cost_before);
+    entry->cost = session.report.stats.cost - cost_before;
     for (const auto& [name, value] : session.report.stats.counters.values()) {
       const int64_t delta = value - counters_before.Get(name);
       if (delta != 0) entry->counters.emplace(name, delta);

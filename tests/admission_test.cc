@@ -387,10 +387,10 @@ TEST(AdmissionRunnerTest, RetriedAttemptsReleaseTheirLanes) {
       AdmissionOptions{cluster.runner.cluster().num_slots, 0});
   cluster.runner.set_admission(&controller, "retrier");
   cluster.runner.set_fault_injector(&injector);
+  cluster.runner.set_max_task_attempts(8);  // Plenty of retries, no abort.
 
-  JobConfig job = CountJob(cluster, "/pts", "retry-lanes");
-  job.max_task_attempts = 8;  // Plenty of retries, no job abort.
-  const JobResult result = cluster.runner.Run(job);
+  const JobResult result =
+      cluster.runner.Run(CountJob(cluster, "/pts", "retry-lanes"));
   ASSERT_TRUE(result.status.ok());
   EXPECT_GT(result.cost.task_retries, 0);
 
@@ -438,7 +438,7 @@ TEST(PigeonAdmissionTest, SessionKnobsDriveRunnerAndExplainCounters) {
       "EXPLAIN b;\n");
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(executor.tenant(), "analyst");
-  EXPECT_EQ(cluster.runner.max_task_attempts_override(), 5);
+  EXPECT_EQ(cluster.runner.max_task_attempts(), 5);
   ASSERT_TRUE(executor.admission_controller() != nullptr);
   EXPECT_EQ(executor.admission_controller()->TenantSlots("analyst"), 1);
 
@@ -496,7 +496,7 @@ TEST(PigeonAdmissionTest, SingleTenantScriptMatchesDefaultByteForByte) {
   EXPECT_EQ(gated.second, ungated.second);
 }
 
-TEST(PigeonAdmissionTest, MaxTaskAttemptsKnobBoundsRetries) {
+TEST(PigeonAdmissionTest, RetryCapKnobBoundsRetries) {
   fault::FaultPolicy policy;
   policy.seed = 1;
   policy.map_failure_prob = 0.995;

@@ -5,7 +5,9 @@
 #include "core/range_query.h"
 #include "core/spatial_file_splitter.h"
 #include "core/spatial_record_reader.h"
+#include "fault/fault_injector.h"
 #include "geometry/wkt.h"
+#include "index/packed_rtree.h"
 #include "test_util.h"
 
 namespace shadoop::core {
@@ -91,7 +93,7 @@ TEST(SpatialRecordReaderTest, TypedViewsAndBadRecordCounting) {
   EXPECT_EQ(entries[1].payload, 2u);
   EXPECT_EQ(reader.records()[entries[1].payload], "3,4");
 
-  const index::RTree local = reader.BuildLocalIndex();
+  const index::PackedRTree local(entries);
   std::vector<uint32_t> hits;
   local.Search(Envelope(0, 0, 2, 3), &hits);
   EXPECT_EQ(hits, std::vector<uint32_t>{0});
@@ -154,8 +156,8 @@ TEST(FaultToleranceTest, TransientTaskFaultsDoNotChangeResults) {
   testing::TestCluster cluster;
   const std::vector<Point> points =
       testing::WritePoints(&cluster.fs, "/pts", 1000);
-  // Build a job manually with a fault injector killing every first
-  // attempt; the retry must produce exactly the same output.
+  // Build a job manually and run it under seeded task faults; the
+  // retries must produce exactly the same output.
   mapreduce::JobConfig job;
   job.splits = mapreduce::MakeBlockSplits(cluster.fs, "/pts").ValueOrDie();
   class EchoMapper : public mapreduce::Mapper {
@@ -165,10 +167,15 @@ TEST(FaultToleranceTest, TransientTaskFaultsDoNotChangeResults) {
     }
   };
   job.mapper = []() { return std::make_unique<EchoMapper>(); };
-  job.fault_injector = [](int, int attempt) { return attempt == 1; };
+  fault::FaultPolicy policy;
+  policy.seed = 11;  // Fails some first attempts, never all three.
+  policy.map_failure_prob = 0.3;
+  fault::FaultInjector injector(policy);
+  cluster.runner.set_fault_injector(&injector);
   const mapreduce::JobResult with_faults = cluster.runner.Run(job);
-  ASSERT_TRUE(with_faults.status.ok());
-  job.fault_injector = nullptr;
+  ASSERT_TRUE(with_faults.status.ok()) << with_faults.status.ToString();
+  EXPECT_GT(with_faults.cost.task_retries, 0);
+  cluster.runner.set_fault_injector(nullptr);
   const mapreduce::JobResult clean = cluster.runner.Run(job);
   ASSERT_TRUE(clean.status.ok());
   EXPECT_EQ(with_faults.output, clean.output);

@@ -295,6 +295,7 @@ TEST(FaultToleranceTest, InjectionPreservesOutputAcrossSeeds) {
   EXPECT_EQ(clean.cost.task_retries, 0);
   EXPECT_EQ(clean.counters.Get("fault.task_retries"), 0);
 
+  cluster.runner.set_max_task_attempts(8);  // Ample at a 30% failure rate.
   for (uint64_t seed : {1u, 2u, 3u, 4u}) {
     FaultPolicy policy;
     policy.seed = seed;
@@ -302,10 +303,10 @@ TEST(FaultToleranceTest, InjectionPreservesOutputAcrossSeeds) {
     policy.reduce_failure_prob = 0.2;
     policy.straggler_prob = 0.3;
     FaultInjector injector(policy);
-    JobConfig job = WordCountJob(cluster.fs, "/text");
-    job.fault_source = &injector;
-    job.max_task_attempts = 8;  // Ample budget at a 30% failure rate.
-    const JobResult faulty = cluster.runner.Run(job);
+    cluster.runner.set_fault_injector(&injector);
+    const JobResult faulty =
+        cluster.runner.Run(WordCountJob(cluster.fs, "/text"));
+    cluster.runner.set_fault_injector(nullptr);
     ASSERT_TRUE(faulty.status.ok())
         << "seed " << seed << ": " << faulty.status.ToString();
     // The invariant: identical rows, only the fault counters differ.
@@ -327,12 +328,13 @@ TEST(FaultToleranceTest, FaultyCostIsReproducible) {
   policy.seed = 7;
   policy.map_failure_prob = 0.25;
   policy.straggler_prob = 0.4;
+  cluster.runner.set_max_task_attempts(8);
   auto run = [&] {
     FaultInjector injector(policy);
-    JobConfig job = WordCountJob(cluster.fs, "/text");
-    job.fault_source = &injector;
-    job.max_task_attempts = 8;
-    return cluster.runner.Run(job);
+    cluster.runner.set_fault_injector(&injector);
+    JobResult result = cluster.runner.Run(WordCountJob(cluster.fs, "/text"));
+    cluster.runner.set_fault_injector(nullptr);
+    return result;
   };
   const JobResult r1 = run();
   const JobResult r2 = run();
@@ -358,9 +360,9 @@ TEST(FaultToleranceTest, RunnerLevelInjectorAppliesToEveryJob) {
   policy.reduce_failure_prob = 0.4;
   FaultInjector injector(policy);
   cluster.runner.set_fault_injector(&injector);
-  JobConfig job = WordCountJob(cluster.fs, "/text");
-  job.max_task_attempts = 8;
-  const JobResult result = cluster.runner.Run(job);
+  cluster.runner.set_max_task_attempts(8);
+  const JobResult result =
+      cluster.runner.Run(WordCountJob(cluster.fs, "/text"));
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
   EXPECT_GT(result.cost.task_retries, 0);
   cluster.runner.set_fault_injector(nullptr);
@@ -379,8 +381,12 @@ TEST(FaultToleranceTest, AbortCarriesTaskIdAndAttemptHistory) {
   job.name = "doomed";
   job.splits = MakeBlockSplits(cluster.fs, "/in").ValueOrDie();
   job.mapper = []() { return std::make_unique<PassMapper>(); };
-  job.fault_injector = [](int, int) { return true; };  // Never succeeds.
+  FaultPolicy policy;
+  policy.map_failure_prob = 1.0;  // Never succeeds.
+  FaultInjector injector(policy);
+  cluster.runner.set_fault_injector(&injector);
   const JobResult result = cluster.runner.Run(job);
+  cluster.runner.set_fault_injector(nullptr);
   EXPECT_TRUE(result.status.IsIoError());
   EXPECT_NE(result.status.message().find("map task 0"), std::string::npos);
   EXPECT_NE(result.status.message().find("'doomed'"), std::string::npos);

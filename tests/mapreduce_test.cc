@@ -5,6 +5,7 @@
 
 #include "common/random.h"
 #include "common/string_util.h"
+#include "fault/fault_injector.h"
 #include "mapreduce/cluster.h"
 #include "mapreduce/job_runner.h"
 #include "test_util.h"
@@ -141,11 +142,20 @@ TEST(MapReduceTest, InjectedFaultIsRetried) {
   JobConfig job;
   job.splits = MakeBlockSplits(cluster.fs, "/in").ValueOrDie();
   job.mapper = []() { return std::make_unique<PassMapper>(); };
-  job.fault_injector = [](int task, int attempt) {
-    return task == 0 && attempt == 1;  // First attempt fails.
-  };
+  fault::FaultPolicy policy;
+  policy.seed = 4;
+  policy.map_failure_prob = 0.5;
+  fault::FaultInjector injector(policy);
+  // Under this seed the first attempt fails and the second commits.
+  ASSERT_TRUE(
+      injector.ShouldFailAttempt(fault::TaskKind::kMap, job.name, 0, 1));
+  ASSERT_FALSE(
+      injector.ShouldFailAttempt(fault::TaskKind::kMap, job.name, 0, 2));
+  cluster.runner.set_fault_injector(&injector);
   JobResult result = cluster.runner.Run(job);
+  cluster.runner.set_fault_injector(nullptr);
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  EXPECT_EQ(result.cost.task_retries, 1);
   EXPECT_EQ(result.output, std::vector<std::string>{"r"});
 }
 
@@ -161,8 +171,12 @@ TEST(MapReduceTest, PersistentFaultFailsTheJob) {
   JobConfig job;
   job.splits = MakeBlockSplits(cluster.fs, "/in").ValueOrDie();
   job.mapper = []() { return std::make_unique<PassMapper>(); };
-  job.fault_injector = [](int, int) { return true; };
+  fault::FaultPolicy policy;
+  policy.map_failure_prob = 1.0;  // Every attempt fails.
+  fault::FaultInjector injector(policy);
+  cluster.runner.set_fault_injector(&injector);
   JobResult result = cluster.runner.Run(job);
+  cluster.runner.set_fault_injector(nullptr);
   EXPECT_TRUE(result.status.IsIoError());
 }
 

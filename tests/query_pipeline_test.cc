@@ -9,6 +9,7 @@
 
 #include "common/string_util.h"
 #include "core/operation_skeleton.h"
+#include "fault/fault_injector.h"
 #include "geometry/wkt.h"
 #include "test_util.h"
 
@@ -249,28 +250,38 @@ TEST(QueryPipelineTest, FaultInjectorRetriesThroughBuilder) {
   };
   auto mapper = []() { return std::make_unique<CountMapper>(); };
 
-  // First attempt of every task fails; retries succeed.
-  const JobResult retried =
-      SpatialJobBuilder(&cluster.runner)
-          .ScanIndexed(file)
-          .Map(mapper)
-          .WithFaultInjector([](int, int attempt) { return attempt == 1; })
-          .Run(nullptr)
-          .ValueOrDie();
+  // Seeded task faults on the runner: failed attempts are retried.
+  fault::FaultPolicy policy;
+  policy.seed = 4;  // Fails some first attempts, never all three.
+  policy.map_failure_prob = 0.3;
+  fault::FaultInjector flaky(policy);
+  cluster.runner.set_fault_injector(&flaky);
+  const JobResult retried = SpatialJobBuilder(&cluster.runner)
+                                .ScanIndexed(file)
+                                .Map(mapper)
+                                .Run(nullptr)
+                                .ValueOrDie();
+  EXPECT_GT(retried.cost.task_retries, 0);
   size_t total = 0;
   for (const std::string& line : retried.output) {
     total += ParseInt64(line).ValueOrDie();
   }
   EXPECT_EQ(total, 300u);
 
-  // Persistent faults exhaust max_task_attempts and fail the job.
-  EXPECT_FALSE(SpatialJobBuilder(&cluster.runner)
-                   .ScanIndexed(file)
-                   .Map(mapper)
-                   .WithFaultInjector([](int, int) { return true; })
-                   .MaxTaskAttempts(2)
-                   .Run(nullptr)
-                   .ok());
+  // Persistent faults exhaust the runner's attempt cap and fail the job.
+  policy.map_failure_prob = 1.0;
+  fault::FaultInjector broken(policy);
+  cluster.runner.set_fault_injector(&broken);
+  cluster.runner.set_max_task_attempts(2);
+  const auto failed = SpatialJobBuilder(&cluster.runner)
+                          .ScanIndexed(file)
+                          .Map(mapper)
+                          .Run(nullptr);
+  cluster.runner.set_fault_injector(nullptr);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_NE(failed.status().message().find("2 attempt(s)"),
+            std::string::npos)
+      << failed.status().ToString();
 }
 
 // ---------------------------------------------------------------------

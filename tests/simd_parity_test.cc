@@ -1,14 +1,17 @@
 // Scalar-vs-SIMD parity suite (DESIGN.md §13): every compiled dispatch
 // target must produce bit-identical hit bitmaps, counts and distances to
 // the scalar reference kernels — which themselves must match the
-// geometry layer's Envelope semantics — and the cache-packed R-tree must
-// reproduce RTree::Search exactly (payload order and visited counts).
+// geometry layer's Envelope semantics — and the packed R-tree must return
+// the same search hits, visited counts and nearest neighbours on every
+// target as on kScalar, with results equal to brute force.
 // Runs under the ASan/UBSan tree via the regular ctest suite.
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,7 +19,6 @@
 #include "common/random.h"
 #include "geometry/envelope.h"
 #include "index/packed_rtree.h"
-#include "index/rtree.h"
 #include "simd/dispatch.h"
 #include "simd/mbr_kernels.h"
 
@@ -285,10 +287,10 @@ TEST(KernelParityTest, DispatchedEntryPointsFollowActiveTarget) {
 }
 
 // ---------------------------------------------------------------------
-// PackedRTree vs RTree
+// PackedRTree on every target
 
-std::vector<index::RTree::Entry> MakeEntries(size_t n, Random* rng) {
-  std::vector<index::RTree::Entry> entries;
+std::vector<index::PackedRTree::Entry> MakeEntries(size_t n, Random* rng) {
+  std::vector<index::PackedRTree::Entry> entries;
   entries.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     const double x = rng->NextDouble(0, 1000);
@@ -300,57 +302,83 @@ std::vector<index::RTree::Entry> MakeEntries(size_t n, Random* rng) {
   return entries;
 }
 
-TEST(PackedRTreeParityTest, SearchMatchesRTreeExactly) {
+/// The n x capacity grid the tree suites sweep: empty, single-entry,
+/// single-leaf and multi-level trees at several fan-outs.
+const size_t kTreeSizes[] = {0, 1, 5, 100, 1000};
+const int kCapacities[] = {2, 4, 32};
+
+TEST(PackedRTreeParityTest, SearchMatchesScalarAndBruteForce) {
+  const Target original = simd::ActiveTarget();
   Random rng(23);
-  for (size_t n : {size_t{0}, size_t{1}, size_t{5}, size_t{100},
-                   size_t{1000}}) {
-    for (int capacity : {2, 4, 32}) {
-      const std::vector<index::RTree::Entry> entries = MakeEntries(n, &rng);
-      const index::RTree reference(entries, capacity);
-      const index::PackedRTree packed(entries, capacity);
-      const index::PackedRTree flattened(reference);
-      EXPECT_EQ(packed.NumEntries(), reference.NumEntries());
-      EXPECT_EQ(packed.Bounds().ToString(), reference.Bounds().ToString());
+  for (size_t n : kTreeSizes) {
+    for (int capacity : kCapacities) {
+      const std::vector<index::PackedRTree::Entry> entries =
+          MakeEntries(n, &rng);
+      const index::PackedRTree tree(entries, capacity);
+      EXPECT_EQ(tree.NumEntries(), n);
       for (int qi = 0; qi < 50; ++qi) {
         const double x = rng.NextDouble(-50, 1050);
         const double y = rng.NextDouble(-50, 1050);
         const Envelope query(x, y, x + rng.NextDouble(0, 120),
                              y + rng.NextDouble(0, 120));
-        std::vector<uint32_t> expected_hits, packed_hits, flat_hits;
-        const size_t expected_visited =
-            reference.Search(query, &expected_hits);
+        ASSERT_TRUE(simd::SetActiveTarget(Target::kScalar));
+        std::vector<uint32_t> expected_hits;
+        const size_t expected_visited = tree.Search(query, &expected_hits);
+        std::set<uint32_t> brute;
+        for (const auto& e : entries) {
+          if (e.box.Intersects(query)) brute.insert(e.payload);
+        }
+        EXPECT_EQ(expected_hits.size(), brute.size());
+        EXPECT_EQ(std::set<uint32_t>(expected_hits.begin(),
+                                     expected_hits.end()),
+                  brute);
         // Same payloads in the same order, same visited count (the
-        // CPU-cost proxy), for both construction paths.
-        EXPECT_EQ(packed.Search(query, &packed_hits), expected_visited);
-        EXPECT_EQ(packed_hits, expected_hits);
-        EXPECT_EQ(flattened.Search(query, &flat_hits), expected_visited);
-        EXPECT_EQ(flat_hits, expected_hits);
+        // CPU-cost proxy), on every target.
+        for (Target t : simd::SupportedTargets()) {
+          ASSERT_TRUE(simd::SetActiveTarget(t));
+          std::vector<uint32_t> hits;
+          EXPECT_EQ(tree.Search(query, &hits), expected_visited)
+              << simd::TargetName(t) << " n=" << n << " cap=" << capacity;
+          EXPECT_EQ(hits, expected_hits) << simd::TargetName(t);
+        }
       }
       // Empty query never matches and never visits.
       std::vector<uint32_t> hits;
-      EXPECT_EQ(packed.Search(Envelope(), &hits), 0u);
+      EXPECT_EQ(tree.Search(Envelope(), &hits), 0u);
       EXPECT_TRUE(hits.empty());
     }
   }
+  simd::SetActiveTarget(original);
 }
 
-TEST(PackedRTreeParityTest, SearchParityOnEveryTarget) {
-  Random rng(29);
-  const std::vector<index::RTree::Entry> entries = MakeEntries(500, &rng);
-  const index::RTree reference(entries);
-  const index::PackedRTree packed(entries);
+TEST(PackedRTreeParityTest, NearestNeighborsMatchScalarAndBruteForce) {
   const Target original = simd::ActiveTarget();
-  for (Target t : simd::SupportedTargets()) {
-    ASSERT_TRUE(simd::SetActiveTarget(t));
-    for (int qi = 0; qi < 20; ++qi) {
-      const double x = rng.NextDouble(0, 1000);
-      const double y = rng.NextDouble(0, 1000);
-      const Envelope query(x, y, x + 90, y + 90);
-      std::vector<uint32_t> expected_hits, hits;
-      const size_t expected_visited = reference.Search(query, &expected_hits);
-      EXPECT_EQ(packed.Search(query, &hits), expected_visited)
-          << simd::TargetName(t);
-      EXPECT_EQ(hits, expected_hits) << simd::TargetName(t);
+  Random rng(29);
+  for (size_t n : kTreeSizes) {
+    for (int capacity : kCapacities) {
+      const std::vector<index::PackedRTree::Entry> entries =
+          MakeEntries(n, &rng);
+      const index::PackedRTree tree(entries, capacity);
+      for (int qi = 0; qi < 20; ++qi) {
+        const Point q(rng.NextDouble(-50, 1050), rng.NextDouble(-50, 1050));
+        const size_t k = 1 + rng.NextUint32(12);
+        ASSERT_TRUE(simd::SetActiveTarget(Target::kScalar));
+        const std::vector<uint32_t> expected = tree.NearestNeighbors(q, k);
+        ASSERT_EQ(expected.size(), std::min(k, n));
+        // Nearest first, and exactly the k smallest MinDistances.
+        std::vector<double> brute;
+        for (const auto& e : entries) brute.push_back(e.box.MinDistance(q));
+        std::sort(brute.begin(), brute.end());
+        for (size_t i = 0; i < expected.size(); ++i) {
+          EXPECT_EQ(entries[expected[i]].box.MinDistance(q), brute[i])
+              << "n=" << n << " cap=" << capacity << " rank " << i;
+        }
+        for (Target t : simd::SupportedTargets()) {
+          ASSERT_TRUE(simd::SetActiveTarget(t));
+          EXPECT_EQ(tree.NearestNeighbors(q, k), expected)
+              << simd::TargetName(t) << " n=" << n << " cap=" << capacity;
+        }
+      }
     }
   }
   simd::SetActiveTarget(original);

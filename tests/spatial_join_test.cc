@@ -154,8 +154,8 @@ TEST(SpatialJoinTest, PolygonJoinRefinesWithExactTest) {
 
 TEST(LocalJoinTest, KernelsFindIdenticalPairs) {
   Random rng(44);
-  std::vector<index::RTree::Entry> a;
-  std::vector<index::RTree::Entry> b;
+  std::vector<index::PackedRTree::Entry> a;
+  std::vector<index::PackedRTree::Entry> b;
   for (uint32_t i = 0; i < 400; ++i) {
     const double x = rng.NextDouble(0, 100);
     const double y = rng.NextDouble(0, 100);
@@ -185,7 +185,7 @@ TEST(LocalJoinTest, KernelsFindIdenticalPairs) {
 }
 
 TEST(LocalJoinTest, EmptySidesYieldNothing) {
-  std::vector<index::RTree::Entry> some = {{Envelope(0, 0, 1, 1), 0}};
+  std::vector<index::PackedRTree::Entry> some = {{Envelope(0, 0, 1, 1), 0}};
   for (LocalJoinAlgorithm algorithm :
        {LocalJoinAlgorithm::kRTreeProbe, LocalJoinAlgorithm::kPlaneSweep}) {
     int emitted = 0;

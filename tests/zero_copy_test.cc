@@ -98,7 +98,7 @@ TEST(SpatialRecordReaderTest, GeometryIsParsedOncePerRecord) {
   // bulk load — reads the memoized columns.
   const auto second = reader.Envelopes();
   reader.Points();
-  reader.BuildLocalIndex();
+  const index::PackedRTree local(reader.Envelopes());
   for (size_t i = 0; i < reader.NumRecords(); ++i) {
     ASSERT_NE(reader.EnvelopeAt(i), nullptr);
     ASSERT_NE(reader.PointAt(i), nullptr);
