@@ -25,11 +25,9 @@
 // combined report (scripts/bench.sh redirects it to BENCH_pr8.json), and
 // exits non-zero if an invariant failed: geometry parses exceeding the
 // record-visit bound, or fault-injected output diverging from the clean
-// run. Benchmarks with no baseline row (the fault scenario, against
-// trees that predate the fault subsystem) are still emitted, with
-// baseline fields set to -1. The harness intentionally compiles against
-// older trees (the baseline build in scripts/bench.sh): parse counters
-// report -1 there, and the fault scenario drops out via __has_include.
+// run. Benchmarks with no baseline row are still emitted, with baseline
+// fields set to -1. scripts/bench.sh copies this harness into the
+// baseline tree, so both sides run the same scenarios.
 
 #include <algorithm>
 #include <chrono>
@@ -44,34 +42,15 @@
 #include <string>
 #include <vector>
 
+#include "catalog/dataset_catalog.h"
 #include "core/range_query.h"
 #include "core/spatial_join.h"
+#include "fault/fault_injector.h"
 #include "index/index_builder.h"
 #include "index/record_shape.h"
 #include "mapreduce/job_runner.h"
-#include "workload/generators.h"
-
-#if __has_include("fault/fault_injector.h")
-#include "fault/fault_injector.h"
-#define SHADOOP_HAS_FAULT_INJECTION 1
-#endif
-
-#if __has_include("catalog/dataset_catalog.h")
-#include "catalog/dataset_catalog.h"
-#define SHADOOP_HAS_CATALOG 1
-#endif
-
-#if __has_include("server/query_server.h")
 #include "server/query_server.h"
-#define SHADOOP_HAS_SERVER 1
-#endif
-
-// The planning scenario needs both the query server (sessions, admission
-// seeds) and the cost-based optimizer; baselines that predate either
-// simply skip it.
-#if defined(SHADOOP_HAS_SERVER) && __has_include("optimizer/optimizer.h")
-#define SHADOOP_HAS_OPTIMIZER 1
-#endif
+#include "workload/generators.h"
 
 namespace shadoop {
 namespace {
@@ -107,21 +86,10 @@ double MsSince(std::chrono::steady_clock::time_point start) {
 }
 
 int64_t ParseDelta(uint64_t before) {
-#ifdef SHADOOP_HAS_PARSE_COUNTERS
   return static_cast<int64_t>(index::GeometryParseCount() - before);
-#else
-  (void)before;
-  return -1;
-#endif
 }
 
-uint64_t ParseSnapshot() {
-#ifdef SHADOOP_HAS_PARSE_COUNTERS
-  return index::GeometryParseCount();
-#else
-  return 0;
-#endif
-}
+uint64_t ParseSnapshot() { return index::GeometryParseCount(); }
 
 /// The benchmark cluster mirrors bench_common.h: 64 KiB blocks, 25
 /// slots, so datasets span hundreds of blocks.
@@ -276,7 +244,6 @@ BenchResult BenchSpatialJoin(int reps) {
   return result;
 }
 
-#ifdef SHADOOP_HAS_FAULT_INJECTION
 BenchResult BenchFaultRecovery(int reps) {
   BenchResult result;
   result.name = "fault_recovery";
@@ -340,9 +307,7 @@ BenchResult BenchFaultRecovery(int reps) {
       static_cast<int64_t>(gen.count) * static_cast<int64_t>(queries.size());
   return result;
 }
-#endif  // SHADOOP_HAS_FAULT_INJECTION
 
-#ifdef SHADOOP_HAS_CATALOG
 // Incremental ingest through the versioned catalog: bulk-build a base
 // STR index, then append three 20k-point batches (skewed, gaussian,
 // uniform — each triggers routing, copy-on-write delta rewrites and,
@@ -438,9 +403,7 @@ BenchResult BenchIncrementalIngest(int reps) {
   result.records = total_records;
   return result;
 }
-#endif  // SHADOOP_HAS_CATALOG
 
-#ifdef SHADOOP_HAS_SERVER
 constexpr size_t kServerPoints = 100000;
 constexpr int kServerSessions = 5;
 
@@ -619,9 +582,7 @@ BenchResult BenchServerSaturation(int reps) {
                    static_cast<int64_t>(kServerSessions) * 6;
   return result;
 }
-#endif  // SHADOOP_HAS_SERVER
 
-#ifdef SHADOOP_HAS_OPTIMIZER
 constexpr size_t kPlanPoints = 30000;
 constexpr size_t kPlanPolygons = 4000;
 constexpr size_t kPlanSkewPoints = 20000;
@@ -749,7 +710,6 @@ BenchResult BenchOptimizerPlanning(int reps) {
   result.checksum = static_cast<int64_t>(base.checksum & 0x1fffffffffffffULL);
   return result;
 }
-#endif  // SHADOOP_HAS_OPTIMIZER
 
 // ---------------------------------------------------------------------
 // Ad-hoc JSON (one benchmark object per line, so the merge mode can
@@ -849,9 +809,9 @@ int Merge(const std::string& baseline_path, const std::string& current_path) {
     for (const BenchResult& b : baseline.benchmarks) {
       if (b.name == cur.name) base = &b;
     }
-    // A benchmark the baseline tree cannot run (e.g. fault_recovery
-    // against a pre-fault-subsystem revision) is still reported, with
-    // the baseline columns pinned to -1.
+    // A benchmark missing from the baseline report (e.g. a baseline run
+    // with --only) is still reported, with the baseline columns pinned
+    // to -1.
     const double base_wall = base != nullptr ? base->wall_ms : -1;
     const int64_t base_parses = base != nullptr ? base->parses : -1;
     const int64_t base_checksum = base != nullptr ? base->checksum : -1;
@@ -859,8 +819,8 @@ int Merge(const std::string& baseline_path, const std::string& current_path) {
         base != nullptr && cur.wall_ms > 0 ? base_wall / cur.wall_ms : 0;
     if (cur.name == "spatial_join" && speedup >= 2.5) join_target = true;
     if (cur.name == "range_query" && speedup >= 2.5) range_target = true;
-    // The parse-once invariant only applies to the current tree (the
-    // baseline predates the counters and reports -1).
+    // The parse-once invariant is checked on the current tree; -1 marks
+    // a scenario that does not measure parses.
     const bool parses_ok = cur.parses < 0 || cur.parses <= cur.records;
     if (!parses_ok) parse_invariant_ok = false;
     rows << "    {\"name\": \"" << cur.name << "\", \"baseline_wall_ms\": "
@@ -894,21 +854,14 @@ int RunAll(const std::string& label, const std::string& out_path, int reps,
            const std::string& only) {
   std::vector<BenchResult> results;
   using NamedBench = std::pair<const char*, BenchResult (*)(int)>;
-  std::vector<NamedBench> benches = {{"index_build", &BenchIndexBuild},
-                                     {"range_query", &BenchRangeQuery},
-                                     {"spatial_join", &BenchSpatialJoin}};
-#ifdef SHADOOP_HAS_FAULT_INJECTION
-  benches.push_back({"fault_recovery", &BenchFaultRecovery});
-#endif
-#ifdef SHADOOP_HAS_CATALOG
-  benches.push_back({"incremental_ingest", &BenchIncrementalIngest});
-#endif
-#ifdef SHADOOP_HAS_SERVER
-  benches.push_back({"server_saturation", &BenchServerSaturation});
-#endif
-#ifdef SHADOOP_HAS_OPTIMIZER
-  benches.push_back({"optimizer_planning", &BenchOptimizerPlanning});
-#endif
+  const std::vector<NamedBench> benches = {
+      {"index_build", &BenchIndexBuild},
+      {"range_query", &BenchRangeQuery},
+      {"spatial_join", &BenchSpatialJoin},
+      {"fault_recovery", &BenchFaultRecovery},
+      {"incremental_ingest", &BenchIncrementalIngest},
+      {"server_saturation", &BenchServerSaturation},
+      {"optimizer_planning", &BenchOptimizerPlanning}};
   for (const NamedBench& bench : benches) {
     if (!only.empty() && only != bench.first) continue;
     const BenchResult r = bench.second(reps);

@@ -72,8 +72,10 @@ TSAN_FLAGS="-fsanitize=thread -fno-omit-frame-pointer"
 #   - admission_test: cross-thread FIFO admission, quota blocking, lane
 #     accounting under concurrent tenants
 #   - catalog_test: snapshot reads racing concurrent catalog appends
+#   - server_test: concurrent tenant sessions sharing one result cache
+#   - common_test: concurrent inserts of one key into a FifoCache
 TSAN_SUITES=(mapreduce_test zero_copy_test fault_test robustness_test
-             admission_test catalog_test server_test)
+             admission_test catalog_test server_test common_test)
 
 asan_phase() {
   cmake -B "${BUILD_DIR}" -S . \

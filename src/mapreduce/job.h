@@ -10,10 +10,9 @@
 #include <vector>
 
 #include "common/status.h"
+#include "mapreduce/artifact_cache.h"
 
 namespace shadoop::mapreduce {
-
-class ArtifactCache;
 
 /// One intermediate key-value pair. Keys and values are text, in the
 /// spirit of Hadoop streaming: every operation defines its own record

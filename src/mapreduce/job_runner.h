@@ -5,7 +5,6 @@
 
 #include "hdfs/file_system.h"
 #include "mapreduce/admission_controller.h"
-#include "mapreduce/artifact_cache.h"
 #include "mapreduce/cluster.h"
 #include "mapreduce/job.h"
 
@@ -77,7 +76,7 @@ class JobRunner {
 
   hdfs::FileSystem* fs_;
   ClusterConfig cluster_;
-  ArtifactCache artifact_cache_;
+  ArtifactCache artifact_cache_{kArtifactCacheCapacity};
   fault::FaultInjector* fault_injector_ = nullptr;
   AdmissionController* admission_ = nullptr;
   std::string tenant_ = "default";

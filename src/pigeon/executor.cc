@@ -183,16 +183,6 @@ Status Executor::ExecuteStatement(const Statement& stmt,
                     std::to_string(value);
         }
         if (!ingest.empty()) line += "; ingest: " + ingest;
-        // Artifact-cache reuse across the jobs this runner executed —
-        // lifetime counts, diagnostics only (the cache is a wall-clock
-        // optimization; simulated charges are identical on hit and
-        // miss). Nonzero-only: a session that never consulted the cache
-        // keeps byte-identical EXPLAIN output.
-        const mapreduce::ArtifactCache* acache = runner_->artifact_cache();
-        if (acache != nullptr && acache->hits() + acache->misses() > 0) {
-          line += "; artifact_cache: hits=" + std::to_string(acache->hits()) +
-                  ", misses=" + std::to_string(acache->misses());
-        }
         // Result-cache outcomes for this session (server sessions only —
         // a standalone executor never produces cache.* counters).
         const int64_t result_hits =

@@ -48,7 +48,7 @@ QueryServer::QueryServer(hdfs::FileSystem* fs, ServerOptions options)
       catalog_runner_(fs, options.cluster),
       catalog_(&catalog_runner_),
       admission_(AdmissionOptionsFor(options)),
-      result_cache_(options.result_cache_capacity) {}
+      result_cache_(kResultCacheCapacity) {}
 
 Status QueryServer::AttachDataset(const std::string& name,
                                   const std::string& data_path) {

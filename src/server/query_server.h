@@ -30,7 +30,6 @@ struct ServerOptions {
   uint64_t admission_seed = 0;
 
   bool enable_result_cache = true;
-  size_t result_cache_capacity = 1024;
 };
 
 using SessionId = int;

@@ -210,6 +210,23 @@ TEST(DeterminismTaint, EscapesSuppressTheSinkLine) {
   EXPECT_EQ(findings[0].line, 3);
 }
 
+TEST(DeterminismTaint, MultiLineRawStringsAreNotSinks) {
+  // The raw string's body is a literal on every line it spans, so the
+  // clock name inside it is prose, not a wall-clock read.
+  Analyzer analyzer;
+  analyzer.AddFile("src/core/doc.cc",
+                   "const char* Doc() {\n"
+                   "  return R\"(\n"
+                   "steady_clock )\";\n"
+                   "}\n"
+                   "const char* Usage() {\n"
+                   "  return u8R\"usage(\n"
+                   "  rand() )\" time(nullptr)\n"
+                   ")usage\";\n"
+                   "}\n");
+  EXPECT_TRUE(analyzer.Run().empty());
+}
+
 TEST(DeterminismTaint, FlagsFileScopeSinksInEntryModulesOnly) {
   Analyzer analyzer;
   analyzer.AddFile("src/core/stats.h",

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
 #include <set>
+#include <thread>
+#include <vector>
 
+#include "common/fifo_cache.h"
 #include "common/random.h"
 #include "common/result.h"
 #include "common/status.h"
@@ -173,6 +178,62 @@ TEST(RandomTest, ForkedStreamsAreIndependent) {
     values.insert(child2.NextUint64());
   }
   EXPECT_EQ(values.size(), 100u);
+}
+
+TEST(FifoCacheTest, FirstInsertWins) {
+  FifoCache<int> cache(4);
+  const FifoCache<int>::Ptr first = std::make_shared<const int>(1);
+  EXPECT_EQ(cache.Insert("k", first), first);
+  EXPECT_EQ(cache.Insert("k", std::make_shared<const int>(2)), first);
+  EXPECT_EQ(cache.Lookup("k"), first);
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(FifoCacheTest, EvictsTheOldestInsertPastCapacity) {
+  FifoCache<int> cache(2);
+  cache.Insert("a", std::make_shared<const int>(1));
+  cache.Insert("b", std::make_shared<const int>(2));
+  cache.Insert("c", std::make_shared<const int>(3));
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.Lookup("a"), nullptr);
+  ASSERT_NE(cache.Lookup("b"), nullptr);
+  EXPECT_EQ(*cache.Lookup("b"), 2);
+  ASSERT_NE(cache.Lookup("c"), nullptr);
+  EXPECT_EQ(*cache.Lookup("c"), 3);
+}
+
+TEST(FifoCacheTest, LookupCountsOneHitOrMiss) {
+  FifoCache<int> cache(2);
+  EXPECT_EQ(cache.Lookup("k"), nullptr);
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.misses(), 1u);
+  cache.Insert("k", std::make_shared<const int>(7));
+  EXPECT_EQ(cache.hits(), 0u);  // Insert counts nothing.
+  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_NE(cache.Lookup("k"), nullptr);
+  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(cache.misses(), 1u);
+}
+
+TEST(FifoCacheTest, ConcurrentInsertersShareOneResidentInstance) {
+  constexpr int kThreads = 8;
+  FifoCache<int> cache(16);
+  std::vector<FifoCache<int>::Ptr> resident(kThreads);
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      FifoCache<int>::Ptr mine = std::make_shared<const int>(t);
+      while (!go.load()) std::this_thread::yield();
+      resident[static_cast<size_t>(t)] = cache.Insert("block", std::move(mine));
+    });
+  }
+  go.store(true);
+  for (std::thread& thread : threads) thread.join();
+  const FifoCache<int>::Ptr winner = cache.Lookup("block");
+  ASSERT_NE(winner, nullptr);
+  for (const FifoCache<int>::Ptr& value : resident) EXPECT_EQ(value, winner);
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 }  // namespace

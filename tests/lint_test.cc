@@ -401,5 +401,28 @@ TEST(LintEngine, StringLiteralsDoNotFire) {
           .empty());
 }
 
+TEST(LintEngine, MultiLineRawStringsDoNotFire) {
+  // A raw string's body is a literal on every line it spans, whatever its
+  // prefix; only `)delim"` closes it, and code after that is code again.
+  EXPECT_TRUE(Lint("const char* kDoc = R\"(\n"
+                   "  call time(nullptr) here; std::mutex m;\n"
+                   ")\";\n")
+                  .empty());
+  for (const char* prefix : {"u8R", "uR", "UR", "LR"}) {
+    EXPECT_TRUE(Lint(std::string("auto s = ") + prefix +
+                     "\"x(\n"
+                     "  rand();\n"
+                     ")\" rand(); )x\";\n")
+                    .empty())
+        << prefix;
+  }
+  std::vector<Finding> findings = Lint("auto s = R\"sql(\n"
+                                       "  rand();\n"
+                                       ")sql\"; int t = rand();\n");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "banned-random");
+  EXPECT_EQ(findings[0].line, 3);
+}
+
 }  // namespace
 }  // namespace shadoop::lint

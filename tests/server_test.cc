@@ -308,7 +308,7 @@ TEST(QueryServerTest, TwoSessionsPinDifferentVersionsOfOneDataset) {
 // ---------------------------------------------------------------------------
 // EXPLAIN cache counters.
 
-TEST(QueryServerTest, ExplainSurfacesArtifactAndResultCacheCounters) {
+TEST(QueryServerTest, ExplainSurfacesResultCacheButNotArtifactCounters) {
   testing::TestCluster cluster;
   SeedIndexedDataset(&cluster);
   QueryServer server(&cluster.fs, SmallClusterOptions());
@@ -322,8 +322,10 @@ TEST(QueryServerTest, ExplainSurfacesArtifactAndResultCacheCounters) {
       server.Execute(session, "EXPLAIN idx;").ValueOrDie();
   ASSERT_EQ(explain.rows.size(), 1u);
   const std::string& line = explain.rows[0];
-  // The session ran real jobs, so the artifact cache was consulted.
-  EXPECT_NE(line.find("; artifact_cache: hits="), std::string::npos) << line;
+  // The session ran real jobs, so the artifact cache was consulted, but
+  // its hit/miss split depends on which concurrent task inserts a block's
+  // artifact first: host telemetry, kept out of EXPLAIN.
+  EXPECT_EQ(line.find("artifact_cache"), std::string::npos) << line;
   // One executed query, one cached replay.
   EXPECT_NE(line.find("; result_cache: hits=1, misses=1"), std::string::npos)
       << line;

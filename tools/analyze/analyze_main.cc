@@ -19,6 +19,7 @@
 
 #include "analyze/analyzer.h"
 #include "lint/lint_engine.h"
+#include "lint/source_scan.h"
 
 int main(int argc, char** argv) {
   std::vector<std::string> paths;
@@ -66,10 +67,9 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (std::filesystem::is_regular_file(path, ec)) {
-      std::ifstream in(path, std::ios::binary);
-      std::ostringstream contents;
-      contents << in.rdbuf();
-      analyzer.AddFile(path, contents.str());
+      std::string contents;
+      shadoop::lint::ReadFile(path, &contents);
+      analyzer.AddFile(path, contents);
     } else {
       std::cerr << "spatial_analyze: no such file or directory: " << path
                 << "\n";
@@ -77,15 +77,13 @@ int main(int argc, char** argv) {
     }
   }
   if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path, std::ios::binary);
-    if (!in) {
+    std::string contents;
+    if (!shadoop::lint::ReadFile(baseline_path, &contents)) {
       std::cerr << "spatial_analyze: cannot read baseline: " << baseline_path
                 << "\n";
       return 2;
     }
-    std::ostringstream contents;
-    contents << in.rdbuf();
-    analyzer.LoadBaseline(baseline_path, contents.str());
+    analyzer.LoadBaseline(baseline_path, contents);
   }
 
   const std::vector<shadoop::lint::Finding> findings = analyzer.Run();

@@ -6,74 +6,20 @@
 #include <set>
 #include <sstream>
 
+#include "lint/source_scan.h"
+
 namespace shadoop::analyze {
 namespace {
 
 using lint::Finding;
 
-bool IsIdentChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-}
+/// `// lint:allow(a, b)` and `// analyze:allow(a, b)` both cut a sink.
+constexpr std::string_view kAllowMarkers[] = {"lint:allow(", "analyze:allow("};
 
-bool EndsWith(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-/// Whole-token occurrences of `token` in `line` (same contract as the
-/// lint engine: an adjacent identifier character rejects the match).
-std::vector<size_t> TokenHits(const std::string& line,
-                              std::string_view token) {
-  std::vector<size_t> hits;
-  size_t pos = 0;
-  while ((pos = line.find(token, pos)) != std::string::npos) {
-    const bool left_ok = pos == 0 || !IsIdentChar(line[pos - 1]);
-    const size_t end = pos + token.size();
-    const bool right_ok = end >= line.size() || !IsIdentChar(line[end]);
-    if (left_ok && right_ok) hits.push_back(pos);
-    pos = end;
-  }
-  return hits;
-}
-
-/// Non-member C-style calls `name(` — `sw.time()` is some other API.
-bool HasFreeCall(const std::string& line, std::string_view name) {
-  for (size_t pos : TokenHits(line, name)) {
-    if (pos > 0 && (line[pos - 1] == '.' ||
-                    (line[pos - 1] == '>' && pos > 1 &&
-                     line[pos - 2] == '-'))) {
-      continue;
-    }
-    size_t i = pos + name.size();
-    while (i < line.size() && line[i] == ' ') ++i;
-    if (i < line.size() && line[i] == '(') return true;
-  }
-  return false;
-}
-
-/// `// lint:allow(a, b)` and `// analyze:allow(a, b)` ids on one line.
-std::set<std::string> AllowedIds(const std::string& raw_line) {
-  std::set<std::string> allowed;
-  for (std::string_view marker : {"lint:allow(", "analyze:allow("}) {
-    size_t pos = 0;
-    while ((pos = raw_line.find(marker, pos)) != std::string::npos) {
-      size_t i = pos + marker.size();
-      std::string id;
-      for (; i < raw_line.size() && raw_line[i] != ')'; ++i) {
-        const char c = raw_line[i];
-        if (c == ',') {
-          if (!id.empty()) allowed.insert(id);
-          id.clear();
-        } else if (!std::isspace(static_cast<unsigned char>(c))) {
-          id.push_back(c);
-        }
-      }
-      if (!id.empty()) allowed.insert(id);
-      pos = i;
-    }
-  }
-  return allowed;
-}
+/// Hash-order leaks only: a range-for or an explicit `.begin()` /
+/// `.cbegin()` walk. Point lookups (`find`, `count`, `.end()`
+/// comparisons) are order-independent.
+constexpr std::string_view kIteratorMembers[] = {"begin", "cbegin"};
 
 // ---------------------------------------------------------------------------
 // Taint configuration (DESIGN.md §16.2)
@@ -88,53 +34,47 @@ const char* const kEntryModules[] = {"core", "catalog", "optimizer",
 struct SinkSpec {
   const char* kind;        // Stable half of the baseline key.
   const char* lint_alias;  // Legacy lint rule id honored in escapes.
-  std::vector<const char*> tokens;
-  std::vector<const char*> calls;
-  /// Paths where this sink class is legal: suffix entries match file
-  /// tails, entries ending in '/' match directories anywhere in the
-  /// path. The wall-clock sinks are legal inside the Stopwatch wrapper
-  /// itself and in the bench harness (whose whole point is wall time);
-  /// the seeded-RNG engine is legal inside common/random only.
-  std::vector<const char*> allowed_paths;
+  std::span<const std::string_view> tokens;
+  std::span<const std::string_view> calls;
+  /// Paths where this sink class is legal (lint::PathMatches). The
+  /// wall-clock sinks are legal inside the Stopwatch wrapper itself and
+  /// in the bench harness (whose whole point is wall time); the seeded
+  /// RNG engine is legal inside common/random and the bench harness.
+  std::vector<std::string> allowed_paths;
 };
+
+/// The Stopwatch wrapper and its `wall_ms` results, then the lint's clock
+/// tokens. The first match names the sink in findings and baseline keys,
+/// so the order is part of the output.
+const std::vector<std::string_view>& WallClockTokens() {
+  static const std::vector<std::string_view>* kTokens = [] {
+    auto* tokens = new std::vector<std::string_view>{"Stopwatch", "wall_ms"};
+    tokens->insert(tokens->end(), std::begin(lint::kClockTokens),
+                   std::end(lint::kClockTokens));
+    return tokens;
+  }();
+  return *kTokens;
+}
 
 const std::vector<SinkSpec>& SinkSpecs() {
   static const std::vector<SinkSpec>* kSpecs = new std::vector<SinkSpec>{
       {"wall-clock",
        "banned-clock",
-       {"Stopwatch", "wall_ms", "system_clock", "steady_clock",
-        "high_resolution_clock", "gettimeofday", "clock_gettime",
-        "localtime", "gmtime"},
-       {"time", "clock"},
+       WallClockTokens(),
+       lint::kClockCalls,
        {"common/stopwatch.h", "bench/"}},
       {"nondet-seed",
        "banned-random",
-       {"random_device", "mt19937", "mt19937_64", "default_random_engine",
-        "minstd_rand", "minstd_rand0", "ranlux24", "ranlux48"},
-       {"rand", "srand", "drand48", "random"},
+       lint::kRandomTokens,
+       lint::kRandomCalls,
        {"common/random.h", "common/random.cc", "bench/"}},
       {"unordered-iteration",
        "unordered-iteration",
-       {},  // Structural detection, see UnorderedIterationHits().
+       {},  // Structural detection: lint::IteratesUnordered.
        {},
        {}},
   };
   return *kSpecs;
-}
-
-bool PathAllowed(const std::string& repo_path, const SinkSpec& spec) {
-  for (const char* entry : spec.allowed_paths) {
-    const std::string_view e(entry);
-    if (!e.empty() && e.back() == '/') {
-      if (repo_path.find(e) != std::string::npos ||
-          repo_path.rfind(e, 0) == 0) {
-        return true;
-      }
-    } else if (EndsWith(repo_path, e)) {
-      return true;
-    }
-  }
-  return false;
 }
 
 struct SinkHit {
@@ -142,86 +82,6 @@ struct SinkHit {
   std::string token;
   int line = 0;
 };
-
-/// Names declared with an unordered container type anywhere in the
-/// file (template arguments may span lines; scan the joined text).
-std::vector<std::string> UnorderedNames(const FileInfo& file) {
-  std::string text;
-  for (const std::string& line : file.code) {
-    text += line;
-    text += '\n';
-  }
-  std::vector<std::string> names;
-  for (std::string_view token : {"unordered_map", "unordered_set",
-                                 "unordered_multimap", "unordered_multiset"}) {
-    size_t pos = 0;
-    while ((pos = text.find(token, pos)) != std::string::npos) {
-      const size_t start = pos;
-      pos += token.size();
-      if (start > 0 && IsIdentChar(text[start - 1])) continue;
-      size_t i = pos;
-      while (i < text.size() &&
-             std::isspace(static_cast<unsigned char>(text[i]))) {
-        ++i;
-      }
-      if (i >= text.size() || text[i] != '<') continue;
-      int depth = 0;
-      for (; i < text.size(); ++i) {
-        if (text[i] == '<') ++depth;
-        if (text[i] == '>' && --depth == 0) {
-          ++i;
-          break;
-        }
-      }
-      while (i < text.size() &&
-             (std::isspace(static_cast<unsigned char>(text[i])) ||
-              text[i] == '&' || text[i] == '*')) {
-        ++i;
-      }
-      std::string name;
-      while (i < text.size() && IsIdentChar(text[i])) name.push_back(text[i++]);
-      if (!name.empty()) names.push_back(name);
-    }
-  }
-  return names;
-}
-
-/// Hash-order leaks only: a range-for over an unordered name, or an
-/// explicit `.begin()` / `.cbegin()` iterator walk. Point lookups
-/// (`find`, `count`, `.end()` comparisons) are order-independent.
-std::vector<size_t> UnorderedIterationHits(
-    const std::string& line, const std::vector<std::string>& names) {
-  std::vector<size_t> hits;
-  for (const std::string& name : names) {
-    for (size_t pos : TokenHits(line, name)) {
-      size_t j = pos + name.size();
-      while (j < line.size() && line[j] == ' ') ++j;
-      if (j < line.size() && line[j] == '.') {
-        ++j;
-        while (j < line.size() && line[j] == ' ') ++j;
-        for (std::string_view it : {"begin", "cbegin"}) {
-          if (line.compare(j, it.size(), it) == 0) {
-            size_t k = j + it.size();
-            while (k < line.size() && line[k] == ' ') ++k;
-            if (k < line.size() && line[k] == '(') hits.push_back(pos);
-            break;
-          }
-        }
-      }
-      size_t before = pos;
-      while (before > 0 && line[before - 1] == ' ') --before;
-      const bool colon_before = before > 0 && line[before - 1] == ':' &&
-                                (before < 2 || line[before - 2] != ':');
-      size_t after = pos + name.size();
-      while (after < line.size() && line[after] == ' ') ++after;
-      const bool paren_after = after < line.size() && line[after] == ')';
-      if (colon_before && paren_after && !TokenHits(line, "for").empty()) {
-        hits.push_back(pos);
-      }
-    }
-  }
-  return hits;
-}
 
 /// All sink hits on lines [begin, end] (1-based, inclusive) of `file`,
 /// after per-line escapes and per-path allowlists.
@@ -234,30 +94,16 @@ std::vector<SinkHit> ScanRange(const FileInfo& file,
   for (int lineno = begin; lineno <= end; ++lineno) {
     const std::string& line = file.code[static_cast<size_t>(lineno) - 1];
     const std::string& raw = file.raw[static_cast<size_t>(lineno) - 1];
-    const std::set<std::string> allowed = AllowedIds(raw);
+    const std::set<std::string> allowed = lint::AllowedIds(raw, kAllowMarkers);
     for (const SinkSpec& spec : SinkSpecs()) {
-      if (PathAllowed(file.repo_path, spec)) continue;
+      if (lint::PathMatches(file.repo_path, spec.allowed_paths)) continue;
       if (allowed.count(spec.kind) > 0 || allowed.count(spec.lint_alias) > 0 ||
           allowed.count("determinism-taint") > 0) {
         continue;
       }
-      std::string token;
-      for (const char* t : spec.tokens) {
-        if (!TokenHits(line, t).empty()) {
-          token = t;
-          break;
-        }
-      }
-      if (token.empty()) {
-        for (const char* c : spec.calls) {
-          if (HasFreeCall(line, c)) {
-            token = std::string(c) + "()";
-            break;
-          }
-        }
-      }
+      std::string token = lint::FirstBannedName(line, spec.tokens, spec.calls);
       if (token.empty() && std::string_view(spec.kind) == "unordered-iteration" &&
-          !UnorderedIterationHits(line, unordered_names).empty()) {
+          lint::IteratesUnordered(line, unordered_names, kIteratorMembers)) {
         token = "hash-order iteration";
       }
       if (!token.empty()) hits.push_back({spec.kind, token, lineno});
@@ -319,13 +165,7 @@ Analyzer::Analyzer() {
 void Analyzer::LoadBaseline(std::string_view path, std::string_view contents) {
   baseline_path_ = RepoRelative(path);
   int lineno = 0;
-  size_t start = 0;
-  const std::string text(contents);
-  while (start <= text.size()) {
-    size_t end = text.find('\n', start);
-    if (end == std::string::npos) end = text.size();
-    std::string line = text.substr(start, end - start);
-    start = end + 1;
+  for (std::string line : lint::SplitLines(contents)) {
     ++lineno;
     const size_t hash = line.find('#');
     if (hash != std::string::npos) line = line.substr(0, hash);
@@ -354,7 +194,8 @@ std::vector<lint::Finding> Analyzer::Run() const {
 
   for (size_t fi = 0; fi < files.size(); ++fi) {
     const FileInfo& file = files[fi];
-    const std::vector<std::string> unordered_names = UnorderedNames(file);
+    const std::vector<std::string> unordered_names =
+        lint::UnorderedNames(file.code);
     std::vector<bool> covered(file.code.size() + 1, false);
     for (int fid : file.functions) {
       const FunctionInfo& fn = functions[static_cast<size_t>(fid)];

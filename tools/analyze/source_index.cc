@@ -1,102 +1,14 @@
 #include "analyze/source_index.h"
 
-#include <algorithm>
 #include <cctype>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
+
+#include "lint/source_scan.h"
 
 namespace shadoop::analyze {
 namespace {
 
-bool IsIdentChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-}
-
 bool IsIdentStart(char c) {
   return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
-}
-
-std::string NormalizePath(std::string_view path) {
-  std::string out(path);
-  std::replace(out.begin(), out.end(), '\\', '/');
-  return out;
-}
-
-std::vector<std::string> SplitLines(std::string_view contents) {
-  std::vector<std::string> lines;
-  size_t start = 0;
-  while (start <= contents.size()) {
-    size_t end = contents.find('\n', start);
-    if (end == std::string_view::npos) {
-      if (start < contents.size()) lines.emplace_back(contents.substr(start));
-      break;
-    }
-    lines.emplace_back(contents.substr(start, end - start));
-    start = end + 1;
-  }
-  return lines;
-}
-
-/// Same blanking contract as the lint engine: comment bodies and
-/// string/char-literal contents become spaces so nothing downstream
-/// fires on prose or literals. Block comments carry state across lines;
-/// a string never spans a line break in this codebase.
-std::vector<std::string> BlankCommentsAndLiterals(
-    const std::vector<std::string>& raw) {
-  enum class State { kCode, kBlockComment, kString, kChar };
-  State state = State::kCode;
-  std::vector<std::string> out;
-  out.reserve(raw.size());
-  for (const std::string& line : raw) {
-    std::string code = line;
-    for (size_t i = 0; i < code.size(); ++i) {
-      switch (state) {
-        case State::kCode:
-          if (code[i] == '/' && i + 1 < code.size() && code[i + 1] == '/') {
-            for (size_t j = i; j < code.size(); ++j) code[j] = ' ';
-            i = code.size();
-          } else if (code[i] == '/' && i + 1 < code.size() &&
-                     code[i + 1] == '*') {
-            code[i] = code[i + 1] = ' ';
-            ++i;
-            state = State::kBlockComment;
-          } else if (code[i] == '"') {
-            code[i] = ' ';
-            state = State::kString;
-          } else if (code[i] == '\'') {
-            code[i] = ' ';
-            state = State::kChar;
-          }
-          break;
-        case State::kBlockComment:
-          if (code[i] == '*' && i + 1 < code.size() && code[i + 1] == '/') {
-            code[i] = code[i + 1] = ' ';
-            ++i;
-            state = State::kCode;
-          } else {
-            code[i] = ' ';
-          }
-          break;
-        case State::kString:
-        case State::kChar: {
-          const char quote = state == State::kString ? '"' : '\'';
-          if (code[i] == '\\' && i + 1 < code.size()) {
-            code[i] = code[i + 1] = ' ';
-            ++i;
-          } else {
-            const bool closes = code[i] == quote;
-            code[i] = ' ';
-            if (closes) state = State::kCode;
-          }
-          break;
-        }
-      }
-    }
-    if (state == State::kString || state == State::kChar) state = State::kCode;
-    out.push_back(std::move(code));
-  }
-  return out;
 }
 
 /// Include directives are read from the *raw* lines (the blanked text
@@ -164,14 +76,15 @@ std::vector<Token> Tokenize(const std::vector<std::string>& code) {
       }
       if (IsIdentStart(c)) {
         size_t j = i;
-        while (j < line.size() && IsIdentChar(line[j])) ++j;
+        while (j < line.size() && lint::IsIdentChar(line[j])) ++j;
         toks.push_back({line.substr(i, j - i), lineno, true});
         i = j;
         continue;
       }
       if (std::isdigit(static_cast<unsigned char>(c))) {
         size_t j = i;
-        while (j < line.size() && (IsIdentChar(line[j]) || line[j] == '.')) {
+        while (j < line.size() &&
+               (lint::IsIdentChar(line[j]) || line[j] == '.')) {
           ++j;
         }
         toks.push_back({line.substr(i, j - i), lineno, false});
@@ -455,7 +368,7 @@ class FileParser {
 }  // namespace
 
 std::string RepoRelative(std::string_view path) {
-  const std::string norm = NormalizePath(path);
+  const std::string norm = lint::NormalizePath(path);
   static const char* kRoots[] = {"src/", "tools/", "bench/", "tests/",
                                  "examples/"};
   for (const char* root : kRoots) {
@@ -493,12 +406,12 @@ std::string ModuleOf(std::string_view repo_path) {
 
 void SourceIndex::AddFile(std::string_view path, std::string_view contents) {
   FileInfo file;
-  file.path = NormalizePath(path);
+  file.path = lint::NormalizePath(path);
   file.repo_path = RepoRelative(file.path);
   file.module = ModuleOf(file.repo_path);
   file.in_src = file.repo_path.rfind("src/", 0) == 0;
-  file.raw = SplitLines(contents);
-  file.code = BlankCommentsAndLiterals(file.raw);
+  file.raw = lint::SplitLines(contents);
+  file.code = lint::BlankCommentsAndLiterals(file.raw);
   file.includes = ExtractIncludes(file.raw, file.code);
 
   const int file_id = static_cast<int>(files_.size());
@@ -509,26 +422,12 @@ void SourceIndex::AddFile(std::string_view path, std::string_view contents) {
 }
 
 bool SourceIndex::AddTree(const std::string& root) {
-  namespace fs = std::filesystem;
   std::vector<std::string> paths;
-  std::error_code ec;
-  for (fs::recursive_directory_iterator it(root, ec), end; it != end;
-       it.increment(ec)) {
-    if (ec) return false;
-    if (!it->is_regular_file(ec)) continue;
-    const std::string ext = it->path().extension().string();
-    if (ext == ".h" || ext == ".hpp" || ext == ".cc" || ext == ".cpp") {
-      paths.push_back(it->path().string());
-    }
-  }
-  if (ec) return false;
-  std::sort(paths.begin(), paths.end());
+  if (lint::ListSourceFiles(root, &paths)) return false;
   for (const std::string& path : paths) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) return false;
-    std::ostringstream contents;
-    contents << in.rdbuf();
-    AddFile(path, contents.str());
+    std::string contents;
+    if (!lint::ReadFile(path, &contents)) return false;
+    AddFile(path, contents);
   }
   return true;
 }

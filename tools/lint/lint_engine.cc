@@ -2,169 +2,19 @@
 
 #include <algorithm>
 #include <cctype>
-#include <filesystem>
-#include <fstream>
-#include <set>
 #include <sstream>
+
+#include "lint/source_scan.h"
 
 namespace shadoop::lint {
 namespace {
-
-bool IsIdentChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-}
-
-bool EndsWith(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-std::string NormalizePath(std::string_view path) {
-  std::string out(path);
-  std::replace(out.begin(), out.end(), '\\', '/');
-  return out;
-}
 
 /// One file, preprocessed for rule matching.
 struct FileView {
   std::string path;  // Normalized to forward slashes.
   std::vector<std::string> raw;
-  /// `raw` with comment bodies and string/char-literal contents blanked
-  /// to spaces, so rules never fire on prose or literals. Block comments
-  /// and raw strings carry state across lines.
-  std::vector<std::string> code;
+  std::vector<std::string> code;  // BlankCommentsAndLiterals(raw).
 };
-
-std::vector<std::string> SplitLines(std::string_view contents) {
-  std::vector<std::string> lines;
-  size_t start = 0;
-  while (start <= contents.size()) {
-    size_t end = contents.find('\n', start);
-    if (end == std::string_view::npos) {
-      if (start < contents.size()) lines.emplace_back(contents.substr(start));
-      break;
-    }
-    lines.emplace_back(contents.substr(start, end - start));
-    start = end + 1;
-  }
-  return lines;
-}
-
-std::vector<std::string> BlankCommentsAndLiterals(
-    const std::vector<std::string>& raw) {
-  enum class State { kCode, kBlockComment, kString, kChar };
-  State state = State::kCode;
-  std::vector<std::string> out;
-  out.reserve(raw.size());
-  for (const std::string& line : raw) {
-    std::string code = line;
-    for (size_t i = 0; i < code.size(); ++i) {
-      switch (state) {
-        case State::kCode:
-          if (code[i] == '/' && i + 1 < code.size() && code[i + 1] == '/') {
-            for (size_t j = i; j < code.size(); ++j) code[j] = ' ';
-            i = code.size();
-          } else if (code[i] == '/' && i + 1 < code.size() &&
-                     code[i + 1] == '*') {
-            code[i] = code[i + 1] = ' ';
-            ++i;
-            state = State::kBlockComment;
-          } else if (code[i] == '"') {
-            code[i] = ' ';
-            state = State::kString;
-          } else if (code[i] == '\'') {
-            code[i] = ' ';
-            state = State::kChar;
-          }
-          break;
-        case State::kBlockComment:
-          if (code[i] == '*' && i + 1 < code.size() && code[i + 1] == '/') {
-            code[i] = code[i + 1] = ' ';
-            ++i;
-            state = State::kCode;
-          } else {
-            code[i] = ' ';
-          }
-          break;
-        case State::kString:
-        case State::kChar: {
-          const char quote = state == State::kString ? '"' : '\'';
-          if (code[i] == '\\' && i + 1 < code.size()) {
-            code[i] = code[i + 1] = ' ';
-            ++i;
-          } else {
-            const bool closes = code[i] == quote;
-            code[i] = ' ';
-            if (closes) state = State::kCode;
-          }
-          break;
-        }
-      }
-    }
-    // A string or char literal never spans a line break in this codebase;
-    // reset so a stray quote cannot blank the rest of the file.
-    if (state == State::kString || state == State::kChar) state = State::kCode;
-    out.push_back(std::move(code));
-  }
-  return out;
-}
-
-/// `// lint:allow(rule-a, rule-b)` — rules suppressed on this line only.
-std::set<std::string> AllowedRules(const std::string& raw_line) {
-  std::set<std::string> allowed;
-  static constexpr std::string_view kMarker = "lint:allow(";
-  size_t pos = 0;
-  while ((pos = raw_line.find(kMarker, pos)) != std::string::npos) {
-    size_t i = pos + kMarker.size();
-    std::string id;
-    for (; i < raw_line.size() && raw_line[i] != ')'; ++i) {
-      const char c = raw_line[i];
-      if (c == ',' ) {
-        if (!id.empty()) allowed.insert(id);
-        id.clear();
-      } else if (!std::isspace(static_cast<unsigned char>(c))) {
-        id.push_back(c);
-      }
-    }
-    if (!id.empty()) allowed.insert(id);
-    pos = i;
-  }
-  return allowed;
-}
-
-/// Whole-token occurrences of `token` in `line` (a character before or
-/// after that would extend the identifier rejects the match; a leading
-/// "::" does not, so qualified names still count).
-std::vector<size_t> TokenHits(const std::string& line,
-                              std::string_view token) {
-  std::vector<size_t> hits;
-  size_t pos = 0;
-  while ((pos = line.find(token, pos)) != std::string::npos) {
-    const bool left_ok = pos == 0 || !IsIdentChar(line[pos - 1]);
-    const size_t end = pos + token.size();
-    const bool right_ok = end >= line.size() || !IsIdentChar(line[end]);
-    if (left_ok && right_ok) hits.push_back(pos);
-    pos = end;
-  }
-  return hits;
-}
-
-/// Occurrences of a C-style call `name(`. The previous character must not
-/// extend the identifier and must not be '.' or '>' (member calls like
-/// `sw.time()` are some other API, not libc).
-std::vector<size_t> CallHits(const std::string& line, std::string_view name) {
-  std::vector<size_t> hits;
-  for (size_t pos : TokenHits(line, name)) {
-    if (pos > 0 && (line[pos - 1] == '.' ||
-                    (line[pos - 1] == '>' && pos > 1 && line[pos - 2] == '-'))) {
-      continue;
-    }
-    size_t i = pos + name.size();
-    while (i < line.size() && line[i] == ' ') ++i;
-    if (i < line.size() && line[i] == '(') hits.push_back(pos);
-  }
-  return hits;
-}
 
 bool LineIncludesHeader(const std::string& code_line,
                         std::string_view header) {
@@ -175,6 +25,9 @@ bool LineIncludesHeader(const std::string& code_line,
   return squeezed.rfind(std::string("#include<") + std::string(header) + ">",
                         0) == 0;
 }
+
+/// `// lint:allow(rule-a, rule-b)` — rules suppressed on this line only.
+constexpr std::string_view kAllowMarkers[] = {"lint:allow("};
 
 void AddFinding(const FileView& view, size_t line_idx, const RuleInfo& rule,
                 std::vector<Finding>* findings) {
@@ -192,146 +45,45 @@ using RuleFn = void (*)(const FileView&, const RuleInfo&,
 
 struct RuleImpl {
   RuleInfo info;
-  /// Paths where the rule does not apply. An entry ending in '/' is a
-  /// directory exemption and matches anywhere in the path ("bench/"
-  /// exempts the whole bench harness); any other entry matches as a
-  /// path suffix ("common/stopwatch.h", "_main.cc").
+  /// Paths where the rule does not apply (PathMatches: "bench/" exempts
+  /// the whole bench harness, "_main.cc" every CLI main).
   std::vector<std::string> exempt_paths;
   RuleFn fn;
 };
 
-bool PathExempt(const std::string& path,
-                const std::vector<std::string>& exemptions) {
-  for (const std::string& entry : exemptions) {
-    if (!entry.empty() && entry.back() == '/') {
-      if (path.find(entry) != std::string::npos || path.rfind(entry, 0) == 0) {
-        return true;
-      }
-    } else if (EndsWith(path, entry)) {
-      return true;
+/// Flags every line naming one of `tokens` or calling one of `calls`.
+void FlagBannedNames(const FileView& view, const RuleInfo& rule,
+                     std::span<const std::string_view> tokens,
+                     std::span<const std::string_view> calls,
+                     std::vector<Finding>* findings) {
+  for (size_t i = 0; i < view.code.size(); ++i) {
+    if (!FirstBannedName(view.code[i], tokens, calls).empty()) {
+      AddFinding(view, i, rule, findings);
     }
   }
-  return false;
 }
 
 void BannedClockRule(const FileView& view, const RuleInfo& rule,
                      std::vector<Finding>* findings) {
-  static const char* kTokens[] = {"system_clock",  "steady_clock",
-                                  "high_resolution_clock", "gettimeofday",
-                                  "clock_gettime", "localtime", "gmtime"};
-  static const char* kCalls[] = {"time", "clock"};
-  for (size_t i = 0; i < view.code.size(); ++i) {
-    const std::string& line = view.code[i];
-    for (const char* token : kTokens) {
-      if (!TokenHits(line, token).empty()) AddFinding(view, i, rule, findings);
-    }
-    for (const char* call : kCalls) {
-      if (!CallHits(line, call).empty()) AddFinding(view, i, rule, findings);
-    }
-  }
+  FlagBannedNames(view, rule, kClockTokens, kClockCalls, findings);
 }
 
 void BannedRandomRule(const FileView& view, const RuleInfo& rule,
                       std::vector<Finding>* findings) {
-  static const char* kTokens[] = {"random_device", "mt19937", "mt19937_64",
-                                  "default_random_engine", "minstd_rand",
-                                  "minstd_rand0", "ranlux24", "ranlux48"};
-  static const char* kCalls[] = {"rand", "srand", "drand48", "random"};
-  for (size_t i = 0; i < view.code.size(); ++i) {
-    const std::string& line = view.code[i];
-    for (const char* token : kTokens) {
-      if (!TokenHits(line, token).empty()) AddFinding(view, i, rule, findings);
-    }
-    for (const char* call : kCalls) {
-      if (!CallHits(line, call).empty()) AddFinding(view, i, rule, findings);
-    }
-  }
+  FlagBannedNames(view, rule, kRandomTokens, kRandomCalls, findings);
 }
 
-/// Names declared in this file with an unordered container type —
-/// members, locals and parameters alike. Template arguments may span
-/// lines; the scan runs over the joined code text.
-std::vector<std::string> UnorderedNames(const FileView& view) {
-  std::string text;
-  for (const std::string& line : view.code) {
-    text += line;
-    text += '\n';
-  }
-  std::vector<std::string> names;
-  for (std::string_view token : {"unordered_map", "unordered_set",
-                                 "unordered_multimap", "unordered_multiset"}) {
-    size_t pos = 0;
-    while ((pos = text.find(token, pos)) != std::string::npos) {
-      const size_t start = pos;
-      pos += token.size();
-      if (start > 0 && IsIdentChar(text[start - 1])) continue;
-      size_t i = pos;
-      while (i < text.size() &&
-             std::isspace(static_cast<unsigned char>(text[i]))) {
-        ++i;
-      }
-      if (i >= text.size() || text[i] != '<') continue;
-      int depth = 0;
-      for (; i < text.size(); ++i) {
-        if (text[i] == '<') ++depth;
-        if (text[i] == '>' && --depth == 0) {
-          ++i;
-          break;
-        }
-      }
-      // Skip refs/pointers/whitespace between the type and the name.
-      while (i < text.size() &&
-             (std::isspace(static_cast<unsigned char>(text[i])) ||
-              text[i] == '&' || text[i] == '*')) {
-        ++i;
-      }
-      std::string name;
-      while (i < text.size() && IsIdentChar(text[i])) name.push_back(text[i++]);
-      if (!name.empty()) names.push_back(name);
-    }
-  }
-  return names;
-}
+/// `.end()` counts too: it also catches a walk that starts at `find()`.
+constexpr std::string_view kIteratorMembers[] = {"begin", "end", "cbegin",
+                                                 "cend"};
 
 void UnorderedIterationRule(const FileView& view, const RuleInfo& rule,
                             std::vector<Finding>* findings) {
-  const std::vector<std::string> names = UnorderedNames(view);
+  const std::vector<std::string> names = UnorderedNames(view.code);
   if (names.empty()) return;
   for (size_t i = 0; i < view.code.size(); ++i) {
-    const std::string& line = view.code[i];
-    for (const std::string& name : names) {
-      for (size_t pos : TokenHits(line, name)) {
-        // name.begin() / name.end() / name.cbegin() / name.cend()
-        size_t j = pos + name.size();
-        while (j < line.size() && line[j] == ' ') ++j;
-        if (j < line.size() && line[j] == '.') {
-          ++j;
-          while (j < line.size() && line[j] == ' ') ++j;
-          for (std::string_view it : {"begin", "end", "cbegin", "cend"}) {
-            if (line.compare(j, it.size(), it) == 0) {
-              size_t k = j + it.size();
-              while (k < line.size() && line[k] == ' ') ++k;
-              if (k < line.size() && line[k] == '(') {
-                AddFinding(view, i, rule, findings);
-              }
-              break;
-            }
-          }
-        }
-        // Range-for: `for (... : name)` — ':' before, ')' after.
-        size_t before = pos;
-        while (before > 0 && line[before - 1] == ' ') --before;
-        const bool colon_before =
-            before > 0 && line[before - 1] == ':' &&
-            (before < 2 || line[before - 2] != ':');
-        size_t after = pos + name.size();
-        while (after < line.size() && line[after] == ' ') ++after;
-        const bool paren_after = after < line.size() && line[after] == ')';
-        if (colon_before && paren_after &&
-            !TokenHits(line, "for").empty()) {
-          AddFinding(view, i, rule, findings);
-        }
-      }
+    if (IteratesUnordered(view.code[i], names, kIteratorMembers)) {
+      AddFinding(view, i, rule, findings);
     }
   }
 }
@@ -544,7 +296,7 @@ std::vector<Finding> Linter::LintFile(std::string_view path,
 
   std::vector<Finding> findings;
   for (const RuleImpl& rule : RuleRegistry()) {
-    if (PathExempt(view.path, rule.exempt_paths)) continue;
+    if (PathMatches(view.path, rule.exempt_paths)) continue;
     rule.fn(view, rule.info, &findings);
   }
 
@@ -553,7 +305,7 @@ std::vector<Finding> Linter::LintFile(std::string_view path,
   std::vector<Finding> kept;
   for (Finding& finding : findings) {
     const std::string& raw_line = view.raw[static_cast<size_t>(finding.line) - 1];
-    if (AllowedRules(raw_line).count(finding.rule) > 0) continue;
+    if (AllowedIds(raw_line, kAllowMarkers).count(finding.rule) > 0) continue;
     kept.push_back(std::move(finding));
   }
   std::sort(kept.begin(), kept.end(), [](const Finding& a, const Finding& b) {
@@ -571,36 +323,19 @@ std::vector<Finding> Linter::LintFile(std::string_view path,
 }
 
 std::vector<Finding> Linter::LintTree(const std::string& root) const {
-  namespace fs = std::filesystem;
   std::vector<std::string> paths;
-  std::error_code ec;
-  for (fs::recursive_directory_iterator it(root, ec), end; it != end;
-       it.increment(ec)) {
-    if (ec) break;
-    if (!it->is_regular_file(ec)) continue;
-    const std::string ext = it->path().extension().string();
-    if (ext == ".h" || ext == ".hpp" || ext == ".cc" || ext == ".cpp") {
-      paths.push_back(it->path().string());
-    }
+  if (const std::error_code ec = ListSourceFiles(root, &paths)) {
+    return {Finding{root, 0, "io-error", "cannot walk tree: " + ec.message()}};
   }
-  std::sort(paths.begin(), paths.end());
-
   std::vector<Finding> findings;
-  if (ec) {
-    findings.push_back(
-        Finding{root, 0, "io-error", "cannot walk tree: " + ec.message()});
-    return findings;
-  }
   for (const std::string& path : paths) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
+    std::string contents;
+    if (!ReadFile(path, &contents)) {
       findings.push_back(Finding{NormalizePath(path), 0, "io-error",
                                  "cannot read file"});
       continue;
     }
-    std::ostringstream contents;
-    contents << in.rdbuf();
-    std::vector<Finding> file_findings = LintFile(path, contents.str());
+    std::vector<Finding> file_findings = LintFile(path, contents);
     findings.insert(findings.end(),
                     std::make_move_iterator(file_findings.begin()),
                     std::make_move_iterator(file_findings.end()));

@@ -7,13 +7,12 @@
 // "file:line: rule-id: message", one per line, so CI annotations and
 // editors can jump to them.
 #include <filesystem>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "lint/lint_engine.h"
+#include "lint/source_scan.h"
 
 int main(int argc, char** argv) {
   std::vector<std::string> paths;
@@ -49,11 +48,10 @@ int main(int argc, char** argv) {
       std::vector<shadoop::lint::Finding> tree = linter.LintTree(path);
       findings.insert(findings.end(), tree.begin(), tree.end());
     } else if (std::filesystem::is_regular_file(path, ec)) {
-      std::ifstream in(path, std::ios::binary);
-      std::ostringstream contents;
-      contents << in.rdbuf();
+      std::string contents;
+      shadoop::lint::ReadFile(path, &contents);
       std::vector<shadoop::lint::Finding> file =
-          linter.LintFile(path, contents.str());
+          linter.LintFile(path, contents);
       findings.insert(findings.end(), file.begin(), file.end());
     } else {
       std::cerr << "spatial_lint: no such file or directory: " << path
