@@ -74,8 +74,11 @@ TSAN_FLAGS="-fsanitize=thread -fno-omit-frame-pointer"
 #   - catalog_test: snapshot reads racing concurrent catalog appends
 #   - server_test: concurrent tenant sessions sharing one result cache
 #   - common_test: concurrent inserts of one key into a FifoCache
+#   - knn_test, aggregate_test: KNN and COUNT map tasks sharing parsed
+#     columns through the runner's artifact cache
 TSAN_SUITES=(mapreduce_test zero_copy_test fault_test robustness_test
-             admission_test catalog_test server_test common_test)
+             admission_test catalog_test server_test common_test
+             knn_test aggregate_test)
 
 asan_phase() {
   cmake -B "${BUILD_DIR}" -S . \

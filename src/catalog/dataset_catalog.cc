@@ -545,21 +545,8 @@ Result<uint64_t> DatasetCatalog::Append(const std::string& name,
       if (!ps.rewritten) continue;
       ps.part.source_path = delta_path;
       ps.part.block_index = base_block++;
-      ps.part.num_records = ps.records.size();
-      ps.part.num_bytes = 0;
-      Envelope mbr;
-      for (const Envelope& e : ps.envs) mbr.ExpandToInclude(e);
-      ps.part.mbr = mbr;
-      if (latest.has_local_indexes) {
-        const std::string header = index::EncodeLocalIndexHeader(ps.envs);
-        ps.part.num_bytes += header.size() + 1;
-        writer->Append(header);
-      }
-      for (const std::string& rec : ps.records) {
-        ps.part.num_bytes += rec.size() + 1;
-        writer->Append(rec);
-      }
-      writer->EndBlock();
+      index::WritePartitionBlock(writer.get(), ps.records, ps.envs,
+                                 latest.has_local_indexes, &ps.part);
     }
     SHADOOP_RETURN_NOT_OK(writer->Close());
   }
@@ -578,15 +565,7 @@ Result<uint64_t> DatasetCatalog::Append(const std::string& name,
 
   // Persist the version master, then publish it through the CURRENT
   // pointer (write-temp + Replace, the catalog's atomic swap).
-  std::vector<std::string> master_lines;
-  master_lines.push_back(std::string("#scheme=") +
-                         index::PartitionSchemeName(scheme) +
-                         " shape=" + index::ShapeTypeName(shape) +
-                         (latest.has_local_indexes ? " lidx=1" : ""));
-  for (std::string& line : next.global_index.ToLines()) {
-    master_lines.push_back(std::move(line));
-  }
-  SHADOOP_RETURN_NOT_OK(fs->WriteLines(next.master_path, master_lines));
+  SHADOOP_RETURN_NOT_OK(index::WriteMasterFile(fs, next));
   const std::string current = CurrentPathFor(state.data_path);
   const std::string tmp = current + ".tmp";
   if (fs->Exists(tmp)) SHADOOP_RETURN_NOT_OK(fs->Delete(tmp));

@@ -4,7 +4,6 @@
 
 #include "common/string_util.h"
 #include "core/query_pipeline.h"
-#include "core/spatial_file_splitter.h"
 
 namespace shadoop::core {
 namespace {
@@ -13,54 +12,43 @@ using mapreduce::JobResult;
 using mapreduce::MapContext;
 
 /// Counts matching records in one split, with optional reference-point
-/// deduplication (same rule as the range query).
-class CountMapper : public mapreduce::Mapper {
+/// deduplication (same rule as the range query) against the extent the
+/// base mapper decodes.
+class CountMapper : public PartitionMapper {
  public:
   CountMapper(index::ShapeType shape, Envelope query, bool deduplicate)
-      : shape_(shape), query_(query), deduplicate_(deduplicate) {}
+      : PartitionMapper(shape, /*parse_extent=*/deduplicate),
+        query_(query),
+        deduplicate_(deduplicate) {}
 
-  void BeginSplit(MapContext& ctx) override {
-    count_ = 0;
-    have_extent_ = false;
-    if (deduplicate_) {
-      auto extent = ParseSplitExtent(ctx.split().meta);
-      if (!extent.ok()) {
-        ctx.Fail(extent.status());
-        return;
+ protected:
+  void Process(const SplitExtent& extent, SpatialRecordReader& reader,
+               MapContext& ctx) override {
+    const bool right = extent.cell.max_x() >= extent.file_mbr.max_x();
+    const bool top = extent.cell.max_y() >= extent.file_mbr.max_y();
+    int64_t count = 0;
+    int64_t bad = 0;
+    for (size_t i = 0; i < reader.NumRecords(); ++i) {
+      const Envelope* env = reader.EnvelopeAt(i);
+      if (env == nullptr) {
+        ++bad;
+        continue;
       }
-      extent_ = extent.value();
-      have_extent_ = true;
+      if (!env->Intersects(query_)) continue;
+      if (deduplicate_ &&
+          !extent.cell.ContainsHalfOpen(
+              env->Intersection(query_).BottomLeft(), right, top)) {
+        continue;
+      }
+      ++count;
     }
-  }
-
-  void Map(std::string_view record, MapContext& ctx) override {
-    if (index::IsMetadataRecord(record)) return;
-    auto env = index::RecordEnvelope(shape_, record);
-    if (!env.ok()) {
-      ctx.counters().Increment("count.bad_records");
-      return;
-    }
-    if (!env.value().Intersects(query_)) return;
-    if (have_extent_) {
-      const Point ref = env.value().Intersection(query_).BottomLeft();
-      const bool right = extent_.cell.max_x() >= extent_.file_mbr.max_x();
-      const bool top = extent_.cell.max_y() >= extent_.file_mbr.max_y();
-      if (!extent_.cell.ContainsHalfOpen(ref, right, top)) return;
-    }
-    ++count_;
-  }
-
-  void EndSplit(MapContext& ctx) override {
-    ctx.Emit("C", std::to_string(count_));
+    if (bad > 0) ctx.counters().Increment("count.bad_records", bad);
+    ctx.Emit("C", std::to_string(count));
   }
 
  private:
-  index::ShapeType shape_;
   Envelope query_;
   bool deduplicate_;
-  bool have_extent_ = false;
-  SplitExtent extent_;
-  int64_t count_ = 0;
 };
 
 class SumReducer : public mapreduce::Reducer {

@@ -45,9 +45,9 @@ class ClosestPairMapper : public PartitionMapper {
   ClosestPairMapper() : PartitionMapper(index::ShapeType::kPoint) {}
 
  protected:
-  void Process(const SplitExtent& extent, PartitionView& view,
+  void Process(const SplitExtent& extent, SpatialRecordReader& reader,
                MapContext& ctx) override {
-    std::vector<Point> points = view.Points();
+    std::vector<Point> points = reader.Points();
     const size_t n = points.size();
     ctx.ChargeCpu(static_cast<uint64_t>(
         n > 1 ? n * std::log2(static_cast<double>(n)) * 40 : n));

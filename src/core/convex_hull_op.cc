@@ -1,79 +1,17 @@
 #include "core/convex_hull_op.h"
 
-#include <cmath>
-#include <memory>
 #include <set>
 
 #include "core/query_pipeline.h"
 #include "core/skyline_op.h"
 #include "geometry/convex_hull.h"
-#include "geometry/wkt.h"
 
 namespace shadoop::core {
 namespace {
 
-using mapreduce::JobResult;
-using mapreduce::MapContext;
-
-class HullMapper : public PartitionMapper {
- public:
-  HullMapper()
-      : PartitionMapper(index::ShapeType::kPoint, /*parse_extent=*/false) {}
-
- protected:
-  void Process(const SplitExtent& extent, PartitionView& view,
-               MapContext& ctx) override {
-    (void)extent;
-    std::vector<Point> points = view.Points();
-    const size_t n = points.size();
-    ctx.ChargeCpu(static_cast<uint64_t>(
-        n > 1 ? n * std::log2(static_cast<double>(n)) * 20 : n));
-    for (const Point& p : ConvexHull(std::move(points))) {
-      ctx.Emit("H", PointToCsv(p));
-    }
-    ctx.counters().Increment("hull.bad_records",
-                             static_cast<int64_t>(view.bad_records()));
-  }
-};
-
-class HullReducer : public mapreduce::Reducer {
- public:
-  void Reduce(const std::string& key, const std::vector<std::string>& values,
-              mapreduce::ReduceContext& ctx) override {
-    (void)key;
-    std::vector<Point> points;
-    points.reserve(values.size());
-    for (const std::string& value : values) {
-      auto p = ParsePointCsv(value);
-      if (p.ok()) points.push_back(p.value());
-    }
-    const size_t n = points.size();
-    ctx.ChargeCpu(static_cast<uint64_t>(
-        n > 1 ? n * std::log2(static_cast<double>(n)) * 20 : n));
-    for (const Point& p : ConvexHull(std::move(points))) {
-      ctx.Write(PointToCsv(p));
-    }
-  }
-};
-
-/// Two-round merge, mirroring the skyline: parallel partial hulls in the
-/// reduce round, final hull of the small survivor set on the master.
-Result<std::vector<Point>> RunHullJob(SpatialJobBuilder& builder,
-                                      const char* name, OpStats* stats) {
-  SHADOOP_ASSIGN_OR_RETURN(
-      JobResult result,
-      builder.Name(name)
-          .Map([]() { return std::make_unique<HullMapper>(); })
-          .ParallelMerge([]() { return std::make_unique<HullReducer>(); })
-          .Run(stats));
-  std::vector<Point> candidates;
-  candidates.reserve(result.output.size());
-  for (const std::string& line : result.output) {
-    SHADOOP_ASSIGN_OR_RETURN(Point p, ParsePointCsv(line));
-    candidates.push_back(p);
-  }
-  return ConvexHull(std::move(candidates));
-}
+/// The hull as a two-round point merge (query_pipeline.h), mirroring the
+/// skyline.
+const PointMerge kHullMerge = {&ConvexHull, "H", "hull"};
 
 }  // namespace
 
@@ -92,7 +30,8 @@ Result<std::vector<Point>> ConvexHullHadoop(mapreduce::JobRunner* runner,
                                             OpStats* stats) {
   SpatialJobBuilder builder(runner);
   builder.ScanFile(path);
-  return RunHullJob(builder, "convex-hull-hadoop", stats);
+  return RunPointMerge(builder, kHullMerge, "convex-hull-hadoop",
+                       /*indexed=*/nullptr, stats);
 }
 
 Result<std::vector<Point>> ConvexHullSpatial(mapreduce::JobRunner* runner,
@@ -102,15 +41,8 @@ Result<std::vector<Point>> ConvexHullSpatial(mapreduce::JobRunner* runner,
   builder.ScanIndexed(file, [](const index::GlobalIndex& gi) {
     return ConvexHullPartitionFilter(gi);
   });
-  if (stats != nullptr && builder.plan_status().ok()) {
-    stats->counters.Increment("hull.partitions_processed",
-                              static_cast<int64_t>(builder.NumSplits()));
-    stats->counters.Increment(
-        "hull.partitions_pruned",
-        static_cast<int64_t>(file.global_index.NumPartitions() -
-                             builder.NumSplits()));
-  }
-  return RunHullJob(builder, "convex-hull-spatial", stats);
+  return RunPointMerge(builder, kHullMerge, "convex-hull-spatial", &file,
+                       stats);
 }
 
 }  // namespace shadoop::core

@@ -43,10 +43,10 @@ class FarthestPairMapper : public PartitionMapper {
       : PartitionMapper(index::ShapeType::kPoint, /*parse_extent=*/false) {}
 
  protected:
-  void Process(const SplitExtent& extent, PartitionView& view,
+  void Process(const SplitExtent& extent, SpatialRecordReader& reader,
                MapContext& ctx) override {
     (void)extent;
-    std::vector<Point> points = view.Points();
+    std::vector<Point> points = reader.Points();
     const size_t n = points.size();
     ctx.ChargeCpu(static_cast<uint64_t>(
         n > 1 ? n * std::log2(static_cast<double>(n)) * 20 : n));

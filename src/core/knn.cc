@@ -52,31 +52,36 @@ class TopK {
   std::priority_queue<std::pair<double, std::string>> heap_;
 };
 
-class KnnMapper : public mapreduce::Mapper {
+/// Keeps each split's k nearest records; envelopes come from the
+/// reader's parse-once column (or the persisted #lidx header).
+class KnnMapper : public PartitionMapper {
  public:
   KnnMapper(index::ShapeType shape, Point q, size_t k)
-      : shape_(shape), q_(q), top_(k) {}
+      : PartitionMapper(shape, /*parse_extent=*/false), q_(q), k_(k) {}
 
-  void Map(std::string_view record, MapContext& ctx) override {
-    if (index::IsMetadataRecord(record)) return;
-    auto env = index::RecordEnvelope(shape_, record);
-    if (!env.ok()) {
-      ctx.counters().Increment("knn.bad_records");
-      return;
+ protected:
+  void Process(const SplitExtent& extent, SpatialRecordReader& reader,
+               MapContext& ctx) override {
+    (void)extent;
+    TopK top(k_);
+    int64_t bad = 0;
+    for (size_t i = 0; i < reader.NumRecords(); ++i) {
+      const Envelope* env = reader.EnvelopeAt(i);
+      if (env == nullptr) {
+        ++bad;
+        continue;
+      }
+      top.Offer(env->MinDistance(q_), reader.records()[i]);
     }
-    top_.Offer(env.value().MinDistance(q_), record);
-  }
-
-  void EndSplit(MapContext& ctx) override {
-    for (const KnnAnswer& answer : top_.Sorted()) {
+    if (bad > 0) ctx.counters().Increment("knn.bad_records", bad);
+    for (const KnnAnswer& answer : top.Sorted()) {
       ctx.Emit("K", FormatDouble(answer.distance) + "\t" + answer.record);
     }
   }
 
  private:
-  index::ShapeType shape_;
   Point q_;
-  TopK top_;
+  size_t k_;
 };
 
 /// Merges local top-k lists into the global top-k.

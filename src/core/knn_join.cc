@@ -59,12 +59,12 @@ class BoundMapper : public KnnJoinMapper {
 
  protected:
   void Process(const SplitExtent& extent_a, const SplitExtent& extent_b,
-               PartitionView& view_a, PartitionView& view_b,
+               SpatialRecordReader& reader_a, SpatialRecordReader& reader_b,
                MapContext& ctx) override {
     (void)extent_a;
     (void)extent_b;
-    const std::vector<Point> a_points = view_a.Points();
-    const std::vector<Point> b_points = view_b.Points();
+    const std::vector<Point> a_points = reader_a.Points();
+    const std::vector<Point> b_points = reader_b.Points();
     double delta = 0.0;
     if (b_points.size() < k_) {
       // Not enough candidates to bound: the verify round must consider
@@ -97,14 +97,14 @@ class VerifyMapper : public KnnJoinMapper {
 
  protected:
   void Process(const SplitExtent& extent_a, const SplitExtent& extent_b,
-               PartitionView& view_a, PartitionView& view_b,
+               SpatialRecordReader& reader_a, SpatialRecordReader& reader_b,
                MapContext& ctx) override {
     (void)extent_a;
     (void)extent_b;
-    const std::vector<Point> a_points = view_a.Points();
+    const std::vector<Point> a_points = reader_a.Points();
     // The B side concatenates several partitions' blocks, so an ad-hoc
     // R-tree is always bulk-loaded here (never the persisted-index path).
-    const index::PackedRTree b_tree(view_b.Envelopes());
+    const index::PackedRTree b_tree(reader_b.Envelopes());
     const size_t nb = b_tree.NumEntries();
     ctx.ChargeCpu(static_cast<uint64_t>(
         nb > 1 ? nb * std::log2(static_cast<double>(nb)) * 10 : nb));
@@ -116,13 +116,13 @@ class VerifyMapper : public KnnJoinMapper {
       for (uint32_t payload : neighbours) {
         // Parse-once column lookup: candidates reached from several A
         // records are never re-parsed.
-        const Point* b_point = view_b.PointAt(payload);
+        const Point* b_point = reader_b.PointAt(payload);
         if (b_point == nullptr) continue;
         ++rank;
         std::string line;
-        line.append(view_a.records()[ai]);
+        line.append(reader_a.records()[ai]);
         line.push_back(kJoinSeparator);
-        line.append(view_b.records()[payload]);
+        line.append(reader_b.records()[payload]);
         line.push_back(kJoinSeparator);
         line.append(FormatDouble(Distance(a_points[ai], *b_point)));
         line.push_back(kJoinSeparator);

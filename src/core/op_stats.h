@@ -21,6 +21,15 @@ struct OpStats {
     ++jobs_run;
     wall_ms += result.wall_ms;
   }
+
+  /// Folds another run's statistics (e.g. one statement's) into these.
+  OpStats& operator+=(const OpStats& other) {
+    cost += other.cost;
+    counters.MergeFrom(other.counters);
+    jobs_run += other.jobs_run;
+    wall_ms += other.wall_ms;
+    return *this;
+  }
 };
 
 /// Deterministic simulated cost of running a task on ONE machine of the

@@ -32,13 +32,13 @@ class SkeletonMapper : public PartitionMapper {
       : PartitionMapper(shape), op_(op) {}
 
  protected:
-  void Process(const SplitExtent& extent, PartitionView& view,
+  void Process(const SplitExtent& extent, SpatialRecordReader& reader,
                MapContext& ctx) override {
     LocalOutputImpl out(&ctx);
     // The public skeleton API takes owned strings, so user-defined
     // operations never worry about record lifetimes; materialize here.
-    std::vector<std::string> records(view.records().begin(),
-                                     view.records().end());
+    std::vector<std::string> records(reader.records().begin(),
+                                     reader.records().end());
     op_->local(extent, records, &out);
   }
 

@@ -3,58 +3,65 @@
 #include <algorithm>
 #include <cmath>
 
+#include "geometry/wkt.h"
+
 namespace shadoop::core {
+namespace {
 
-// ---------------------------------------------------------------------
-// PartitionView
+/// The CPU charge of one run of a point-merge algorithm over n points.
+uint64_t PointMergeOps(size_t n) {
+  return static_cast<uint64_t>(
+      n > 1 ? n * std::log2(static_cast<double>(n)) * 20 : n);
+}
 
-const index::PackedRTree& PartitionView::LocalIndex(
-    mapreduce::MapContext& ctx) {
-  if (local_index_ == nullptr) {
-    // A persisted local index loads linearly; otherwise the bulk load
-    // parses geometry and sorts — O(n log n). The charge is the same
-    // whether the packed tree is built here or adopted from the cache:
-    // the simulated cluster has no artifact cache, only this process
-    // does.
-    const bool persisted = reader_.has_local_index();
-    std::string key;
-    if (reader_.cache() != nullptr && reader_.cache_block_id() != 0) {
-      key = "ptree:" + std::to_string(static_cast<int>(shape())) + ':' +
-            std::to_string(reader_.cache_block_id());
-      if (auto hit = reader_.cache()->Lookup(key)) {
-        local_index_ =
-            std::static_pointer_cast<const index::PackedRTree>(hit);
-        // The build path runs Envelopes(), which counts the envelope
-        // column's parse failures into bad_records(); mirror that.
-        reader_.CountEnvelopeBad();
-      }
+class PointMergeMapper : public PartitionMapper {
+ public:
+  explicit PointMergeMapper(const PointMerge& merge)
+      : PartitionMapper(index::ShapeType::kPoint, /*parse_extent=*/false),
+        merge_(merge) {}
+
+ protected:
+  void Process(const SplitExtent& extent, SpatialRecordReader& reader,
+               mapreduce::MapContext& ctx) override {
+    (void)extent;
+    std::vector<Point> points = reader.Points();
+    ctx.ChargeCpu(PointMergeOps(points.size()));
+    for (const Point& p : merge_.algorithm(std::move(points))) {
+      ctx.Emit(merge_.key, PointToCsv(p));
     }
-    if (local_index_ == nullptr) {
-      auto built = std::make_shared<index::PackedRTree>(reader_.Envelopes());
-      local_index_ =
-          key.empty() ? std::shared_ptr<const index::PackedRTree>(
-                            std::move(built))
-                      : std::static_pointer_cast<const index::PackedRTree>(
-                            reader_.cache()->Insert(key, std::move(built)));
-    }
-    const size_t n = local_index_->NumEntries();
-    ctx.ChargeCpu(persisted
-                      ? static_cast<uint64_t>(n)
-                      : static_cast<uint64_t>(
-                            n > 1 ? n * std::log2(static_cast<double>(n)) * 10
-                                  : n));
+    ctx.counters().Increment(
+        std::string(merge_.counter_prefix) + ".bad_records",
+        static_cast<int64_t>(reader.bad_records()));
   }
-  return *local_index_;
-}
 
-std::vector<uint32_t> PartitionView::Search(const Envelope& query,
-                                            mapreduce::MapContext& ctx) {
-  const index::PackedRTree& tree = LocalIndex(ctx);
-  std::vector<uint32_t> hits;
-  const size_t visited = tree.Search(query, &hits);
-  ctx.ChargeCpu(visited * 50);
-  return hits;
-}
+ private:
+  PointMerge merge_;
+};
+
+class PointMergeReducer : public mapreduce::Reducer {
+ public:
+  explicit PointMergeReducer(const PointMerge& merge) : merge_(merge) {}
+
+  void Reduce(const std::string& key, const std::vector<std::string>& values,
+              mapreduce::ReduceContext& ctx) override {
+    (void)key;
+    std::vector<Point> points;
+    points.reserve(values.size());
+    for (const std::string& value : values) {
+      auto p = ParsePointCsv(value);
+      if (p.ok()) points.push_back(p.value());
+    }
+    ctx.ChargeCpu(PointMergeOps(points.size()));
+    for (const Point& p : merge_.algorithm(std::move(points))) {
+      ctx.Write(PointToCsv(p));
+    }
+  }
+
+ private:
+  PointMerge merge_;
+};
+
+}  // namespace
 
 // ---------------------------------------------------------------------
 // PartitionMapper
@@ -73,9 +80,9 @@ void PartitionMapper::BeginSplit(mapreduce::MapContext& ctx) {
 void PartitionMapper::BeginBlock(size_t ordinal,
                                  mapreduce::MapContext& ctx) {
   // Artifact sharing is per single block: only a one-block split makes
-  // the view's content exactly one block.
+  // the reader's content exactly one block.
   if (ordinal == 0 && ctx.split().blocks.size() == 1) {
-    view_.AttachCache(ctx.artifact_cache(), ctx.block_cache_id(0));
+    reader_.AttachCache(ctx.artifact_cache(), ctx.block_cache_id(0));
   }
 }
 
@@ -84,12 +91,12 @@ void PartitionMapper::Map(std::string_view record,
   (void)ctx;
   // Record views stay valid through EndSplit (the runner pins the block
   // bytes for the whole attempt), so buffering borrows — no copy.
-  view_.AddBorrowed(record);
+  reader_.AddBorrowed(record);
 }
 
 void PartitionMapper::EndSplit(mapreduce::MapContext& ctx) {
   if (failed_) return;
-  Process(extent_, view_, ctx);
+  Process(extent_, reader_, ctx);
 }
 
 // ---------------------------------------------------------------------
@@ -118,10 +125,10 @@ void PairPartitionMapper::BeginSplit(mapreduce::MapContext& ctx) {
 void PairPartitionMapper::BeginBlock(size_t ordinal,
                                      mapreduce::MapContext& ctx) {
   in_a_ = ordinal == 0;
-  // Each side's view holds exactly one block in a two-block pair split,
+  // Each side's reader holds exactly one block in a two-block pair split,
   // so both can share artifacts; wider splits stay uncached.
   if (ordinal < 2 && ctx.split().blocks.size() == 2) {
-    (in_a_ ? view_a_ : view_b_)
+    (in_a_ ? reader_a_ : reader_b_)
         .AttachCache(ctx.artifact_cache(), ctx.block_cache_id(ordinal));
   }
 }
@@ -129,12 +136,12 @@ void PairPartitionMapper::BeginBlock(size_t ordinal,
 void PairPartitionMapper::Map(std::string_view record,
                               mapreduce::MapContext& ctx) {
   (void)ctx;
-  (in_a_ ? view_a_ : view_b_).AddBorrowed(record);
+  (in_a_ ? reader_a_ : reader_b_).AddBorrowed(record);
 }
 
 void PairPartitionMapper::EndSplit(mapreduce::MapContext& ctx) {
   if (failed_) return;
-  Process(extent_a_, extent_b_, view_a_, view_b_, ctx);
+  Process(extent_a_, extent_b_, reader_a_, reader_b_, ctx);
 }
 
 // ---------------------------------------------------------------------
@@ -224,11 +231,6 @@ SpatialJobBuilder& SpatialJobBuilder::Partition(
   return *this;
 }
 
-SpatialJobBuilder& SpatialJobBuilder::OutputTo(std::string path) {
-  output_path_ = std::move(path);
-  return *this;
-}
-
 Result<mapreduce::JobResult> SpatialJobBuilder::Run(OpStats* stats) {
   SHADOOP_RETURN_NOT_OK(status_);
   if (!mapper_) {
@@ -241,7 +243,6 @@ Result<mapreduce::JobResult> SpatialJobBuilder::Run(OpStats* stats) {
   job.combiner = combiner_;
   job.reducer = reducer_;
   job.partitioner = partitioner_;
-  job.output_path = output_path_;
   if (parallel_merge_) {
     // Round 1 of the two-round merge: one reducer per ~4 partitions so no
     // single reducer absorbs every local result; the constant-key groups
@@ -262,6 +263,39 @@ Result<mapreduce::JobResult> SpatialJobBuilder::Run(OpStats* stats) {
   SHADOOP_RETURN_NOT_OK(result.status);
   if (stats != nullptr) stats->Accumulate(result);
   return result;
+}
+
+// ---------------------------------------------------------------------
+// Two-round point merge
+
+Result<std::vector<Point>> RunPointMerge(SpatialJobBuilder& builder,
+                                         const PointMerge& merge,
+                                         const char* job_name,
+                                         const index::SpatialFileInfo* indexed,
+                                         OpStats* stats) {
+  if (indexed != nullptr && stats != nullptr && builder.plan_status().ok()) {
+    const std::string prefix = merge.counter_prefix;
+    stats->counters.Increment(prefix + ".partitions_processed",
+                              static_cast<int64_t>(builder.NumSplits()));
+    stats->counters.Increment(
+        prefix + ".partitions_pruned",
+        static_cast<int64_t>(indexed->global_index.NumPartitions() -
+                             builder.NumSplits()));
+  }
+  SHADOOP_ASSIGN_OR_RETURN(
+      mapreduce::JobResult result,
+      builder.Name(job_name)
+          .Map([merge]() { return std::make_unique<PointMergeMapper>(merge); })
+          .ParallelMerge(
+              [merge]() { return std::make_unique<PointMergeReducer>(merge); })
+          .Run(stats));
+  std::vector<Point> candidates;
+  candidates.reserve(result.output.size());
+  for (const std::string& line : result.output) {
+    SHADOOP_ASSIGN_OR_RETURN(Point p, ParsePointCsv(line));
+    candidates.push_back(p);
+  }
+  return merge.algorithm(std::move(candidates));
 }
 
 }  // namespace shadoop::core

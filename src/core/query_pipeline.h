@@ -24,94 +24,25 @@ namespace shadoop::core {
 ///   - SpatialJobBuilder owns the *plan* steps: global-index filtering,
 ///     InputSplit construction with MBR metadata, default partitioner and
 ///     reducer wiring, and uniform OpStats/JobCost collection.
-///   - PartitionView owns the *local-process* plumbing: records of one
-///     partition are parsed once, and the local R-tree is built lazily
+///   - SpatialRecordReader owns the *local-process* plumbing: records of
+///     one partition are parsed once, and the local R-tree is built lazily
 ///     and memoized, with the cost model charged exactly once.
 ///   - PartitionMapper / PairPartitionMapper bridge the two: they decode
-///     the split's partition extents and feed PartitionViews, so an
+///     the split's partition extents and feed SpatialRecordReaders, so an
 ///     operation's mapper is just its local-processing step.
-
-// ---------------------------------------------------------------------
-// PartitionView
-
-/// Per-split view of one partition's records inside a map task. Wraps
-/// SpatialRecordReader so records are parsed once; the local R-tree is
-/// built lazily on first use and memoized. All geometry accessors simply
-/// forward; LocalIndex()/Search() additionally charge the simulated cost
-/// model the way every built-in operation does (persisted local indexes
-/// load linearly, ad-hoc bulk loads pay O(n log n), searches pay per
-/// visited node).
-class PartitionView {
- public:
-  explicit PartitionView(index::ShapeType shape) : reader_(shape) {}
-
-  /// Feeds one raw record, copied into the view's arena ('#'-metadata
-  /// records are consumed silently).
-  void Add(std::string_view record) { reader_.Add(record); }
-
-  /// Zero-copy variant for bytes that outlive the view — the partition
-  /// mappers borrow the runner's pinned block bytes this way.
-  void AddBorrowed(std::string_view record) { reader_.AddBorrowed(record); }
-
-  /// Enables artifact sharing (parsed columns, packed local index) when
-  /// this view will hold exactly the records of the block with this id —
-  /// see SpatialRecordReader::AttachCache. The partition mappers attach
-  /// in BeginBlock, before the first record arrives.
-  void AttachCache(mapreduce::ArtifactCache* cache, uint64_t block_id) {
-    reader_.AttachCache(cache, block_id);
-  }
-
-  index::ShapeType shape() const { return reader_.shape(); }
-  size_t NumRecords() const { return reader_.NumRecords(); }
-  const std::vector<std::string_view>& records() const {
-    return reader_.records();
-  }
-  size_t bad_records() const { return reader_.bad_records(); }
-  bool has_local_index() const { return reader_.has_local_index(); }
-
-  std::vector<Point> Points() { return reader_.Points(); }
-  std::vector<Polygon> Polygons() { return reader_.Polygons(); }
-  std::vector<index::PackedRTree::Entry> Envelopes() {
-    return reader_.Envelopes();
-  }
-
-  /// Parse-once column lookups (nullptr = record i is malformed); see
-  /// SpatialRecordReader. These never re-count bad_records().
-  const Envelope* EnvelopeAt(size_t i) { return reader_.EnvelopeAt(i); }
-  const Point* PointAt(size_t i) { return reader_.PointAt(i); }
-  const Polygon* PolygonAt(size_t i) { return reader_.PolygonAt(i); }
-
-  /// The wrapped reader, for kernels that operate on two record sets at
-  /// once (e.g. the join refinement step).
-  SpatialRecordReader& reader() { return reader_; }
-
-  /// The memoized local index. The first call bulk-loads it — or adopts
-  /// a cached build of the same block — and charges `ctx` the build cost;
-  /// later calls are free. The simulated charge is identical on cache hit
-  /// and miss.
-  const index::PackedRTree& LocalIndex(mapreduce::MapContext& ctx);
-
-  /// R-tree range search through the memoized index, charging the cost
-  /// model per visited node.
-  std::vector<uint32_t> Search(const Envelope& query,
-                               mapreduce::MapContext& ctx);
-
- private:
-  SpatialRecordReader reader_;
-  std::shared_ptr<const index::PackedRTree> local_index_;
-};
 
 // ---------------------------------------------------------------------
 // Partition mappers
 
 /// Base mapper for single-partition splits of a spatially indexed file:
 /// decodes the SplitExtent carried in the split meta, buffers the
-/// partition's records into a PartitionView, and hands both to Process()
-/// once the split is fully read — the operation's local-process step.
+/// partition's records into a SpatialRecordReader, and hands both to
+/// Process() once the split is fully read — the operation's local-process
+/// step.
 class PartitionMapper : public mapreduce::Mapper {
  public:
   explicit PartitionMapper(index::ShapeType shape, bool parse_extent = true)
-      : view_(shape), parse_extent_(parse_extent) {}
+      : reader_(shape), parse_extent_(parse_extent) {}
 
   void BeginSplit(mapreduce::MapContext& ctx) override;
   void BeginBlock(size_t ordinal, mapreduce::MapContext& ctx) override;
@@ -122,11 +53,11 @@ class PartitionMapper : public mapreduce::Mapper {
   /// Runs once per split with every record buffered. `extent` is the
   /// decoded partition extent (default-constructed when the mapper was
   /// built with parse_extent = false, e.g. over plain block splits).
-  virtual void Process(const SplitExtent& extent, PartitionView& view,
+  virtual void Process(const SplitExtent& extent, SpatialRecordReader& reader,
                        mapreduce::MapContext& ctx) = 0;
 
  private:
-  PartitionView view_;
+  SpatialRecordReader reader_;
   SplitExtent extent_;
   bool parse_extent_;
   bool failed_ = false;
@@ -134,12 +65,14 @@ class PartitionMapper : public mapreduce::Mapper {
 
 /// Base mapper for pair splits (block 0 = partition of file A, later
 /// blocks = partition(s) of file B): buffers each side into its own
-/// PartitionView and calls Process() with both.
+/// SpatialRecordReader and calls Process() with both.
 class PairPartitionMapper : public mapreduce::Mapper {
  public:
   PairPartitionMapper(index::ShapeType shape_a, index::ShapeType shape_b,
                       bool parse_extents = true)
-      : view_a_(shape_a), view_b_(shape_b), parse_extents_(parse_extents) {}
+      : reader_a_(shape_a),
+        reader_b_(shape_b),
+        parse_extents_(parse_extents) {}
 
   void BeginSplit(mapreduce::MapContext& ctx) override;
   void BeginBlock(size_t ordinal, mapreduce::MapContext& ctx) override;
@@ -148,13 +81,14 @@ class PairPartitionMapper : public mapreduce::Mapper {
 
  protected:
   virtual void Process(const SplitExtent& extent_a,
-                       const SplitExtent& extent_b, PartitionView& view_a,
-                       PartitionView& view_b,
+                       const SplitExtent& extent_b,
+                       SpatialRecordReader& reader_a,
+                       SpatialRecordReader& reader_b,
                        mapreduce::MapContext& ctx) = 0;
 
  private:
-  PartitionView view_a_;
-  PartitionView view_b_;
+  SpatialRecordReader reader_a_;
+  SpatialRecordReader reader_b_;
   SplitExtent extent_a_;
   SplitExtent extent_b_;
   bool parse_extents_;
@@ -225,9 +159,6 @@ class SpatialJobBuilder {
 
   SpatialJobBuilder& Partition(mapreduce::Partitioner partitioner);
 
-  /// Also persists the job output as an HDFS file.
-  SpatialJobBuilder& OutputTo(std::string path);
-
   // ------------------------------------------------------------------
   // Plan inspection.
 
@@ -254,8 +185,31 @@ class SpatialJobBuilder {
   mapreduce::Partitioner partitioner_;
   int num_reducers_ = 1;
   bool parallel_merge_ = false;
-  std::string output_path_;
 };
+
+// ---------------------------------------------------------------------
+// Two-round point merge
+
+/// What the CG operations built on the two-round merge (skyline, convex
+/// hull) differ in; RunPointMerge is everything else.
+struct PointMerge {
+  /// Reduces a point set to its survivors.
+  std::vector<Point> (*algorithm)(std::vector<Point>);
+  const char* key;             // Emit key of the map-side survivors.
+  const char* counter_prefix;  // "<prefix>.bad_records" etc.
+};
+
+/// Runs `merge` over the builder's planned input: each map task runs the
+/// algorithm on its split's points and emits the survivors; a
+/// ParallelMerge round reruns it on shares of them; the master runs it
+/// once more on what is left. Pass `indexed` when the builder scanned
+/// that file through a partition filter, to count
+/// "<prefix>.partitions_processed" and "<prefix>.partitions_pruned".
+Result<std::vector<Point>> RunPointMerge(SpatialJobBuilder& builder,
+                                         const PointMerge& merge,
+                                         const char* job_name,
+                                         const index::SpatialFileInfo* indexed,
+                                         OpStats* stats);
 
 }  // namespace shadoop::core
 

@@ -39,15 +39,15 @@ class SpatialRangeMapper : public PartitionMapper {
       : PartitionMapper(shape), query_(query), deduplicate_(deduplicate) {}
 
  protected:
-  void Process(const SplitExtent& extent, PartitionView& view,
+  void Process(const SplitExtent& extent, SpatialRecordReader& reader,
                MapContext& ctx) override {
-    for (uint32_t i : view.Search(query_, ctx)) {
+    for (uint32_t i : reader.Search(query_, ctx)) {
       if (deduplicate_) {
         // Reference-point technique: a record replicated to several
         // partitions is reported only by the partition owning the
         // bottom-left corner of (record MBR ∩ query). The envelope comes
-        // from the view's parse-once column — no re-parse here.
-        const Envelope* env = view.EnvelopeAt(i);
+        // from the reader's parse-once column — no re-parse here.
+        const Envelope* env = reader.EnvelopeAt(i);
         if (env == nullptr) continue;
         const Point ref = env->Intersection(query_).BottomLeft();
         const bool right_edge = extent.cell.max_x() >= extent.file_mbr.max_x();
@@ -57,11 +57,11 @@ class SpatialRangeMapper : public PartitionMapper {
           continue;
         }
       }
-      ctx.WriteOutput(view.records()[i]);
+      ctx.WriteOutput(reader.records()[i]);
       ctx.counters().Increment("range.matches");
     }
     ctx.counters().Increment("range.bad_records",
-                             static_cast<int64_t>(view.bad_records()));
+                             static_cast<int64_t>(reader.bad_records()));
   }
 
  private:

@@ -1,78 +1,14 @@
 #include "core/skyline_op.h"
 
-#include <cmath>
-#include <memory>
-
 #include "core/query_pipeline.h"
-#include "geometry/wkt.h"
 
 namespace shadoop::core {
 namespace {
 
-using mapreduce::JobResult;
-using mapreduce::MapContext;
-
-class SkylineMapper : public PartitionMapper {
- public:
-  SkylineMapper()
-      : PartitionMapper(index::ShapeType::kPoint, /*parse_extent=*/false) {}
-
- protected:
-  void Process(const SplitExtent& extent, PartitionView& view,
-               MapContext& ctx) override {
-    (void)extent;
-    std::vector<Point> points = view.Points();
-    const size_t n = points.size();
-    ctx.ChargeCpu(static_cast<uint64_t>(
-        n > 1 ? n * std::log2(static_cast<double>(n)) * 20 : n));
-    for (const Point& p : Skyline(std::move(points))) {
-      ctx.Emit("S", PointToCsv(p));
-    }
-    ctx.counters().Increment("skyline.bad_records",
-                             static_cast<int64_t>(view.bad_records()));
-  }
-};
-
-class SkylineReducer : public mapreduce::Reducer {
- public:
-  void Reduce(const std::string& key, const std::vector<std::string>& values,
-              mapreduce::ReduceContext& ctx) override {
-    (void)key;
-    std::vector<Point> points;
-    points.reserve(values.size());
-    for (const std::string& value : values) {
-      auto p = ParsePointCsv(value);
-      if (p.ok()) points.push_back(p.value());
-    }
-    const size_t n = points.size();
-    ctx.ChargeCpu(static_cast<uint64_t>(
-        n > 1 ? n * std::log2(static_cast<double>(n)) * 20 : n));
-    for (const Point& p : Skyline(std::move(points))) {
-      ctx.Write(PointToCsv(p));
-    }
-  }
-};
-
-/// Two-round merge: round 1 runs several reducers in parallel (each
-/// merges a share of the local skylines); round 2 is a master-side
-/// post-processing pass over the small surviving set, so no single
-/// reducer ever has to absorb every local skyline.
-Result<std::vector<Point>> RunSkylineJob(SpatialJobBuilder& builder,
-                                         const char* name, OpStats* stats) {
-  SHADOOP_ASSIGN_OR_RETURN(
-      JobResult result,
-      builder.Name(name)
-          .Map([]() { return std::make_unique<SkylineMapper>(); })
-          .ParallelMerge([]() { return std::make_unique<SkylineReducer>(); })
-          .Run(stats));
-  std::vector<Point> candidates;
-  candidates.reserve(result.output.size());
-  for (const std::string& line : result.output) {
-    SHADOOP_ASSIGN_OR_RETURN(Point p, ParsePointCsv(line));
-    candidates.push_back(p);
-  }
-  return Skyline(std::move(candidates));
-}
+/// Skyline as a two-round point merge (query_pipeline.h).
+const PointMerge kSkylineMerge = {
+    [](std::vector<Point> points) { return Skyline(std::move(points)); },
+    "S", "skyline"};
 
 }  // namespace
 
@@ -140,7 +76,8 @@ Result<std::vector<Point>> SkylineHadoop(mapreduce::JobRunner* runner,
                                          OpStats* stats) {
   SpatialJobBuilder builder(runner);
   builder.ScanFile(path);
-  return RunSkylineJob(builder, "skyline-hadoop", stats);
+  return RunPointMerge(builder, kSkylineMerge, "skyline-hadoop",
+                       /*indexed=*/nullptr, stats);
 }
 
 Result<std::vector<Point>> SkylineSpatial(mapreduce::JobRunner* runner,
@@ -150,15 +87,8 @@ Result<std::vector<Point>> SkylineSpatial(mapreduce::JobRunner* runner,
   builder.ScanIndexed(file, [](const index::GlobalIndex& gi) {
     return SkylinePartitionFilter(gi, SkylineDominance::kMaxMax);
   });
-  if (stats != nullptr && builder.plan_status().ok()) {
-    stats->counters.Increment("skyline.partitions_processed",
-                              static_cast<int64_t>(builder.NumSplits()));
-    stats->counters.Increment(
-        "skyline.partitions_pruned",
-        static_cast<int64_t>(file.global_index.NumPartitions() -
-                             builder.NumSplits()));
-  }
-  return RunSkylineJob(builder, "skyline-spatial", stats);
+  return RunPointMerge(builder, kSkylineMerge, "skyline-spatial", &file,
+                       stats);
 }
 
 }  // namespace shadoop::core

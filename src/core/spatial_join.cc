@@ -213,7 +213,7 @@ class DjMapper : public PairPartitionMapper {
 
  protected:
   void Process(const SplitExtent& extent_a, const SplitExtent& extent_b,
-               PartitionView& view_a, PartitionView& view_b,
+               SpatialRecordReader& reader_a, SpatialRecordReader& reader_b,
                MapContext& ctx) override {
     auto accept = [this, &extent_a, &extent_b](const Point& ref) {
       if (dedup_a_) {
@@ -232,17 +232,17 @@ class DjMapper : public PairPartitionMapper {
       ctx.WriteOutput(std::move(line));
       ctx.counters().Increment("join.results");
     };
-    // The kernel builds on its first input; swapping the views moves the
+    // The kernel builds on its first input; swapping the readers moves the
     // build side while flip_output keeps the A-first line format. The
     // reference point and the match predicate are symmetric, so the same
     // pairs come out either way.
     const uint64_t cpu =
         build_right_
-            ? LocalJoin(view_b.reader(), view_b.Envelopes(), view_a.reader(),
-                        view_a.Envelopes(), algorithm_, accept, write,
+            ? LocalJoin(reader_b, reader_b.Envelopes(), reader_a,
+                        reader_a.Envelopes(), algorithm_, accept, write,
                         /*flip_output=*/true)
-            : LocalJoin(view_a.reader(), view_a.Envelopes(), view_b.reader(),
-                        view_b.Envelopes(), algorithm_, accept, write);
+            : LocalJoin(reader_a, reader_a.Envelopes(), reader_b,
+                        reader_b.Envelopes(), algorithm_, accept, write);
     ctx.ChargeCpu(cpu);
   }
 

@@ -1,8 +1,38 @@
 #include "core/spatial_record_reader.h"
 
+#include <cmath>
+
 #include "common/logging.h"
 
 namespace shadoop::core {
+namespace {
+
+/// Builds a column over `n` records: `fill(i, &value)` stores record i's
+/// value and returns false when the record is malformed.
+template <typename Column, typename Fill>
+std::shared_ptr<const Column> FillColumn(size_t n, Fill fill) {
+  auto column = std::make_shared<Column>();
+  column->values.resize(n);
+  column->valid.assign(n, 0);
+  for (size_t i = 0; i < n; ++i) {
+    if (fill(i, &column->values[i])) {
+      column->valid[i] = 1;
+    } else {
+      ++column->bad;
+    }
+  }
+  return column;
+}
+
+/// `fill` adapter for the record parsers.
+template <typename T>
+bool Take(Result<T> parsed, T* out) {
+  if (!parsed.ok()) return false;
+  *out = std::move(parsed).value();
+  return true;
+}
+
+}  // namespace
 
 void SpatialRecordReader::AttachCache(mapreduce::ArtifactCache* cache,
                                       uint64_t block_id) {
@@ -19,31 +49,32 @@ void SpatialRecordReader::AttachCache(mapreduce::ArtifactCache* cache,
   cache_block_id_ = block_id;
 }
 
-std::string SpatialRecordReader::CacheKey(const char* kind) const {
-  if (cache_ == nullptr || cache_block_id_ == 0) return std::string();
-  return std::string(kind) + ':' +
-         std::to_string(static_cast<int>(shape_)) + ':' +
-         std::to_string(cache_block_id_);
+template <typename T, typename Build>
+std::shared_ptr<const T> SpatialRecordReader::Shared(const char* kind,
+                                                     Build build) {
+  if (cache_ == nullptr) return build();
+  // Keys carry the shape because the envelope column's derivation
+  // depends on it.
+  const std::string key = std::string(kind) + ':' +
+                          std::to_string(static_cast<int>(shape_)) + ':' +
+                          std::to_string(cache_block_id_);
+  if (auto hit = cache_->Lookup(key)) {
+    return std::static_pointer_cast<const T>(hit);
+  }
+  std::shared_ptr<const T> built = build();
+  if (built == nullptr) return nullptr;
+  return std::static_pointer_cast<const T>(cache_->Insert(key, built));
 }
 
 void SpatialRecordReader::ConsumeHeader(std::string_view record) {
-  const std::string key = CacheKey("lidx");
-  if (!key.empty()) {
-    if (auto hit = cache_->Lookup(key)) {
-      preparsed_envelopes_ =
-          std::static_pointer_cast<const std::vector<Envelope>>(hit);
-      InvalidateColumns();
-      return;
-    }
-  }
-  auto decoded = index::DecodeLocalIndexHeader(record);
-  if (!decoded.ok()) return;
-  auto envelopes = std::make_shared<const std::vector<Envelope>>(
-      std::move(decoded).value());
-  preparsed_envelopes_ =
-      key.empty() ? envelopes
-                  : std::static_pointer_cast<const std::vector<Envelope>>(
-                        cache_->Insert(key, envelopes));
+  auto envelopes = Shared<std::vector<Envelope>>("lidx", [record] {
+    auto decoded = index::DecodeLocalIndexHeader(record);
+    return decoded.ok() ? std::make_shared<const std::vector<Envelope>>(
+                              std::move(decoded).value())
+                        : nullptr;
+  });
+  if (envelopes == nullptr) return;
+  preparsed_envelopes_ = std::move(envelopes);
   InvalidateColumns();
 }
 
@@ -77,11 +108,12 @@ void SpatialRecordReader::Clear() {
   cache_block_id_ = 0;
   InvalidateColumns();
   // Post-state invariant: nothing that could disagree with records_ may
-  // survive a Clear() — no stale #lidx envelopes, columns, or arena
-  // bytes backing now-dropped views.
+  // survive a Clear() — no stale #lidx envelopes, columns, local index,
+  // or arena bytes backing now-dropped views.
   SHADOOP_DCHECK(records_.empty() && preparsed_envelopes_ == nullptr &&
                  arena_.empty() && point_column_ == nullptr &&
-                 envelope_column_ == nullptr && polygon_column_ == nullptr);
+                 envelope_column_ == nullptr && polygon_column_ == nullptr &&
+                 local_index_ == nullptr);
   CheckInvariants();
 }
 
@@ -89,6 +121,7 @@ void SpatialRecordReader::InvalidateColumns() {
   point_column_.reset();
   envelope_column_.reset();
   polygon_column_.reset();
+  local_index_.reset();
 }
 
 void SpatialRecordReader::CheckInvariants() const {
@@ -106,123 +139,62 @@ void SpatialRecordReader::CheckInvariants() const {
 void SpatialRecordReader::EnsurePointColumn() {
   if (point_column_ != nullptr) return;
   CheckInvariants();
-  const std::string key = CacheKey("pt");
-  if (!key.empty()) {
-    if (auto hit = cache_->Lookup(key)) {
-      point_column_ = std::static_pointer_cast<const PointColumn>(hit);
-      return;
-    }
-  }
-  auto column = std::make_shared<PointColumn>();
-  column->values.assign(records_.size(), Point());
-  column->valid.assign(records_.size(), 0);
-  for (size_t i = 0; i < records_.size(); ++i) {
-    auto p = index::RecordPoint(records_[i]);
-    if (p.ok()) {
-      column->values[i] = p.value();
-      column->valid[i] = 1;
-    } else {
-      ++column->bad;
-    }
-  }
-  point_column_ =
-      key.empty() ? std::shared_ptr<const PointColumn>(std::move(column))
-                  : std::static_pointer_cast<const PointColumn>(
-                        cache_->Insert(key, std::move(column)));
+  point_column_ = Shared<Column<Point>>("pt", [this] {
+    return FillColumn<Column<Point>>(
+        records_.size(), [this](size_t i, Point* out) {
+          return Take(index::RecordPoint(records_[i]), out);
+        });
+  });
 }
 
 void SpatialRecordReader::EnsureEnvelopeColumn() {
   if (envelope_column_ != nullptr) return;
   CheckInvariants();
-  const std::string key = CacheKey("env");
-  if (!key.empty()) {
-    if (auto hit = cache_->Lookup(key)) {
-      envelope_column_ = std::static_pointer_cast<const EnvelopeColumn>(hit);
-      return;
+  envelope_column_ = Shared<Column<Envelope>>("env", [this] {
+    const size_t n = records_.size();
+    if (has_local_index()) {
+      // The persisted header already carries every record's envelope in
+      // block order; empty slots mark records that failed to parse at
+      // build time. No geometry is parsed here.
+      return FillColumn<Column<Envelope>>(n, [this](size_t i, Envelope* out) {
+        *out = (*preparsed_envelopes_)[i];
+        return !out->IsEmpty();
+      });
     }
-  }
-  auto column = std::make_shared<EnvelopeColumn>();
-  column->values.assign(records_.size(), Envelope());
-  column->valid.assign(records_.size(), 0);
-  if (has_local_index()) {
-    // The persisted header already carries every record's envelope in
-    // block order; empty slots mark records that failed to parse at
-    // build time. No geometry is parsed here.
-    const std::vector<Envelope>& preparsed = *preparsed_envelopes_;
-    for (size_t i = 0; i < records_.size(); ++i) {
-      if (preparsed[i].IsEmpty()) {
-        ++column->bad;
-      } else {
-        column->values[i] = preparsed[i];
-        column->valid[i] = 1;
-      }
+    if (shape_ == index::ShapeType::kPoint) {
+      // A point's envelope is the point itself: share the point column's
+      // single parse instead of parsing again.
+      EnsurePointColumn();
+      return FillColumn<Column<Envelope>>(n, [this](size_t i, Envelope* out) {
+        if (!point_column_->valid[i]) return false;
+        *out = Envelope::FromPoint(point_column_->values[i]);
+        return true;
+      });
     }
-  } else if (shape_ == index::ShapeType::kPoint) {
-    // A point's envelope is the point itself: share the point column's
-    // single parse instead of parsing again.
-    EnsurePointColumn();
-    for (size_t i = 0; i < records_.size(); ++i) {
-      if (point_column_->valid[i]) {
-        column->values[i] = Envelope::FromPoint(point_column_->values[i]);
-        column->valid[i] = 1;
-      } else {
-        ++column->bad;
-      }
+    if (shape_ == index::ShapeType::kPolygon) {
+      // Likewise derived: the polygon column's bounds.
+      EnsurePolygonColumn();
+      return FillColumn<Column<Envelope>>(n, [this](size_t i, Envelope* out) {
+        if (!polygon_column_->valid[i]) return false;
+        *out = polygon_column_->values[i].Bounds();
+        return true;
+      });
     }
-  } else if (shape_ == index::ShapeType::kPolygon) {
-    // Likewise derived: the polygon column's bounds.
-    EnsurePolygonColumn();
-    for (size_t i = 0; i < records_.size(); ++i) {
-      if (polygon_column_->valid[i]) {
-        column->values[i] = polygon_column_->values[i].Bounds();
-        column->valid[i] = 1;
-      } else {
-        ++column->bad;
-      }
-    }
-  } else {
-    for (size_t i = 0; i < records_.size(); ++i) {
-      auto env = index::RecordRectangle(records_[i]);
-      if (env.ok()) {
-        column->values[i] = env.value();
-        column->valid[i] = 1;
-      } else {
-        ++column->bad;
-      }
-    }
-  }
-  envelope_column_ =
-      key.empty() ? std::shared_ptr<const EnvelopeColumn>(std::move(column))
-                  : std::static_pointer_cast<const EnvelopeColumn>(
-                        cache_->Insert(key, std::move(column)));
+    return FillColumn<Column<Envelope>>(n, [this](size_t i, Envelope* out) {
+      return Take(index::RecordRectangle(records_[i]), out);
+    });
+  });
 }
 
 void SpatialRecordReader::EnsurePolygonColumn() {
   if (polygon_column_ != nullptr) return;
   CheckInvariants();
-  const std::string key = CacheKey("poly");
-  if (!key.empty()) {
-    if (auto hit = cache_->Lookup(key)) {
-      polygon_column_ = std::static_pointer_cast<const PolygonColumn>(hit);
-      return;
-    }
-  }
-  auto column = std::make_shared<PolygonColumn>();
-  column->values.assign(records_.size(), Polygon());
-  column->valid.assign(records_.size(), 0);
-  for (size_t i = 0; i < records_.size(); ++i) {
-    auto poly = index::RecordPolygon(records_[i]);
-    if (poly.ok()) {
-      column->values[i] = std::move(poly).value();
-      column->valid[i] = 1;
-    } else {
-      ++column->bad;
-    }
-  }
-  polygon_column_ =
-      key.empty() ? std::shared_ptr<const PolygonColumn>(std::move(column))
-                  : std::static_pointer_cast<const PolygonColumn>(
-                        cache_->Insert(key, std::move(column)));
+  polygon_column_ = Shared<Column<Polygon>>("poly", [this] {
+    return FillColumn<Column<Polygon>>(
+        records_.size(), [this](size_t i, Polygon* out) {
+          return Take(index::RecordPolygon(records_[i]), out);
+        });
+  });
 }
 
 std::vector<Point> SpatialRecordReader::Points() {
@@ -239,6 +211,11 @@ std::vector<Point> SpatialRecordReader::Points() {
 std::vector<index::PackedRTree::Entry> SpatialRecordReader::Envelopes() {
   EnsureEnvelopeColumn();
   bad_records_ += envelope_column_->bad;
+  return EnvelopeEntries();
+}
+
+std::vector<index::PackedRTree::Entry> SpatialRecordReader::EnvelopeEntries()
+    const {
   std::vector<index::PackedRTree::Entry> entries;
   entries.reserve(records_.size());
   for (size_t i = 0; i < records_.size(); ++i) {
@@ -248,11 +225,6 @@ std::vector<index::PackedRTree::Entry> SpatialRecordReader::Envelopes() {
     }
   }
   return entries;
-}
-
-void SpatialRecordReader::CountEnvelopeBad() {
-  EnsureEnvelopeColumn();
-  bad_records_ += envelope_column_->bad;
 }
 
 std::vector<Polygon> SpatialRecordReader::Polygons() {
@@ -284,6 +256,40 @@ const Polygon* SpatialRecordReader::PolygonAt(size_t i) {
   EnsurePolygonColumn();
   if (i >= records_.size() || !polygon_column_->valid[i]) return nullptr;
   return &polygon_column_->values[i];
+}
+
+const index::PackedRTree& SpatialRecordReader::LocalIndex(
+    mapreduce::MapContext& ctx) {
+  if (local_index_ == nullptr) {
+    // Malformed records count once, as in Envelopes(), whether the tree
+    // is built here or adopted from the cache.
+    EnsureEnvelopeColumn();
+    bad_records_ += envelope_column_->bad;
+    local_index_ = Shared<index::PackedRTree>("ptree", [this] {
+      return std::make_shared<const index::PackedRTree>(EnvelopeEntries());
+    });
+    // A persisted local index loads linearly; otherwise the bulk load
+    // parses geometry and sorts — O(n log n). The charge is the same
+    // whether the packed tree is built here or adopted from the cache:
+    // the simulated cluster has no artifact cache, only this process
+    // does.
+    const size_t n = local_index_->NumEntries();
+    ctx.ChargeCpu(has_local_index()
+                      ? static_cast<uint64_t>(n)
+                      : static_cast<uint64_t>(
+                            n > 1 ? n * std::log2(static_cast<double>(n)) * 10
+                                  : n));
+  }
+  return *local_index_;
+}
+
+std::vector<uint32_t> SpatialRecordReader::Search(const Envelope& query,
+                                                  mapreduce::MapContext& ctx) {
+  const index::PackedRTree& tree = LocalIndex(ctx);
+  std::vector<uint32_t> hits;
+  const size_t visited = tree.Search(query, &hits);
+  ctx.ChargeCpu(visited * 50);
+  return hits;
 }
 
 }  // namespace shadoop::core

@@ -14,14 +14,15 @@
 #include "index/record_shape.h"
 #include "index/packed_rtree.h"
 #include "mapreduce/artifact_cache.h"
+#include "mapreduce/job.h"
 
 namespace shadoop::core {
 
-/// The SpatialRecordReader of the MapReduce layer: map functions feed it
-/// the raw records of their partition and it exposes typed geometry views
-/// and the envelope entries the local index is bulk-loaded from. Malformed
-/// records are counted, not fatal (HDFS text files routinely contain stray
-/// lines).
+/// The SpatialRecordReader of the MapReduce layer: the one per-partition
+/// record view a map function gets. Map functions feed it the raw records
+/// of their partition; it exposes typed geometry views and the
+/// partition's local index. Malformed records are counted, not fatal
+/// (HDFS text files routinely contain stray lines).
 ///
 /// Storage is zero-copy: records are `std::string_view`s — either
 /// borrowed from the caller (AddBorrowed, used on the runner's pinned
@@ -32,12 +33,13 @@ namespace shadoop::core {
 /// A partition persisted with a `#lidx` header feeds the envelope column
 /// without parsing any geometry at all.
 ///
-/// With AttachCache() the columns and the decoded header are shared
-/// across map tasks through the runner's ArtifactCache: the reader of a
-/// later task over the same immutable block adopts the already-parsed
-/// column instead of re-parsing. Hits change wall-clock time only —
-/// bad-record counts and every value are identical by construction (the
-/// artifact was built from the same bytes by the same code).
+/// With AttachCache() the decoded header, the columns and the packed
+/// local index are shared across map tasks through the runner's
+/// ArtifactCache: the reader of a later task over the same immutable
+/// block adopts the already-built artifact instead of re-parsing. Hits
+/// change wall-clock time only — bad-record counts, simulated charges and
+/// every value are identical by construction (the artifact was built from
+/// the same bytes by the same code).
 class SpatialRecordReader {
  public:
   explicit SpatialRecordReader(index::ShapeType shape) : shape_(shape) {}
@@ -51,9 +53,6 @@ class SpatialRecordReader {
   /// be exactly one block). Null cache / zero id are ignored.
   void AttachCache(mapreduce::ArtifactCache* cache, uint64_t block_id);
 
-  mapreduce::ArtifactCache* cache() const { return cache_; }
-  uint64_t cache_block_id() const { return cache_block_id_; }
-
   /// Feeds one raw record, copying it into the reader's arena — safe for
   /// callers whose bytes die immediately. '#'-prefixed metadata records
   /// (the persisted local-index header) are consumed here and never
@@ -65,9 +64,9 @@ class SpatialRecordReader {
   /// task attempt, so partition mappers borrow).
   void AddBorrowed(std::string_view record);
 
-  /// Drops all records, parsed columns, the local-index header, the
-  /// cache attachment, and the arena — the reader is reusable as if
-  /// freshly constructed.
+  /// Drops all records, parsed columns, the local index, the
+  /// local-index header, the cache attachment, and the arena — the
+  /// reader is reusable as if freshly constructed.
   void Clear();
 
   /// True when the partition carried a persisted local index, so
@@ -92,12 +91,6 @@ class SpatialRecordReader {
   /// Parses all records as polygons (shape must be kPolygon).
   std::vector<Polygon> Polygons();
 
-  /// Adds the envelope column's parse-failure count to bad_records(),
-  /// exactly like one Envelopes() call does — the local-index cache-hit
-  /// path uses this to keep bad-record accounting identical without
-  /// materializing the entry vector.
-  void CountEnvelopeBad();
-
   // ------------------------------------------------------------------
   // Parse-once column access. Unlike the vector accessors above, these
   // do not re-count malformed records into bad_records() — they are pure
@@ -112,46 +105,48 @@ class SpatialRecordReader {
   /// Polygon geometry of record i (shape must be kPolygon).
   const Polygon* PolygonAt(size_t i);
 
-  // Memoized geometry columns (SoA): value + validity per record, plus
-  // the parse-failure count each legacy accessor call adds to
-  // bad_records(). Immutable once built, so they are shareable across
-  // tasks through the ArtifactCache.
-  struct PointColumn {
-    std::vector<Point> values;
-    std::vector<char> valid;
-    size_t bad = 0;
-  };
-  struct EnvelopeColumn {
-    std::vector<Envelope> values;
-    std::vector<char> valid;
-    size_t bad = 0;
-  };
-  struct PolygonColumn {
-    std::vector<Polygon> values;
-    std::vector<char> valid;
-    size_t bad = 0;
-  };
+  // ------------------------------------------------------------------
+  // Local index.
 
-  /// The memoized envelope column (built on first use); exposed so batch
-  /// kernels can run over the SoA lanes directly.
-  const EnvelopeColumn& envelope_column() {
-    EnsureEnvelopeColumn();
-    return *envelope_column_;
-  }
+  /// The memoized local index. The first call bulk-loads it — or adopts
+  /// a cached build of the same block — counts malformed records like
+  /// Envelopes() does, and charges `ctx` the build cost: a persisted
+  /// local index loads linearly, an ad-hoc bulk load pays O(n log n).
+  /// Later calls are free. The simulated charge is identical on cache hit
+  /// and miss.
+  const index::PackedRTree& LocalIndex(mapreduce::MapContext& ctx);
+
+  /// Range search through the memoized local index, charging the cost
+  /// model per visited node.
+  std::vector<uint32_t> Search(const Envelope& query,
+                               mapreduce::MapContext& ctx);
 
  private:
+  // A memoized geometry column (SoA): value + validity per record, plus
+  // the parse-failure count each vector accessor call adds to
+  // bad_records(). Immutable once built, so shareable across tasks.
+  template <typename T>
+  struct Column {
+    std::vector<T> values;
+    std::vector<char> valid;
+    size_t bad = 0;
+  };
+
   void AddRecord(std::string_view stable_record);
   void ConsumeHeader(std::string_view record);
   void InvalidateColumns();
   void EnsurePointColumn();
   void EnsureEnvelopeColumn();
   void EnsurePolygonColumn();
+  std::vector<index::PackedRTree::Entry> EnvelopeEntries() const;
   void CheckInvariants() const;
 
-  /// Cache key for this block's artifact of the given kind, or "" when
-  /// sharing is unavailable. Keys carry the shape because the envelope
-  /// column's derivation depends on it.
-  std::string CacheKey(const char* kind) const;
+  /// The artifact of the given kind for this reader's block: the cached
+  /// one when present, else `build()` (null = nothing to share), inserted
+  /// so later readers of the block adopt it. Without a cache attachment
+  /// it simply builds.
+  template <typename T, typename Build>
+  std::shared_ptr<const T> Shared(const char* kind, Build build);
 
   index::ShapeType shape_;
   hdfs::BlockArena arena_;  // Owns bytes behind Add()-ed records.
@@ -165,9 +160,10 @@ class SpatialRecordReader {
   uint64_t cache_block_id_ = 0;
 
   // Null = not built yet.
-  std::shared_ptr<const PointColumn> point_column_;
-  std::shared_ptr<const EnvelopeColumn> envelope_column_;
-  std::shared_ptr<const PolygonColumn> polygon_column_;
+  std::shared_ptr<const Column<Point>> point_column_;
+  std::shared_ptr<const Column<Envelope>> envelope_column_;
+  std::shared_ptr<const Column<Polygon>> polygon_column_;
+  std::shared_ptr<const index::PackedRTree> local_index_;
 };
 
 }  // namespace shadoop::core

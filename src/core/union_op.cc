@@ -64,9 +64,9 @@ class EnhancedUnionMapper : public PartitionMapper {
   EnhancedUnionMapper() : PartitionMapper(index::ShapeType::kPolygon) {}
 
  protected:
-  void Process(const SplitExtent& extent, PartitionView& view,
+  void Process(const SplitExtent& extent, SpatialRecordReader& reader,
                MapContext& ctx) override {
-    std::vector<Polygon> polygons = view.Polygons();
+    std::vector<Polygon> polygons = reader.Polygons();
     ctx.ChargeCpu(UnionCpuOps(polygons));
     size_t kept = 0;
     for (const Segment& s : UnionBoundary(polygons)) {
@@ -80,7 +80,7 @@ class EnhancedUnionMapper : public PartitionMapper {
     }
     ctx.counters().Increment("union.segments", static_cast<int64_t>(kept));
     ctx.counters().Increment("union.bad_records",
-                             static_cast<int64_t>(view.bad_records()));
+                             static_cast<int64_t>(reader.bad_records()));
   }
 };
 

@@ -69,13 +69,6 @@ class Envelope {
     if (other.max_y_ > max_y_) max_y_ = other.max_y_;
   }
 
-  /// Grows the envelope by `margin` on every side (negative shrinks).
-  Envelope Buffered(double margin) const {
-    if (IsEmpty()) return *this;
-    return Envelope(min_x_ - margin, min_y_ - margin, max_x_ + margin,
-                    max_y_ + margin);
-  }
-
   /// Closed-boundary containment (boundary points are inside).
   constexpr bool Contains(const Point& p) const {
     return p.x >= min_x_ && p.x <= max_x_ && p.y >= min_y_ && p.y <= max_y_;

@@ -146,12 +146,6 @@ void Polygon::Normalize() {
   }
 }
 
-Polygon MakeRectPolygon(const Envelope& box) {
-  if (box.IsEmpty()) return Polygon();
-  return Polygon({box.BottomLeft(), box.BottomRight(), box.TopRight(),
-                  box.TopLeft()});
-}
-
 Polygon MakeRegularPolygon(const Point& center, double radius, int sides) {
   std::vector<Point> ring;
   ring.reserve(sides);

@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <limits>
 
 #include "common/string_util.h"
 #include "geometry/wkt.h"
@@ -62,19 +61,6 @@ std::vector<int> GlobalIndex::OverlappingPartitions(
     }
   }
   return ids;
-}
-
-int GlobalIndex::NearestPartition(const Point& p) const {
-  const std::vector<double> distances = PartitionDistances(p);
-  int best = -1;
-  double best_dist = std::numeric_limits<double>::infinity();
-  for (size_t i = 0; i < partitions_.size(); ++i) {
-    if (distances[i] < best_dist) {
-      best_dist = distances[i];
-      best = partitions_[i].id;
-    }
-  }
-  return best;
 }
 
 std::vector<double> GlobalIndex::PartitionDistances(const Point& p) const {

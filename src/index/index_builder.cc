@@ -221,24 +221,14 @@ Result<SpatialFileInfo> IndexBuilder::Build(const std::string& source_path,
     part.id = static_cast<int>(partitions.size());
     part.block_index = block_index++;
     part.cell = partitioner->CellExtent(cell_id);
-    part.num_records = records.size();
     std::vector<Envelope> envelopes;
     envelopes.reserve(records.size());
     for (const std::string& record : records) {
       auto env = RecordEnvelope(shape, record);
-      if (env.ok()) part.mbr.ExpandToInclude(env.value());
       envelopes.push_back(env.ok() ? env.value() : Envelope());
     }
-    if (options.build_local_indexes) {
-      const std::string header = EncodeLocalIndexHeader(envelopes);
-      part.num_bytes += header.size() + 1;
-      writer->Append(header);
-    }
-    for (const std::string& record : records) {
-      part.num_bytes += record.size() + 1;
-      writer->Append(record);
-    }
-    writer->EndBlock();
+    WritePartitionBlock(writer.get(), records, envelopes,
+                        options.build_local_indexes, &part);
     partitions.push_back(std::move(part));
   }
   SHADOOP_RETURN_NOT_OK(writer->Close());
@@ -246,17 +236,40 @@ Result<SpatialFileInfo> IndexBuilder::Build(const std::string& source_path,
   info.global_index = GlobalIndex(options.scheme, std::move(partitions));
   info.has_local_indexes = options.build_local_indexes;
 
-  // Persist the master file: a header line plus one line per partition.
-  std::vector<std::string> master_lines;
-  master_lines.push_back(std::string("#scheme=") +
-                         PartitionSchemeName(options.scheme) +
-                         " shape=" + ShapeTypeName(options.shape) +
-                         (options.build_local_indexes ? " lidx=1" : ""));
-  for (std::string& line : info.global_index.ToLines()) {
-    master_lines.push_back(std::move(line));
-  }
-  SHADOOP_RETURN_NOT_OK(fs->WriteLines(info.master_path, master_lines));
+  SHADOOP_RETURN_NOT_OK(WriteMasterFile(fs, info));
   return info;
+}
+
+void WritePartitionBlock(hdfs::FileWriter* writer,
+                         const std::vector<std::string>& records,
+                         const std::vector<Envelope>& envelopes,
+                         bool local_index, Partition* part) {
+  part->num_records = records.size();
+  part->num_bytes = 0;
+  part->mbr = Envelope();
+  for (const Envelope& env : envelopes) part->mbr.ExpandToInclude(env);
+  if (local_index) {
+    const std::string header = EncodeLocalIndexHeader(envelopes);
+    part->num_bytes += header.size() + 1;
+    writer->Append(header);
+  }
+  for (const std::string& record : records) {
+    part->num_bytes += record.size() + 1;
+    writer->Append(record);
+  }
+  writer->EndBlock();
+}
+
+Status WriteMasterFile(hdfs::FileSystem* fs, const SpatialFileInfo& info) {
+  std::vector<std::string> lines;
+  lines.push_back(std::string("#scheme=") +
+                  PartitionSchemeName(info.global_index.scheme()) +
+                  " shape=" + ShapeTypeName(info.shape) +
+                  (info.has_local_indexes ? " lidx=1" : ""));
+  for (std::string& line : info.global_index.ToLines()) {
+    lines.push_back(std::move(line));
+  }
+  return fs->WriteLines(info.master_path, lines);
 }
 
 Result<SpatialFileInfo> LoadSpatialFile(const hdfs::FileSystem& fs,

@@ -2,6 +2,7 @@
 #define SHADOOP_INDEX_INDEX_BUILDER_H_
 
 #include <string>
+#include <vector>
 
 #include "common/result.h"
 #include "index/global_index.h"
@@ -66,6 +67,23 @@ class IndexBuilder {
  private:
   mapreduce::JobRunner* runner_;
 };
+
+// The on-disk layout of an indexed file: IndexBuilder::Build and catalog
+// appends both write it through these two functions.
+
+/// Writes one partition as the next block of `writer` (which must not
+/// auto-seal): the `#lidx` header when `local_index`, then the records,
+/// then EndBlock(). `envelopes[i]` is record i's envelope, empty when it
+/// failed to parse. Sets the partition's num_records, num_bytes and mbr.
+void WritePartitionBlock(hdfs::FileWriter* writer,
+                         const std::vector<std::string>& records,
+                         const std::vector<Envelope>& envelopes,
+                         bool local_index, Partition* part);
+
+/// Writes `info.master_path`: the header "#scheme=<name> shape=<name>
+/// [lidx=1]" that LoadSpatialFileFromMaster parses, then one line per
+/// partition of the global index.
+Status WriteMasterFile(hdfs::FileSystem* fs, const SpatialFileInfo& info);
 
 /// Opens an existing indexed file by reading its master file.
 Result<SpatialFileInfo> LoadSpatialFile(const hdfs::FileSystem& fs,

@@ -16,10 +16,6 @@ bool IsDisjointScheme(PartitionScheme scheme) {
   }
 }
 
-bool IsSpatialScheme(PartitionScheme scheme) {
-  return scheme != PartitionScheme::kNone;
-}
-
 const char* PartitionSchemeName(PartitionScheme scheme) {
   switch (scheme) {
     case PartitionScheme::kNone:

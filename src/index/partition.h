@@ -26,9 +26,6 @@ enum class PartitionScheme {
 /// (closest pair, the pruning-based CG algorithms) require this.
 bool IsDisjointScheme(PartitionScheme scheme);
 
-/// True for every spatially aware technique (everything except kNone).
-bool IsSpatialScheme(PartitionScheme scheme);
-
 const char* PartitionSchemeName(PartitionScheme scheme);
 Result<PartitionScheme> ParsePartitionScheme(const std::string& name);
 

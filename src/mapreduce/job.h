@@ -231,32 +231,6 @@ struct JobCost {
     admission_preempted_specs += other.admission_preempted_specs;
     return *this;
   }
-
-  /// Field-wise difference `after - before` of two running totals: the
-  /// charges accrued in between. Charges only accumulate, so every field
-  /// of the result is non-negative.
-  friend JobCost operator-(const JobCost& after, const JobCost& before) {
-    JobCost d;
-    d.total_ms = after.total_ms - before.total_ms;
-    d.map_makespan_ms = after.map_makespan_ms - before.map_makespan_ms;
-    d.shuffle_ms = after.shuffle_ms - before.shuffle_ms;
-    d.reduce_makespan_ms = after.reduce_makespan_ms - before.reduce_makespan_ms;
-    d.bytes_read = after.bytes_read - before.bytes_read;
-    d.bytes_shuffled = after.bytes_shuffled - before.bytes_shuffled;
-    d.bytes_written = after.bytes_written - before.bytes_written;
-    d.num_map_tasks = after.num_map_tasks - before.num_map_tasks;
-    d.num_reduce_tasks = after.num_reduce_tasks - before.num_reduce_tasks;
-    d.task_retries = after.task_retries - before.task_retries;
-    d.speculative_launched =
-        after.speculative_launched - before.speculative_launched;
-    d.speculative_won = after.speculative_won - before.speculative_won;
-    d.replica_failovers = after.replica_failovers - before.replica_failovers;
-    d.admission_queued = after.admission_queued - before.admission_queued;
-    d.admission_wait_ms = after.admission_wait_ms - before.admission_wait_ms;
-    d.admission_preempted_specs =
-        after.admission_preempted_specs - before.admission_preempted_specs;
-    return d;
-  }
 };
 
 struct JobResult {

@@ -378,7 +378,6 @@ Result<Dataset> Executor::Eval(const Expr& expr, ExecutionReport* report,
     case Expr::Kind::kIndex: {
       SHADOOP_ASSIGN_OR_RETURN(Dataset source, LookUp(expr.source, expr.line));
       SHADOOP_ASSIGN_OR_RETURN(std::string source_path, EnsureFile(source));
-      index::IndexBuilder builder(runner_);
       index::IndexBuildOptions options;
       options.scheme = expr.scheme;
       options.shape = source.shape;
@@ -403,22 +402,16 @@ Result<Dataset> Executor::Eval(const Expr& expr, ExecutionReport* report,
       for (char& c : dest) {
         if (c == '+') c = 'p';
       }
-      SHADOOP_ASSIGN_OR_RETURN(index::SpatialFileInfo info,
-                               builder.Build(source_path, dest, options));
-      stats->cost.total_ms += info.build_cost.total_ms;
-      stats->cost.bytes_read += info.build_cost.bytes_read;
-      stats->cost.bytes_shuffled += info.build_cost.bytes_shuffled;
-      stats->cost.bytes_written += info.build_cost.bytes_written;
-      stats->jobs_run += 2;  // Analysis + partition jobs.
+      // Registered as version 1 of the binding, so the dataset is
+      // appendable and snapshot-addressable.
+      SHADOOP_ASSIGN_OR_RETURN(
+          index::SpatialFileInfo info,
+          catalog_->Create(bind_name, source_path, dest, options, stats));
       Dataset dataset;
       dataset.kind = Dataset::Kind::kIndexed;
       dataset.shape = source.shape;
       dataset.path = dest;
       dataset.info = std::move(info);
-      // Register the build as version 1 of the binding, so the dataset is
-      // appendable and snapshot-addressable. Pure bookkeeping: no job
-      // runs, no counter moves.
-      SHADOOP_RETURN_NOT_OK(catalog_->Register(bind_name, *dataset.info));
       dataset.catalog_name = bind_name;
       dataset.version = 1;
       return dataset;

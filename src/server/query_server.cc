@@ -119,25 +119,15 @@ Result<RequestResult> QueryServer::Execute(SessionId session,
   MutexLock lock(&s->mu);
   SHADOOP_ASSIGN_OR_RETURN(pigeon::Script statements, pigeon::Parse(script));
   const size_t dump_before = s->report.dump_output.size();
-  const mapreduce::JobCost cost_before = s->report.stats.cost;
-  const int64_t hits_before =
-      s->report.stats.counters.Get("cache.result_hits");
-  const int64_t misses_before =
-      s->report.stats.counters.Get("cache.result_misses");
-  for (const pigeon::Statement& stmt : statements) {
-    SHADOOP_RETURN_NOT_OK(ExecuteSessionStatement(*s, stmt));
-  }
   RequestResult out;
+  for (const pigeon::Statement& stmt : statements) {
+    SHADOOP_RETURN_NOT_OK(ExecuteSessionStatement(*s, stmt, &out));
+  }
   out.rows.assign(s->report.dump_output.begin() + dump_before,
                   s->report.dump_output.end());
-  out.cost = s->report.stats.cost - cost_before;
   // Modeled end-to-end latency of the request: simulated cluster time of
   // its jobs plus simulated admission queueing.
   out.sim_latency_ms = out.cost.total_ms + out.cost.admission_wait_ms;
-  out.result_cache_hits =
-      s->report.stats.counters.Get("cache.result_hits") - hits_before;
-  out.result_cache_misses =
-      s->report.stats.counters.Get("cache.result_misses") - misses_before;
   return out;
 }
 
@@ -177,54 +167,61 @@ Result<const pigeon::ExecutionReport*> QueryServer::SessionReport(
 }
 
 Status QueryServer::ExecuteSessionStatement(Session& session,
-                                            const pigeon::Statement& stmt) {
-  std::string key;
-  if (!options_.enable_result_cache ||
-      stmt.kind != pigeon::Statement::Kind::kAssign ||
-      session.runner->fault_injector() != nullptr ||
-      !BuildCacheKey(session, stmt, &key)) {
+                                            const pigeon::Statement& stmt,
+                                            RequestResult* request) {
+  // Only assignments run jobs; every other statement charges nothing.
+  if (stmt.kind != pigeon::Statement::Kind::kAssign) {
     return session.executor->ExecuteStatement(stmt, &session.report);
   }
-
-  if (std::shared_ptr<const CachedResult> hit = result_cache_.Lookup(key)) {
-    // Replay the stored execution: bind the rows and merge the exact
-    // charge delta the producing run paid, so a hit is byte-identical to
-    // a miss in rows, cost and counters.
+  std::string key;
+  const bool cacheable = options_.enable_result_cache &&
+                         session.runner->fault_injector() == nullptr &&
+                         BuildCacheKey(session, stmt, &key);
+  core::OpStats charges;
+  Status status;
+  std::shared_ptr<const CachedResult> hit =
+      cacheable ? result_cache_.Lookup(key) : nullptr;
+  if (hit != nullptr) {
+    // Replay the stored execution: bind the rows and charge exactly what
+    // the producing run paid, so a hit is byte-identical to a miss in
+    // rows, cost and counters.
     pigeon::Dataset dataset;
     dataset.kind = pigeon::Dataset::Kind::kLines;
     dataset.shape = hit->shape;
     dataset.lines = hit->lines;
     session.executor->Bind(stmt.target, std::move(dataset));
-    session.report.stats.cost += hit->cost;
-    for (const auto& [name, value] : hit->counters) {
-      session.report.stats.counters.Increment(name, value);
-    }
-    session.report.stats.jobs_run += hit->jobs_run;
+    charges.cost = hit->cost;
+    charges.counters = hit->counters;
+    charges.jobs_run = hit->jobs_run;
     session.report.stats.counters.Increment("cache.result_hits");
-    return Status::OK();
-  }
-
-  const mapreduce::JobCost cost_before = session.report.stats.cost;
-  const mapreduce::Counters counters_before = session.report.stats.counters;
-  const int jobs_before = session.report.stats.jobs_run;
-  SHADOOP_RETURN_NOT_OK(
-      session.executor->ExecuteStatement(stmt, &session.report));
-  const auto& env = session.executor->environment();
-  const auto it = env.find(stmt.target);
-  if (it != env.end() && it->second.kind == pigeon::Dataset::Kind::kLines) {
-    auto entry = std::make_shared<CachedResult>();
-    entry->lines = it->second.lines;
-    entry->shape = it->second.shape;
-    entry->cost = session.report.stats.cost - cost_before;
-    for (const auto& [name, value] : session.report.stats.counters.values()) {
-      const int64_t delta = value - counters_before.Get(name);
-      if (delta != 0) entry->counters.emplace(name, delta);
+    ++request->result_cache_hits;
+  } else {
+    // The statement runs into its own report, so its charges are summed
+    // from zero: exact, whatever the session ran before.
+    pigeon::ExecutionReport statement;
+    status = session.executor->ExecuteStatement(stmt, &statement);
+    charges = std::move(statement.stats);
+    if (status.ok() && cacheable) {
+      const auto& env = session.executor->environment();
+      const auto it = env.find(stmt.target);
+      if (it != env.end() &&
+          it->second.kind == pigeon::Dataset::Kind::kLines) {
+        auto entry = std::make_shared<CachedResult>();
+        entry->lines = it->second.lines;
+        entry->shape = it->second.shape;
+        entry->cost = charges.cost;
+        entry->counters = charges.counters;
+        entry->jobs_run = charges.jobs_run;
+        result_cache_.Insert(key, std::move(entry));
+      }
+      session.report.stats.counters.Increment("cache.result_misses");
+      ++request->result_cache_misses;
     }
-    entry->jobs_run = session.report.stats.jobs_run - jobs_before;
-    result_cache_.Insert(key, std::move(entry));
   }
-  session.report.stats.counters.Increment("cache.result_misses");
-  return Status::OK();
+  // A failed statement still charges the jobs it ran.
+  session.report.stats += charges;
+  request->cost += charges.cost;
+  return status;
 }
 
 bool QueryServer::BuildCacheKey(Session& session,

@@ -35,7 +35,8 @@ struct ServerOptions {
 using SessionId = int;
 
 /// What one Execute() call produced: the rows its DUMP/EXPLAIN
-/// statements emitted and the *simulated* charge delta of the request.
+/// statements emitted and the *simulated* charges of the request, summed
+/// per statement (so they never depend on what the session ran before).
 /// sim_latency_ms is modeled cluster time (job makespans plus simulated
 /// admission wait), so saturation benchmarks report identical latency
 /// distributions on every machine and every rerun.
@@ -98,7 +99,7 @@ class QueryServer {
                                 int tenant_slots = 0);
 
   /// Parses and runs `script` in the session, returning the request's
-  /// rows and simulated charge delta. Splitting a workload across many
+  /// rows and simulated charges. Splitting a workload across many
   /// Execute calls yields byte-identical cumulative output to one call.
   Result<RequestResult> Execute(SessionId session, std::string_view script);
 
@@ -131,9 +132,11 @@ class QueryServer {
   Session* FindSession(SessionId session) const SHADOOP_EXCLUDES(mu_);
 
   /// Runs one statement, routing cacheable assignments through the
-  /// result cache. Caller holds the session's mutex.
+  /// result cache, and adds its charges and cache outcome to `request`.
+  /// Caller holds the session's mutex.
   Status ExecuteSessionStatement(Session& session,
-                                 const pigeon::Statement& stmt);
+                                 const pigeon::Statement& stmt,
+                                 RequestResult* request);
 
   /// Builds the result-cache key for an assignment, or returns false
   /// when the statement is not cacheable (non-query expression, a source

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -14,16 +13,17 @@
 namespace shadoop::server {
 
 /// One cached query result: the materialized rows plus the *simulated
-/// charge delta* of the execution that produced them. A cache hit must be
-/// indistinguishable from a miss in every deterministic output — rows,
-/// JobCost, counters, jobs_run — so the entry stores the full delta and
-/// the server replays it into the hitting session's report. Wall-clock
-/// time is deliberately absent: saving it is the cache's entire point.
+/// charges* of the statement that produced them, as summed from zero in
+/// that statement's own report. A cache hit must be indistinguishable from
+/// a miss in every deterministic output — rows, JobCost, counters,
+/// jobs_run — so the entry stores the charges as they are and the server
+/// replays them into the hitting session's report. Wall-clock time is
+/// deliberately absent: saving it is the cache's entire point.
 struct CachedResult {
   std::vector<std::string> lines;
   index::ShapeType shape = index::ShapeType::kPoint;
   mapreduce::JobCost cost;
-  std::map<std::string, int64_t> counters;
+  mapreduce::Counters counters;
   int jobs_run = 0;
 };
 

@@ -31,14 +31,6 @@ size_t IntersectBoxBitmap(const BoxLanes& boxes, size_t n, double q_min_x,
                           double q_min_y, double q_max_x, double q_max_y,
                           uint64_t* out_bits);
 
-/// Batch point-in-envelope: sets bit i iff the closed query box contains
-/// point (px[i], py[i]) — same predicate as Envelope::Contains(Point).
-/// The first BitmapWords(n) words of `out_bits` are fully overwritten.
-/// Returns the hit count.
-size_t PointInBoxBitmap(const double* px, const double* py, size_t n,
-                        double q_min_x, double q_min_y, double q_max_x,
-                        double q_max_y, uint64_t* out_bits);
-
 /// Batch box-to-point distance: out[i] = Envelope::MinDistance for box i
 /// to (px, py), bit-identical to the scalar formula (sqrt of the clamped
 /// axis gaps; empty boxes yield +inf).
@@ -69,8 +61,6 @@ namespace detail {
 struct KernelTable {
   size_t (*intersect_box_bitmap)(const BoxLanes&, size_t, double, double,
                                  double, double, uint64_t*) = nullptr;
-  size_t (*point_in_box_bitmap)(const double*, const double*, size_t, double,
-                                double, double, double, uint64_t*) = nullptr;
   void (*box_min_distance)(const BoxLanes&, size_t, double, double,
                            double*) = nullptr;
   size_t (*prefix_count_less_equal)(const double*, size_t,

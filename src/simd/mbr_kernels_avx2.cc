@@ -63,43 +63,6 @@ SHADOOP_AVX2_FN size_t IntersectBoxBitmapAvx2(const BoxLanes& boxes,
   return hits;
 }
 
-SHADOOP_AVX2_FN size_t PointInBoxBitmapAvx2(const double* px,
-                                            const double* py, size_t n,
-                                            double q_min_x, double q_min_y,
-                                            double q_max_x, double q_max_y,
-                                            uint64_t* out_bits) {
-  std::memset(out_bits, 0, BitmapWords(n) * sizeof(uint64_t));
-  const __m256d v_q_min_x = _mm256_set1_pd(q_min_x);
-  const __m256d v_q_min_y = _mm256_set1_pd(q_min_y);
-  const __m256d v_q_max_x = _mm256_set1_pd(q_max_x);
-  const __m256d v_q_max_y = _mm256_set1_pd(q_max_y);
-  size_t hits = 0;
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d v_px = _mm256_loadu_pd(px + i);
-    const __m256d v_py = _mm256_loadu_pd(py + i);
-    const __m256d hit_x =
-        _mm256_and_pd(_mm256_cmp_pd(v_px, v_q_min_x, _CMP_GE_OQ),
-                      _mm256_cmp_pd(v_px, v_q_max_x, _CMP_LE_OQ));
-    const __m256d hit_y =
-        _mm256_and_pd(_mm256_cmp_pd(v_py, v_q_min_y, _CMP_GE_OQ),
-                      _mm256_cmp_pd(v_py, v_q_max_y, _CMP_LE_OQ));
-    const unsigned mask = static_cast<unsigned>(
-        _mm256_movemask_pd(_mm256_and_pd(hit_x, hit_y)));
-    out_bits[i >> 6] |= static_cast<uint64_t>(mask) << (i & 63);
-    hits += static_cast<size_t>(std::popcount(mask));
-  }
-  for (; i < n; ++i) {
-    const bool hit = px[i] >= q_min_x && px[i] <= q_max_x &&
-                     py[i] >= q_min_y && py[i] <= q_max_y;
-    if (hit) {
-      out_bits[i >> 6] |= uint64_t{1} << (i & 63);
-      ++hits;
-    }
-  }
-  return hits;
-}
-
 SHADOOP_AVX2_FN void BoxMinDistanceAvx2(const BoxLanes& boxes, size_t n,
                                         double px, double py, double* out) {
   const __m256d v_px = _mm256_set1_pd(px);
@@ -143,7 +106,6 @@ SHADOOP_AVX2_FN size_t PrefixCountLessEqualAvx2(const double* values,
 
 const KernelTable kAvx2Table = {
     &IntersectBoxBitmapAvx2,
-    &PointInBoxBitmapAvx2,
     &BoxMinDistanceAvx2,
     &PrefixCountLessEqualAvx2,
 };

@@ -51,39 +51,6 @@ size_t IntersectBoxBitmapNeon(const BoxLanes& boxes, size_t n,
   return hits;
 }
 
-size_t PointInBoxBitmapNeon(const double* px, const double* py, size_t n,
-                            double q_min_x, double q_min_y, double q_max_x,
-                            double q_max_y, uint64_t* out_bits) {
-  std::memset(out_bits, 0, BitmapWords(n) * sizeof(uint64_t));
-  const float64x2_t v_q_min_x = vdupq_n_f64(q_min_x);
-  const float64x2_t v_q_min_y = vdupq_n_f64(q_min_y);
-  const float64x2_t v_q_max_x = vdupq_n_f64(q_max_x);
-  const float64x2_t v_q_max_y = vdupq_n_f64(q_max_y);
-  size_t hits = 0;
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const float64x2_t v_px = vld1q_f64(px + i);
-    const float64x2_t v_py = vld1q_f64(py + i);
-    const uint64x2_t hit =
-        vandq_u64(vandq_u64(vcgeq_f64(v_px, v_q_min_x),
-                            vcleq_f64(v_px, v_q_max_x)),
-                  vandq_u64(vcgeq_f64(v_py, v_q_min_y),
-                            vcleq_f64(v_py, v_q_max_y)));
-    const unsigned mask = Mask2(hit);
-    out_bits[i >> 6] |= static_cast<uint64_t>(mask) << (i & 63);
-    hits += (mask & 1) + (mask >> 1);
-  }
-  for (; i < n; ++i) {
-    const bool hit = px[i] >= q_min_x && px[i] <= q_max_x &&
-                     py[i] >= q_min_y && py[i] <= q_max_y;
-    if (hit) {
-      out_bits[i >> 6] |= uint64_t{1} << (i & 63);
-      ++hits;
-    }
-  }
-  return hits;
-}
-
 size_t PrefixCountLessEqualNeon(const double* values, size_t n,
                                 double limit) {
   const float64x2_t v_limit = vdupq_n_f64(limit);
@@ -101,7 +68,6 @@ size_t PrefixCountLessEqualNeon(const double* values, size_t n,
 const KernelTable* NeonTableOrNull() {
   static const KernelTable table = {
       &IntersectBoxBitmapNeon,
-      &PointInBoxBitmapNeon,
       kScalarTable.box_min_distance,
       kScalarTable.prefix_count_less_equal,
   };

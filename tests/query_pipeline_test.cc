@@ -84,7 +84,7 @@ TEST(QueryPipelineTest, ScanFileTagsSplits) {
 }
 
 // ---------------------------------------------------------------------
-// PartitionView
+// SpatialRecordReader
 
 /// Mapper that checks the local R-tree is memoized: two LocalIndex calls
 /// must return the same object, and the entry count must match Search.
@@ -93,7 +93,7 @@ class MemoMapper : public PartitionMapper {
   MemoMapper() : PartitionMapper(index::ShapeType::kPoint) {}
 
  protected:
-  void Process(const SplitExtent& extent, PartitionView& view,
+  void Process(const SplitExtent& extent, SpatialRecordReader& view,
                MapContext& ctx) override {
     const index::PackedRTree& first = view.LocalIndex(ctx);
     const index::PackedRTree& second = view.LocalIndex(ctx);
@@ -104,7 +104,7 @@ class MemoMapper : public PartitionMapper {
   }
 };
 
-TEST(QueryPipelineTest, PartitionViewMemoizesLocalIndex) {
+TEST(QueryPipelineTest, SpatialRecordReaderMemoizesLocalIndex) {
   testing::TestCluster cluster;
   testing::WritePoints(&cluster.fs, "/pts", 800);
   const auto file = testing::BuildIndex(&cluster.runner, "/pts", "/pts.idx",
@@ -149,7 +149,7 @@ TEST(QueryPipelineTest, LocalIndexBuildIsChargedOnce) {
         : PartitionMapper(index::ShapeType::kPoint), searches_(searches) {}
 
    protected:
-    void Process(const SplitExtent& extent, PartitionView& view,
+    void Process(const SplitExtent& extent, SpatialRecordReader& view,
                  MapContext& ctx) override {
       for (int i = 0; i < searches_; ++i) view.Search(extent.mbr, ctx);
     }
@@ -203,7 +203,7 @@ TEST(QueryPipelineTest, PairMapperSeparatesSides) {
 
    protected:
     void Process(const SplitExtent& extent_a, const SplitExtent& extent_b,
-                 PartitionView& view_a, PartitionView& view_b,
+                 SpatialRecordReader& view_a, SpatialRecordReader& view_b,
                  MapContext& ctx) override {
       // Every A record must lie in the A partition's cell, and similarly
       // for B — proving blocks were routed to the right side.
@@ -243,7 +243,7 @@ TEST(QueryPipelineTest, FaultInjectorRetriesThroughBuilder) {
     CountMapper() : PartitionMapper(index::ShapeType::kPoint) {}
 
    protected:
-    void Process(const SplitExtent&, PartitionView& view,
+    void Process(const SplitExtent&, SpatialRecordReader& view,
                  MapContext& ctx) override {
       ctx.WriteOutput(std::to_string(view.NumRecords()));
     }
@@ -299,7 +299,7 @@ TEST(QueryPipelineTest, ParallelMergeSpreadsReducers) {
     EmitOneMapper() : PartitionMapper(index::ShapeType::kPoint) {}
 
    protected:
-    void Process(const SplitExtent&, PartitionView& view,
+    void Process(const SplitExtent&, SpatialRecordReader& view,
                  MapContext& ctx) override {
       ctx.Emit("K", std::to_string(view.NumRecords()));
     }

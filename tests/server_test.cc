@@ -178,6 +178,48 @@ TEST(QueryServerTest, CacheIsSharedAcrossSessions) {
   ExpectSameCost(second.cost, first.cost);
 }
 
+TEST(QueryServerTest, RequestChargesAreExactWhateverRanBefore) {
+  // Three ways to serve one COUNT must report bit-identical charges: a
+  // fresh miss, a miss after the session already paid for a RANGE, and
+  // the hit of that second miss in another session.
+  testing::TestCluster cluster;
+  SeedIndexedDataset(&cluster);
+  const std::string count =
+      "c = COUNT idx RECTANGLE(150000, 150000, 650000, 650000);";
+  QueryServer fresh_server(&cluster.fs, SmallClusterOptions());
+  ASSERT_TRUE(fresh_server.AttachDataset("idx", "/pts_idx").ok());
+  const RequestResult fresh =
+      fresh_server.Execute(fresh_server.OpenSession().ValueOrDie(), count)
+          .ValueOrDie();
+  ASSERT_EQ(fresh.result_cache_misses, 1);
+  auto expect_exact = [&fresh](const RequestResult& got) {
+    EXPECT_EQ(got.cost.total_ms, fresh.cost.total_ms);
+    EXPECT_EQ(got.cost.map_makespan_ms, fresh.cost.map_makespan_ms);
+    EXPECT_EQ(got.cost.shuffle_ms, fresh.cost.shuffle_ms);
+    EXPECT_EQ(got.cost.reduce_makespan_ms, fresh.cost.reduce_makespan_ms);
+    EXPECT_EQ(got.sim_latency_ms, fresh.sim_latency_ms);
+  };
+  // Several prior RANGE windows, so the prior totals vary in magnitude.
+  for (int i = 1; i <= 8; ++i) {
+    QueryServer server(&cluster.fs, SmallClusterOptions());
+    ASSERT_TRUE(server.AttachDataset("idx", "/pts_idx").ok());
+    const SessionId first = server.OpenSession().ValueOrDie();
+    const SessionId second = server.OpenSession().ValueOrDie();
+    const std::string edge = std::to_string(i * 110000);
+    ASSERT_TRUE(server
+                    .Execute(first, "r = RANGE idx RECTANGLE(0, 0, " + edge +
+                                        ", " + edge + ");")
+                    .ok());
+    const RequestResult miss = server.Execute(first, count).ValueOrDie();
+    const RequestResult hit = server.Execute(second, count).ValueOrDie();
+    ASSERT_EQ(miss.result_cache_misses, 1);
+    ASSERT_EQ(hit.result_cache_hits, 1);
+    SCOPED_TRACE("prior window edge " + edge);
+    expect_exact(miss);
+    expect_exact(hit);
+  }
+}
+
 TEST(QueryServerTest, AppendVersionBumpInvalidatesCacheKey) {
   testing::TestCluster cluster;
   SeedIndexedDataset(&cluster, 500);

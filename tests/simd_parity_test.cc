@@ -161,53 +161,6 @@ TEST(KernelParityTest, IntersectBoxBitmapMatchesEnvelopeAndAllTargets) {
   }
 }
 
-TEST(KernelParityTest, PointInBoxBitmapClosedBoundaries) {
-  Random rng(11);
-  const Envelope q(0, 0, 10, 10);
-  for (size_t n : kSizes) {
-    std::vector<double> px, py;
-    for (size_t i = 0; i < n; ++i) {
-      switch (rng.NextUint32(4)) {
-        case 0:  // Exactly on the max corner: closed => inside.
-          px.push_back(10.0);
-          py.push_back(10.0);
-          break;
-        case 1:  // On the right edge.
-          px.push_back(10.0);
-          py.push_back(rng.NextDouble(-2, 12));
-          break;
-        default:
-          px.push_back(rng.NextDouble(-2, 12));
-          py.push_back(rng.NextDouble(-2, 12));
-          break;
-      }
-    }
-    std::vector<uint64_t> expected(simd::BitmapWords(n) + 1, 0);
-    const size_t expected_hits =
-        TableFor(Target::kScalar)
-            .point_in_box_bitmap(px.data(), py.data(), n, q.min_x(),
-                                 q.min_y(), q.max_x(), q.max_y(),
-                                 expected.data());
-    size_t envelope_hits = 0;
-    for (size_t i = 0; i < n; ++i) {
-      const bool hit = q.Contains(Point(px[i], py[i]));
-      envelope_hits += hit;
-      EXPECT_EQ((expected[i / 64] >> (i % 64)) & 1, uint64_t{hit}) << i;
-    }
-    EXPECT_EQ(expected_hits, envelope_hits);
-    for (Target t : CompiledTargets()) {
-      std::vector<uint64_t> bits(simd::BitmapWords(n) + 1, 0);
-      const size_t hits = TableFor(t).point_in_box_bitmap(
-          px.data(), py.data(), n, q.min_x(), q.min_y(), q.max_x(),
-          q.max_y(), bits.data());
-      EXPECT_EQ(hits, expected_hits) << simd::TargetName(t);
-      for (size_t w = 0; w < simd::BitmapWords(n); ++w) {
-        EXPECT_EQ(bits[w], expected[w]) << simd::TargetName(t);
-      }
-    }
-  }
-}
-
 TEST(KernelParityTest, BoxMinDistanceBitIdentical) {
   Random rng(13);
   for (size_t n : kSizes) {

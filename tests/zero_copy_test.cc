@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "core/aggregate_op.h"
+#include "core/knn.h"
 #include "core/range_query.h"
 #include "core/spatial_record_reader.h"
 #include "geometry/wkt.h"
@@ -189,7 +192,7 @@ TEST(SpatialRecordReaderTest, BorrowedViewsStableWhileArenaGrows) {
 // End-to-end: a job over a local-indexed file parses nothing, and the
 // parse count never exceeds one per record processed.
 
-TEST(ZeroCopyJobTest, IndexedRangeQueryParsesNothingWithPersistedLidx) {
+TEST(ZeroCopyJobTest, IndexedQueriesParseNothingWithPersistedLidx) {
   testing::TestCluster cluster;
   const std::vector<Point> points =
       testing::WritePoints(&cluster.fs, "/pts", 3000);
@@ -200,15 +203,81 @@ TEST(ZeroCopyJobTest, IndexedRangeQueryParsesNothingWithPersistedLidx) {
   const auto file = builder.Build("/pts", "/pts.idx", options).ValueOrDie();
 
   const Envelope query(2e5, 2e5, 7e5, 7e5);
+  const Point q(4e5, 6e5);
+  const size_t k = 20;
   index::ResetGeometryParseCount();
   const auto rows =
       core::RangeQuerySpatial(&cluster.runner, file, query).ValueOrDie();
+  const auto neighbors =
+      core::KnnSpatial(&cluster.runner, file, q, k).ValueOrDie();
+  core::OpStats count_stats;
+  const int64_t count =
+      core::RangeCountSpatial(&cluster.runner, file, query, &count_stats)
+          .ValueOrDie();
   // Every envelope comes from the persisted #lidx headers.
   EXPECT_EQ(index::GeometryParseCount(), 0u);
+  EXPECT_GT(count_stats.counters.Get("count.scanned_partitions"), 0);
 
   size_t expected = 0;
-  for (const Point& p : points) expected += query.Contains(p);
+  std::vector<double> distances;
+  for (const Point& p : points) {
+    expected += query.Contains(p);
+    distances.push_back(Distance(p, q));
+  }
   EXPECT_EQ(rows.size(), expected);
+  EXPECT_EQ(count, static_cast<int64_t>(expected));
+  std::sort(distances.begin(), distances.end());
+  ASSERT_EQ(neighbors.size(), k);
+  for (size_t i = 0; i < k; ++i) {
+    EXPECT_NEAR(neighbors[i].distance, distances[i], 1e-9) << "rank " << i;
+  }
+}
+
+TEST(ZeroCopyJobTest, RepeatedKnnAndCountParseNothingWithoutLidx) {
+  testing::TestCluster cluster;
+  testing::WritePoints(&cluster.fs, "/pts", 3000);
+  const auto file = testing::BuildIndex(&cluster.runner, "/pts", "/pts.idx",
+                                        index::PartitionScheme::kStr);
+  ASSERT_FALSE(file.has_local_indexes);
+
+  const Envelope query(2e5, 2e5, 7e5, 7e5);
+  const Point q(4e5, 6e5);
+  struct Answers {
+    std::vector<core::KnnAnswer> knn_spatial;
+    std::vector<core::KnnAnswer> knn_hadoop;
+    int64_t count_spatial = 0;
+    int64_t count_hadoop = 0;
+  };
+  auto run = [&] {
+    Answers a;
+    a.knn_spatial = core::KnnSpatial(&cluster.runner, file, q, 20).ValueOrDie();
+    a.knn_hadoop =
+        core::KnnHadoop(&cluster.runner, "/pts", ShapeType::kPoint, q, 20)
+            .ValueOrDie();
+    a.count_spatial =
+        core::RangeCountSpatial(&cluster.runner, file, query).ValueOrDie();
+    a.count_hadoop = core::RangeCountHadoop(&cluster.runner, "/pts",
+                                            ShapeType::kPoint, query)
+                         .ValueOrDie();
+    return a;
+  };
+  auto expect_same = [](const std::vector<core::KnnAnswer>& got,
+                        const std::vector<core::KnnAnswer>& want) {
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].distance, want[i].distance) << "rank " << i;
+      EXPECT_EQ(got[i].record, want[i].record) << "rank " << i;
+    }
+  };
+  const Answers cold = run();
+  index::ResetGeometryParseCount();
+  const Answers warm = run();
+  // The second run adopts the geometry columns the first one parsed.
+  EXPECT_EQ(index::GeometryParseCount(), 0u);
+  expect_same(warm.knn_spatial, cold.knn_spatial);
+  expect_same(warm.knn_hadoop, cold.knn_hadoop);
+  EXPECT_EQ(warm.count_spatial, cold.count_spatial);
+  EXPECT_EQ(warm.count_hadoop, cold.count_hadoop);
 }
 
 TEST(ZeroCopyJobTest, UnindexedScanParsesEachRecordAtMostOnce) {
