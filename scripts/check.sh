@@ -76,9 +76,11 @@ TSAN_FLAGS="-fsanitize=thread -fno-omit-frame-pointer"
 #   - common_test: concurrent inserts of one key into a FifoCache
 #   - knn_test, aggregate_test: KNN and COUNT map tasks sharing parsed
 #     columns through the runner's artifact cache
+#   - index_builder_test, features_test: index builds encoding partition
+#     envelopes and `#lidx` headers on the shared thread pool
 TSAN_SUITES=(mapreduce_test zero_copy_test fault_test robustness_test
              admission_test catalog_test server_test common_test
-             knn_test aggregate_test)
+             knn_test aggregate_test index_builder_test features_test)
 
 asan_phase() {
   cmake -B "${BUILD_DIR}" -S . \

@@ -545,8 +545,12 @@ Result<uint64_t> DatasetCatalog::Append(const std::string& name,
       if (!ps.rewritten) continue;
       ps.part.source_path = delta_path;
       ps.part.block_index = base_block++;
-      index::WritePartitionBlock(writer.get(), ps.records, ps.envs,
-                                 latest.has_local_indexes, &ps.part);
+      const std::vector<std::string_view> records(ps.records.begin(),
+                                                  ps.records.end());
+      index::AppendPartitionBlock(
+          writer.get(),
+          index::EncodePartitionBlock(ps.envs, latest.has_local_indexes),
+          records, &ps.part);
     }
     SHADOOP_RETURN_NOT_OK(writer->Close());
   }

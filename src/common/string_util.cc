@@ -2,8 +2,6 @@
 
 #include <cctype>
 #include <charconv>
-#include <cstdio>
-#include <cstring>
 
 namespace shadoop {
 
@@ -77,15 +75,20 @@ Result<int64_t> ParseInt64(std::string_view text) {
 }
 
 std::string FormatDouble(double value) {
-  // Try increasing precision until the text round-trips exactly.
+  // Try increasing precision until the text round-trips exactly. The
+  // general format prints what printf's "%.*g" prints, without the locale
+  // and format-string machinery.
   char buf[40];
+  char* end = buf;
   for (int precision = 15; precision <= 17; ++precision) {
-    std::snprintf(buf, sizeof(buf), "%.*g", precision, value);
+    end = std::to_chars(buf, buf + sizeof(buf), value,
+                        std::chars_format::general, precision)
+              .ptr;
     double parsed = 0.0;
-    std::from_chars(buf, buf + std::strlen(buf), parsed);
+    std::from_chars(buf, end, parsed);
     if (parsed == value) break;
   }
-  return buf;
+  return std::string(buf, end);
 }
 
 bool StartsWithIgnoreCase(std::string_view text, std::string_view prefix) {

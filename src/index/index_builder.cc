@@ -1,13 +1,13 @@
 #include "index/index_builder.h"
 
 #include <algorithm>
-#include <map>
 #include <memory>
 
 #include "common/random.h"
 #include "common/string_util.h"
 #include "geometry/wkt.h"
 #include "index/partitioner.h"
+#include "mapreduce/thread_pool.h"
 
 namespace shadoop::index {
 namespace {
@@ -79,10 +79,13 @@ class PartitionMapper : public Mapper {
     }
     const std::vector<int> cells = partitioner_->AssignEnvelope(env.value());
     for (int cell : cells) {
-      // Zero-padded keys keep within-reducer groups in numeric order.
-      char key[16];
-      std::snprintf(key, sizeof(key), "%010d", cell);
-      ctx.Emit(key, record);
+      // "%010d": zero-padded keys keep within-reducer groups in numeric
+      // order. Cell ids are non-negative ints, so ten digits always fit.
+      char key[10];
+      for (int i = 9, rest = cell; i >= 0; --i, rest /= 10) {
+        key[i] = static_cast<char>('0' + rest % 10);
+      }
+      ctx.Emit(std::string_view(key, sizeof(key)), record);
     }
     if (cells.size() > 1) {
       ctx.counters().Increment("partition.replicated_records",
@@ -101,7 +104,10 @@ class PartitionReducer : public mapreduce::Reducer {
   void Reduce(const std::string& key, const std::vector<std::string>& values,
               mapreduce::ReduceContext& ctx) override {
     for (const std::string& value : values) {
-      ctx.Write(key + "\t" + value);
+      std::string line;
+      line.reserve(key.size() + 1 + value.size());
+      line.append(key).append(1, '\t').append(value);
+      ctx.Write(std::move(line));
     }
   }
 };
@@ -200,36 +206,56 @@ Result<SpatialFileInfo> IndexBuilder::Build(const std::string& source_path,
   SHADOOP_RETURN_NOT_OK(partition_result.status);
   info.build_cost += partition_result.cost;
 
-  // Group routed records by cell id.
-  std::map<int, std::vector<std::string>> cells;
-  for (std::string& line : partition_result.output) {
+  // Group routed records by cell id. The views point into
+  // partition_result.output, which outlives the block writes.
+  const int num_cells = partitioner->NumCells();
+  std::vector<std::vector<std::string_view>> cells(num_cells);
+  for (const std::string& line : partition_result.output) {
     const size_t tab = line.find('\t');
     if (tab == std::string::npos) continue;
-    SHADOOP_ASSIGN_OR_RETURN(int64_t cell, ParseInt64(line.substr(0, tab)));
-    cells[static_cast<int>(cell)].push_back(line.substr(tab + 1));
+    const std::string_view text(line);
+    SHADOOP_ASSIGN_OR_RETURN(int64_t cell, ParseInt64(text.substr(0, tab)));
+    if (cell < 0 || cell >= num_cells) {
+      return Status::Internal("partition job routed a record to cell " +
+                              std::to_string(cell) + " of " +
+                              std::to_string(num_cells));
+    }
+    cells[static_cast<size_t>(cell)].push_back(text.substr(tab + 1));
+  }
+  // Empty cells are dropped (standard practice: the global index only
+  // records materialized partitions).
+  std::vector<int> filled;
+  for (int cell = 0; cell < num_cells; ++cell) {
+    if (!cells[cell].empty()) filled.push_back(cell);
   }
 
-  // Lay out one cell per HDFS block; drop empty cells (standard practice:
-  // the global index only records materialized partitions).
+  // Each partition's envelopes, MBR and `#lidx` header depend on its
+  // records alone, so they are computed on the shared pool...
+  std::vector<EncodedPartition> encoded(filled.size());
+  mapreduce::ThreadPool::Shared().ParallelFor(
+      filled.size(), runner_->cluster().num_slots, [&](size_t i) {
+        const std::vector<std::string_view>& records = cells[filled[i]];
+        std::vector<Envelope> envelopes;
+        envelopes.reserve(records.size());
+        for (std::string_view record : records) {
+          auto env = RecordEnvelope(shape, record);
+          envelopes.push_back(env.ok() ? env.value() : Envelope());
+        }
+        encoded[i] = EncodePartitionBlock(envelopes,
+                                          options.build_local_indexes);
+      });
+
+  // ...and laid out serially, one cell per HDFS block, in cell order.
   SHADOOP_ASSIGN_OR_RETURN(std::unique_ptr<hdfs::FileWriter> writer,
                            fs->Create(dest_path));
   writer->set_auto_seal(false);  // One partition == one block, exactly.
-  std::vector<Partition> partitions;
-  size_t block_index = 0;
-  for (auto& [cell_id, records] : cells) {
-    Partition part;
-    part.id = static_cast<int>(partitions.size());
-    part.block_index = block_index++;
-    part.cell = partitioner->CellExtent(cell_id);
-    std::vector<Envelope> envelopes;
-    envelopes.reserve(records.size());
-    for (const std::string& record : records) {
-      auto env = RecordEnvelope(shape, record);
-      envelopes.push_back(env.ok() ? env.value() : Envelope());
-    }
-    WritePartitionBlock(writer.get(), records, envelopes,
-                        options.build_local_indexes, &part);
-    partitions.push_back(std::move(part));
+  std::vector<Partition> partitions(filled.size());
+  for (size_t i = 0; i < filled.size(); ++i) {
+    Partition& part = partitions[i];
+    part.id = static_cast<int>(i);
+    part.block_index = i;
+    part.cell = partitioner->CellExtent(filled[i]);
+    AppendPartitionBlock(writer.get(), encoded[i], cells[filled[i]], &part);
   }
   SHADOOP_RETURN_NOT_OK(writer->Close());
 
@@ -240,20 +266,26 @@ Result<SpatialFileInfo> IndexBuilder::Build(const std::string& source_path,
   return info;
 }
 
-void WritePartitionBlock(hdfs::FileWriter* writer,
-                         const std::vector<std::string>& records,
-                         const std::vector<Envelope>& envelopes,
-                         bool local_index, Partition* part) {
+EncodedPartition EncodePartitionBlock(const std::vector<Envelope>& envelopes,
+                                      bool local_index) {
+  EncodedPartition encoded;
+  for (const Envelope& env : envelopes) encoded.mbr.ExpandToInclude(env);
+  if (local_index) encoded.header = EncodeLocalIndexHeader(envelopes);
+  return encoded;
+}
+
+void AppendPartitionBlock(hdfs::FileWriter* writer,
+                          const EncodedPartition& encoded,
+                          const std::vector<std::string_view>& records,
+                          Partition* part) {
   part->num_records = records.size();
   part->num_bytes = 0;
-  part->mbr = Envelope();
-  for (const Envelope& env : envelopes) part->mbr.ExpandToInclude(env);
-  if (local_index) {
-    const std::string header = EncodeLocalIndexHeader(envelopes);
-    part->num_bytes += header.size() + 1;
-    writer->Append(header);
+  part->mbr = encoded.mbr;
+  if (!encoded.header.empty()) {
+    part->num_bytes += encoded.header.size() + 1;
+    writer->Append(encoded.header);
   }
-  for (const std::string& record : records) {
+  for (std::string_view record : records) {
     part->num_bytes += record.size() + 1;
     writer->Append(record);
   }

@@ -2,6 +2,7 @@
 #define SHADOOP_INDEX_INDEX_BUILDER_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -69,16 +70,30 @@ class IndexBuilder {
 };
 
 // The on-disk layout of an indexed file: IndexBuilder::Build and catalog
-// appends both write it through these two functions.
+// appends both write it through EncodePartitionBlock + AppendPartitionBlock
+// and WriteMasterFile.
 
-/// Writes one partition as the next block of `writer` (which must not
-/// auto-seal): the `#lidx` header when `local_index`, then the records,
-/// then EndBlock(). `envelopes[i]` is record i's envelope, empty when it
-/// failed to parse. Sets the partition's num_records, num_bytes and mbr.
-void WritePartitionBlock(hdfs::FileWriter* writer,
-                         const std::vector<std::string>& records,
-                         const std::vector<Envelope>& envelopes,
-                         bool local_index, Partition* part);
+/// What a partition block derives from its records' envelopes.
+struct EncodedPartition {
+  Envelope mbr;
+  /// The block's first line, "#lidx ...", or empty without a local index.
+  std::string header;
+};
+
+/// The pure half of writing a partition: its MBR and, when `local_index`,
+/// its `#lidx` header. `envelopes[i]` is record i's envelope, empty when
+/// it failed to parse. Touches no shared state, so callers may encode
+/// many partitions in parallel.
+EncodedPartition EncodePartitionBlock(const std::vector<Envelope>& envelopes,
+                                      bool local_index);
+
+/// The serial half: writes `encoded.header` (if any), then `records`, as
+/// the next block of `writer` (which must not auto-seal), then EndBlock().
+/// Sets the partition's num_records, num_bytes and mbr.
+void AppendPartitionBlock(hdfs::FileWriter* writer,
+                          const EncodedPartition& encoded,
+                          const std::vector<std::string_view>& records,
+                          Partition* part);
 
 /// Writes `info.master_path`: the header "#scheme=<name> shape=<name>
 /// [lidx=1]" that LoadSpatialFileFromMaster parses, then one line per

@@ -131,21 +131,18 @@ class CombineContextImpl : public ReduceContext {
   TaskAccounting* acct_;
 };
 
-/// Reference to one shuffled pair: points into the emitting map task's
-/// buffer, which stays alive for the whole job, so the shuffle moves
-/// 16-byte references instead of copying key/value strings.
+/// Reference to one shuffled pair: `data` points at the key bytes inside
+/// the emitting map task's buffer, with the value bytes right after them.
+/// The buffers stay alive and unchanged for the whole job, so the shuffle
+/// moves 16-byte references instead of copying key/value strings, and a
+/// sort comparison reads the bytes through one pointer.
 struct ShuffleRef {
-  const std::string* buffer = nullptr;
-  uint64_t offset = 0;
+  const char* data = nullptr;
   uint32_t key_len = 0;
   uint32_t value_len = 0;
 
-  std::string_view key() const {
-    return std::string_view(*buffer).substr(offset, key_len);
-  }
-  std::string_view value() const {
-    return std::string_view(*buffer).substr(offset + key_len, value_len);
-  }
+  std::string_view key() const { return {data, key_len}; }
+  std::string_view value() const { return {data + key_len, value_len}; }
 };
 
 /// Same ordering as the old KeyValue operator<: by key, then value.
@@ -492,19 +489,24 @@ JobResult JobRunner::RunAdmitted(const JobConfig& job, int lanes,
 
   // ------------------------------------------------------------------
   // Shuffle: route each map task's buckets to reduce task inputs. Only
-  // (buffer, offset) references move; the bytes stay in the map tasks'
-  // buffers, which outlive the reduce phase.
+  // references move; the bytes stay in the map tasks' buffers, which
+  // outlive the reduce phase. Each reduce input is sized once, from the
+  // bucket counts, so the gather is linear in the number of pairs.
   std::vector<std::vector<ShuffleRef>> reduce_inputs(num_reducers);
+  for (int r = 0; r < num_reducers; ++r) {
+    size_t pairs = 0;
+    for (const auto& ctx : map_ctxs) pairs += ctx->emitted_[r].size();
+    reduce_inputs[r].reserve(pairs);
+  }
   uint64_t shuffle_bytes = 0;
   for (size_t i = 0; i < num_maps; ++i) {
     MapContextImpl& ctx = *map_ctxs[i];
     shuffle_bytes += ctx.emitted_bytes_;
+    const char* base = ctx.buffer_.data();
     for (int r = 0; r < num_reducers; ++r) {
       auto& bucket = ctx.emitted_[r];
-      reduce_inputs[r].reserve(reduce_inputs[r].size() + bucket.size());
       for (const EmitSlice& s : bucket) {
-        reduce_inputs[r].push_back(
-            {&ctx.buffer_, s.offset, s.key_len, s.value_len});
+        reduce_inputs[r].push_back({base + s.offset, s.key_len, s.value_len});
       }
       bucket.clear();
       bucket.shrink_to_fit();
@@ -565,7 +567,12 @@ JobResult JobRunner::RunAdmitted(const JobConfig& job, int lanes,
   }
 
   // ------------------------------------------------------------------
-  // Assemble output and counters deterministically (task order).
+  // Assemble output and counters deterministically (task order), into
+  // an output sized once.
+  size_t output_lines = 0;
+  for (const auto& ctx : map_ctxs) output_lines += ctx->output_.size();
+  for (const auto& ctx : reduce_ctxs) output_lines += ctx->output_.size();
+  result.output.reserve(output_lines);
   for (size_t i = 0; i < num_maps; ++i) {
     MapContextImpl& ctx = *map_ctxs[i];
     result.counters.MergeFrom(ctx.acct_.counters);

@@ -1,6 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cfloat>
+#include <charconv>
+#include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <set>
 #include <thread>
@@ -110,8 +117,44 @@ TEST(StringUtilTest, ParseInt64Strict) {
 
 TEST(StringUtilTest, FormatDoubleRoundTrips) {
   for (double v : {0.0, 1.0 / 3.0, -123456.789012345, 1e-300, 3.14159265358979,
-                   1e6, 0.1}) {
+                   1e6, 0.1, -0.0, DBL_MAX, -DBL_MAX, DBL_MIN,
+                   std::numeric_limits<double>::denorm_min()}) {
     EXPECT_DOUBLE_EQ(ParseDouble(FormatDouble(v)).ValueOrDie(), v);
+  }
+}
+
+/// The printf-based precision loop FormatDouble used to run: the oracle
+/// for the bytes every stored coordinate and `#lidx` header is made of.
+std::string SnprintfFormatDouble(double value) {
+  char buf[40];
+  for (int precision = 15; precision <= 17; ++precision) {
+    std::snprintf(buf, sizeof(buf), "%.*g", precision, value);
+    double parsed = 0.0;
+    std::from_chars(buf, buf + std::strlen(buf), parsed);
+    if (parsed == value) break;
+  }
+  return buf;
+}
+
+TEST(StringUtilTest, FormatDoubleMatchesSnprintfOracle) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double v : {0.0, -0.0, inf, -inf, nan, -nan, DBL_MAX, -DBL_MAX,
+                   DBL_MIN, -DBL_MIN,
+                   std::numeric_limits<double>::denorm_min()}) {
+    EXPECT_EQ(FormatDouble(v), SnprintfFormatDouble(v)) << "value " << v;
+  }
+  Random rng(20261017);
+  for (int i = 0; i < 20000; ++i) {
+    const double uniform = rng.NextDouble(0, 1e6);
+    const double integral = std::floor(rng.NextDouble(-1e9, 1e9));
+    const double four_decimals =
+        std::round(rng.NextDouble(-1e6, 1e6) * 1e4) / 1e4;
+    // Random bit patterns reach denormals, extremes, infinities and NaNs.
+    const double bits = std::bit_cast<double>(rng.NextUint64());
+    for (double v : {uniform, integral, four_decimals, bits}) {
+      ASSERT_EQ(FormatDouble(v), SnprintfFormatDouble(v)) << "value " << v;
+    }
   }
 }
 

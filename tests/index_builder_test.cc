@@ -3,12 +3,63 @@
 #include <algorithm>
 #include <set>
 
+#include "catalog/dataset_catalog.h"
 #include "geometry/wkt.h"
 #include "index/index_builder.h"
 #include "test_util.h"
 
 namespace shadoop::index {
 namespace {
+
+// ---------------------------------------------------------------------------
+// Block layout contract. Builds and catalog appends write every partition
+// block through EncodePartitionBlock + AppendPartitionBlock; these checks
+// pin what that pair must produce, whatever thread encoded the block.
+
+/// Reads `part`'s block and checks it against the partition's metadata:
+/// the `#lidx` header (when `lidx`) encodes the envelopes of the records
+/// after it, no record is metadata, and num_records, num_bytes and mbr
+/// describe the block. With `sorted`, records must be in byte order (the
+/// shuffle's value order, which bulk builds keep).
+void ExpectBlockLayout(const hdfs::FileSystem& fs, const std::string& data_path,
+                       const Partition& part, ShapeType shape, bool lidx,
+                       bool sorted) {
+  SCOPED_TRACE("partition " + std::to_string(part.id));
+  const std::vector<std::string> lines =
+      fs.ReadBlock(PartitionSourcePath(part, data_path), part.block_index)
+          .ValueOrDie();
+  uint64_t bytes = 0;
+  for (const std::string& line : lines) bytes += line.size() + 1;
+  EXPECT_EQ(part.num_bytes, bytes);
+  ASSERT_FALSE(lidx && lines.empty());
+  const std::vector<std::string> records(lines.begin() + (lidx ? 1 : 0),
+                                         lines.end());
+  EXPECT_EQ(part.num_records, records.size());
+  std::vector<Envelope> envelopes;
+  Envelope mbr;
+  for (const std::string& record : records) {
+    EXPECT_FALSE(IsMetadataRecord(record)) << record;
+    auto env = RecordEnvelope(shape, record);
+    envelopes.push_back(env.ok() ? env.value() : Envelope());
+    mbr.ExpandToInclude(envelopes.back());
+  }
+  EXPECT_EQ(part.mbr, mbr);
+  if (lidx) {
+    EXPECT_EQ(lines.front(), EncodeLocalIndexHeader(envelopes));
+  }
+  if (sorted) {
+    EXPECT_TRUE(std::is_sorted(records.begin(), records.end()));
+  }
+}
+
+void ExpectIndexLayout(const hdfs::FileSystem& fs,
+                       const SpatialFileInfo& info) {
+  ASSERT_GT(info.global_index.NumPartitions(), 1u);
+  for (const Partition& part : info.global_index.partitions()) {
+    ExpectBlockLayout(fs, info.data_path, part, info.shape,
+                      info.has_local_indexes, /*sorted=*/true);
+  }
+}
 
 class IndexBuilderSchemeTest
     : public ::testing::TestWithParam<PartitionScheme> {};
@@ -53,6 +104,7 @@ TEST_P(IndexBuilderSchemeTest, BuildsLoadableIndexPreservingAllRecords) {
     }
   }
   EXPECT_EQ(input, stored);
+  ExpectIndexLayout(cluster.fs, built);
 }
 
 TEST_P(IndexBuilderSchemeTest, PartitionMbrsAreTight) {
@@ -108,6 +160,7 @@ TEST(IndexBuilderTest, RectanglesAreReplicatedAcrossDisjointCells) {
       EXPECT_TRUE(env.Intersects(part.cell));
     }
   }
+  ExpectIndexLayout(cluster.fs, built);
 }
 
 TEST(IndexBuilderTest, FailsOnMissingSource) {
@@ -149,6 +202,48 @@ TEST(IndexBuilderTest, TargetPartitionsHonoured) {
   const SpatialFileInfo built =
       builder.Build("/points", "/points.idx", options).ValueOrDie();
   EXPECT_EQ(built.global_index.NumPartitions(), 8u);
+}
+
+TEST(IndexBuilderTest, PolygonLocalIndexBlocksFollowLayoutContract) {
+  testing::TestCluster cluster;
+  workload::PolygonGenOptions polygons;
+  polygons.centers.count = 600;
+  polygons.centers.seed = 5;
+  polygons.centers.distribution = workload::Distribution::kClustered;
+  ASSERT_TRUE(workload::WritePolygonFile(&cluster.fs, "/polys", polygons).ok());
+  IndexBuilder builder(&cluster.runner);
+  IndexBuildOptions options;
+  options.scheme = PartitionScheme::kStr;
+  options.shape = ShapeType::kPolygon;
+  options.build_local_indexes = true;
+  const SpatialFileInfo built =
+      builder.Build("/polys", "/polys.idx", options).ValueOrDie();
+  ASSERT_TRUE(built.has_local_indexes);
+  ExpectIndexLayout(cluster.fs, built);
+}
+
+TEST(IndexBuilderTest, AppendedBlocksFollowLayoutContract) {
+  testing::TestCluster cluster;
+  testing::WritePoints(&cluster.fs, "/points", 2000);
+  testing::WritePoints(&cluster.fs, "/batch", 300,
+                       workload::Distribution::kUniform, /*seed=*/9);
+  catalog::DatasetCatalog catalog(&cluster.runner);
+  IndexBuildOptions options;
+  options.scheme = PartitionScheme::kStr;
+  options.build_local_indexes = true;
+  ASSERT_TRUE(catalog.Create("pts", "/points", "/pts.idx", options).ok());
+  ASSERT_TRUE(catalog.Append("pts", "/batch").ok());
+  const SpatialFileInfo appended = catalog.Snapshot("pts").ValueOrDie();
+  const std::string delta =
+      catalog::DatasetCatalog::DeltaPathFor(appended.data_path);
+  size_t rewritten = 0;
+  for (const Partition& part : appended.global_index.partitions()) {
+    rewritten += part.source_path == delta ? 1 : 0;
+    // Appends merge new records after old ones: no byte order to check.
+    ExpectBlockLayout(cluster.fs, appended.data_path, part, ShapeType::kPoint,
+                      /*lidx=*/true, /*sorted=*/false);
+  }
+  EXPECT_GT(rewritten, 0u);
 }
 
 }  // namespace

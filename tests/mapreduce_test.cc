@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 
 #include "common/random.h"
@@ -225,6 +226,102 @@ TEST(MapReduceTest, SimulatedCostIsDeterministic) {
   ASSERT_TRUE(r2.status.ok());
   EXPECT_DOUBLE_EQ(r1.cost.total_ms, r2.cost.total_ms);
   EXPECT_EQ(r1.output, r2.output);
+}
+
+/// Emits three pairs per record under keys shared by every map task, with
+/// values of varying length, so reduce inputs interleave pairs from many
+/// tasks and byte order differs from numeric order for keys and values.
+class SpreadMapper : public Mapper {
+ public:
+  void Map(std::string_view record, MapContext& ctx) override {
+    const int64_t n = ParseInt64(record).ValueOrDie();
+    for (int64_t j = 0; j < 3; ++j) {
+      ctx.Emit("k" + std::to_string((n * 7 + j * 5) % 23),
+               std::to_string((n * 7919 + j * 104729) % 100003));
+    }
+  }
+};
+
+/// Writes one line per group ("key=v1,v2,...") and a "#end" line per
+/// reduce task, so the output shows each task's groups in arrival order.
+class GroupEchoReducer : public Reducer {
+ public:
+  void Reduce(const std::string& key, const std::vector<std::string>& values,
+              ReduceContext& ctx) override {
+    std::string line = key + "=";
+    for (size_t i = 0; i < values.size(); ++i) {
+      if (i > 0) line += ",";
+      line += values[i];
+    }
+    ctx.Write(line);
+  }
+  void Finish(ReduceContext& ctx) override { ctx.Write("#end"); }
+};
+
+TEST(MapReduceTest, ShuffleDeliversKeyOrderedGroupsWithByteOrderedValues) {
+  // A 256-byte block size spreads 4,000 records over more than 64 splits.
+  testing::TestCluster cluster(/*block_size=*/256);
+  std::vector<std::string> lines;
+  std::map<std::string, std::vector<std::string>> expected;
+  for (int n = 0; n < 4000; ++n) {
+    lines.push_back(std::to_string(n));
+    for (int j = 0; j < 3; ++j) {
+      expected["k" + std::to_string((n * 7 + j * 5) % 23)].push_back(
+          std::to_string((n * 7919 + j * 104729) % 100003));
+    }
+  }
+  for (auto& [key, values] : expected) std::sort(values.begin(), values.end());
+  ASSERT_TRUE(cluster.fs.WriteLines("/in", lines).ok());
+
+  constexpr int kReducers = 5;
+  JobConfig job;
+  job.name = "shuffle-order";
+  job.splits = MakeBlockSplits(cluster.fs, "/in").ValueOrDie();
+  ASSERT_GE(job.splits.size(), 64u);
+  job.mapper = []() { return std::make_unique<SpreadMapper>(); };
+  job.reducer = []() { return std::make_unique<GroupEchoReducer>(); };
+  job.num_reducers = kReducers;
+
+  const JobResult first = cluster.runner.Run(job);
+  ASSERT_TRUE(first.status.ok()) << first.status.ToString();
+  int reducer = 0;
+  std::string previous_key;
+  std::map<std::string, std::vector<std::string>> got;
+  for (const std::string& line : first.output) {
+    if (line == "#end") {
+      ++reducer;
+      previous_key.clear();
+      continue;
+    }
+    const size_t eq = line.find('=');
+    ASSERT_NE(eq, std::string::npos);
+    const std::string key = line.substr(0, eq);
+    EXPECT_EQ(HashPartition(key, kReducers), reducer) << key;
+    EXPECT_LT(previous_key, key) << "reducer " << reducer;
+    previous_key = key;
+    std::vector<std::string> values;
+    for (std::string_view v :
+         SplitString(std::string_view(line).substr(eq + 1), ',')) {
+      values.emplace_back(v);
+    }
+    EXPECT_TRUE(std::is_sorted(values.begin(), values.end())) << key;
+    EXPECT_TRUE(got.emplace(key, std::move(values)).second) << key;
+  }
+  EXPECT_EQ(reducer, kReducers);
+  EXPECT_EQ(got, expected);
+
+  const JobResult second = cluster.runner.Run(job);
+  ASSERT_TRUE(second.status.ok());
+  EXPECT_EQ(second.output, first.output);
+  EXPECT_EQ(second.cost.total_ms, first.cost.total_ms);
+  EXPECT_EQ(second.cost.map_makespan_ms, first.cost.map_makespan_ms);
+  EXPECT_EQ(second.cost.shuffle_ms, first.cost.shuffle_ms);
+  EXPECT_EQ(second.cost.reduce_makespan_ms, first.cost.reduce_makespan_ms);
+  EXPECT_EQ(second.cost.bytes_read, first.cost.bytes_read);
+  EXPECT_EQ(second.cost.bytes_shuffled, first.cost.bytes_shuffled);
+  EXPECT_EQ(second.cost.bytes_written, first.cost.bytes_written);
+  EXPECT_EQ(second.cost.num_map_tasks, first.cost.num_map_tasks);
+  EXPECT_EQ(second.cost.num_reduce_tasks, first.cost.num_reduce_tasks);
 }
 
 TEST(MakespanTest, GreedyScheduling) {
