@@ -180,8 +180,6 @@ struct JobConfig {
   ReducerFactory reducer;   // Optional: absent means a map-only job.
   Partitioner partitioner;  // Optional: defaults to hash(key) % R.
   int num_reducers = 1;
-  /// When non-empty, the output lines are also written as an HDFS file.
-  std::string output_path;
 };
 
 /// Deterministic simulated-cost breakdown of a finished job (see

@@ -588,15 +588,6 @@ JobResult JobRunner::RunAdmitted(const JobConfig& job, int lanes,
   }
   finish_fault_accounting();
 
-  if (!job.output_path.empty()) {
-    Status write_status = fs_->WriteLines(job.output_path, result.output);
-    if (!write_status.ok()) {
-      result.status = write_status;
-      result.wall_ms = wall.ElapsedMillis();
-      return result;
-    }
-  }
-
   // ------------------------------------------------------------------
   // Deterministic simulated cost. Retries, backoff waits and straggler
   // delays show up as per-task overhead from the scheduler reports —

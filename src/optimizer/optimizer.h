@@ -14,8 +14,8 @@
 
 namespace shadoop::optimizer {
 
-/// One priced candidate of a plan decision. `name` doubles as the plan
-/// fingerprint token the server folds into its result-cache key.
+/// One priced candidate of a plan decision. The chosen one's `name`
+/// doubles as the plan token the server folds into its result-cache key.
 struct PlanAlternative {
   std::string name;
   double cost_ms = 0;
@@ -25,12 +25,11 @@ struct PlanAlternative {
   std::string detail;
 };
 
-/// A plan choice the executor logs for EXPLAIN: the operation, the
-/// statement target it planned for, the winning alternative's name, and
-/// every alternative in enumeration order (winner included).
+/// A plan choice, kept with the binding it produced for EXPLAIN: the
+/// operation, the winning alternative's name, and every alternative in
+/// enumeration order (winner included).
 struct PlanDecision {
   std::string op;
-  std::string target;
   std::string chosen;
   std::vector<PlanAlternative> alternatives;
 };

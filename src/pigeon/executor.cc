@@ -42,6 +42,18 @@ std::vector<std::string> PointsToLines(const std::vector<Point>& points) {
 
 }  // namespace
 
+Dataset CatalogDataset(std::string catalog_name, uint64_t version,
+                       index::SpatialFileInfo info) {
+  Dataset dataset;
+  dataset.kind = Dataset::Kind::kIndexed;
+  dataset.shape = info.shape;
+  dataset.path = info.data_path;
+  dataset.catalog_name = std::move(catalog_name);
+  dataset.version = version;
+  dataset.info = std::move(info);
+  return dataset;
+}
+
 Result<ExecutionReport> Executor::Execute(std::string_view script) {
   ExecutionReport report;
   SHADOOP_RETURN_NOT_OK(ExecuteInto(script, &report));
@@ -63,10 +75,8 @@ Status Executor::ExecuteStatement(const Statement& stmt,
   {
     switch (stmt.kind) {
       case Statement::Kind::kAssign: {
-        Result<Dataset> dataset = Eval(stmt.expr, &report, stmt.target);
-        if (!dataset.ok()) return AtLine(stmt.line, dataset.status());
-        env_[stmt.target] = std::move(dataset).value();
-        break;
+        SHADOOP_ASSIGN_OR_RETURN(PreparedStatement prepared, Prepare(stmt));
+        return Run(prepared, &report);
       }
       case Statement::Kind::kStore: {
         SHADOOP_ASSIGN_OR_RETURN(Dataset dataset,
@@ -193,15 +203,13 @@ Status Executor::ExecuteStatement(const Statement& stmt,
           line += "; result_cache: hits=" + std::to_string(result_hits) +
                   ", misses=" + std::to_string(result_misses);
         }
-        // The latest plan decision made for this binding, same
+        // The plan of the statement that bound this dataset, same
         // nonzero-only contract: only operations the optimizer actually
         // planned (joins, ranges, counts, AUTO index builds with the
         // optimizer on) add the segment, so every other EXPLAIN stays
         // byte-identical.
-        for (auto it = plan_log_.rbegin(); it != plan_log_.rend(); ++it) {
-          if (it->target != stmt.target) continue;
-          line += "; plan: " + optimizer::FormatDecision(*it);
-          break;
+        if (dataset.plan) {
+          line += "; plan: " + optimizer::FormatDecision(*dataset.plan);
         }
         report.dump_output.push_back(std::move(line));
         break;
@@ -225,6 +233,52 @@ Status Executor::ExecuteStatement(const Statement& stmt,
       }
     }
   }
+  return Status::OK();
+}
+
+Result<PreparedStatement> Executor::Prepare(const Statement& stmt) const {
+  const Expr& expr = stmt.expr;
+  PreparedStatement prepared;
+  prepared.stmt = &stmt;
+  prepared.plan_token = optimizer_on_ ? "default" : "legacy";
+  if (expr.kind == Expr::Kind::kLoad || expr.kind == Expr::Kind::kAppend ||
+      expr.kind == Expr::Kind::kLoadIndex) {
+    return prepared;
+  }
+  SHADOOP_ASSIGN_OR_RETURN(Dataset source, LookUp(expr.source, expr.line));
+  prepared.sources.push_back(std::move(source));
+  if (expr.kind == Expr::Kind::kJoin || expr.kind == Expr::Kind::kKnnJoin) {
+    SHADOOP_ASSIGN_OR_RETURN(Dataset right, LookUp(expr.source_b, expr.line));
+    prepared.sources.push_back(std::move(right));
+  }
+  if (!optimizer_on_) return prepared;
+  // Only operations over indexed inputs have costed alternatives.
+  for (const Dataset& source : prepared.sources) {
+    if (source.kind != Dataset::Kind::kIndexed) return prepared;
+  }
+  const index::SpatialFileInfo& info = *prepared.sources[0].info;
+  if (expr.kind == Expr::Kind::kRange || expr.kind == Expr::Kind::kCount) {
+    optimizer::RangePlan plan = optimizer::PlanRange(
+        runner_->cluster(), info, expr.range,
+        expr.kind == Expr::Kind::kRange ? "range" : "count");
+    prepared.use_index = plan.use_index;
+    prepared.plan = std::move(plan.decision);
+  } else if (expr.kind == Expr::Kind::kJoin) {
+    optimizer::JoinPlan plan = optimizer::PlanJoin(
+        runner_->cluster(), info, *prepared.sources[1].info);
+    prepared.join = plan.strategy;
+    prepared.plan = std::move(plan.decision);
+  }
+  if (prepared.plan) prepared.plan_token = prepared.plan->chosen;
+  return prepared;
+}
+
+Status Executor::Run(const PreparedStatement& prepared,
+                     ExecutionReport* report) {
+  const Statement& stmt = *prepared.stmt;
+  Result<Dataset> dataset = Eval(prepared, report);
+  if (!dataset.ok()) return AtLine(stmt.line, dataset.status());
+  env_[stmt.target] = std::move(dataset).value();
   return Status::OK();
 }
 
@@ -281,8 +335,10 @@ Result<std::string> Executor::EnsureFile(const Dataset& dataset) {
   return path;
 }
 
-Result<Dataset> Executor::Eval(const Expr& expr, ExecutionReport* report,
-                               const std::string& bind_name) {
+Result<Dataset> Executor::Eval(const PreparedStatement& prepared,
+                               ExecutionReport* report) {
+  const Expr& expr = prepared.stmt->expr;
+  const std::string& bind_name = prepared.stmt->target;
   core::OpStats* stats = &report->stats;
   switch (expr.kind) {
     case Expr::Kind::kLoad: {
@@ -316,14 +372,7 @@ Result<Dataset> Executor::Eval(const Expr& expr, ExecutionReport* report,
       // result sees the new version.
       SHADOOP_ASSIGN_OR_RETURN(index::SpatialFileInfo info,
                                catalog_->Snapshot(target.catalog_name, version));
-      Dataset dataset;
-      dataset.kind = Dataset::Kind::kIndexed;
-      dataset.shape = info.shape;
-      dataset.path = info.data_path;
-      dataset.catalog_name = target.catalog_name;
-      dataset.version = version;
-      dataset.info = std::move(info);
-      return dataset;
+      return CatalogDataset(target.catalog_name, version, std::move(info));
     }
     case Expr::Kind::kLoadIndex: {
       // A dataset persisted by the catalog (it has an "@current" pointer)
@@ -338,25 +387,10 @@ Result<Dataset> Executor::Eval(const Expr& expr, ExecutionReport* report,
                                catalog_->LatestVersion(bind_name));
       SHADOOP_ASSIGN_OR_RETURN(index::SpatialFileInfo info,
                                catalog_->Snapshot(bind_name));
-      Dataset dataset;
-      dataset.kind = Dataset::Kind::kIndexed;
-      dataset.shape = info.shape;
-      dataset.path = expr.path;
-      dataset.info = std::move(info);
-      dataset.catalog_name = bind_name;
-      dataset.version = version;
-      return dataset;
+      return CatalogDataset(bind_name, version, std::move(info));
     }
     case Expr::Kind::kCount: {
-      SHADOOP_ASSIGN_OR_RETURN(Dataset source, LookUp(expr.source, expr.line));
-      bool use_index = true;
-      if (optimizer_on_ && source.kind == Dataset::Kind::kIndexed) {
-        optimizer::RangePlan plan = optimizer::PlanRange(
-            runner_->cluster(), *source.info, expr.range, "count");
-        plan.decision.target = bind_name;
-        use_index = plan.use_index;
-        plan_log_.push_back(std::move(plan.decision));
-      }
+      const Dataset& source = prepared.sources[0];
       SHADOOP_ASSIGN_OR_RETURN(
           int64_t count,
           Dispatch(
@@ -369,15 +403,17 @@ Result<Dataset> Executor::Eval(const Expr& expr, ExecutionReport* report,
                 return core::RangeCountHadoop(runner_, path, source.shape,
                                               expr.range, stats);
               },
-              /*allow_spatial=*/use_index));
+              /*allow_spatial=*/prepared.use_index));
       Dataset result;
       result.kind = Dataset::Kind::kLines;
       result.lines = {std::to_string(count)};
+      result.plan = prepared.plan;
       return result;
     }
     case Expr::Kind::kIndex: {
-      SHADOOP_ASSIGN_OR_RETURN(Dataset source, LookUp(expr.source, expr.line));
+      const Dataset& source = prepared.sources[0];
       SHADOOP_ASSIGN_OR_RETURN(std::string source_path, EnsureFile(source));
+      std::optional<optimizer::PlanDecision> decision;
       index::IndexBuildOptions options;
       options.scheme = expr.scheme;
       options.shape = source.shape;
@@ -391,8 +427,7 @@ Result<Dataset> Executor::Eval(const Expr& expr, ExecutionReport* report,
         if (!plan.ok()) return AtLine(expr.line, plan.status());
         options.scheme = plan->scheme;
         options.target_partitions = plan->target_partitions;
-        plan->decision.target = bind_name;
-        plan_log_.push_back(std::move(plan->decision));
+        decision = std::move(plan->decision);
       }
       std::string dest = expr.path.empty()
                              ? source_path + ".idx_" +
@@ -407,28 +442,16 @@ Result<Dataset> Executor::Eval(const Expr& expr, ExecutionReport* report,
       SHADOOP_ASSIGN_OR_RETURN(
           index::SpatialFileInfo info,
           catalog_->Create(bind_name, source_path, dest, options, stats));
-      Dataset dataset;
-      dataset.kind = Dataset::Kind::kIndexed;
-      dataset.shape = source.shape;
-      dataset.path = dest;
-      dataset.info = std::move(info);
-      dataset.catalog_name = bind_name;
-      dataset.version = 1;
+      Dataset dataset = CatalogDataset(bind_name, 1, std::move(info));
+      dataset.plan = std::move(decision);
       return dataset;
     }
     case Expr::Kind::kRange: {
-      SHADOOP_ASSIGN_OR_RETURN(Dataset source, LookUp(expr.source, expr.line));
-      bool use_index = true;
-      if (optimizer_on_ && source.kind == Dataset::Kind::kIndexed) {
-        optimizer::RangePlan plan = optimizer::PlanRange(
-            runner_->cluster(), *source.info, expr.range, "range");
-        plan.decision.target = bind_name;
-        use_index = plan.use_index;
-        plan_log_.push_back(std::move(plan.decision));
-      }
+      const Dataset& source = prepared.sources[0];
       Dataset result;
       result.kind = Dataset::Kind::kLines;
       result.shape = source.shape;
+      result.plan = prepared.plan;
       SHADOOP_ASSIGN_OR_RETURN(
           result.lines,
           Dispatch(
@@ -441,11 +464,11 @@ Result<Dataset> Executor::Eval(const Expr& expr, ExecutionReport* report,
                 return core::RangeQueryHadoop(runner_, path, source.shape,
                                               expr.range, stats);
               },
-              /*allow_spatial=*/use_index));
+              /*allow_spatial=*/prepared.use_index));
       return result;
     }
     case Expr::Kind::kKnn: {
-      SHADOOP_ASSIGN_OR_RETURN(Dataset source, LookUp(expr.source, expr.line));
+      const Dataset& source = prepared.sources[0];
       SHADOOP_ASSIGN_OR_RETURN(
           std::vector<core::KnnAnswer> answers,
           Dispatch(
@@ -465,26 +488,18 @@ Result<Dataset> Executor::Eval(const Expr& expr, ExecutionReport* report,
       return result;
     }
     case Expr::Kind::kJoin: {
-      SHADOOP_ASSIGN_OR_RETURN(Dataset left, LookUp(expr.source, expr.line));
-      SHADOOP_ASSIGN_OR_RETURN(Dataset right,
-                               LookUp(expr.source_b, expr.line));
+      const Dataset& left = prepared.sources[0];
+      const Dataset& right = prepared.sources[1];
       Dataset result;
       result.kind = Dataset::Kind::kLines;
       result.shape = left.shape;
+      result.plan = prepared.plan;
       if (left.kind == Dataset::Kind::kIndexed &&
           right.kind == Dataset::Kind::kIndexed) {
         core::DjOptions dj_options;
-        bool use_sjmr = false;
-        if (optimizer_on_) {
-          optimizer::JoinPlan plan = optimizer::PlanJoin(
-              runner_->cluster(), *left.info, *right.info);
-          plan.decision.target = bind_name;
-          use_sjmr = plan.strategy == optimizer::JoinStrategy::kSjmr;
-          dj_options.build_right =
-              plan.strategy == optimizer::JoinStrategy::kDjBuildRight;
-          plan_log_.push_back(std::move(plan.decision));
-        }
-        if (use_sjmr) {
+        dj_options.build_right =
+            prepared.join == optimizer::JoinStrategy::kDjBuildRight;
+        if (prepared.join == optimizer::JoinStrategy::kSjmr) {
           SHADOOP_ASSIGN_OR_RETURN(
               result.lines,
               core::SjmrJoin(runner_, left.path, left.shape, right.path,
@@ -506,9 +521,8 @@ Result<Dataset> Executor::Eval(const Expr& expr, ExecutionReport* report,
       return result;
     }
     case Expr::Kind::kKnnJoin: {
-      SHADOOP_ASSIGN_OR_RETURN(Dataset left, LookUp(expr.source, expr.line));
-      SHADOOP_ASSIGN_OR_RETURN(Dataset right,
-                               LookUp(expr.source_b, expr.line));
+      const Dataset& left = prepared.sources[0];
+      const Dataset& right = prepared.sources[1];
       if (left.kind != Dataset::Kind::kIndexed ||
           right.kind != Dataset::Kind::kIndexed) {
         return ErrorAt(expr.line,
@@ -529,7 +543,7 @@ Result<Dataset> Executor::Eval(const Expr& expr, ExecutionReport* report,
       return result;
     }
     case Expr::Kind::kSkyline: {
-      SHADOOP_ASSIGN_OR_RETURN(Dataset source, LookUp(expr.source, expr.line));
+      const Dataset& source = prepared.sources[0];
       SHADOOP_ASSIGN_OR_RETURN(
           std::vector<Point> skyline,
           Dispatch(
@@ -546,7 +560,7 @@ Result<Dataset> Executor::Eval(const Expr& expr, ExecutionReport* report,
       return result;
     }
     case Expr::Kind::kConvexHull: {
-      SHADOOP_ASSIGN_OR_RETURN(Dataset source, LookUp(expr.source, expr.line));
+      const Dataset& source = prepared.sources[0];
       SHADOOP_ASSIGN_OR_RETURN(
           std::vector<Point> hull,
           Dispatch(
@@ -563,7 +577,7 @@ Result<Dataset> Executor::Eval(const Expr& expr, ExecutionReport* report,
       return result;
     }
     case Expr::Kind::kClosestPair: {
-      SHADOOP_ASSIGN_OR_RETURN(Dataset source, LookUp(expr.source, expr.line));
+      const Dataset& source = prepared.sources[0];
       if (source.kind != Dataset::Kind::kIndexed) {
         return ErrorAt(expr.line,
                        "CLOSESTPAIR needs an indexed dataset (use INDEX "
@@ -578,7 +592,7 @@ Result<Dataset> Executor::Eval(const Expr& expr, ExecutionReport* report,
       return result;
     }
     case Expr::Kind::kFarthestPair: {
-      SHADOOP_ASSIGN_OR_RETURN(Dataset source, LookUp(expr.source, expr.line));
+      const Dataset& source = prepared.sources[0];
       SHADOOP_ASSIGN_OR_RETURN(
           PointPair pair,
           Dispatch(
@@ -595,7 +609,7 @@ Result<Dataset> Executor::Eval(const Expr& expr, ExecutionReport* report,
       return result;
     }
     case Expr::Kind::kUnion: {
-      SHADOOP_ASSIGN_OR_RETURN(Dataset source, LookUp(expr.source, expr.line));
+      const Dataset& source = prepared.sources[0];
       if (source.shape != index::ShapeType::kPolygon) {
         return ErrorAt(expr.line, "UNION needs a polygon dataset");
       }
@@ -621,37 +635,6 @@ Result<Dataset> Executor::Eval(const Expr& expr, ExecutionReport* report,
     }
   }
   return Status::Internal("unhandled expression kind");
-}
-
-std::string Executor::PlanFingerprint(const Expr& expr) const {
-  if (!optimizer_on_) return "legacy";
-  switch (expr.kind) {
-    case Expr::Kind::kJoin: {
-      Result<Dataset> left = LookUp(expr.source, expr.line);
-      Result<Dataset> right = LookUp(expr.source_b, expr.line);
-      if (!left.ok() || !right.ok()) return "default";
-      if (left->kind != Dataset::Kind::kIndexed ||
-          right->kind != Dataset::Kind::kIndexed) {
-        return "default";
-      }
-      return optimizer::PlanJoin(runner_->cluster(), *left->info,
-                                 *right->info)
-          .decision.chosen;
-    }
-    case Expr::Kind::kRange:
-    case Expr::Kind::kCount: {
-      Result<Dataset> source = LookUp(expr.source, expr.line);
-      if (!source.ok() || source->kind != Dataset::Kind::kIndexed) {
-        return "default";
-      }
-      return optimizer::PlanRange(
-                 runner_->cluster(), *source->info, expr.range,
-                 expr.kind == Expr::Kind::kRange ? "range" : "count")
-          .decision.chosen;
-    }
-    default:
-      return "default";
-  }
 }
 
 }  // namespace shadoop::pigeon

@@ -35,6 +35,38 @@ struct Dataset {
   /// stays on that snapshot while appends create later versions.
   std::string catalog_name;
   uint64_t version = 0;
+
+  /// The plan decision of the statement that bound this dataset, when the
+  /// optimizer priced one (RANGE, COUNT, SJOIN, INDEX ... WITH AUTO).
+  /// EXPLAIN renders it as the `; plan:` segment.
+  std::optional<optimizer::PlanDecision> plan;
+};
+
+/// An indexed dataset bound to `version` of the catalog dataset
+/// `catalog_name`; its shape and path come from `info`.
+Dataset CatalogDataset(std::string catalog_name, uint64_t version,
+                       index::SpatialFileInfo info);
+
+/// One assignment, resolved and planned once (DESIGN.md §15.3). Running
+/// it reads the sources and the plan from here and never looks them up
+/// or prices them again, so the server's cache key and the execution
+/// see the same snapshot and the same plan.
+struct PreparedStatement {
+  /// The assignment; it must outlive the prepared statement.
+  const Statement* stmt = nullptr;
+  /// `expr.source` (and `expr.source_b` for joins) as LookUp resolved
+  /// them, snapshot re-pin included. Empty for LOAD, LOADINDEX and
+  /// APPEND, which resolves its target by name when it runs.
+  std::vector<Dataset> sources;
+  /// With the optimizer on: the priced RANGE / COUNT / SJOIN plan over
+  /// indexed inputs, and the physical choice it implies.
+  std::optional<optimizer::PlanDecision> plan;
+  bool use_index = true;
+  optimizer::JoinStrategy join = optimizer::JoinStrategy::kDjBuildLeft;
+  /// "legacy" with the optimizer off, else the chosen alternative's name,
+  /// or "default" when nothing was priced. The server's result-cache key
+  /// folds it in, so a plan change invalidates structurally.
+  std::string plan_token;
 };
 
 /// Result of running a script: everything DUMP produced, per-dataset row
@@ -70,26 +102,30 @@ class Executor {
   /// a REPL can feed statements incrementally.
   Result<ExecutionReport> Execute(std::string_view script);
 
-  /// Like Execute, but accumulates into an existing report. The query
-  /// server keeps one cumulative report per session, so splitting a
-  /// script across many requests yields byte-identical dump output and
-  /// EXPLAIN counters to running it in one Execute call.
+  /// Like Execute, but accumulates into an existing report: EXPLAIN reads
+  /// the report's charges so far. The query server keeps one report per
+  /// session and moves each request's rows out of it, so a script split
+  /// across many requests yields the same rows and EXPLAIN counters as
+  /// one Execute call.
   Status ExecuteInto(std::string_view script, ExecutionReport* report);
 
-  /// Runs one already-parsed statement against the session. The server's
-  /// result cache sits between Parse and this call: cacheable assignments
-  /// are intercepted, everything else flows through unchanged.
+  /// Runs one already-parsed statement against the session. Assignments
+  /// run as Prepare, then Run.
   Status ExecuteStatement(const Statement& stmt, ExecutionReport* report);
 
-  /// Resolves `name` exactly as a query would (including any SET
-  /// snapshot_version re-pinning). `line` anchors error messages.
-  Result<Dataset> ResolveBinding(const std::string& name, int line) const {
-    return LookUp(name, line);
-  }
+  /// Resolves the assignment `stmt`'s sources (SET snapshot_version
+  /// re-pin included) and, with the optimizer on, prices RANGE, COUNT and
+  /// SJOIN. INDEX ... WITH AUTO consults its advisor in Run instead, once
+  /// the source is materialized.
+  Result<PreparedStatement> Prepare(const Statement& stmt) const;
+
+  /// Executes a prepared assignment into `report` and binds its target.
+  /// The server's result cache sits between Prepare and this call.
+  Status Run(const PreparedStatement& prepared, ExecutionReport* report);
 
   /// Binds `name` directly, bypassing evaluation — the server uses this
   /// to pre-bind shared catalog datasets into a fresh session and to
-  /// install result-cache hits.
+  /// install result-cache hits (which carry the prepared plan).
   void Bind(const std::string& name, Dataset dataset) {
     env_[name] = std::move(dataset);
   }
@@ -130,25 +166,11 @@ class Executor {
   /// pre-optimizer rows, counters and charges byte-identically.
   bool optimizer_enabled() const { return optimizer_on_; }
 
-  /// Every plan decision this session made, in execution order. EXPLAIN
-  /// renders the latest decision for its target as the `; plan:` segment.
-  const std::vector<optimizer::PlanDecision>& plan_log() const {
-    return plan_log_;
-  }
-
-  /// The plan the optimizer would pick for `expr` right now, as a short
-  /// token ("dj.l", "sjmr", "pruned", ...). "legacy" when the optimizer
-  /// is off, "default" for operations without costed alternatives (or
-  /// when the inputs cannot be resolved — the statement will fail with
-  /// its own error). The server folds this into its result-cache key so a
-  /// plan change invalidates structurally.
-  std::string PlanFingerprint(const Expr& expr) const;
-
  private:
-  /// `bind_name` is the assignment target; INDEX and LOADINDEX register
-  /// catalog datasets under it.
-  Result<Dataset> Eval(const Expr& expr, ExecutionReport* report,
-                       const std::string& bind_name);
+  /// INDEX and LOADINDEX register catalog datasets under the assignment
+  /// target.
+  Result<Dataset> Eval(const PreparedStatement& prepared,
+                       ExecutionReport* report);
   Result<Dataset> LookUp(const std::string& name, int line) const;
 
   /// Materializes a dataset as an HDFS file (writing result lines to a
@@ -192,7 +214,6 @@ class Executor {
   std::unique_ptr<mapreduce::AdmissionController> owned_admission_;
   mapreduce::AdmissionController* admission_ = nullptr;
   bool optimizer_on_ = true;
-  std::vector<optimizer::PlanDecision> plan_log_;
 };
 
 }  // namespace shadoop::pigeon

@@ -88,14 +88,8 @@ Result<SessionId> QueryServer::OpenSession(const std::string& tenant,
     SHADOOP_ASSIGN_OR_RETURN(uint64_t latest, catalog_.LatestVersion(name));
     SHADOOP_ASSIGN_OR_RETURN(index::SpatialFileInfo info,
                              catalog_.Snapshot(name, latest));
-    pigeon::Dataset dataset;
-    dataset.kind = pigeon::Dataset::Kind::kIndexed;
-    dataset.shape = info.shape;
-    dataset.path = info.data_path;
-    dataset.catalog_name = name;
-    dataset.version = latest;
-    dataset.info = std::move(info);
-    session->executor->Bind(name, std::move(dataset));
+    session->executor->Bind(
+        name, pigeon::CatalogDataset(name, latest, std::move(info)));
   }
   sessions_.push_back(std::move(session));
   return id;
@@ -118,13 +112,16 @@ Result<RequestResult> QueryServer::Execute(SessionId session,
   }
   MutexLock lock(&s->mu);
   SHADOOP_ASSIGN_OR_RETURN(pigeon::Script statements, pigeon::Parse(script));
-  const size_t dump_before = s->report.dump_output.size();
   RequestResult out;
+  Status status;
   for (const pigeon::Statement& stmt : statements) {
-    SHADOOP_RETURN_NOT_OK(ExecuteSessionStatement(*s, stmt, &out));
+    status = ExecuteSessionStatement(*s, stmt, &out);
+    if (!status.ok()) break;
   }
-  out.rows.assign(s->report.dump_output.begin() + dump_before,
-                  s->report.dump_output.end());
+  // The request's DUMP and EXPLAIN rows leave the session with it; a
+  // failed request's partial rows are dropped.
+  out.rows = std::exchange(s->report.dump_output, {});
+  SHADOOP_RETURN_NOT_OK(status);
   // Modeled end-to-end latency of the request: simulated cluster time of
   // its jobs plus simulated admission queueing.
   out.sim_latency_ms = out.cost.total_ms + out.cost.admission_wait_ms;
@@ -173,22 +170,25 @@ Status QueryServer::ExecuteSessionStatement(Session& session,
   if (stmt.kind != pigeon::Statement::Kind::kAssign) {
     return session.executor->ExecuteStatement(stmt, &session.report);
   }
+  SHADOOP_ASSIGN_OR_RETURN(pigeon::PreparedStatement prepared,
+                           session.executor->Prepare(stmt));
   std::string key;
   const bool cacheable = options_.enable_result_cache &&
                          session.runner->fault_injector() == nullptr &&
-                         BuildCacheKey(session, stmt, &key);
+                         BuildCacheKey(session, prepared, &key);
   core::OpStats charges;
   Status status;
   std::shared_ptr<const CachedResult> hit =
       cacheable ? result_cache_.Lookup(key) : nullptr;
   if (hit != nullptr) {
-    // Replay the stored execution: bind the rows and charge exactly what
-    // the producing run paid, so a hit is byte-identical to a miss in
-    // rows, cost and counters.
+    // Replay the stored execution: bind the rows with the prepared plan
+    // and charge exactly what the producing run paid, so a hit is
+    // byte-identical to a miss in rows, cost, counters and EXPLAIN plan.
     pigeon::Dataset dataset;
     dataset.kind = pigeon::Dataset::Kind::kLines;
     dataset.shape = hit->shape;
     dataset.lines = hit->lines;
+    dataset.plan = std::move(prepared.plan);
     session.executor->Bind(stmt.target, std::move(dataset));
     charges.cost = hit->cost;
     charges.counters = hit->counters;
@@ -199,7 +199,7 @@ Status QueryServer::ExecuteSessionStatement(Session& session,
     // The statement runs into its own report, so its charges are summed
     // from zero: exact, whatever the session ran before.
     pigeon::ExecutionReport statement;
-    status = session.executor->ExecuteStatement(stmt, &statement);
+    status = session.executor->Run(prepared, &statement);
     charges = std::move(statement.stats);
     if (status.ok() && cacheable) {
       const auto& env = session.executor->environment();
@@ -224,27 +224,23 @@ Status QueryServer::ExecuteSessionStatement(Session& session,
   return status;
 }
 
-bool QueryServer::BuildCacheKey(Session& session,
-                                const pigeon::Statement& stmt,
+bool QueryServer::BuildCacheKey(const Session& session,
+                                const pigeon::PreparedStatement& prepared,
                                 std::string* key) const {
+  const pigeon::Statement& stmt = *prepared.stmt;
   if (!IsCacheableExpr(stmt.expr.kind)) return false;
   // Every source must be an indexed dataset pinned in the catalog —
   // those are the shared, versioned, immutable inputs the cache key can
   // name. Session-local results (kLines) and raw files stay uncached.
   std::string sources;
-  for (const std::string* name : {&stmt.expr.source, &stmt.expr.source_b}) {
-    if (name->empty()) continue;
-    Result<pigeon::Dataset> source =
-        session.executor->ResolveBinding(*name, stmt.line);
-    if (!source.ok()) return false;  // Let execution surface the error.
-    if (source->kind != pigeon::Dataset::Kind::kIndexed ||
-        source->catalog_name.empty()) {
+  for (const pigeon::Dataset& source : prepared.sources) {
+    if (source.kind != pigeon::Dataset::Kind::kIndexed ||
+        source.catalog_name.empty()) {
       return false;
     }
-    sources += "|" + source->catalog_name + "@v" +
-               std::to_string(source->version);
+    sources +=
+        "|" + source.catalog_name + "@v" + std::to_string(source.version);
   }
-  if (sources.empty()) return false;
   // Key on the expression only (text after the '='), so two sessions
   // assigning the same query to different names share an entry.
   const size_t eq = stmt.text.find('=');
@@ -259,12 +255,12 @@ bool QueryServer::BuildCacheKey(Session& session,
     lanes = std::to_string(
         session.executor->admission_controller()->LaneShare(session.tenant));
   }
-  // The plan fingerprint makes plan changes invalidate structurally: a
-  // session with the optimizer off ("legacy") or an optimizer that picks
-  // a different strategy (new stats, different snapshot) never reuses an
+  // The plan token makes plan changes invalidate structurally: a session
+  // with the optimizer off ("legacy") or an optimizer that picks a
+  // different strategy (new stats, different snapshot) never reuses an
   // entry whose rows/charges came from another physical plan.
-  const std::string plan = session.executor->PlanFingerprint(stmt.expr);
-  *key = normalized + sources + "|lanes=" + lanes + "|plan=" + plan;
+  *key = normalized + sources + "|lanes=" + lanes +
+         "|plan=" + prepared.plan_token;
   return true;
 }
 

@@ -67,9 +67,12 @@ struct SessionStream {
 ///   - Every statement of a tenant-bound session routes through the
 ///     AdmissionController: lane shares gate real concurrent request
 ///     streams, and admission wait lands in sim_latency_ms.
-///   - Cacheable assignments (queries over catalog-pinned indexed
-///     datasets) go through the ResultCache; hits bind the cached rows
-///     and replay the stored charges, byte-identical to a miss.
+///   - Each assignment is prepared once. Cacheable ones (queries over
+///     catalog-pinned indexed datasets) go through the ResultCache under
+///     a key built from the prepared statement; hits bind the cached rows
+///     with the prepared plan and replay the stored charges, byte-
+///     identical to a miss.
+///   - Sessions keep bindings and cumulative charges, not rows.
 ///
 /// Threading: attach datasets and open sessions first (single-threaded
 /// setup), then serve — Execute() on distinct sessions is safe from
@@ -100,7 +103,8 @@ class QueryServer {
 
   /// Parses and runs `script` in the session, returning the request's
   /// rows and simulated charges. Splitting a workload across many
-  /// Execute calls yields byte-identical cumulative output to one call.
+  /// Execute calls yields the same rows, concatenated, as one call. A
+  /// failed request returns its error and drops the rows it produced.
   Result<RequestResult> Execute(SessionId session, std::string_view script);
 
   /// Runs every stream concurrently (scripts sequential within each
@@ -109,9 +113,11 @@ class QueryServer {
   Result<std::vector<std::vector<RequestResult>>> ExecuteConcurrent(
       const std::vector<SessionStream>& streams);
 
-  /// The session's cumulative report (dump output and charges of every
-  /// request so far). Not safe against a concurrent Execute on the same
-  /// session.
+  /// The session's cumulative report: the charges of every request so
+  /// far, which EXPLAIN's exec, admission, ingest and result_cache
+  /// segments read. Its dump_output is empty between requests (rows are
+  /// returned in RequestResult::rows). Not safe against a concurrent
+  /// Execute on the same session.
   Result<const pigeon::ExecutionReport*> SessionReport(
       SessionId session) const;
 
@@ -125,23 +131,26 @@ class QueryServer {
     std::string tenant;
     std::unique_ptr<mapreduce::JobRunner> runner;
     std::unique_ptr<pigeon::Executor> executor;
+    /// Cumulative charges; dump_output holds only the running request's
+    /// rows.
     pigeon::ExecutionReport report;
     Mutex mu;  // Serializes this session's requests.
   };
 
   Session* FindSession(SessionId session) const SHADOOP_EXCLUDES(mu_);
 
-  /// Runs one statement, routing cacheable assignments through the
-  /// result cache, and adds its charges and cache outcome to `request`.
-  /// Caller holds the session's mutex.
+  /// Runs one statement, preparing assignments once and routing cacheable
+  /// ones through the result cache, and adds its charges and cache
+  /// outcome to `request`. Caller holds the session's mutex.
   Status ExecuteSessionStatement(Session& session,
                                  const pigeon::Statement& stmt,
                                  RequestResult* request);
 
-  /// Builds the result-cache key for an assignment, or returns false
-  /// when the statement is not cacheable (non-query expression, a source
-  /// that is not a catalog-pinned indexed dataset, unresolvable text).
-  bool BuildCacheKey(Session& session, const pigeon::Statement& stmt,
+  /// Builds the result-cache key from a prepared assignment, or returns
+  /// false when it is not cacheable (non-query expression, a source that
+  /// is not a catalog-pinned indexed dataset, unresolvable text).
+  bool BuildCacheKey(const Session& session,
+                     const pigeon::PreparedStatement& prepared,
                      std::string* key) const;
 
   hdfs::FileSystem* fs_;

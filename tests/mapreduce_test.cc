@@ -123,11 +123,10 @@ TEST(MapReduceTest, MapOnlyJobWritesDirectOutput) {
   JobConfig job;
   job.splits = MakeBlockSplits(cluster.fs, "/in").ValueOrDie();
   job.mapper = []() { return std::make_unique<PassMapper>(); };
-  job.output_path = "/out";
   JobResult result = cluster.runner.Run(job);
   ASSERT_TRUE(result.status.ok());
   EXPECT_EQ(result.cost.num_reduce_tasks, 0);
-  EXPECT_EQ(cluster.fs.ReadLines("/out").ValueOrDie(),
+  EXPECT_EQ(result.output,
             (std::vector<std::string>{"out:1", "out:2", "out:3"}));
 }
 

@@ -384,7 +384,9 @@ TEST(ExecutorOptimizer, OffReproducesLegacyJoinByteIdentically) {
   const pigeon::ExecutionReport report =
       executor.Execute(script).ValueOrDie();
   EXPECT_FALSE(executor.optimizer_enabled());
-  EXPECT_TRUE(executor.plan_log().empty());
+  for (const auto& [name, dataset] : executor.environment()) {
+    EXPECT_FALSE(dataset.plan.has_value()) << name;
+  }
 
   testing::TestCluster direct;
   testing::WritePoints(&direct.fs, "/a", 1200);
@@ -489,7 +491,31 @@ TEST(ExecutorOptimizer, RangePlansAreLoggedPerTarget) {
       << c_line;
 }
 
-TEST(ExecutorOptimizer, PlanFingerprintsAreStableAndModeAware) {
+TEST(ExecutorOptimizer, ReboundTargetDropsItsStalePlan) {
+  // The plan rides with the binding it produced: re-binding the target
+  // through an unplanned statement leaves no `; plan:` segment behind.
+  testing::TestCluster cluster;
+  testing::WritePoints(&cluster.fs, "/pts", 1500);
+  pigeon::Executor executor(&cluster.runner);
+  const pigeon::ExecutionReport report =
+      executor
+          .Execute(
+              "pts = LOAD '/pts' AS POINT;"
+              "i = INDEX pts WITH STR INTO '/pts_idx';"
+              "r = RANGE i RECTANGLE(0, 0, 100000, 100000);"
+              "EXPLAIN r;"
+              "r = KNN i POINT(50000, 50000) K 3;"
+              "EXPLAIN r;")
+          .ValueOrDie();
+  ASSERT_GE(report.dump_output.size(), 2u);
+  const std::string& planned =
+      report.dump_output[report.dump_output.size() - 2];
+  const std::string& rebound = report.dump_output.back();
+  EXPECT_NE(planned.find("; plan: op=range"), std::string::npos) << planned;
+  EXPECT_EQ(rebound.find("; plan:"), std::string::npos) << rebound;
+}
+
+TEST(ExecutorOptimizer, PlanTokensAreStableAndModeAware) {
   testing::TestCluster cluster;
   testing::WritePoints(&cluster.fs, "/a", 1200);
   testing::WritePoints(&cluster.fs, "/b", 1200,
@@ -502,21 +528,25 @@ TEST(ExecutorOptimizer, PlanFingerprintsAreStableAndModeAware) {
                            "ai = INDEX a WITH STR INTO '/a_idx';"
                            "bi = INDEX b WITH STR INTO '/b_idx';")
                        .status());
+  const auto token = [&executor](const pigeon::Statement& stmt) {
+    return executor.Prepare(stmt).ValueOrDie().plan_token;
+  };
   const pigeon::Script join = pigeon::Parse("j = SJOIN ai, bi;").ValueOrDie();
-  const std::string fp = executor.PlanFingerprint(join[0].expr);
-  EXPECT_TRUE(fp == "dj.l" || fp == "dj.r" || fp == "sjmr") << fp;
-  EXPECT_EQ(fp, executor.PlanFingerprint(join[0].expr));
+  const std::string chosen = token(join[0]);
+  EXPECT_TRUE(chosen == "dj.l" || chosen == "dj.r" || chosen == "sjmr")
+      << chosen;
+  EXPECT_EQ(chosen, token(join[0]));
 
   const pigeon::Script range =
       pigeon::Parse("r = RANGE ai RECTANGLE(0, 0, 1, 1);").ValueOrDie();
-  EXPECT_EQ(executor.PlanFingerprint(range[0].expr), "pruned");
+  EXPECT_EQ(token(range[0]), "pruned");
 
   const pigeon::Script load = pigeon::Parse("x = LOAD '/a' AS POINT;")
                                   .ValueOrDie();
-  EXPECT_EQ(executor.PlanFingerprint(load[0].expr), "default");
+  EXPECT_EQ(token(load[0]), "default");
 
   SHADOOP_CHECK_OK(executor.Execute("SET optimizer off;").status());
-  EXPECT_EQ(executor.PlanFingerprint(join[0].expr), "legacy");
+  EXPECT_EQ(token(join[0]), "legacy");
 }
 
 TEST(ExecutorOptimizer, UnknownSetValueIsRejected) {

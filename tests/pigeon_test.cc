@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "catalog/dataset_catalog.h"
 #include "geometry/skyline.h"
 #include "geometry/wkt.h"
 #include "pigeon/executor.h"
@@ -260,6 +261,41 @@ TEST(ExecutorTest, JoinRoutesToDistributedJoinWhenIndexed) {
   std::multiset<std::string> right(unindexed.dump_output.begin(),
                                    unindexed.dump_output.end());
   EXPECT_EQ(left, right) << "both join paths must agree";
+}
+
+TEST(ExecutorTest, PreparedStatementKeepsItsSnapshot) {
+  // Prepare resolves a source once, `SET snapshot_version 0` re-pin
+  // included: an append by another executor that lands between Prepare
+  // and Run does not change what the prepared statement reads.
+  testing::TestCluster cluster;
+  shadoop::testing::WritePoints(&cluster.fs, "/pts", 500);
+  shadoop::testing::WritePoints(&cluster.fs, "/batch", 200,
+                                workload::Distribution::kUniform,
+                                /*seed=*/11);
+  catalog::DatasetCatalog catalog(&cluster.runner);
+  Executor writer(&cluster.runner, &catalog);
+  ASSERT_TRUE(
+      writer.Execute("raw = LOAD '/pts' AS POINT; idx = INDEX raw WITH GRID;")
+          .ok());
+  Executor reader(&cluster.runner, &catalog);
+  reader.Bind("idx", CatalogDataset("idx", 1,
+                                    catalog.Snapshot("idx", 1).ValueOrDie()));
+  ASSERT_TRUE(reader.Execute("SET snapshot_version 0;").ok());
+
+  const Script count =
+      Parse("c = COUNT idx RECTANGLE(0, 0, 1000000, 1000000);").ValueOrDie();
+  const PreparedStatement prepared = reader.Prepare(count[0]).ValueOrDie();
+  ASSERT_EQ(prepared.sources.size(), 1u);
+  EXPECT_EQ(prepared.sources[0].version, 1u);
+  ASSERT_TRUE(writer.Execute("g = LOAD '/batch' APPEND idx;").ok());
+  ASSERT_EQ(catalog.LatestVersion("idx").ValueOrDie(), 2u);
+
+  ExecutionReport report;
+  ASSERT_TRUE(reader.Run(prepared, &report).ok());
+  ASSERT_TRUE(reader.ExecuteInto("DUMP c;", &report).ok());
+  ASSERT_TRUE(reader.Run(reader.Prepare(count[0]).ValueOrDie(), &report).ok());
+  ASSERT_TRUE(reader.ExecuteInto("DUMP c;", &report).ok());
+  EXPECT_EQ(report.dump_output, (std::vector<std::string>{"500", "700"}));
 }
 
 }  // namespace

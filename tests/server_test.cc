@@ -108,13 +108,16 @@ TEST(QueryServerTest, SingleSessionMatchesDirectExecutorByteForByte) {
   options.enable_result_cache = false;
   QueryServer server(&served_cluster.fs, options);
   const SessionId session = server.OpenSession().ValueOrDie();
+  std::vector<std::string> rows;
   for (const char* stmt : kScript) {
-    ASSERT_TRUE(server.Execute(session, stmt).ok()) << stmt;
+    Result<RequestResult> request = server.Execute(session, stmt);
+    ASSERT_TRUE(request.ok()) << stmt;
+    rows.insert(rows.end(), request->rows.begin(), request->rows.end());
   }
 
+  EXPECT_EQ(rows, expected.dump_output);
   const ExecutionReport& report =
       *server.SessionReport(session).ValueOrDie();
-  EXPECT_EQ(report.dump_output, expected.dump_output);
   ExpectSameCost(report.stats.cost, expected.stats.cost);
   EXPECT_EQ(report.stats.jobs_run, expected.stats.jobs_run);
   EXPECT_EQ(NonCacheCounters(report.stats.counters),
@@ -250,7 +253,7 @@ TEST(QueryServerTest, AppendVersionBumpInvalidatesCacheKey) {
   EXPECT_EQ(repinned.result_cache_hits, 0);
 }
 
-TEST(QueryServerTest, PlanFingerprintChangeInvalidatesCacheKey) {
+TEST(QueryServerTest, PlanTokenChangeInvalidatesCacheKey) {
   // The cache key carries the optimizer's plan token, so a session that
   // flips the planner must never replay rows cached under a different
   // physical plan — same text, different key.
@@ -274,7 +277,7 @@ TEST(QueryServerTest, PlanFingerprintChangeInvalidatesCacheKey) {
   EXPECT_EQ(legacy.result_cache_hits, 0);
   EXPECT_EQ(legacy.result_cache_misses, 1);
 
-  // Back on: the fingerprint is deterministic, so the original entry
+  // Back on: the plan token is deterministic, so the original entry
   // hits again — and a second session shares it.
   ASSERT_TRUE(server.Execute(s1, "SET optimizer on;").ok());
   const RequestResult replay = server.Execute(s1, kCount).ValueOrDie();
@@ -283,6 +286,86 @@ TEST(QueryServerTest, PlanFingerprintChangeInvalidatesCacheKey) {
   const RequestResult shared = server.Execute(s2, kCount).ValueOrDie();
   EXPECT_EQ(shared.rows, std::vector<std::string>{"500"});
   EXPECT_EQ(shared.result_cache_hits, 1);
+}
+
+TEST(QueryServerTest, CacheHitExplainsThePreparedPlan) {
+  // A hit binds the cached rows with the plan its own Prepare priced, so
+  // its EXPLAIN equals the miss's except for the result_cache counts.
+  testing::TestCluster cluster;
+  SeedIndexedDataset(&cluster);
+  QueryServer server(&cluster.fs, SmallClusterOptions());
+  ASSERT_TRUE(server.AttachDataset("idx", "/pts_idx").ok());
+  const char* kQuery =
+      "a = RANGE idx RECTANGLE(0, 0, 500000, 500000); EXPLAIN a;";
+  const RequestResult miss =
+      server.Execute(server.OpenSession().ValueOrDie(), kQuery).ValueOrDie();
+  const RequestResult hit =
+      server.Execute(server.OpenSession().ValueOrDie(), kQuery).ValueOrDie();
+  ASSERT_EQ(miss.result_cache_misses, 1);
+  ASSERT_EQ(hit.result_cache_hits, 1);
+  ASSERT_EQ(miss.rows.size(), 1u);
+  ASSERT_EQ(hit.rows.size(), 1u);
+  const size_t plan_at = miss.rows[0].find("; plan: op=range chosen=");
+  ASSERT_NE(plan_at, std::string::npos) << miss.rows[0];
+  EXPECT_TRUE(hit.rows[0].ends_with(miss.rows[0].substr(plan_at)))
+      << hit.rows[0];
+  const auto without_cache_counts = [](std::string line) {
+    const size_t at = line.find("; result_cache: ");
+    return line.erase(at, line.find(';', at + 1) - at);
+  };
+  EXPECT_EQ(without_cache_counts(hit.rows[0]),
+            without_cache_counts(miss.rows[0]));
+}
+
+// ---------------------------------------------------------------------------
+// What a session keeps: charges and bindings, not rows.
+
+TEST(QueryServerTest, SessionKeepsNoRowsAcrossRequests) {
+  testing::TestCluster cluster;
+  SeedIndexedDataset(&cluster);
+  QueryServer server(&cluster.fs, SmallClusterOptions());
+  ASSERT_TRUE(server.AttachDataset("idx", "/pts_idx").ok());
+  const SessionId session = server.OpenSession().ValueOrDie();
+  size_t last_rows = 0;
+  for (int i = 0; i < 200; ++i) {
+    const std::string edge = std::to_string(50000 + 4000 * (i % 50));
+    const RequestResult request =
+        server
+            .Execute(session, "r = RANGE idx RECTANGLE(0, 0, " + edge + ", " +
+                                  edge + "); DUMP r;")
+            .ValueOrDie();
+    last_rows = request.rows.size();
+  }
+  const ExecutionReport& report = *server.SessionReport(session).ValueOrDie();
+  EXPECT_TRUE(report.dump_output.empty());
+  EXPECT_GT(report.stats.jobs_run, 0);
+  // The server exposes no session executor, so read the one binding `r`
+  // through EXPLAIN: it holds the last request's rows, nothing earlier.
+  const RequestResult explain =
+      server.Execute(session, "EXPLAIN r;").ValueOrDie();
+  ASSERT_EQ(explain.rows.size(), 1u);
+  EXPECT_NE(explain.rows[0].find("materialized result (" +
+                                 std::to_string(last_rows) + " records)"),
+            std::string::npos)
+      << explain.rows[0];
+}
+
+TEST(QueryServerTest, FailedRequestDropsItsRows) {
+  testing::TestCluster cluster;
+  SeedIndexedDataset(&cluster);
+  QueryServer server(&cluster.fs, SmallClusterOptions());
+  ASSERT_TRUE(server.AttachDataset("idx", "/pts_idx").ok());
+  const SessionId session = server.OpenSession().ValueOrDie();
+  const auto failed = server.Execute(
+      session,
+      "c = COUNT idx RECTANGLE(0, 0, 1000000, 1000000); DUMP c;"
+      "x = RANGE nope RECTANGLE(0, 0, 1, 1);");
+  ASSERT_FALSE(failed.ok());
+  EXPECT_TRUE(server.SessionReport(session).ValueOrDie()->dump_output.empty());
+  // `c` was bound before the failure; the next request sees only its own
+  // row.
+  const RequestResult next = server.Execute(session, "DUMP c;").ValueOrDie();
+  EXPECT_EQ(next.rows, std::vector<std::string>{"600"});
 }
 
 // ---------------------------------------------------------------------------
