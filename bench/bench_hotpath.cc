@@ -218,18 +218,31 @@ BenchResult BenchSpatialJoin(int reps) {
   const auto file_a = builder.Build("/a", "/a.idx", options).ValueOrDie();
   const auto file_b = builder.Build("/b", "/b.idx", options).ValueOrDie();
 
-  // Record-visit bound of the distributed join: each overlapping
-  // partition pair reads both partitions in full, once per pair.
-  int64_t pair_records = 0;
-  for (const index::Partition& pa : file_a.global_index.partitions()) {
-    for (const index::Partition& pb : file_b.global_index.partitions()) {
-      if (pa.mbr.Intersects(pb.mbr)) {
-        pair_records += static_cast<int64_t>(pa.num_records) +
-                        static_cast<int64_t>(pb.num_records);
+  // Parse bound of the distributed join: the records of every partition
+  // in at least one overlapping pair. Tasks that share a block share its
+  // parsed columns, so a cold join parses each partition it reads once.
+  const auto& parts_a = file_a.global_index.partitions();
+  const auto& parts_b = file_b.global_index.partitions();
+  std::vector<char> read_a(parts_a.size(), 0);
+  std::vector<char> read_b(parts_b.size(), 0);
+  for (size_t i = 0; i < parts_a.size(); ++i) {
+    for (size_t j = 0; j < parts_b.size(); ++j) {
+      if (parts_a[i].mbr.Intersects(parts_b[j].mbr)) {
+        read_a[i] = 1;
+        read_b[j] = 1;
       }
     }
   }
+  int64_t read_records = 0;
+  for (size_t i = 0; i < parts_a.size(); ++i) {
+    if (read_a[i]) read_records += static_cast<int64_t>(parts_a[i].num_records);
+  }
+  for (size_t j = 0; j < parts_b.size(); ++j) {
+    if (read_b[j]) read_records += static_cast<int64_t>(parts_b[j].num_records);
+  }
 
+  // The first rep is cold and keeps its parse count; later reps adopt the
+  // runner's cached columns and parse nothing.
   result.wall_ms = std::numeric_limits<double>::infinity();
   for (int rep = 0; rep < reps; ++rep) {
     const uint64_t parses_before = ParseSnapshot();
@@ -237,10 +250,10 @@ BenchResult BenchSpatialJoin(int reps) {
     const auto rows =
         core::DistributedJoin(&cluster.runner, file_a, file_b).ValueOrDie();
     result.wall_ms = std::min(result.wall_ms, MsSince(start));
-    result.parses = ParseDelta(parses_before);
+    if (rep == 0) result.parses = ParseDelta(parses_before);
     result.checksum = static_cast<int64_t>(rows.size());
   }
-  result.records = pair_records;
+  result.records = read_records;
   return result;
 }
 
@@ -853,6 +866,7 @@ int Merge(const std::string& baseline_path, const std::string& current_path) {
 int RunAll(const std::string& label, const std::string& out_path, int reps,
            const std::string& only) {
   std::vector<BenchResult> results;
+  bool parses_ok = true;
   using NamedBench = std::pair<const char*, BenchResult (*)(int)>;
   const std::vector<NamedBench> benches = {
       {"index_build", &BenchIndexBuild},
@@ -871,10 +885,13 @@ int RunAll(const std::string& label, const std::string& out_path, int reps,
     if (r.parses >= 0 && r.parses > r.records) {
       std::cerr << "FAIL: " << r.name << " parsed " << r.parses
                 << " geometries for a bound of " << r.records << "\n";
-      return 1;
+      parses_ok = false;
     }
     results.push_back(r);
   }
+  // The report is written even when a parse bound failed, so a baseline
+  // tree that predates a tightened bound still gives scripts/bench.sh its
+  // reference timings and checksums.
   const std::string json = ToJson(label, results);
   if (out_path.empty()) {
     std::cout << json;
@@ -882,7 +899,7 @@ int RunAll(const std::string& label, const std::string& out_path, int reps,
     std::ofstream out(out_path);
     out << json;
   }
-  return 0;
+  return parses_ok ? 0 : 1;
 }
 
 }  // namespace

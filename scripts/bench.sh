@@ -47,9 +47,17 @@ cmake --build "${BASELINE_DIR}/build-bench" -j "$(nproc)" \
   --target bench_hotpath
 
 echo "== running baseline =="
+# Only the current tree's parse bounds gate (its run below and the
+# merge). The baseline is a reference for timings and checksums: one
+# that predates a tightened bound writes its report and fails the bound,
+# which is reported here and not fatal. A baseline that writes no report
+# still fails the script.
+rm -f build-bench/baseline.json
 "${BASELINE_DIR}/build-bench/bench/bench_hotpath" \
   --label "baseline-$(git rev-parse --short "${BASELINE_REF}")" \
-  --reps "${REPS}" --out build-bench/baseline.json
+  --reps "${REPS}" --out build-bench/baseline.json ||
+  echo "warning: baseline exceeds a parse bound of the current harness" >&2
+test -s build-bench/baseline.json
 
 echo "== running current =="
 ./build-bench/bench/bench_hotpath \

@@ -73,14 +73,18 @@ TSAN_FLAGS="-fsanitize=thread -fno-omit-frame-pointer"
 #     accounting under concurrent tenants
 #   - catalog_test: snapshot reads racing concurrent catalog appends
 #   - server_test: concurrent tenant sessions sharing one result cache
-#   - common_test: concurrent inserts of one key into a FifoCache
+#   - common_test: concurrent inserts of one key into a FifoCache, and
+#     concurrent GetOrBuild callers waiting on one build
 #   - knn_test, aggregate_test: KNN and COUNT map tasks sharing parsed
 #     columns through the runner's artifact cache
 #   - index_builder_test, features_test: index builds encoding partition
 #     envelopes and `#lidx` headers on the shared thread pool
+#   - spatial_join_test: cold distributed-join tasks that read one block
+#     waiting on each other's single-flight column builds
 TSAN_SUITES=(mapreduce_test zero_copy_test fault_test robustness_test
              admission_test catalog_test server_test common_test
-             knn_test aggregate_test index_builder_test features_test)
+             knn_test aggregate_test index_builder_test features_test
+             spatial_join_test)
 
 asan_phase() {
   cmake -B "${BUILD_DIR}" -S . \

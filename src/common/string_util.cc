@@ -21,14 +21,9 @@ std::vector<std::string_view> SplitWhitespace(std::string_view text) {
   std::vector<std::string_view> out;
   size_t i = 0;
   while (i < text.size()) {
-    while (i < text.size() && std::isspace(static_cast<unsigned char>(text[i]))) {
-      ++i;
-    }
+    while (i < text.size() && IsAsciiSpace(text[i])) ++i;
     size_t start = i;
-    while (i < text.size() &&
-           !std::isspace(static_cast<unsigned char>(text[i]))) {
-      ++i;
-    }
+    while (i < text.size() && !IsAsciiSpace(text[i])) ++i;
     if (i > start) out.push_back(text.substr(start, i - start));
   }
   return out;
@@ -36,15 +31,9 @@ std::vector<std::string_view> SplitWhitespace(std::string_view text) {
 
 std::string_view StripWhitespace(std::string_view text) {
   size_t begin = 0;
-  while (begin < text.size() &&
-         std::isspace(static_cast<unsigned char>(text[begin]))) {
-    ++begin;
-  }
+  while (begin < text.size() && IsAsciiSpace(text[begin])) ++begin;
   size_t end = text.size();
-  while (end > begin &&
-         std::isspace(static_cast<unsigned char>(text[end - 1]))) {
-    --end;
-  }
+  while (end > begin && IsAsciiSpace(text[end - 1])) --end;
   return text.substr(begin, end - begin);
 }
 

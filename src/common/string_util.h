@@ -41,6 +41,13 @@ class FieldCursor {
   bool done_ = false;
 };
 
+/// ASCII whitespace: ' ' and '\t' through '\r' — exactly the bytes
+/// std::isspace accepts in the "C" locale the library runs in, tested
+/// inline instead of through a libc call per byte.
+constexpr bool IsAsciiSpace(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
 /// Splits on runs of ASCII whitespace, dropping empty fields.
 std::vector<std::string_view> SplitWhitespace(std::string_view text);
 

@@ -58,12 +58,11 @@ std::shared_ptr<const T> SpatialRecordReader::Shared(const char* kind,
   const std::string key = std::string(kind) + ':' +
                           std::to_string(static_cast<int>(shape_)) + ':' +
                           std::to_string(cache_block_id_);
-  if (auto hit = cache_->Lookup(key)) {
-    return std::static_pointer_cast<const T>(hit);
-  }
-  std::shared_ptr<const T> built = build();
-  if (built == nullptr) return nullptr;
-  return std::static_pointer_cast<const T>(cache_->Insert(key, built));
+  // Single-flight: tasks that read this block at the same time wait for
+  // one build. Builds here never submit pool work, and only the envelope
+  // column's build waits on another (its point or polygon column), so
+  // waits cannot cycle (FifoCache::GetOrBuild).
+  return std::static_pointer_cast<const T>(cache_->GetOrBuild(key, build));
 }
 
 void SpatialRecordReader::ConsumeHeader(std::string_view record) {

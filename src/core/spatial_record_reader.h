@@ -36,7 +36,8 @@ namespace shadoop::core {
 /// With AttachCache() the decoded header, the columns and the packed
 /// local index are shared across map tasks through the runner's
 /// ArtifactCache: the reader of a later task over the same immutable
-/// block adopts the already-built artifact instead of re-parsing. Hits
+/// block adopts the already-built artifact instead of re-parsing, and
+/// the reader of a concurrent task waits for the one being built. Hits
 /// change wall-clock time only — bad-record counts, simulated charges and
 /// every value are identical by construction (the artifact was built from
 /// the same bytes by the same code).
@@ -143,8 +144,9 @@ class SpatialRecordReader {
 
   /// The artifact of the given kind for this reader's block: the cached
   /// one when present, else `build()` (null = nothing to share), inserted
-  /// so later readers of the block adopt it. Without a cache attachment
-  /// it simply builds.
+  /// so later readers of the block adopt it. Readers of the block that
+  /// ask while it is being built wait for that build. Without a cache
+  /// attachment it simply builds.
   template <typename T, typename Build>
   std::shared_ptr<const T> Shared(const char* kind, Build build);
 

@@ -30,9 +30,9 @@ double Polygon::Perimeter() const {
   return sum;
 }
 
-Envelope Polygon::Bounds() const {
+Envelope Polygon::RingBounds(const std::vector<Point>& ring) {
   Envelope e;
-  for (const Point& p : ring_) e.ExpandToInclude(p);
+  for (const Point& p : ring) e.ExpandToInclude(p);
   return e;
 }
 
@@ -143,6 +143,9 @@ std::vector<Segment> Polygon::Edges() const {
 void Polygon::Normalize() {
   if (!IsEmpty() && SignedArea() < 0.0) {
     std::reverse(ring_.begin(), ring_.end());
+    // The same points give the same box, except that a tie between 0.0
+    // and -0.0 keeps the first one visited; rescan in the new order.
+    bounds_ = RingBounds(ring_);
   }
 }
 

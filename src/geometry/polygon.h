@@ -11,14 +11,16 @@ namespace shadoop {
 
 /// A simple polygon: one closed ring of vertices, stored without the
 /// repeated closing vertex. Orientation is not enforced on input; use
-/// Normalize() to put the ring in counter-clockwise order.
+/// Normalize() to put the ring in counter-clockwise order. The ring is
+/// immutable apart from Normalize(), so its MBR is computed once, at
+/// construction.
 class Polygon {
  public:
   Polygon() = default;
-  explicit Polygon(std::vector<Point> ring) : ring_(std::move(ring)) {}
+  explicit Polygon(std::vector<Point> ring)
+      : ring_(std::move(ring)), bounds_(RingBounds(ring_)) {}
 
   const std::vector<Point>& ring() const { return ring_; }
-  std::vector<Point>& mutable_ring() { return ring_; }
 
   bool IsEmpty() const { return ring_.size() < 3; }
   size_t NumVertices() const { return ring_.size(); }
@@ -29,7 +31,7 @@ class Polygon {
 
   double Perimeter() const;
 
-  Envelope Bounds() const;
+  Envelope Bounds() const { return bounds_; }
 
   /// Ray-crossing point-in-polygon; boundary points count as inside.
   bool Contains(const Point& p) const;
@@ -52,7 +54,10 @@ class Polygon {
   }
 
  private:
+  static Envelope RingBounds(const std::vector<Point>& ring);
+
   std::vector<Point> ring_;
+  Envelope bounds_;  // Empty for an empty ring.
 };
 
 /// Regular n-gon approximation of a circle (CCW).

@@ -1,7 +1,5 @@
 #include "geometry/wkt.h"
 
-#include <cctype>
-
 #include "common/string_util.h"
 
 namespace shadoop {
@@ -29,44 +27,45 @@ Status ExpectChar(std::string_view& text, char c) {
   return Status::OK();
 }
 
-bool IsAsciiSpace(char c) {
-  return std::isspace(static_cast<unsigned char>(c)) != 0;
-}
-
 /// Parses "x y" coordinate pairs separated by commas until the closing ')'.
-/// Tokens are scanned in place (no SplitWhitespace vector) — this runs once
-/// per vertex of every polygon record on the join hot path.
+/// Each pair is scanned once, in place: its tokens are the runs of
+/// non-space bytes before the pair's ',' or ')', and the numbers go to
+/// ParseDouble (std::from_chars). A malformed pair reports the first
+/// failing check in the order unterminated list, token count, x, y.
+/// This runs once per vertex of every polygon record on the join hot
+/// path.
 Result<std::vector<Point>> ParseCoordinateList(std::string_view& text) {
   std::vector<Point> points;
+  const char* p = text.data();
+  const char* const end = p + text.size();
   for (;;) {
-    text = StripWhitespace(text);
-    size_t end = text.find_first_of(",)");
-    if (end == std::string_view::npos) {
-      return Status::ParseError("unterminated coordinate list in WKT");
-    }
-    const std::string_view pair = text.substr(0, end);
+    while (p != end && IsAsciiSpace(*p)) ++p;
+    const char* const pair = p;
     std::string_view tokens[2];
     int count = 0;
-    size_t i = 0;
-    while (i < pair.size()) {
-      while (i < pair.size() && IsAsciiSpace(pair[i])) ++i;
-      const size_t start = i;
-      while (i < pair.size() && !IsAsciiSpace(pair[i])) ++i;
-      if (i == start) break;  // Only trailing whitespace remained.
-      if (count < 2) tokens[count] = pair.substr(start, i - start);
+    while (p != end && *p != ',' && *p != ')') {
+      if (IsAsciiSpace(*p)) {
+        ++p;
+        continue;
+      }
+      const char* const token = p;
+      while (p != end && *p != ',' && *p != ')' && !IsAsciiSpace(*p)) ++p;
+      if (count < 2) tokens[count] = std::string_view(token, p - token);
       ++count;
+    }
+    if (p == end) {
+      return Status::ParseError("unterminated coordinate list in WKT");
     }
     if (count != 2) {
       return Status::ParseError("expected 'x y' coordinate in WKT, got '" +
-                                std::string(pair) + "'");
+                                std::string(pair, p) + "'");
     }
     SHADOOP_ASSIGN_OR_RETURN(double x, ParseDouble(tokens[0]));
     SHADOOP_ASSIGN_OR_RETURN(double y, ParseDouble(tokens[1]));
     points.emplace_back(x, y);
-    const char delim = text[end];
-    text.remove_prefix(end + 1);
-    if (delim == ')') break;
+    if (*p++ == ')') break;
   }
+  text = std::string_view(p, end - p);
   return points;
 }
 

@@ -1,6 +1,7 @@
 #include "index/record_shape.h"
 
 #include <atomic>
+#include <cstddef>
 
 #include "common/string_util.h"
 #include "geometry/wkt.h"
@@ -8,16 +9,44 @@
 namespace shadoop::index {
 namespace {
 
-std::atomic<uint64_t> g_geometry_parses{0};
+// Every pool thread parses, so the parse count is sharded: a single
+// shared counter would move its cache line between cores on every parse.
+// Each thread takes a shard on first use; threads past the shard count
+// share one, which the atomic add keeps exact.
+constexpr size_t kParseCountShards = 64;
+
+struct alignas(64) ParseCountShard {
+  std::atomic<uint64_t> count{0};
+};
+
+ParseCountShard g_parse_counts[kParseCountShards];
+std::atomic<size_t> g_next_parse_shard{0};
+
+ParseCountShard& TakeParseCountShard() {
+  const size_t ticket =
+      g_next_parse_shard.fetch_add(1, std::memory_order_relaxed);
+  return g_parse_counts[ticket % kParseCountShards];
+}
+
+void CountGeometryParse() {
+  thread_local ParseCountShard& shard = TakeParseCountShard();
+  shard.count.fetch_add(1, std::memory_order_relaxed);
+}
 
 }  // namespace
 
 uint64_t GeometryParseCount() {
-  return g_geometry_parses.load(std::memory_order_relaxed);
+  uint64_t total = 0;
+  for (const ParseCountShard& shard : g_parse_counts) {
+    total += shard.count.load(std::memory_order_relaxed);
+  }
+  return total;
 }
 
 void ResetGeometryParseCount() {
-  g_geometry_parses.store(0, std::memory_order_relaxed);
+  for (ParseCountShard& shard : g_parse_counts) {
+    shard.count.store(0, std::memory_order_relaxed);
+  }
 }
 
 const char* ShapeTypeName(ShapeType type) {
@@ -94,7 +123,7 @@ Result<std::vector<Envelope>> DecodeLocalIndexHeader(
 }
 
 Result<Envelope> RecordEnvelope(ShapeType type, std::string_view record) {
-  g_geometry_parses.fetch_add(1, std::memory_order_relaxed);
+  CountGeometryParse();
   const std::string_view geom = GeometryField(record);
   switch (type) {
     case ShapeType::kPoint: {
@@ -112,17 +141,17 @@ Result<Envelope> RecordEnvelope(ShapeType type, std::string_view record) {
 }
 
 Result<Point> RecordPoint(std::string_view record) {
-  g_geometry_parses.fetch_add(1, std::memory_order_relaxed);
+  CountGeometryParse();
   return ParsePointCsv(GeometryField(record));
 }
 
 Result<Polygon> RecordPolygon(std::string_view record) {
-  g_geometry_parses.fetch_add(1, std::memory_order_relaxed);
+  CountGeometryParse();
   return ParsePolygonWkt(GeometryField(record));
 }
 
 Result<Envelope> RecordRectangle(std::string_view record) {
-  g_geometry_parses.fetch_add(1, std::memory_order_relaxed);
+  CountGeometryParse();
   return ParseEnvelopeCsv(GeometryField(record));
 }
 

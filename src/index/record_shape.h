@@ -55,7 +55,8 @@ Result<Envelope> RecordRectangle(std::string_view record);
 /// one). Deliberately NOT a MapReduce counter: job counters feed the
 /// golden parity suite, while this is pure observability — the bench
 /// harness snapshots it around a job to prove the parse-once invariant
-/// (parses <= records processed).
+/// (parses <= records processed). The count is kept in per-thread shards
+/// and is exact once the parsing threads are quiescent.
 uint64_t GeometryParseCount();
 void ResetGeometryParseCount();
 

@@ -10,6 +10,9 @@ namespace shadoop::mapreduce {
 /// Process-wide cache of immutable artifacts derived from a block's bytes
 /// — decoded local-index headers, parsed geometry columns, packed local
 /// R-trees — shared across the map tasks of every job a runner executes.
+/// Builds are single-flight (FifoCache::GetOrBuild): tasks that miss one
+/// key at the same time wait for one build, so a cold job builds each
+/// artifact of a block once.
 ///
 /// Keys embed the HDFS BlockId, which is globally unique and never
 /// reused (Replace/Append allocate fresh ids), so a hit can only return

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cfloat>
 #include <charconv>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -277,6 +278,85 @@ TEST(FifoCacheTest, ConcurrentInsertersShareOneResidentInstance) {
   ASSERT_NE(winner, nullptr);
   for (const FifoCache<int>::Ptr& value : resident) EXPECT_EQ(value, winner);
   EXPECT_EQ(cache.size(), 1u);
+}
+
+/// Runs `threads` concurrent GetOrBuild("block") calls whose build blocks
+/// until every other caller is waiting on it (a waiter counts its hit
+/// before it waits), then returns `value`. Fills `builds` and `results`.
+/// A cache that does not make callers wait fails the caller's checks
+/// after a deadline instead of hanging.
+void RaceOneBuild(FifoCache<int>* cache, int threads,
+                  const FifoCache<int>::Ptr& value, std::atomic<int>* builds,
+                  std::vector<FifoCache<int>::Ptr>* results) {
+  results->assign(static_cast<size_t>(threads), nullptr);
+  const uint64_t hits_before = cache->hits();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::vector<std::thread> callers;
+  for (int t = 0; t < threads; ++t) {
+    callers.emplace_back([=] {
+      (*results)[static_cast<size_t>(t)] =
+          cache->GetOrBuild("block", [&] {
+            builds->fetch_add(1);
+            while (cache->hits() - hits_before <
+                       static_cast<uint64_t>(threads - 1) &&
+                   std::chrono::steady_clock::now() < deadline) {
+              std::this_thread::yield();
+            }
+            return value;
+          });
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+}
+
+TEST(FifoCacheTest, GetOrBuildBuildsOncePerKey) {
+  constexpr int kThreads = 8;
+  FifoCache<int> cache(16);
+  std::atomic<int> builds{0};
+  std::vector<FifoCache<int>::Ptr> results;
+  const FifoCache<int>::Ptr built = std::make_shared<const int>(42);
+  RaceOneBuild(&cache, kThreads, built, &builds, &results);
+  EXPECT_EQ(builds.load(), 1);
+  for (const FifoCache<int>::Ptr& value : results) EXPECT_EQ(value, built);
+  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache.hits(), static_cast<uint64_t>(kThreads - 1));
+  EXPECT_EQ(cache.Lookup("block"), built);
+}
+
+TEST(FifoCacheTest, GetOrBuildFailedBuildWakesWaiters) {
+  constexpr int kThreads = 8;
+  FifoCache<int> cache(16);
+  std::atomic<int> builds{0};
+  std::vector<FifoCache<int>::Ptr> results;
+  RaceOneBuild(&cache, kThreads, nullptr, &builds, &results);
+  EXPECT_EQ(builds.load(), 1);
+  for (const FifoCache<int>::Ptr& value : results) EXPECT_EQ(value, nullptr);
+  EXPECT_EQ(cache.size(), 0u);
+  // Nothing was cached, so the next call builds again.
+  const FifoCache<int>::Ptr retry = cache.GetOrBuild(
+      "block", [] { return std::make_shared<const int>(7); });
+  ASSERT_NE(retry, nullptr);
+  EXPECT_EQ(*retry, 7);
+  EXPECT_EQ(cache.misses(), 2u);
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(FifoCacheTest, GetOrBuildEvictsLikeInsert) {
+  FifoCache<int> cache(2);
+  const auto build = [](int v) {
+    return [v] { return std::make_shared<const int>(v); };
+  };
+  cache.GetOrBuild("a", build(1));
+  cache.Insert("b", std::make_shared<const int>(2));
+  cache.GetOrBuild("c", build(3));
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.Lookup("a"), nullptr);
+  ASSERT_NE(cache.Lookup("b"), nullptr);
+  EXPECT_EQ(*cache.GetOrBuild("c", build(30)), 3) << "a hit builds nothing";
+  cache.GetOrBuild("d", build(4));
+  EXPECT_EQ(cache.Lookup("b"), nullptr);
+  EXPECT_EQ(cache.size(), 2u);
 }
 
 }  // namespace

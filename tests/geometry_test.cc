@@ -1,5 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cctype>
+#include <charconv>
+#include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <iterator>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
+#include "common/random.h"
+#include "common/string_util.h"
 #include "geometry/envelope.h"
 #include "geometry/point.h"
 #include "geometry/polygon.h"
@@ -136,6 +150,31 @@ TEST(PolygonTest, IntersectionCases) {
   EXPECT_TRUE(d.Intersects(a));
 }
 
+TEST(PolygonTest, BoundsAreTheRingMbrThroughCopyMoveAndNormalize) {
+  Polygon poly({{3, -1}, {5, 7}, {-2, 4}, {1, 2.5}});
+  const Envelope mbr(-2, -1, 5, 7);
+  EXPECT_EQ(poly.Bounds(), mbr);
+  const Polygon copy = poly;
+  EXPECT_EQ(copy.Bounds(), mbr);
+  Polygon assigned({{0, 0}, {1, 0}, {0, 1}});
+  assigned = std::move(poly);
+  EXPECT_EQ(assigned.Bounds(), mbr);
+
+  // A clockwise ring whose x range starts at +0.0 and then visits -0.0:
+  // the box keeps the first zero it meets, in the ring's current order.
+  Polygon clockwise({{0.0, 0}, {-0.0, 4}, {6, 4}, {6, 0}});
+  ASSERT_LT(clockwise.SignedArea(), 0.0);
+  EXPECT_EQ(clockwise.Bounds(), Envelope(0, 0, 6, 4));
+  EXPECT_FALSE(std::signbit(clockwise.Bounds().min_x()));
+  clockwise.Normalize();
+  ASSERT_GT(clockwise.SignedArea(), 0.0);
+  EXPECT_EQ(clockwise.Bounds(), Envelope(0, 0, 6, 4));
+  EXPECT_TRUE(std::signbit(clockwise.Bounds().min_x()));
+
+  EXPECT_TRUE(Polygon().Bounds().IsEmpty());
+  EXPECT_TRUE(Polygon({{1, 1}, {2, 2}}).IsEmpty());
+}
+
 TEST(PolygonClipTest, ClipSquareToBox) {
   const Polygon square({{0, 0}, {10, 0}, {10, 10}, {0, 10}});
   const Polygon clipped = ClipPolygonToBox(square, Envelope(5, 5, 20, 20));
@@ -255,6 +294,304 @@ TEST(WktTest, CsvCodecs) {
   EXPECT_FALSE(ParsePointCsv("1").ok());
   EXPECT_FALSE(ParseEnvelopeCsv("1,2,3").ok());
   EXPECT_FALSE(ParseEnvelopeCsv("3,2,1,4").ok()) << "inverted bounds";
+}
+
+// ---------------------------------------------------------------------
+// The one-pass WKT scanner against the scanner it replaced.
+
+namespace oracle {
+
+// The WKT parser as it stood before the one-pass scanner, kept as the
+// reference: a libc std::isspace call per byte, a find_first_of per
+// coordinate pair, a token split, and ParseDouble stripping each token
+// again.
+
+std::string_view StripWhitespace(std::string_view text) {
+  size_t begin = 0;
+  while (begin < text.size() &&
+         std::isspace(static_cast<unsigned char>(text[begin]))) {
+    ++begin;
+  }
+  size_t end = text.size();
+  while (end > begin &&
+         std::isspace(static_cast<unsigned char>(text[end - 1]))) {
+    --end;
+  }
+  return text.substr(begin, end - begin);
+}
+
+Result<double> ParseDouble(std::string_view text) {
+  text = StripWhitespace(text);
+  if (text.empty()) return Status::ParseError("empty numeric field");
+  double value = 0.0;
+  const char* begin = text.data();
+  const char* end = begin + text.size();
+  auto [ptr, ec] = std::from_chars(begin, end, value);
+  if (ec != std::errc() || ptr != end) {
+    return Status::ParseError("invalid double: '" + std::string(text) + "'");
+  }
+  return value;
+}
+
+Status ExpectKeyword(std::string_view& text, std::string_view keyword) {
+  text = StripWhitespace(text);
+  if (!StartsWithIgnoreCase(text, keyword)) {
+    return Status::ParseError("expected '" + std::string(keyword) +
+                              "' in WKT: '" + std::string(text) + "'");
+  }
+  text.remove_prefix(keyword.size());
+  text = StripWhitespace(text);
+  return Status::OK();
+}
+
+Status ExpectChar(std::string_view& text, char c) {
+  text = StripWhitespace(text);
+  if (text.empty() || text.front() != c) {
+    return Status::ParseError(std::string("expected '") + c + "' in WKT");
+  }
+  text.remove_prefix(1);
+  text = StripWhitespace(text);
+  return Status::OK();
+}
+
+bool IsAsciiSpace(char c) {
+  return std::isspace(static_cast<unsigned char>(c)) != 0;
+}
+
+Result<std::vector<Point>> ParseCoordinateList(std::string_view& text) {
+  std::vector<Point> points;
+  for (;;) {
+    text = StripWhitespace(text);
+    size_t end = text.find_first_of(",)");
+    if (end == std::string_view::npos) {
+      return Status::ParseError("unterminated coordinate list in WKT");
+    }
+    const std::string_view pair = text.substr(0, end);
+    std::string_view tokens[2];
+    int count = 0;
+    size_t i = 0;
+    while (i < pair.size()) {
+      while (i < pair.size() && IsAsciiSpace(pair[i])) ++i;
+      const size_t start = i;
+      while (i < pair.size() && !IsAsciiSpace(pair[i])) ++i;
+      if (i == start) break;  // Only trailing whitespace remained.
+      if (count < 2) tokens[count] = pair.substr(start, i - start);
+      ++count;
+    }
+    if (count != 2) {
+      return Status::ParseError("expected 'x y' coordinate in WKT, got '" +
+                                std::string(pair) + "'");
+    }
+    SHADOOP_ASSIGN_OR_RETURN(double x, ParseDouble(tokens[0]));
+    SHADOOP_ASSIGN_OR_RETURN(double y, ParseDouble(tokens[1]));
+    points.emplace_back(x, y);
+    const char delim = text[end];
+    text.remove_prefix(end + 1);
+    if (delim == ')') break;
+  }
+  return points;
+}
+
+Result<Point> ParsePointWkt(std::string_view text) {
+  SHADOOP_RETURN_NOT_OK(ExpectKeyword(text, "POINT"));
+  SHADOOP_RETURN_NOT_OK(ExpectChar(text, '('));
+  SHADOOP_ASSIGN_OR_RETURN(std::vector<Point> pts, ParseCoordinateList(text));
+  if (pts.size() != 1) {
+    return Status::ParseError("POINT must contain exactly one coordinate");
+  }
+  return pts.front();
+}
+
+Result<Polygon> ParsePolygonWkt(std::string_view text) {
+  SHADOOP_RETURN_NOT_OK(ExpectKeyword(text, "POLYGON"));
+  SHADOOP_RETURN_NOT_OK(ExpectChar(text, '('));
+  SHADOOP_RETURN_NOT_OK(ExpectChar(text, '('));
+  SHADOOP_ASSIGN_OR_RETURN(std::vector<Point> ring, ParseCoordinateList(text));
+  text = StripWhitespace(text);
+  if (!text.empty() && text.front() == ',') {
+    return Status::ParseError("polygons with holes are not supported");
+  }
+  SHADOOP_RETURN_NOT_OK(ExpectChar(text, ')'));
+  if (ring.size() >= 2 && ring.front() == ring.back()) ring.pop_back();
+  if (ring.size() < 3) {
+    return Status::ParseError("POLYGON ring needs at least 3 distinct points");
+  }
+  return Polygon(std::move(ring));
+}
+
+Result<std::vector<Point>> ParseLineStringWkt(std::string_view text) {
+  SHADOOP_RETURN_NOT_OK(ExpectKeyword(text, "LINESTRING"));
+  SHADOOP_RETURN_NOT_OK(ExpectChar(text, '('));
+  SHADOOP_ASSIGN_OR_RETURN(std::vector<Point> pts, ParseCoordinateList(text));
+  if (pts.size() < 2) {
+    return Status::ParseError("LINESTRING needs at least 2 points");
+  }
+  return pts;
+}
+
+}  // namespace oracle
+
+/// A run of ASCII space bytes drawn from all six of them.
+std::string Blanks(Random& rng, uint32_t min_len) {
+  static constexpr std::string_view kSpaces = " \t\n\v\f\r";
+  std::string out;
+  const uint32_t len = min_len + rng.NextUint32(3);
+  for (uint32_t i = 0; i < len; ++i) {
+    out.push_back(kSpaces[rng.NextUint32(kSpaces.size())]);
+  }
+  return out;
+}
+
+/// A coordinate: mostly integral, decimal, exponent or signed text, and
+/// one time in eight a special form, some of which from_chars rejects.
+std::string Number(Random& rng) {
+  static const char* const kSpecial[] = {
+      "inf", "-inf", "nan", "nan(1)", "1e999", "0x1p3", "INF", "NaN",
+      "-0",  "+1",   ".5",  "5.",     "1e-999", "007", "4.9e-324",
+      "1.7976931348623157e308", "-", "e5", "1e", "--1"};
+  switch (rng.NextUint32(8)) {
+    case 0:
+    case 1:  // Integral.
+      return std::to_string(static_cast<int64_t>(rng.NextUint64(2000001)) -
+                            1000000);
+    case 2:
+    case 3:  // Decimal.
+      return std::to_string(rng.NextUint32(100000)) + "." +
+             std::to_string(rng.NextUint32(1000000));
+    case 4:  // Exponent, either case, signed or not.
+      return std::to_string(rng.NextUint32(1000)) + "." +
+             std::to_string(rng.NextUint32(1000)) +
+             (rng.NextBool() ? "e" : "E") + (rng.NextBool() ? "-" : "") +
+             std::to_string(rng.NextUint32(300));
+    case 5:
+    case 6:  // Signed round-trip text.
+      return FormatDouble(rng.NextDouble(-1e9, 1e9));
+    default:
+      return kSpecial[rng.NextUint32(std::size(kSpecial))];
+  }
+}
+
+std::string Keyword(Random& rng, std::string_view keyword) {
+  std::string out(keyword);
+  for (char& c : out) {
+    if (rng.NextBool(0.2)) c = static_cast<char>(std::tolower(c));
+  }
+  return out;
+}
+
+/// A WKT geometry: POINT, LINESTRING or POLYGON, with random spacing.
+std::string Geometry(Random& rng) {
+  const uint32_t kind = rng.NextUint32(3);
+  std::string text = Blanks(rng, 0);
+  text += Keyword(rng, kind == 0 ? "POINT" : kind == 1 ? "LINESTRING"
+                                                       : "POLYGON");
+  text += Blanks(rng, 0) + "(" + Blanks(rng, 0);
+  if (kind == 2) text += "(";
+  // Mostly a valid count for the kind; sometimes one short or long.
+  const uint32_t n = kind == 0   ? (rng.NextBool(0.9) ? 1 : 2)
+                     : kind == 1 ? 1 + rng.NextUint32(6)
+                                 : 2 + rng.NextUint32(7);
+  std::string first;
+  for (uint32_t i = 0; i < n; ++i) {
+    const std::string pair = Blanks(rng, 0) + Number(rng) + Blanks(rng, 1) +
+                             Number(rng) + Blanks(rng, 0);
+    if (i == 0) first = pair;
+    if (i > 0) text += ",";
+    text += pair;
+  }
+  if (kind == 2 && rng.NextBool(0.7)) text += "," + first;  // Close the ring.
+  text += ")";
+  if (kind == 2) text += Blanks(rng, 0) + ")";
+  return text + Blanks(rng, 0);
+}
+
+/// `text` with one byte inserted, deleted or replaced, or truncated.
+std::string Mutate(Random& rng, std::string text) {
+  // Bytes the scanner treats specially, NUL, and bytes above 0x7f that
+  // some locales (not "C") count as space; else any byte.
+  static constexpr char kBytes[] =
+      " \t\n\v\f\r,()-+.eE0123456789xpnaif\0\x80\xa0\x85";
+  const auto byte = [&] {
+    return rng.NextBool() ? kBytes[rng.NextUint32(sizeof(kBytes) - 1)]
+                          : static_cast<char>(rng.NextUint32(256));
+  };
+  const size_t pos = rng.NextUint64(text.size() + 1);
+  switch (rng.NextUint32(4)) {
+    case 0:
+      text.insert(text.begin() + static_cast<std::ptrdiff_t>(pos), byte());
+      break;
+    case 1:
+      if (pos < text.size()) text.erase(pos, 1);
+      break;
+    case 2:
+      if (pos < text.size()) text[pos] = byte();
+      break;
+    default:
+      text.resize(pos);
+      break;
+  }
+  return text;
+}
+
+bool SamePoints(const std::vector<Point>& a, const std::vector<Point>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (std::bit_cast<uint64_t>(a[i].x) != std::bit_cast<uint64_t>(b[i].x) ||
+        std::bit_cast<uint64_t>(a[i].y) != std::bit_cast<uint64_t>(b[i].y)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Same points bit for bit, or the same Status code and message.
+template <typename T, typename ToPoints>
+bool SameOutcome(const Result<T>& got, const Result<T>& want,
+                 ToPoints to_points) {
+  if (got.ok() != want.ok()) return false;
+  if (!want.ok()) {
+    return got.status().code() == want.status().code() &&
+           got.status().message() == want.status().message();
+  }
+  return SamePoints(to_points(got.value()), to_points(want.value()));
+}
+
+TEST(WktTest, WktScannerMatchesOracle) {
+  constexpr int kValid = 40000;
+  constexpr int kMutated = 60000;
+  Random rng(0x3c1d);
+  std::vector<std::string> corpus;
+  corpus.reserve(kValid + kMutated);
+  for (int i = 0; i < kValid; ++i) corpus.push_back(Geometry(rng));
+  for (int i = 0; i < kMutated; ++i) {
+    std::string text = Geometry(rng);
+    const uint32_t edits = 1 + rng.NextUint32(3);
+    for (uint32_t e = 0; e < edits; ++e) text = Mutate(rng, std::move(text));
+    corpus.push_back(std::move(text));
+  }
+
+  const auto point = [](const Point& p) { return std::vector<Point>{p}; };
+  const auto ring = [](const Polygon& poly) { return poly.ring(); };
+  const auto line = [](const std::vector<Point>& pts) { return pts; };
+  int mismatches = 0;
+  int parsed = 0;
+  for (const std::string& text : corpus) {
+    const auto polygon = ParsePolygonWkt(text);
+    const auto pt = ParsePointWkt(text);
+    const auto linestring = ParseLineStringWkt(text);
+    parsed += polygon.ok() + pt.ok() + linestring.ok();
+    const bool same =
+        SameOutcome(polygon, oracle::ParsePolygonWkt(text), ring) &&
+        SameOutcome(pt, oracle::ParsePointWkt(text), point) &&
+        SameOutcome(linestring, oracle::ParseLineStringWkt(text), line);
+    if (!same && ++mismatches <= 5) {
+      ADD_FAILURE() << "scanner and oracle disagree on '" << text << "'";
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+  // Both outcomes come in bulk (at most one parser accepts an input).
+  EXPECT_GT(parsed, 20000);
+  EXPECT_GT(static_cast<int>(corpus.size()) - parsed, 20000);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include "core/spatial_join.h"
 #include "geometry/wkt.h"
+#include "index/record_shape.h"
 #include "test_util.h"
 
 namespace shadoop::core {
@@ -150,6 +151,63 @@ TEST(SpatialJoinTest, PolygonJoinRefinesWithExactTest) {
   auto pair = SplitJoinOutput(result.front()).ValueOrDie();
   EXPECT_EQ(pair.first, ToWkt(t3));
   EXPECT_EQ(pair.second, ToWkt(t4));
+}
+
+TEST(SpatialJoinTest, ColdDistributedJoinParsesEachReadBlockOnce) {
+  // Join tasks that read one block at the same time share one build of
+  // its polygon column, so a cold join parses each record of every
+  // partition it reads exactly once, however its tasks interleave.
+  testing::TestCluster cluster(16 * 1024);
+  workload::PolygonGenOptions gen_a;
+  gen_a.centers.count = 3000;
+  gen_a.centers.seed = 41;
+  gen_a.centers.distribution = workload::Distribution::kClustered;
+  gen_a.max_radius_fraction = 0.03;
+  workload::PolygonGenOptions gen_b = gen_a;
+  gen_b.centers.count = 2000;
+  gen_b.centers.seed = 42;
+  ASSERT_TRUE(workload::WritePolygonFile(&cluster.fs, "/a", gen_a).ok());
+  ASSERT_TRUE(workload::WritePolygonFile(&cluster.fs, "/b", gen_b).ok());
+  const index::SpatialFileInfo file_a = testing::BuildIndex(
+      &cluster.runner, "/a", "/a.idx", PartitionScheme::kStr,
+      index::ShapeType::kPolygon);
+  const index::SpatialFileInfo file_b = testing::BuildIndex(
+      &cluster.runner, "/b", "/b.idx", PartitionScheme::kStr,
+      index::ShapeType::kPolygon);
+
+  const auto& parts_a = file_a.global_index.partitions();
+  const auto& parts_b = file_b.global_index.partitions();
+  std::vector<char> read_a(parts_a.size(), 0);
+  std::vector<char> read_b(parts_b.size(), 0);
+  for (size_t i = 0; i < parts_a.size(); ++i) {
+    for (size_t j = 0; j < parts_b.size(); ++j) {
+      if (parts_a[i].mbr.Intersects(parts_b[j].mbr)) read_a[i] = read_b[j] = 1;
+    }
+  }
+  uint64_t read_records = 0;
+  for (size_t i = 0; i < parts_a.size(); ++i) {
+    if (read_a[i]) read_records += parts_a[i].num_records;
+  }
+  for (size_t j = 0; j < parts_b.size(); ++j) {
+    if (read_b[j]) read_records += parts_b[j].num_records;
+  }
+  ASSERT_GT(read_records, 0u);
+
+  std::vector<std::string> first_rows;
+  for (int run = 0; run < 3; ++run) {
+    mapreduce::JobRunner runner(&cluster.fs,
+                                testing::TestCluster::MakeCluster(4));
+    index::ResetGeometryParseCount();
+    const std::vector<std::string> rows =
+        DistributedJoin(&runner, file_a, file_b).ValueOrDie();
+    EXPECT_EQ(index::GeometryParseCount(), read_records) << "run " << run;
+    if (run == 0) {
+      EXPECT_FALSE(rows.empty());
+      first_rows = rows;
+    } else {
+      EXPECT_EQ(rows, first_rows) << "run " << run;
+    }
+  }
 }
 
 TEST(LocalJoinTest, KernelsFindIdenticalPairs) {

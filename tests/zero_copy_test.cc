@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -307,6 +308,21 @@ TEST(ThreadPoolTest, CoversEveryIndexAndToleratesNesting) {
     hits[i].fetch_add(1);
   });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPoolTest, ParseCountIsExactAcrossPoolThreads) {
+  constexpr size_t kThreads = 8;
+  constexpr size_t kCallsPerThread = 20000;
+  mapreduce::ThreadPool& pool = mapreduce::ThreadPool::Shared();
+  index::ResetGeometryParseCount();
+  std::atomic<size_t> failed{0};
+  pool.ParallelFor(kThreads, static_cast<int>(kThreads), [&](size_t) {
+    for (size_t i = 0; i < kCallsPerThread; ++i) {
+      if (!index::RecordPoint("1.5,-2.5\tid=1").ok()) failed.fetch_add(1);
+    }
+  });
+  EXPECT_EQ(failed.load(), 0u);
+  EXPECT_EQ(index::GeometryParseCount(), kThreads * kCallsPerThread);
 }
 
 TEST(ThreadPoolTest, SerialAndParallelProduceSameAggregate) {
