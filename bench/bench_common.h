@@ -1,12 +1,10 @@
 #ifndef SHADOOP_BENCH_BENCH_COMMON_H_
 #define SHADOOP_BENCH_BENCH_COMMON_H_
 
-#include <benchmark/benchmark.h>
-
 #include <memory>
 #include <string>
+#include <vector>
 
-#include "core/op_stats.h"
 #include "hdfs/file_system.h"
 #include "index/index_builder.h"
 #include "mapreduce/job_runner.h"
@@ -46,14 +44,21 @@ struct BenchCluster {
   mapreduce::JobRunner runner;
 };
 
-inline void WritePoints(hdfs::FileSystem* fs, const std::string& path,
-                        size_t count, workload::Distribution dist,
-                        uint64_t seed) {
+/// The records of `count` generated points, as WritePoints writes them.
+inline std::vector<std::string> PointRecords(size_t count,
+                                             workload::Distribution dist,
+                                             uint64_t seed) {
   workload::PointGenOptions options;
   options.distribution = dist;
   options.count = count;
   options.seed = seed;
-  SHADOOP_CHECK_OK(workload::WritePointFile(fs, path, options));
+  return workload::PointsToRecords(workload::GeneratePoints(options));
+}
+
+inline void WritePoints(hdfs::FileSystem* fs, const std::string& path,
+                        size_t count, workload::Distribution dist,
+                        uint64_t seed) {
+  SHADOOP_CHECK_OK(fs->WriteLines(path, PointRecords(count, dist, seed)));
 }
 
 inline void WriteRects(hdfs::FileSystem* fs, const std::string& path,
@@ -67,6 +72,17 @@ inline void WriteRects(hdfs::FileSystem* fs, const std::string& path,
   SHADOOP_CHECK_OK(workload::WriteRectangleFile(fs, path, options));
 }
 
+inline void WritePolygons(hdfs::FileSystem* fs, const std::string& path,
+                          size_t count, uint64_t seed,
+                          double max_radius_fraction) {
+  workload::PolygonGenOptions options;
+  options.centers.count = count;
+  options.centers.seed = seed;
+  options.centers.distribution = workload::Distribution::kClustered;
+  options.max_radius_fraction = max_radius_fraction;
+  SHADOOP_CHECK_OK(workload::WritePolygonFile(fs, path, options));
+}
+
 inline index::SpatialFileInfo BuildIndex(
     mapreduce::JobRunner* runner, const std::string& src,
     const std::string& dst, index::PartitionScheme scheme,
@@ -76,28 +92,6 @@ inline index::SpatialFileInfo BuildIndex(
   options.scheme = scheme;
   options.shape = shape;
   return builder.Build(src, dst, options).ValueOrDie();
-}
-
-/// Publishes the standard counters of one operation run. `sim_s` — the
-/// headline deterministic metric (simulated cluster seconds) — is what
-/// EXPERIMENTS.md tabulates.
-inline void ReportStats(benchmark::State& state, const core::OpStats& stats) {
-  state.counters["sim_s"] = stats.cost.total_ms / 1000.0;
-  state.counters["MB_read"] = stats.cost.bytes_read / 1048576.0;
-  state.counters["MB_shuffled"] = stats.cost.bytes_shuffled / 1048576.0;
-  state.counters["map_tasks"] = static_cast<double>(stats.cost.num_map_tasks);
-  state.counters["jobs"] = static_cast<double>(stats.jobs_run);
-}
-
-/// Simulated cost of the traditional single-machine algorithm: scan the
-/// file from local disk and spend `extra_cpu_ops` on the algorithm, using
-/// the same cost constants as the cluster model.
-inline double SingleMachineSeconds(const mapreduce::JobRunner& runner,
-                                   const hdfs::FileMeta& meta,
-                                   uint64_t extra_cpu_ops) {
-  return core::SingleMachineCostMs(runner.cluster(), meta.total_bytes,
-                                   meta.total_records, extra_cpu_ops) /
-         1000.0;
 }
 
 }  // namespace shadoop::bench

@@ -3,7 +3,7 @@
 // distributed join — plus a fault-recovery scenario that reruns a query
 // sweep under deterministic task-fault injection (5% failures +
 // stragglers) and records the simulated recovery overhead. Unlike the
-// simulated-cost suite (bench_*.cc on google-benchmark), this harness
+// simulated-cost experiments (experiments.cc), this harness
 // measures *real* wall time, because the zero-copy work changes host
 // performance, not the simulated cost model; the fault scenario
 // additionally reports the sim-time overhead of retries, backoff and

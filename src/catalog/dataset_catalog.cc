@@ -329,8 +329,15 @@ Status DatasetCatalog::Open(const std::string& name,
     if (lines.empty()) {
       return Status::ParseError("empty current-version file: " + current);
     }
-    SHADOOP_ASSIGN_OR_RETURN(int64_t latest, ParseInt64(lines.front()));
-    for (int64_t v = 2; v <= latest; ++v) {
+    // Version 1 is the base index, so anything below it is corruption, not
+    // a request to open the base: reading on would silently drop every
+    // appended version.
+    const Result<int64_t> latest = ParseInt64(lines.front());
+    if (!latest.ok() || latest.value() < 1) {
+      return Status::ParseError("invalid version '" + lines.front() +
+                                "' in current-version file: " + current);
+    }
+    for (int64_t v = 2; v <= latest.value(); ++v) {
       SHADOOP_ASSIGN_OR_RETURN(
           index::SpatialFileInfo info,
           index::LoadSpatialFileFromMaster(

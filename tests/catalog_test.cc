@@ -264,6 +264,47 @@ TEST(DatasetCatalogTest, ReopensPersistedVersionLineage) {
   EXPECT_EQ(rows.size(), 1500u);
 }
 
+// A corrupt @current pointer fails the open and names the file; it must
+// never reopen the dataset at an older version than the masters on disk.
+TEST(DatasetCatalogTest, CorruptCurrentPointerFailsTheOpen) {
+  testing::TestCluster cluster;
+  WriteRecords(&cluster.fs, "/b0", MakePoints(1000, 1));
+  WriteRecords(&cluster.fs, "/b1", MakePoints(500, 2));
+  WriteRecords(&cluster.fs, "/b2", MakePoints(500, 3));
+  {
+    DatasetCatalog catalog(&cluster.runner);
+    SHADOOP_CHECK_OK(catalog
+                         .Create("pts", "/b0", "/pts.idx",
+                                 BuildOptions(PartitionScheme::kStr))
+                         .status());
+    SHADOOP_CHECK_OK(catalog.Append("pts", "/b1").status());
+    SHADOOP_CHECK_OK(catalog.Append("pts", "/b2").status());
+  }
+  const std::string current = DatasetCatalog::CurrentPathFor("/pts.idx");
+  auto open_with_current = [&](const std::string& value) {
+    SHADOOP_CHECK_OK(cluster.fs.Delete(current));
+    SHADOOP_CHECK_OK(cluster.fs.WriteLines(current, {value}));
+    DatasetCatalog reopened(&cluster.runner);
+    const Status status = reopened.Open("pts", "/pts.idx");
+    EXPECT_FALSE(reopened.Contains("pts")) << value;
+    return status;
+  };
+
+  for (const std::string value : {"0", "-4", "abc"}) {
+    const Status status = open_with_current(value);
+    EXPECT_TRUE(status.IsParseError()) << value << ": " << status.ToString();
+    EXPECT_NE(status.ToString().find(current), std::string::npos)
+        << status.ToString();
+  }
+  // A pointer past the last master names the missing master.
+  const Status past_end = open_with_current("4");
+  EXPECT_TRUE(past_end.IsNotFound()) << past_end.ToString();
+  EXPECT_NE(past_end.ToString().find(
+                DatasetCatalog::VersionMasterPathFor("/pts.idx", 4)),
+            std::string::npos)
+      << past_end.ToString();
+}
+
 // ---------------------------------------------------------------------------
 // Pigeon surface: LOAD ... APPEND creates versions, bindings pin their
 // snapshot, SET snapshot_version re-pins, EXPLAIN surfaces version+skew.
