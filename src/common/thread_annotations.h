@@ -55,10 +55,6 @@
 #define SHADOOP_RELEASE(...) \
   SHADOOP_THREAD_ANNOTATION__(release_capability(__VA_ARGS__))
 
-/// Function that acquires the capability iff it returns `ret`.
-#define SHADOOP_TRY_ACQUIRE(ret, ...) \
-  SHADOOP_THREAD_ANNOTATION__(try_acquire_capability(ret, __VA_ARGS__))
-
 /// Return value annotation: the returned reference is protected by the
 /// given capability.
 #define SHADOOP_GUARDED_RETURN(x) \
@@ -82,10 +78,6 @@ class SHADOOP_CAPABILITY("mutex") Mutex {
   Mutex() = default;
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
-
-  void Lock() SHADOOP_ACQUIRE() { mu_.lock(); }
-  void Unlock() SHADOOP_RELEASE() { mu_.unlock(); }
-  bool TryLock() SHADOOP_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
   std::mutex& native() { return mu_; }  // lint:allow(naked-mutex)
 

@@ -1,6 +1,8 @@
 #ifndef SHADOOP_CORE_OP_STATS_H_
 #define SHADOOP_CORE_OP_STATS_H_
 
+#include <vector>
+
 #include "mapreduce/cluster.h"
 #include "mapreduce/job.h"
 
@@ -14,12 +16,17 @@ struct OpStats {
   mapreduce::Counters counters;
   int jobs_run = 0;
   double wall_ms = 0;
+  /// Each accumulated job's simulated total_ms, in run order: what an
+  /// admission ledger was charged for it. The query server's result cache
+  /// keeps them so a hit can charge the requesting tenant's ledger.
+  std::vector<double> job_ms;
 
   void Accumulate(const mapreduce::JobResult& result) {
     cost += result.cost;
     counters.MergeFrom(result.counters);
     ++jobs_run;
     wall_ms += result.wall_ms;
+    job_ms.push_back(result.cost.total_ms);
   }
 
   /// Folds another run's statistics (e.g. one statement's) into these.
@@ -28,6 +35,7 @@ struct OpStats {
     counters.MergeFrom(other.counters);
     jobs_run += other.jobs_run;
     wall_ms += other.wall_ms;
+    job_ms.insert(job_ms.end(), other.job_ms.begin(), other.job_ms.end());
     return *this;
   }
 };

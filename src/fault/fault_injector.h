@@ -48,15 +48,6 @@ struct FaultPolicy {
   double read_io_error_prob = 0.0;
   double read_corruption_prob = 0.0;
 
-  // -- Wall-clock faithfulness ----------------------------------------
-
-  /// Real milliseconds slept per *simulated* straggler millisecond, so the
-  /// speculative race is exercised in real time without real 30 s waits.
-  /// 0 (default) keeps tests instant: attempts still race, just without
-  /// an artificial head start.
-  double real_sleep_ms_per_sim_ms = 0.0;
-  double max_real_sleep_ms = 20.0;
-
   bool AnyTaskFaults() const {
     return map_failure_prob > 0 || reduce_failure_prob > 0 ||
            straggler_prob > 0;

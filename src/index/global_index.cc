@@ -94,36 +94,35 @@ std::vector<std::string> GlobalIndex::ToLines() const {
   return lines;
 }
 
-Result<GlobalIndex> GlobalIndex::FromLines(
-    PartitionScheme scheme, const std::vector<std::string>& lines) {
-  std::vector<Partition> partitions;
-  partitions.reserve(lines.size());
-  for (const std::string& line : lines) {
-    auto fields = SplitString(line, ',');
-    // 12 fields is the original format; 13 adds the per-partition source
-    // path of versioned datasets (possibly empty for "the data file").
-    if (fields.size() != 12 && fields.size() != 13) {
-      return Status::ParseError("bad master-file line: '" + line + "'");
-    }
-    Partition p;
-    if (fields.size() == 13) p.source_path = std::string(fields[12]);
-    SHADOOP_ASSIGN_OR_RETURN(int64_t id, ParseInt64(fields[0]));
-    SHADOOP_ASSIGN_OR_RETURN(int64_t block, ParseInt64(fields[1]));
-    double coords[8];
-    for (int i = 0; i < 8; ++i) {
-      SHADOOP_ASSIGN_OR_RETURN(coords[i], ParseDouble(fields[2 + i]));
-    }
-    SHADOOP_ASSIGN_OR_RETURN(int64_t records, ParseInt64(fields[10]));
-    SHADOOP_ASSIGN_OR_RETURN(int64_t bytes, ParseInt64(fields[11]));
-    p.id = static_cast<int>(id);
-    p.block_index = static_cast<size_t>(block);
-    p.cell = Envelope(coords[0], coords[1], coords[2], coords[3]);
-    p.mbr = Envelope(coords[4], coords[5], coords[6], coords[7]);
-    p.num_records = static_cast<size_t>(records);
-    p.num_bytes = static_cast<size_t>(bytes);
-    partitions.push_back(p);
+Result<Partition> GlobalIndex::ParseLine(std::string_view line) {
+  auto fields = SplitString(line, ',');
+  // 12 fields is the original format; 13 adds the per-partition source
+  // path of versioned datasets (possibly empty for "the data file").
+  if (fields.size() != 12 && fields.size() != 13) {
+    return Status::ParseError("bad partition line: '" + std::string(line) +
+                              "'");
   }
-  return GlobalIndex(scheme, std::move(partitions));
+  Partition p;
+  if (fields.size() == 13) p.source_path = std::string(fields[12]);
+  SHADOOP_ASSIGN_OR_RETURN(int64_t id, ParseInt64(fields[0]));
+  SHADOOP_ASSIGN_OR_RETURN(int64_t block, ParseInt64(fields[1]));
+  double coords[8];
+  for (int i = 0; i < 8; ++i) {
+    SHADOOP_ASSIGN_OR_RETURN(coords[i], ParseDouble(fields[2 + i]));
+  }
+  SHADOOP_ASSIGN_OR_RETURN(int64_t records, ParseInt64(fields[10]));
+  SHADOOP_ASSIGN_OR_RETURN(int64_t bytes, ParseInt64(fields[11]));
+  if (id < 0 || block < 0 || records < 0 || bytes < 0) {
+    return Status::ParseError("negative id, block, record or byte count: '" +
+                              std::string(line) + "'");
+  }
+  p.id = static_cast<int>(id);
+  p.block_index = static_cast<size_t>(block);
+  p.cell = Envelope(coords[0], coords[1], coords[2], coords[3]);
+  p.mbr = Envelope(coords[4], coords[5], coords[6], coords[7]);
+  p.num_records = static_cast<size_t>(records);
+  p.num_bytes = static_cast<size_t>(bytes);
+  return p;
 }
 
 }  // namespace shadoop::index

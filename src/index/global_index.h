@@ -2,6 +2,7 @@
 #define SHADOOP_INDEX_GLOBAL_INDEX_H_
 
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -49,8 +50,9 @@ class GlobalIndex {
   /// source path (versioned datasets sharing blocks across versions), so
   /// pre-catalog master files round-trip byte-identically.
   std::vector<std::string> ToLines() const;
-  static Result<GlobalIndex> FromLines(PartitionScheme scheme,
-                                       const std::vector<std::string>& lines);
+  /// Parses one line of ToLines(). The id, block, records and bytes
+  /// fields must not be negative.
+  static Result<Partition> ParseLine(std::string_view line);
 
  private:
   void BuildMbrLanes();

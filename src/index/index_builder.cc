@@ -1,7 +1,10 @@
 #include "index/index_builder.h"
 
 #include <algorithm>
+#include <map>
 #include <memory>
+#include <set>
+#include <utility>
 
 #include "common/random.h"
 #include "common/string_util.h"
@@ -230,9 +233,9 @@ Result<SpatialFileInfo> IndexBuilder::Build(const std::string& source_path,
   }
 
   // Each partition's envelopes, MBR and `#lidx` header depend on its
-  // records alone, so they are computed on the shared pool...
+  // records alone, so they are computed in parallel...
   std::vector<EncodedPartition> encoded(filled.size());
-  mapreduce::ThreadPool::Shared().ParallelFor(
+  mapreduce::ParallelFor(
       filled.size(), runner_->cluster().num_slots, [&](size_t i) {
         const std::vector<std::string_view>& records = cells[filled[i]];
         std::vector<Envelope> envelopes;
@@ -343,15 +346,68 @@ Result<SpatialFileInfo> LoadSpatialFileFromMaster(
                            ParsePartitionScheme(scheme_name));
   SHADOOP_ASSIGN_OR_RETURN(ShapeType shape, ParseShapeType(shape_name));
 
+  // Every partition must name its own existing block. A master that
+  // disagrees with its blocks would otherwise load, and then answer
+  // queries without some blocks or fail a task attempt long after.
+  auto master_error = [&master_path](const std::string& where,
+                                     const std::string& what) {
+    return Status::ParseError("master file " + master_path + " " + where +
+                              ": " + what);
+  };
+  std::map<std::string, size_t> block_counts;  // Per file a line names.
+  auto block_count = [&](const std::string& file) -> Result<size_t> {
+    auto it = block_counts.find(file);
+    if (it == block_counts.end()) {
+      SHADOOP_ASSIGN_OR_RETURN(hdfs::FileMeta meta, fs.GetFileMeta(file));
+      it = block_counts.emplace(file, meta.blocks.size()).first;
+    }
+    return it->second;
+  };
+  std::set<std::pair<std::string, size_t>> named_blocks;
+  bool any_source_path = false;
+  std::vector<Partition> partitions;
+  partitions.reserve(lines.size() - 1);
+  for (size_t i = 1; i < lines.size(); ++i) {
+    const std::string where = "line " + std::to_string(i + 1);
+    Result<Partition> parsed = GlobalIndex::ParseLine(lines[i]);
+    if (!parsed.ok()) return master_error(where, parsed.status().message());
+    const Partition& part = partitions.emplace_back(std::move(parsed).value());
+    any_source_path = any_source_path || !part.source_path.empty();
+    const std::string& file = PartitionSourcePath(part, data_path);
+    Result<size_t> blocks = block_count(file);
+    if (!blocks.ok()) return master_error(where, blocks.status().message());
+    const std::string block =
+        "block " + std::to_string(part.block_index) + " of " + file;
+    if (part.block_index >= blocks.value()) {
+      return master_error(where, block + " does not exist (" +
+                                     std::to_string(blocks.value()) +
+                                     " blocks)");
+    }
+    if (!named_blocks.emplace(file, part.block_index).second) {
+      return master_error(where, block + " is named by an earlier line");
+    }
+  }
+  // A bulk build writes one block per partition.
+  if (!any_source_path) {
+    const std::string where = lines.size() > 1
+                                  ? "lines 2-" + std::to_string(lines.size())
+                                  : "line 1";
+    Result<size_t> blocks = block_count(data_path);
+    if (!blocks.ok()) return master_error(where, blocks.status().message());
+    if (partitions.size() != blocks.value()) {
+      return master_error(
+          where, std::to_string(partitions.size()) + " partitions for the " +
+                     std::to_string(blocks.value()) + " blocks of " +
+                     data_path);
+    }
+  }
+
   SpatialFileInfo info;
   info.data_path = data_path;
   info.master_path = master_path;
   info.shape = shape;
   info.has_local_indexes = has_lidx;
-  SHADOOP_ASSIGN_OR_RETURN(
-      info.global_index,
-      GlobalIndex::FromLines(
-          scheme, std::vector<std::string>(lines.begin() + 1, lines.end())));
+  info.global_index = GlobalIndex(scheme, std::move(partitions));
   return info;
 }
 

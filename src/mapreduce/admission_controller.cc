@@ -151,20 +151,7 @@ AdmissionController::AdmitJob(const std::string& tenant) {
   ++t.admit_seq;
   ++t.running_jobs;
 
-  // Simulated queue wait: the tenant's jobs are modeled as arriving
-  // together and draining through `quota` lanes, greedily assigned to
-  // the least-loaded lane (the Makespan model, per tenant). The wait is
-  // that lane's backlog — a pure function of the tenant's own admission
-  // order and simulated job costs, independent of wall-clock races and
-  // of every other tenant.
-  const int quota = QuotaOf(t);
-  const size_t sim_lanes = static_cast<size_t>(
-      std::max(1, std::min(quota, options_.total_slots)));
-  t.sim_lanes.resize(sim_lanes, 0.0);
-  size_t lane = 0;
-  for (size_t i = 1; i < t.sim_lanes.size(); ++i) {
-    if (t.sim_lanes[i] < t.sim_lanes[lane]) lane = i;
-  }
+  const size_t lane = LeastLoadedLaneLocked(t);
   const double wait_ms = t.sim_lanes[lane];
 
   auto ticket = std::unique_ptr<JobTicket>(new JobTicket());
@@ -182,6 +169,33 @@ AdmissionController::AdmitJob(const std::string& tenant) {
   if (wait_ms > 0) ++t.stats.jobs_queued;
   t.stats.wait_ms += wait_ms;
   return ticket;
+}
+
+size_t AdmissionController::LeastLoadedLaneLocked(Tenant& t) {
+  // Simulated queue wait: the tenant's jobs are modeled as arriving
+  // together and draining through `quota` lanes, greedily assigned to
+  // the least-loaded lane (the Makespan model, per tenant). The wait is
+  // that lane's backlog — a pure function of the tenant's own job order
+  // and simulated job costs, independent of wall-clock races and of
+  // every other tenant.
+  const size_t sim_lanes = static_cast<size_t>(
+      std::max(1, std::min(QuotaOf(t), options_.total_slots)));
+  t.sim_lanes.resize(sim_lanes, 0.0);
+  size_t lane = 0;
+  for (size_t i = 1; i < t.sim_lanes.size(); ++i) {
+    if (t.sim_lanes[i] < t.sim_lanes[lane]) lane = i;
+  }
+  return lane;
+}
+
+double AdmissionController::ChargeLedger(const std::string& tenant,
+                                         double sim_cost_ms) {
+  MutexLock lock(&mu_);
+  Tenant& t = tenants_[tenant];
+  const size_t lane = LeastLoadedLaneLocked(t);
+  const double wait_ms = t.sim_lanes[lane];
+  t.sim_lanes[lane] += std::max(0.0, sim_cost_ms);
+  return wait_ms;
 }
 
 void AdmissionController::ReleaseJob(JobTicket* ticket, double sim_cost_ms) {

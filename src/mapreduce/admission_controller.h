@@ -124,6 +124,14 @@ class AdmissionController {
   void ReleaseJob(JobTicket* ticket, double sim_cost_ms)
       SHADOOP_EXCLUDES(mu_);
 
+  /// Charges a job that ran elsewhere — one a result-cache hit replays —
+  /// to the tenant's simulated lane ledger, with the arithmetic of
+  /// AdmitJob followed by ReleaseJob, and returns the wait the ledger
+  /// assigns it. Takes no job slot and no lane, never blocks, and leaves
+  /// TenantStats alone: they count admitted jobs only.
+  double ChargeLedger(const std::string& tenant, double sim_cost_ms)
+      SHADOOP_EXCLUDES(mu_);
+
   TenantStats StatsFor(const std::string& tenant) const
       SHADOOP_EXCLUDES(mu_);
 
@@ -161,6 +169,9 @@ class AdmissionController {
   /// Lane shares over every known nonzero-quota tenant, under mu_.
   std::map<std::string, int> CurrentLaneSharesLocked() const
       SHADOOP_REQUIRES(mu_);
+  /// The tenant's least-loaded simulated lane, with the ledger sized to
+  /// the tenant's quota first.
+  size_t LeastLoadedLaneLocked(Tenant& tenant) SHADOOP_REQUIRES(mu_);
 
   AdmissionOptions options_;
   mutable Mutex mu_;

@@ -153,13 +153,6 @@ bool ShuffleRefLess(const ShuffleRef& a, const ShuffleRef& b) {
   return a.value() < b.value();
 }
 
-/// Runs `fn(i)` for i in [0, n) on up to `max_threads` threads, via the
-/// shared persistent pool.
-void ParallelFor(size_t n, int max_threads,
-                 const std::function<void(size_t)>& fn) {
-  ThreadPool::Shared().ParallelFor(n, max_threads, fn);
-}
-
 /// Groups a key-sorted run of pairs and invokes the reducer per group.
 /// Values are materialized here, at the reduce boundary — the only place
 /// the public Reducer API still requires owned strings.
@@ -231,6 +224,15 @@ Result<std::vector<InputSplit>> MakeBlockSplits(const hdfs::FileSystem& fs,
   return splits;
 }
 
+void ChargeAdmissionWait(double wait_ms, JobCost* cost, Counters* counters) {
+  if (wait_ms <= 0) return;
+  cost->admission_wait_ms += wait_ms;
+  ++cost->admission_queued;
+  counters->Increment("admission.queued");
+  counters->Increment("admission.wait_ms",
+                      static_cast<int64_t>(wait_ms + 0.5));
+}
+
 JobResult JobRunner::Run(const JobConfig& job) {
   if (admission_ == nullptr) {
     return RunAdmitted(job, cluster_.num_slots, /*gate=*/nullptr);
@@ -253,18 +255,8 @@ JobResult JobRunner::Run(const JobConfig& job) {
   // Admission accounting rides on the result the same way the fault
   // counters do: JobCost fields always, Counters entries only when
   // nonzero, so un-contended runs stay byte-identical.
-  result.cost.admission_wait_ms = ticket->sim_wait_ms();
-  result.cost.admission_queued = ticket->sim_wait_ms() > 0 ? 1 : 0;
+  ChargeAdmissionWait(ticket->sim_wait_ms(), &result.cost, &result.counters);
   result.cost.admission_preempted_specs = ticket->preempted_specs();
-  if (result.cost.admission_queued > 0) {
-    result.counters.Increment("admission.queued",
-                              result.cost.admission_queued);
-  }
-  if (result.cost.admission_wait_ms > 0) {
-    result.counters.Increment(
-        "admission.wait_ms",
-        static_cast<int64_t>(result.cost.admission_wait_ms + 0.5));
-  }
   if (result.cost.admission_preempted_specs > 0) {
     result.counters.Increment("admission.preempted_specs",
                               result.cost.admission_preempted_specs);

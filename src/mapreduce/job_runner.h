@@ -91,6 +91,12 @@ Result<std::vector<InputSplit>> MakeBlockSplits(const hdfs::FileSystem& fs,
 /// The default partitioner: FNV-1a hash of the key modulo num_reducers.
 int HashPartition(std::string_view key, int num_reducers);
 
+/// Adds one job's simulated admission wait to its charges: JobCost's
+/// admission_wait_ms and admission_queued, and the nonzero-only
+/// `admission.queued` and `admission.wait_ms` counters. Admitted runs and
+/// the query server's result-cache hits charge a wait through this alone.
+void ChargeAdmissionWait(double wait_ms, JobCost* cost, Counters* counters);
+
 }  // namespace shadoop::mapreduce
 
 #endif  // SHADOOP_MAPREDUCE_JOB_RUNNER_H_

@@ -1,10 +1,7 @@
 #include "mapreduce/task_scheduler.h"
 
-#include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <sstream>
-#include <thread>
 
 #include "mapreduce/thread_pool.h"
 
@@ -72,26 +69,6 @@ TaskScheduler::TaskScheduler(TaskSchedulerOptions options,
   }
 }
 
-bool TaskScheduler::RealDelay(double sim_ms,
-                              const std::atomic<bool>& cancelled) const {
-  if (sim_ms <= 0 || injector_ == nullptr) return true;
-  const fault::FaultPolicy& policy = injector_->policy();
-  double real_ms = sim_ms * policy.real_sleep_ms_per_sim_ms;
-  real_ms = std::min(real_ms, policy.max_real_sleep_ms);
-  if (real_ms <= 0) return true;
-  // Sleep in small slices so a rival's commit cancels the wait promptly.
-  auto remaining = std::chrono::duration<double, std::milli>(real_ms);
-  const auto slice = std::chrono::microseconds(200);
-  while (remaining.count() > 0) {
-    if (cancelled.load(std::memory_order_acquire)) return false;
-    auto nap = std::min<std::chrono::duration<double, std::milli>>(
-        remaining, std::chrono::duration<double, std::milli>(slice));
-    std::this_thread::sleep_for(nap);
-    remaining -= nap;
-  }
-  return !cancelled.load(std::memory_order_acquire);
-}
-
 void TaskScheduler::RunTask(size_t task, const AttemptFn& attempt_fn,
                             const CommitFn& commit_fn) {
   TaskReport& report = reports_[task];
@@ -145,7 +122,6 @@ void TaskScheduler::RunTask(size_t task, const AttemptFn& attempt_fn,
                                            std::to_string(attempt_id) + ")");
           outcome.transient = true;
         } else {
-          RealDelay(delay_ms, kNeverCancelled);
           AttemptInfo info{attempt_id, /*speculative=*/false};
           outcome = attempt_fn(task, info, /*slot=*/0, kNeverCancelled);
         }
@@ -170,10 +146,12 @@ void TaskScheduler::RunTask(size_t task, const AttemptFn& attempt_fn,
       continue;
     }
 
-    // Speculative race: the straggling primary and a fresh backup run
-    // concurrently into separate slots; first clean finisher commits the
-    // task via a compare-and-swap, the loser is killed. The backup
-    // consumes the next attempt id.
+    // Speculative race: the straggling primary and a fresh backup run as
+    // the two lanes of one ParallelFor, into separate slots; the first
+    // clean finisher commits the task via a compare-and-swap, the loser is
+    // killed. With no free worker the backup runs after the primary, finds
+    // its cancel flag set and stops. The backup consumes the next attempt
+    // id.
     const int backup_id = next_attempt_id++;
     speculative_launched_.fetch_add(1, std::memory_order_relaxed);
 
@@ -205,7 +183,7 @@ void TaskScheduler::RunTask(size_t task, const AttemptFn& attempt_fn,
         out->transient = true;
         return;
       }
-      if (!RealDelay(rec.injected_delay_ms, cancel[slot])) {
+      if (cancel[slot].load(std::memory_order_acquire)) {
         out->status = Status::Cancelled("attempt killed by rival commit");
         out->transient = true;
         return;
@@ -224,10 +202,13 @@ void TaskScheduler::RunTask(size_t task, const AttemptFn& attempt_fn,
     };
 
     AttemptOutcome primary_out, backup_out;
-    std::thread backup_thread(
-        [&] { run_lane(1, backup_rec, backup_injected_failure, &backup_out); });
-    run_lane(0, primary_rec, injected_failure, &primary_out);
-    backup_thread.join();
+    ParallelFor(2, 2, [&](size_t slot) {
+      if (slot == 0) {
+        run_lane(0, primary_rec, injected_failure, &primary_out);
+      } else {
+        run_lane(1, backup_rec, backup_injected_failure, &backup_out);
+      }
+    });
 
     const int winner_slot = committed_slot.load(std::memory_order_acquire);
 
@@ -292,9 +273,8 @@ void TaskScheduler::RunTasks(size_t num_tasks, int max_parallel,
                              const AttemptFn& attempt_fn,
                              const CommitFn& commit_fn) {
   reports_.assign(num_tasks, TaskReport{});
-  ThreadPool::Shared().ParallelFor(num_tasks, max_parallel, [&](size_t task) {
-    RunTask(task, attempt_fn, commit_fn);
-  });
+  ParallelFor(num_tasks, max_parallel,
+              [&](size_t task) { RunTask(task, attempt_fn, commit_fn); });
 }
 
 bool TaskScheduler::ok() const {

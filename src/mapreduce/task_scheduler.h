@@ -124,8 +124,8 @@ struct TaskSchedulerOptions {
 /// Task-attempt scheduler: drives every task of one phase through the
 /// attempt state machine with bounded retries, exponential backoff and
 /// speculative execution of stragglers. Execution is real (attempts run
-/// user code on the shared thread pool; backups race on their own
-/// threads) while time is modeled: all cost/counter outputs are pure
+/// user code through ParallelFor, a backup as the second lane beside its
+/// primary) while time is modeled: all cost/counter outputs are pure
 /// functions of the injector's deterministic decisions, so JobCost and
 /// the fault counters are reproducible even though which attempt wins a
 /// wall-clock race is not.
@@ -133,10 +133,9 @@ class TaskScheduler {
  public:
   TaskScheduler(TaskSchedulerOptions options, fault::FaultInjector* injector);
 
-  /// Runs all `num_tasks` tasks on the shared thread pool with at most
+  /// Runs all `num_tasks` tasks through ParallelFor with at most
   /// `max_parallel` lanes; each lane drives one task's attempts to
-  /// completion (including joining its speculative backup) before
-  /// returning.
+  /// completion (including its speculative backup) before returning.
   void RunTasks(size_t num_tasks, int max_parallel,
                 const AttemptFn& attempt_fn, const CommitFn& commit_fn);
 
@@ -164,10 +163,6 @@ class TaskScheduler {
  private:
   void RunTask(size_t task, const AttemptFn& attempt_fn,
                const CommitFn& commit_fn);
-
-  /// Sleeps the scaled real-time equivalent of `sim_ms` (policy knobs),
-  /// polling `cancelled`; returns false when cancelled mid-sleep.
-  bool RealDelay(double sim_ms, const std::atomic<bool>& cancelled) const;
 
   TaskSchedulerOptions options_;
   fault::FaultInjector* injector_;  // Nullable: no injection.

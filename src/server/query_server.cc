@@ -133,10 +133,10 @@ Result<std::vector<std::vector<RequestResult>>> QueryServer::ExecuteConcurrent(
   std::vector<std::vector<RequestResult>> results(streams.size());
   std::vector<Status> statuses(streams.size(), Status::OK());
   // One lane per stream; scripts stay sequential within their stream.
-  // Map tasks inside a session's jobs degrade to serial when the pool is
-  // saturated by the streams themselves (ThreadPool nesting rule), which
-  // changes nothing deterministic: all charges are simulated.
-  mapreduce::ThreadPool::Shared().ParallelFor(
+  // The streams' jobs queue their own tasks behind the streams and get
+  // whatever lanes are free, which changes nothing deterministic: all
+  // charges are simulated.
+  mapreduce::ParallelFor(
       streams.size(), static_cast<int>(streams.size()), [&](size_t i) {
         for (const std::string& script : streams[i].scripts) {
           Result<RequestResult> request = Execute(streams[i].session, script);
@@ -181,8 +181,9 @@ Status QueryServer::ExecuteSessionStatement(Session& session,
   std::shared_ptr<const CachedResult> hit =
       cacheable ? result_cache_.Lookup(key) : nullptr;
   if (hit != nullptr) {
-    // Replay the stored execution: bind the rows with the prepared plan
-    // and charge exactly what the producing run paid, so a hit is
+    // Replay the stored execution: bind the rows with the prepared plan,
+    // charge what the producing run paid, and queue its jobs on this
+    // tenant's admission ledger as a miss would have. A hit is then
     // byte-identical to a miss in rows, cost, counters and EXPLAIN plan.
     pigeon::Dataset dataset;
     dataset.kind = pigeon::Dataset::Kind::kLines;
@@ -193,6 +194,15 @@ Status QueryServer::ExecuteSessionStatement(Session& session,
     charges.cost = hit->cost;
     charges.counters = hit->counters;
     charges.jobs_run = hit->jobs_run;
+    mapreduce::AdmissionController* admission =
+        session.runner->admission_controller();
+    if (admission != nullptr) {
+      for (double job_ms : hit->job_ms) {
+        mapreduce::ChargeAdmissionWait(
+            admission->ChargeLedger(session.runner->tenant(), job_ms),
+            &charges.cost, &charges.counters);
+      }
+    }
     session.report.stats.counters.Increment("cache.result_hits");
     ++request->result_cache_hits;
   } else {
@@ -210,15 +220,24 @@ Status QueryServer::ExecuteSessionStatement(Session& session,
         entry->lines = it->second.lines;
         entry->shape = it->second.shape;
         entry->cost = charges.cost;
-        entry->counters = charges.counters;
+        entry->cost.admission_queued = 0;
+        entry->cost.admission_wait_ms = 0;
+        for (const auto& [name, value] : charges.counters.values()) {
+          if (name != "admission.queued" && name != "admission.wait_ms") {
+            entry->counters.Increment(name, value);
+          }
+        }
         entry->jobs_run = charges.jobs_run;
+        entry->job_ms = charges.job_ms;
         result_cache_.Insert(key, std::move(entry));
       }
       session.report.stats.counters.Increment("cache.result_misses");
       ++request->result_cache_misses;
     }
   }
-  // A failed statement still charges the jobs it ran.
+  // A failed statement still charges the jobs it ran. The session keeps
+  // the sums EXPLAIN reads, not the per-job list.
+  charges.job_ms.clear();
   session.report.stats += charges;
   request->cost += charges.cost;
   return status;

@@ -77,8 +77,8 @@ struct SessionStream {
 /// Threading: attach datasets and open sessions first (single-threaded
 /// setup), then serve — Execute() on distinct sessions is safe from
 /// concurrent threads, and requests within one session serialize on the
-/// session's mutex. ExecuteConcurrent drives that pattern on the shared
-/// thread pool.
+/// session's mutex. ExecuteConcurrent drives that pattern through
+/// mapreduce::ParallelFor.
 class QueryServer {
  public:
   explicit QueryServer(hdfs::FileSystem* fs,

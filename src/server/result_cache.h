@@ -16,8 +16,11 @@ namespace shadoop::server {
 /// charges* of the statement that produced them, as summed from zero in
 /// that statement's own report. A cache hit must be indistinguishable from
 /// a miss in every deterministic output — rows, JobCost, counters,
-/// jobs_run — so the entry stores the charges as they are and the server
-/// replays them into the hitting session's report. Wall-clock time is
+/// jobs_run — for the tenant that hits. So the entry stores the charges
+/// without their admission wait (`admission_wait_ms`, `admission_queued`
+/// and their counters, which came from the producer's ledger), plus each
+/// job's simulated total_ms in order; a hit runs those jobs through the
+/// requesting tenant's ledger to charge its own wait. Wall-clock time is
 /// deliberately absent: saving it is the cache's entire point.
 struct CachedResult {
   std::vector<std::string> lines;
@@ -25,6 +28,7 @@ struct CachedResult {
   mapreduce::JobCost cost;
   mapreduce::Counters counters;
   int jobs_run = 0;
+  std::vector<double> job_ms;
 };
 
 /// Server-wide result/plan cache (DESIGN.md §14), shared by every

@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/string_util.h"
 #include "core/aggregate_op.h"
 #include "core/range_query.h"
 #include "pigeon/executor.h"
@@ -303,6 +304,52 @@ TEST(DatasetCatalogTest, CorruptCurrentPointerFailsTheOpen) {
                 DatasetCatalog::VersionMasterPathFor("/pts.idx", 4)),
             std::string::npos)
       << past_end.ToString();
+}
+
+// A version master naming a block past the end of the delta file fails the
+// open with the master and the line, like a bulk master would.
+TEST(DatasetCatalogTest, VersionMasterPastItsDeltaFailsTheOpen) {
+  testing::TestCluster cluster;
+  WriteRecords(&cluster.fs, "/b0", MakePoints(1000, 1));
+  WriteRecords(&cluster.fs, "/b1", MakePoints(500, 2));
+  {
+    DatasetCatalog catalog(&cluster.runner);
+    SHADOOP_CHECK_OK(catalog
+                         .Create("pts", "/b0", "/pts.idx",
+                                 BuildOptions(PartitionScheme::kStr))
+                         .status());
+    SHADOOP_CHECK_OK(catalog.Append("pts", "/b1").status());
+  }
+  const std::string delta = DatasetCatalog::DeltaPathFor("/pts.idx");
+  const std::string master =
+      DatasetCatalog::VersionMasterPathFor("/pts.idx", 2);
+  const size_t delta_blocks =
+      cluster.fs.GetFileMeta(delta).ValueOrDie().blocks.size();
+  std::vector<std::string> lines = cluster.fs.ReadLines(master).ValueOrDie();
+  size_t corrupted = 0;  // 1-based line of the rewritten partition.
+  for (size_t i = 1; i < lines.size() && corrupted == 0; ++i) {
+    std::vector<std::string_view> fields = SplitString(lines[i], ',');
+    if (fields.size() != 13 || fields[12] != delta) continue;
+    std::string line = std::string(fields[0]) + "," +
+                       std::to_string(delta_blocks);
+    for (size_t f = 2; f < fields.size(); ++f) {
+      line += "," + std::string(fields[f]);
+    }
+    lines[i] = line;
+    corrupted = i + 1;
+  }
+  ASSERT_GT(corrupted, 0u) << "no partition lives in " << delta;
+  SHADOOP_CHECK_OK(cluster.fs.Delete(master));
+  SHADOOP_CHECK_OK(cluster.fs.WriteLines(master, lines));
+
+  DatasetCatalog reopened(&cluster.runner);
+  const Status status = reopened.Open("pts", "/pts.idx");
+  EXPECT_TRUE(status.IsParseError()) << status.ToString();
+  EXPECT_NE(status.message().find(master + " line " +
+                                  std::to_string(corrupted) + ":"),
+            std::string::npos)
+      << status.ToString();
+  EXPECT_FALSE(reopened.Contains("pts"));
 }
 
 // ---------------------------------------------------------------------------

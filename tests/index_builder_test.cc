@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "catalog/dataset_catalog.h"
+#include "common/string_util.h"
 #include "geometry/wkt.h"
 #include "index/index_builder.h"
 #include "test_util.h"
@@ -244,6 +248,89 @@ TEST(IndexBuilderTest, AppendedBlocksFollowLayoutContract) {
                       /*lidx=*/true, /*sorted=*/false);
   }
   EXPECT_GT(rewritten, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// A master file that disagrees with its blocks fails the load with a
+// ParseError naming the master and the line, instead of loading and then
+// answering without some blocks or failing a task attempt.
+
+class CorruptMasterTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    testing::WritePoints(&cluster_.fs, "/pts", 2000);
+    info_ = testing::BuildIndex(&cluster_.runner, "/pts", "/pts.idx",
+                                PartitionScheme::kStr);
+    lines_ = cluster_.fs.ReadLines(info_.master_path).ValueOrDie();
+    ASSERT_GT(lines_.size(), 3u);  // Header plus several partitions.
+  }
+
+  /// Writes `lines` as the master and expects the load to fail with a
+  /// ParseError naming the master file and `where`.
+  void ExpectLoadFails(const std::vector<std::string>& lines,
+                       const std::string& where) {
+    SHADOOP_CHECK_OK(cluster_.fs.Delete(info_.master_path));
+    SHADOOP_CHECK_OK(cluster_.fs.WriteLines(info_.master_path, lines));
+    const Status status = LoadSpatialFile(cluster_.fs, "/pts.idx").status();
+    EXPECT_TRUE(status.IsParseError()) << status.ToString();
+    EXPECT_NE(status.message().find(info_.master_path + " " + where + ":"),
+              std::string::npos)
+        << status.ToString();
+  }
+
+  /// The master with field `field` of 1-based line `line` set to `value`.
+  std::vector<std::string> WithField(size_t line, size_t field,
+                                     const std::string& value) const {
+    std::vector<std::string> lines = lines_;
+    std::vector<std::string_view> fields = SplitString(lines[line - 1], ',');
+    fields[field] = value;
+    std::string joined;
+    for (size_t i = 0; i < fields.size(); ++i) {
+      if (i > 0) joined += ",";
+      joined += fields[i];
+    }
+    lines[line - 1] = joined;
+    return lines;
+  }
+
+  std::string Field(size_t line, size_t field) const {
+    return std::string(SplitString(lines_[line - 1], ',')[field]);
+  }
+
+  testing::TestCluster cluster_;
+  SpatialFileInfo info_;
+  std::vector<std::string> lines_;
+};
+
+constexpr size_t kBlockField = 1;
+constexpr size_t kRecordsField = 10;
+
+TEST_F(CorruptMasterTest, IntactMasterLoads) {
+  const SpatialFileInfo loaded =
+      LoadSpatialFile(cluster_.fs, "/pts.idx").ValueOrDie();
+  EXPECT_EQ(loaded.global_index.NumPartitions(), lines_.size() - 1);
+}
+
+TEST_F(CorruptMasterTest, DroppedPartitionLineFailsTheLoad) {
+  std::vector<std::string> lines = lines_;
+  lines.pop_back();
+  ExpectLoadFails(lines, "lines 2-" + std::to_string(lines.size()));
+}
+
+TEST_F(CorruptMasterTest, BlockPastTheEndFailsTheLoad) {
+  const size_t last = lines_.size();
+  const std::string blocks = std::to_string(lines_.size() - 1);
+  ExpectLoadFails(WithField(last, kBlockField, blocks),
+                  "line " + std::to_string(last));
+}
+
+TEST_F(CorruptMasterTest, NegativeFieldsFailTheLoad) {
+  ExpectLoadFails(WithField(2, kBlockField, "-1"), "line 2");
+  ExpectLoadFails(WithField(3, kRecordsField, "-5"), "line 3");
+}
+
+TEST_F(CorruptMasterTest, TwoPartitionsNamingOneBlockFailTheLoad) {
+  ExpectLoadFails(WithField(3, kBlockField, Field(2, kBlockField)), "line 3");
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "cpu_affinity.h"
 #include "golden_workload.h"
 
 namespace shadoop::testing {
@@ -17,12 +18,8 @@ std::vector<std::string> ReadGolden() {
   return lines;
 }
 
-/// Byte-level parity against the committed baseline captured from the
-/// pre-pipeline implementation: every operation's output rows, record
-/// counters, and simulated JobCost must be reproduced exactly by the
-/// SpatialJobBuilder path. Regenerate with tools/golden_capture only for
-/// intentional behavior changes.
-TEST(ParityTest, AllOperationsMatchGoldenBaseline) {
+/// Runs the golden workload and diffs it against the committed baseline.
+void ExpectGoldenParity() {
   const std::vector<std::string> golden = ReadGolden();
   ASSERT_FALSE(golden.empty())
       << "missing golden file " << SHADOOP_GOLDEN_DIR << "/ops.golden";
@@ -44,6 +41,26 @@ TEST(ParityTest, AllOperationsMatchGoldenBaseline) {
   }
   EXPECT_EQ(golden.size(), actual.size());
   EXPECT_EQ(mismatches, 0u);
+}
+
+/// Byte-level parity against the committed baseline captured from the
+/// pre-pipeline implementation: every operation's output rows, record
+/// counters, and simulated JobCost must be reproduced exactly by the
+/// SpatialJobBuilder path. Regenerate with tools/golden_capture only for
+/// intentional behavior changes.
+TEST(ParityTest, AllOperationsMatchGoldenBaseline) { ExpectGoldenParity(); }
+
+/// The same bytes at every lane count: ParallelFor gives this thread's
+/// calls one lane per CPU in its affinity mask.
+TEST(ParityTest, GoldenBytesHoldOnOneAndTwoCpus) {
+  if (!kCanNarrowCpus) GTEST_SKIP() << "no CPU affinity masks";
+  const size_t cpus = CallerCpuCount();
+  for (size_t narrow : {size_t{1}, size_t{2}}) {
+    if (narrow > cpus) continue;
+    SCOPED_TRACE("narrowed to " + std::to_string(narrow) + " CPU(s)");
+    const ScopedCpus scoped(narrow);
+    ExpectGoldenParity();
+  }
 }
 
 }  // namespace

@@ -103,20 +103,15 @@ TEST(CorruptMasterTest, GlobalIndexLineRoundTripAndErrors) {
   p.num_bytes = 1234;
   const index::GlobalIndex gi(PartitionScheme::kGrid, {p});
   const auto lines = gi.ToLines();
-  const auto parsed =
-      index::GlobalIndex::FromLines(PartitionScheme::kGrid, lines)
-          .ValueOrDie();
-  ASSERT_EQ(parsed.NumPartitions(), 1u);
-  EXPECT_EQ(parsed.partitions()[0].mbr, p.mbr);
-  EXPECT_EQ(parsed.partitions()[0].num_records, 42u);
+  ASSERT_EQ(lines.size(), 1u);
+  const index::Partition parsed =
+      index::GlobalIndex::ParseLine(lines[0]).ValueOrDie();
+  EXPECT_EQ(parsed.mbr, p.mbr);
+  EXPECT_EQ(parsed.num_records, 42u);
 
-  EXPECT_FALSE(index::GlobalIndex::FromLines(PartitionScheme::kGrid,
-                                             {"1,2,3"})
-                   .ok());
-  EXPECT_FALSE(index::GlobalIndex::FromLines(
-                   PartitionScheme::kGrid,
-                   {"a,b,0,0,1,1,0,0,1,1,5,5"})
-                   .ok());
+  EXPECT_FALSE(index::GlobalIndex::ParseLine("1,2,3").ok());
+  EXPECT_FALSE(index::GlobalIndex::ParseLine("a,b,0,0,1,1,0,0,1,1,5,5").ok());
+  EXPECT_FALSE(index::GlobalIndex::ParseLine("1,2,0,0,1,1,0,0,1,1,-5,5").ok());
 }
 
 // ---------------------------------------------------------------------

@@ -2,14 +2,15 @@
 // byte-parity with the standalone executor, the shared result cache
 // (hit == miss in rows and charges, version bumps invalidate), the
 // snapshot_version-0 re-pin fix, and deterministic concurrent serving
-// across admission seeds. The concurrent cases run under TSan via
-// scripts/check.sh.
+// across admission seeds, lane counts and cache producers. The concurrent
+// cases run under TSan via scripts/check.sh.
 #include "server/query_server.h"
 
 #include <map>
 #include <string>
 #include <vector>
 
+#include "cpu_affinity.h"
 #include "gtest/gtest.h"
 #include "mapreduce/job.h"
 #include "pigeon/executor.h"
@@ -21,20 +22,25 @@ namespace {
 
 using pigeon::ExecutionReport;
 
-// The charge fields a result-cache hit must replay exactly. (wall-clock
-// time is deliberately excluded everywhere.)
+// Every JobCost field, compared exactly: a result-cache hit must replay
+// them all. (Wall-clock time is deliberately excluded everywhere.)
 void ExpectSameCost(const mapreduce::JobCost& a, const mapreduce::JobCost& b) {
-  EXPECT_DOUBLE_EQ(a.total_ms, b.total_ms);
-  EXPECT_DOUBLE_EQ(a.map_makespan_ms, b.map_makespan_ms);
-  EXPECT_DOUBLE_EQ(a.shuffle_ms, b.shuffle_ms);
-  EXPECT_DOUBLE_EQ(a.reduce_makespan_ms, b.reduce_makespan_ms);
+  EXPECT_EQ(a.total_ms, b.total_ms);
+  EXPECT_EQ(a.map_makespan_ms, b.map_makespan_ms);
+  EXPECT_EQ(a.shuffle_ms, b.shuffle_ms);
+  EXPECT_EQ(a.reduce_makespan_ms, b.reduce_makespan_ms);
   EXPECT_EQ(a.bytes_read, b.bytes_read);
   EXPECT_EQ(a.bytes_shuffled, b.bytes_shuffled);
   EXPECT_EQ(a.bytes_written, b.bytes_written);
   EXPECT_EQ(a.num_map_tasks, b.num_map_tasks);
   EXPECT_EQ(a.num_reduce_tasks, b.num_reduce_tasks);
-  EXPECT_DOUBLE_EQ(a.admission_wait_ms, b.admission_wait_ms);
+  EXPECT_EQ(a.task_retries, b.task_retries);
+  EXPECT_EQ(a.speculative_launched, b.speculative_launched);
+  EXPECT_EQ(a.speculative_won, b.speculative_won);
+  EXPECT_EQ(a.replica_failovers, b.replica_failovers);
   EXPECT_EQ(a.admission_queued, b.admission_queued);
+  EXPECT_EQ(a.admission_wait_ms, b.admission_wait_ms);
+  EXPECT_EQ(a.admission_preempted_specs, b.admission_preempted_specs);
 }
 
 // Counters minus the server's own cache.* bookkeeping (the one
@@ -489,13 +495,19 @@ std::vector<std::string> MixedScripts(int salt) {
 struct ConcurrentRun {
   std::vector<std::vector<std::string>> rows;     // [stream][request] rows
   std::vector<std::vector<double>> latencies_ms;  // [stream][request]
+  std::vector<std::vector<mapreduce::JobCost>> costs;  // [stream][request]
+  int64_t cache_hits = 0;
 };
 
-ConcurrentRun RunSaturation(uint64_t admission_seed) {
+// Serves the four tenant streams of MixedScripts on a fresh server: all
+// at once through ExecuteConcurrent, or one session after another.
+ConcurrentRun RunSaturation(uint64_t admission_seed, bool result_cache = true,
+                            bool concurrent = true) {
   testing::TestCluster cluster;
   SeedIndexedDataset(&cluster, 800);
   ServerOptions options = SmallClusterOptions();
   options.admission_seed = admission_seed;
+  options.enable_result_cache = result_cache;
   QueryServer server(&cluster.fs, options);
   SHADOOP_CHECK_OK(server.AttachDataset("idx", "/pts_idx"));
 
@@ -507,17 +519,31 @@ ConcurrentRun RunSaturation(uint64_t admission_seed) {
         server.OpenSession("tenant" + std::to_string(i), 1).ValueOrDie();
     streams.push_back(SessionStream{id, MixedScripts(i)});
   }
-  const auto results = server.ExecuteConcurrent(streams).ValueOrDie();
+  std::vector<std::vector<RequestResult>> results;
+  if (concurrent) {
+    results = server.ExecuteConcurrent(streams).ValueOrDie();
+  } else {
+    for (const SessionStream& stream : streams) {
+      results.emplace_back();
+      for (const std::string& script : stream.scripts) {
+        results.back().push_back(
+            server.Execute(stream.session, script).ValueOrDie());
+      }
+    }
+  }
 
   ConcurrentRun run;
   run.rows.resize(results.size());
   run.latencies_ms.resize(results.size());
+  run.costs.resize(results.size());
   for (size_t i = 0; i < results.size(); ++i) {
     for (const RequestResult& request : results[i]) {
       std::string flat;
       for (const std::string& row : request.rows) flat += row + "\n";
       run.rows[i].push_back(std::move(flat));
       run.latencies_ms[i].push_back(request.sim_latency_ms);
+      run.costs[i].push_back(request.cost);
+      run.cache_hits += request.result_cache_hits;
     }
   }
   return run;
@@ -553,24 +579,46 @@ TEST(QueryServerTest, ConcurrentExecutionIsDeterministicAcrossReruns) {
 TEST(QueryServerTest, ConcurrentRowsMatchSequentialExecution) {
   // A fresh server running the same streams one session at a time must
   // produce byte-identical rows: concurrency is invisible in results.
-  testing::TestCluster cluster;
-  SeedIndexedDataset(&cluster, 800);
-  QueryServer server(&cluster.fs, SmallClusterOptions());
-  ASSERT_TRUE(server.AttachDataset("idx", "/pts_idx").ok());
-  std::vector<std::vector<std::string>> sequential_rows;
-  for (int i = 0; i < 4; ++i) {
-    const SessionId id =
-        server.OpenSession("tenant" + std::to_string(i), 1).ValueOrDie();
-    sequential_rows.emplace_back();
-    for (const std::string& script : MixedScripts(i)) {
-      const RequestResult request = server.Execute(id, script).ValueOrDie();
-      std::string flat;
-      for (const std::string& row : request.rows) flat += row + "\n";
-      sequential_rows.back().push_back(std::move(flat));
+  const ConcurrentRun sequential =
+      RunSaturation(0, /*result_cache=*/true, /*concurrent=*/false);
+  const ConcurrentRun concurrent = RunSaturation(0);
+  EXPECT_EQ(concurrent.rows, sequential.rows);
+}
+
+TEST(QueryServerTest, CacheHitsChargeLikeMissesOfTheRequestingTenant) {
+  // Which session produces a shared entry depends on interleaving; what
+  // a request is charged must not. Every request of the concurrent,
+  // cached run costs exactly what it costs when every request misses.
+  const ConcurrentRun cached = RunSaturation(0);
+  const ConcurrentRun uncached =
+      RunSaturation(0, /*result_cache=*/false, /*concurrent=*/false);
+  EXPECT_GE(cached.cache_hits, 4);
+  EXPECT_EQ(uncached.cache_hits, 0);
+  EXPECT_EQ(cached.rows, uncached.rows);
+  ASSERT_EQ(cached.costs.size(), uncached.costs.size());
+  for (size_t i = 0; i < cached.costs.size(); ++i) {
+    ASSERT_EQ(cached.costs[i].size(), uncached.costs[i].size());
+    for (size_t j = 0; j < cached.costs[i].size(); ++j) {
+      SCOPED_TRACE("stream " + std::to_string(i) + " request " +
+                   std::to_string(j));
+      ExpectSameCost(cached.costs[i][j], uncached.costs[i][j]);
+      EXPECT_EQ(cached.latencies_ms[i][j], uncached.latencies_ms[i][j]);
     }
   }
-  const ConcurrentRun concurrent = RunSaturation(0);
-  EXPECT_EQ(concurrent.rows, sequential_rows);
+}
+
+TEST(QueryServerTest, SaturationIsIdenticalOnOneCpu) {
+  if (!testing::kCanNarrowCpus) GTEST_SKIP() << "no CPU affinity masks";
+  // On one CPU the streams and their tasks all run on this thread, one
+  // stream after another; rows and simulated latencies must not notice.
+  const ConcurrentRun wide = RunSaturation(0);
+  ConcurrentRun narrow;
+  {
+    const testing::ScopedCpus one_cpu(1);
+    narrow = RunSaturation(0);
+  }
+  EXPECT_EQ(narrow.rows, wide.rows);
+  EXPECT_EQ(narrow.latencies_ms, wide.latencies_ms);
 }
 
 TEST(QueryServerTest, ConcurrentCacheTrafficIsAccounted) {

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "core/aggregate_op.h"
@@ -14,6 +16,7 @@
 #include "geometry/wkt.h"
 #include "hdfs/block_arena.h"
 #include "index/record_shape.h"
+#include "cpu_affinity.h"
 #include "mapreduce/thread_pool.h"
 #include "test_util.h"
 
@@ -294,29 +297,89 @@ TEST(ZeroCopyJobTest, UnindexedScanParsesEachRecordAtMostOnce) {
 }
 
 // ---------------------------------------------------------------------
-// ThreadPool.
+// ParallelFor.
 
-TEST(ThreadPoolTest, CoversEveryIndexAndToleratesNesting) {
-  mapreduce::ThreadPool& pool = mapreduce::ThreadPool::Shared();
+TEST(ParallelForTest, CoversEveryIndexAndToleratesNesting) {
   std::vector<std::atomic<int>> hits(512);
-  pool.ParallelFor(hits.size(), 8, [&](size_t i) {
-    // Nested calls degrade to serial execution; they must still cover
-    // every index without deadlocking.
+  mapreduce::ParallelFor(hits.size(), 8, [&](size_t i) {
+    // A nested call queues behind the outer batch like any other call;
+    // it must cover every index without deadlocking.
     if (i == 0) {
-      pool.ParallelFor(4, 4, [&](size_t j) { hits[j].fetch_add(0); });
+      mapreduce::ParallelFor(4, 4, [&](size_t j) { hits[j].fetch_add(0); });
     }
     hits[i].fetch_add(1);
   });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPoolTest, ParseCountIsExactAcrossPoolThreads) {
+TEST(ParallelForTest, NestedCallsFromEveryItemCoverEveryIndex) {
+  constexpr size_t kOuter = 16;
+  constexpr size_t kInner = 64;
+  std::vector<std::atomic<int>> hits(kOuter * kInner * 2);
+  mapreduce::ParallelFor(kOuter, 8, [&](size_t i) {
+    mapreduce::ParallelFor(kInner, 8, [&](size_t j) {
+      // Two levels below the outer call: every wait still points at a
+      // deeper call, so none can close a cycle.
+      mapreduce::ParallelFor(2, 2, [&](size_t k) {
+        hits[(i * kInner + j) * 2 + k].fetch_add(1);
+      });
+    });
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ParallelForTest, ConcurrentCallersEachCoverEveryIndex) {
+  constexpr size_t kCallers = 4;
+  constexpr size_t kIndices = 2000;
+  std::vector<std::vector<std::atomic<int>>> hits(kCallers);
+  for (auto& h : hits) h = std::vector<std::atomic<int>>(kIndices);
+  std::vector<std::thread> callers;
+  for (size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      mapreduce::ParallelFor(kIndices, 8,
+                             [&](size_t i) { hits[c][i].fetch_add(1); });
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  for (const auto& per_caller : hits) {
+    for (const auto& h : per_caller) EXPECT_EQ(h.load(), 1);
+  }
+}
+
+// Records which thread ran each of 256 indices. Each index takes a
+// moment, so any lane a call gets does claim some of them.
+std::vector<std::thread::id> RunnersOf256Indices() {
+  std::vector<std::thread::id> ran_on(256);
+  mapreduce::ParallelFor(ran_on.size(), 8, [&](size_t i) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+    ran_on[i] = std::this_thread::get_id();
+  });
+  return ran_on;
+}
+
+TEST(ParallelForTest, OneCpuCallerRunsEveryIndexOnItsOwnThread) {
+  if (!testing::kCanNarrowCpus) GTEST_SKIP() << "no CPU affinity masks";
+  const testing::ScopedCpus one_cpu(1);
+  const std::vector<std::thread::id> ran_on = RunnersOf256Indices();
+  for (const std::thread::id& id : ran_on) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
+}
+
+TEST(ParallelForTest, TwoCpuCallerUsesAtMostTwoThreads) {
+  if (!testing::kCanNarrowCpus) GTEST_SKIP() << "no CPU affinity masks";
+  const testing::ScopedCpus two_cpus(2);
+  std::vector<std::thread::id> ran_on = RunnersOf256Indices();
+  std::sort(ran_on.begin(), ran_on.end());
+  EXPECT_LE(std::unique(ran_on.begin(), ran_on.end()) - ran_on.begin(), 2);
+}
+
+TEST(ParallelForTest, ParseCountIsExactAcrossPoolThreads) {
   constexpr size_t kThreads = 8;
   constexpr size_t kCallsPerThread = 20000;
-  mapreduce::ThreadPool& pool = mapreduce::ThreadPool::Shared();
   index::ResetGeometryParseCount();
   std::atomic<size_t> failed{0};
-  pool.ParallelFor(kThreads, static_cast<int>(kThreads), [&](size_t) {
+  mapreduce::ParallelFor(kThreads, static_cast<int>(kThreads), [&](size_t) {
     for (size_t i = 0; i < kCallsPerThread; ++i) {
       if (!index::RecordPoint("1.5,-2.5\tid=1").ok()) failed.fetch_add(1);
     }
@@ -325,12 +388,11 @@ TEST(ThreadPoolTest, ParseCountIsExactAcrossPoolThreads) {
   EXPECT_EQ(index::GeometryParseCount(), kThreads * kCallsPerThread);
 }
 
-TEST(ThreadPoolTest, SerialAndParallelProduceSameAggregate) {
-  mapreduce::ThreadPool& pool = mapreduce::ThreadPool::Shared();
-  auto run = [&](int parallelism) {
+TEST(ParallelForTest, SerialAndParallelProduceSameAggregate) {
+  auto run = [&](int lanes) {
     std::vector<uint64_t> out(1000);
-    pool.ParallelFor(out.size(), parallelism,
-                     [&](size_t i) { out[i] = i * i; });
+    mapreduce::ParallelFor(out.size(), lanes,
+                           [&](size_t i) { out[i] = i * i; });
     uint64_t sum = 0;
     for (uint64_t v : out) sum += v;
     return sum;
