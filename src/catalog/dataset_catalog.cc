@@ -29,7 +29,7 @@ class IngestScanMapper : public mapreduce::Mapper {
       return;
     }
     ctx.counters().Increment("ingest.records");
-    ctx.WriteOutput(record);
+    ctx.WriteOutput(std::string(record));
   }
 
  private:

@@ -127,7 +127,7 @@ class VerifyMapper : public KnnJoinMapper {
         line.append(FormatDouble(Distance(a_points[ai], *b_point)));
         line.push_back(kJoinSeparator);
         line.append(std::to_string(rank));
-        ctx.WriteOutput(line);
+        ctx.WriteOutput(std::move(line));
       }
     }
   }

@@ -89,9 +89,15 @@ void PartitionMapper::BeginBlock(size_t ordinal,
 void PartitionMapper::Map(std::string_view record,
                           mapreduce::MapContext& ctx) {
   (void)ctx;
+  reader_.AddBorrowed(record);
+}
+
+void PartitionMapper::MapBlock(const hdfs::BlockRecords& block,
+                               mapreduce::MapContext& ctx) {
+  (void)ctx;
   // Record views stay valid through EndSplit (the runner pins the block
   // bytes for the whole attempt), so buffering borrows — no copy.
-  reader_.AddBorrowed(record);
+  reader_.AddBlock(block);
 }
 
 void PartitionMapper::EndSplit(mapreduce::MapContext& ctx) {
@@ -137,6 +143,12 @@ void PairPartitionMapper::Map(std::string_view record,
                               mapreduce::MapContext& ctx) {
   (void)ctx;
   (in_a_ ? reader_a_ : reader_b_).AddBorrowed(record);
+}
+
+void PairPartitionMapper::MapBlock(const hdfs::BlockRecords& block,
+                                   mapreduce::MapContext& ctx) {
+  (void)ctx;
+  (in_a_ ? reader_a_ : reader_b_).AddBlock(block);
 }
 
 void PairPartitionMapper::EndSplit(mapreduce::MapContext& ctx) {

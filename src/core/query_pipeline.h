@@ -35,8 +35,8 @@ namespace shadoop::core {
 // Partition mappers
 
 /// Base mapper for single-partition splits of a spatially indexed file:
-/// decodes the SplitExtent carried in the split meta, buffers the
-/// partition's records into a SpatialRecordReader, and hands both to
+/// decodes the SplitExtent carried in the split meta, hands each block's
+/// records to a SpatialRecordReader in one call, and hands both to
 /// Process() once the split is fully read — the operation's local-process
 /// step.
 class PartitionMapper : public mapreduce::Mapper {
@@ -46,7 +46,11 @@ class PartitionMapper : public mapreduce::Mapper {
 
   void BeginSplit(mapreduce::MapContext& ctx) override;
   void BeginBlock(size_t ordinal, mapreduce::MapContext& ctx) override;
-  void Map(std::string_view record, mapreduce::MapContext& ctx) override;
+  // Final: the runner calls MapBlock, which feeds the reader directly,
+  // so a per-record override here would never run.
+  void Map(std::string_view record, mapreduce::MapContext& ctx) final;
+  void MapBlock(const hdfs::BlockRecords& block,
+                mapreduce::MapContext& ctx) final;
   void EndSplit(mapreduce::MapContext& ctx) override;
 
  protected:
@@ -64,7 +68,7 @@ class PartitionMapper : public mapreduce::Mapper {
 };
 
 /// Base mapper for pair splits (block 0 = partition of file A, later
-/// blocks = partition(s) of file B): buffers each side into its own
+/// blocks = partition(s) of file B): hands each side's blocks to its own
 /// SpatialRecordReader and calls Process() with both.
 class PairPartitionMapper : public mapreduce::Mapper {
  public:
@@ -76,7 +80,11 @@ class PairPartitionMapper : public mapreduce::Mapper {
 
   void BeginSplit(mapreduce::MapContext& ctx) override;
   void BeginBlock(size_t ordinal, mapreduce::MapContext& ctx) override;
-  void Map(std::string_view record, mapreduce::MapContext& ctx) override;
+  // Final: the runner calls MapBlock, which feeds the reader directly,
+  // so a per-record override here would never run.
+  void Map(std::string_view record, mapreduce::MapContext& ctx) final;
+  void MapBlock(const hdfs::BlockRecords& block,
+                mapreduce::MapContext& ctx) final;
   void EndSplit(mapreduce::MapContext& ctx) override;
 
  protected:

@@ -23,7 +23,7 @@ class HadoopRangeMapper : public mapreduce::Mapper {
       return;
     }
     if (env.value().Intersects(query_)) {
-      ctx.WriteOutput(record);
+      ctx.WriteOutput(std::string(record));
       ctx.counters().Increment("range.matches");
     }
   }
@@ -57,7 +57,7 @@ class SpatialRangeMapper : public PartitionMapper {
           continue;
         }
       }
-      ctx.WriteOutput(reader.records()[i]);
+      ctx.WriteOutput(std::string(reader.records()[i]));
       ctx.counters().Increment("range.matches");
     }
     ctx.counters().Increment("range.bad_records",

@@ -167,11 +167,16 @@ class SjmrReducer : public mapreduce::Reducer {
         reader_a, reader_a.Envelopes(), reader_b, reader_b.Envelopes(),
         algorithm_,
         [this, &cell](const Point& ref) { return AcceptRef(cell, ref); },
-        [&ctx](std::string line) {
+        [this, &ctx](std::string line) {
           ctx.Write(std::move(line));
-          ctx.counters().Increment("join.results");
+          ++results_;
         });
     ctx.ChargeCpu(cpu);
+  }
+
+  void Finish(mapreduce::ReduceContext& ctx) override {
+    // Counted once per task; a task without results adds no counter.
+    if (results_ > 0) ctx.counters().Increment("join.results", results_);
   }
 
  private:
@@ -194,6 +199,7 @@ class SjmrReducer : public mapreduce::Reducer {
   LocalJoinAlgorithm algorithm_;
   double grid_space_max_x_ = std::numeric_limits<double>::infinity();
   double grid_space_max_y_ = std::numeric_limits<double>::infinity();
+  int64_t results_ = 0;
 };
 
 // ---------------------------------------------------------------------
@@ -228,9 +234,10 @@ class DjMapper : public PairPartitionMapper {
       }
       return true;
     };
-    const auto write = [&ctx](std::string line) {
+    int64_t results = 0;
+    const auto write = [&ctx, &results](std::string line) {
       ctx.WriteOutput(std::move(line));
-      ctx.counters().Increment("join.results");
+      ++results;
     };
     // The kernel builds on its first input; swapping the readers moves the
     // build side while flip_output keeps the A-first line format. The
@@ -244,6 +251,8 @@ class DjMapper : public PairPartitionMapper {
             : LocalJoin(reader_a, reader_a.Envelopes(), reader_b,
                         reader_b.Envelopes(), algorithm_, accept, write);
     ctx.ChargeCpu(cpu);
+    // Counted once per task; a task without results adds no counter.
+    if (results > 0) ctx.counters().Increment("join.results", results);
   }
 
  private:

@@ -93,6 +93,23 @@ void SpatialRecordReader::AddBorrowed(std::string_view record) {
   AddRecord(record);
 }
 
+void SpatialRecordReader::AddBlock(const hdfs::BlockRecords& block) {
+  const size_t before = records_.size();
+  // Sized exactly for a reader's first block, the common case. Later
+  // blocks (a pair split's B side) grow the vector geometrically, since
+  // an exact reserve per block would copy every earlier view each time.
+  if (before == 0) records_.reserve(block.size() - block.metadata().size());
+  size_t run = 0;
+  for (const uint32_t header : block.metadata()) {
+    block.AppendViews(run, header, &records_);
+    ConsumeHeader(block[header]);
+    run = size_t{header} + 1;
+  }
+  block.AppendViews(run, block.size(), &records_);
+  // ConsumeHeader invalidates on its own when it adopts a header.
+  if (records_.size() != before) InvalidateColumns();
+}
+
 void SpatialRecordReader::AddRecord(std::string_view stable_record) {
   records_.push_back(stable_record);
   InvalidateColumns();

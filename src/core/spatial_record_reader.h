@@ -25,11 +25,12 @@ namespace shadoop::core {
 /// (HDFS text files routinely contain stray lines).
 ///
 /// Storage is zero-copy: records are `std::string_view`s — either
-/// borrowed from the caller (AddBorrowed, used on the runner's pinned
-/// block bytes) or interned into the reader's own arena (Add). Geometry
-/// is parsed at most once per record: the first typed accessor builds a
-/// contiguous column (envelopes, point coordinates, or polygons) that
-/// every later access — including the R-tree bulk load — reads directly.
+/// borrowed from the caller (AddBlock and AddBorrowed, used on the
+/// runner's pinned block bytes) or interned into the reader's own arena
+/// (Add). Geometry is parsed at most once per record: the first typed
+/// accessor builds a contiguous column (envelopes, point coordinates, or
+/// polygons) that every later access — including the R-tree bulk load —
+/// reads directly.
 /// A partition persisted with a `#lidx` header feeds the envelope column
 /// without parsing any geometry at all.
 ///
@@ -64,6 +65,14 @@ class SpatialRecordReader {
   /// this reader's use (the map runner pins block payloads for the whole
   /// task attempt, so partition mappers borrow).
   void AddBorrowed(std::string_view record);
+
+  /// Borrows a whole block's records at once (the partition mappers'
+  /// Mapper::MapBlock): leaves the reader exactly as AddBorrowed() on
+  /// each record in order would. Metadata records, wherever they sit, are
+  /// consumed at the positions the block's record index lists, so no
+  /// record byte is read; the others are appended in runs, and the
+  /// columns are invalidated once.
+  void AddBlock(const hdfs::BlockRecords& block);
 
   /// Drops all records, parsed columns, the local index, the
   /// local-index header, the cache attachment, and the arena — the

@@ -4,6 +4,7 @@
 
 #include "common/logging.h"
 #include "fault/fault_injector.h"
+#include "hdfs/block_arena.h"
 
 namespace shadoop::hdfs {
 namespace {
@@ -124,11 +125,29 @@ Result<FileMeta> FileSystem::GetFileMeta(const std::string& path) const {
   return it->second;
 }
 
+Result<std::vector<BlockId>> FileSystem::GetBlockIds(
+    const std::string& path) const {
+  MutexLock lock(&mu_);
+  auto it = files_.find(path);
+  if (it == files_.end()) return Status::NotFound("no such file: " + path);
+  std::vector<BlockId> ids;
+  ids.reserve(it->second.blocks.size());
+  for (const BlockMeta& block : it->second.blocks) ids.push_back(block.id);
+  return ids;
+}
+
 Result<std::vector<std::string>> FileSystem::ReadBlock(
     const std::string& path, size_t block_index) const {
   SHADOOP_ASSIGN_OR_RETURN(std::shared_ptr<const std::string> payload,
                            ReadBlockRaw(path, block_index));
-  return SplitBlockIntoRecords(*payload);
+  SHADOOP_RETURN_NOT_OK(RecordIndex::CheckIndexable(*payload));
+  const RecordIndex index = RecordIndex::Build(*payload);
+  std::vector<std::string> records;
+  records.reserve(index.size());
+  for (size_t i = 0; i < index.size(); ++i) {
+    records.emplace_back(index.View(*payload, i));
+  }
+  return records;
 }
 
 Result<std::shared_ptr<const std::string>> FileSystem::ReadBlockRaw(
@@ -327,18 +346,6 @@ void FileSystem::DropBlocks(const FileMeta& meta) {
       nodes_[node].erase(block.id);
     }
   }
-}
-
-std::vector<std::string> SplitBlockIntoRecords(const std::string& payload) {
-  std::vector<std::string> records;
-  size_t start = 0;
-  while (start < payload.size()) {
-    size_t end = payload.find('\n', start);
-    if (end == std::string::npos) end = payload.size();
-    records.emplace_back(payload, start, end - start);
-    start = end + 1;
-  }
-  return records;
 }
 
 }  // namespace shadoop::hdfs

@@ -138,6 +138,12 @@ class FileSystem {
   Result<FileMeta> GetFileMeta(const std::string& path) const
       SHADOOP_EXCLUDES(mu_);
 
+  /// The ids of `path`'s blocks in block order, read under one namenode
+  /// lock without copying the file's metadata: what the job runner needs
+  /// to key its per-block artifacts.
+  Result<std::vector<BlockId>> GetBlockIds(const std::string& path) const
+      SHADOOP_EXCLUDES(mu_);
+
   /// Reads the records of one block. Fails with IoError when every replica
   /// lives on a dead datanode.
   Result<std::vector<std::string>> ReadBlock(const std::string& path,
@@ -211,10 +217,6 @@ class FileSystem {
   mutable IoStats io_stats_;
   std::atomic<fault::FaultInjector*> fault_injector_{nullptr};
 };
-
-/// Splits a block payload into records (lines). Exposed for the record
-/// readers.
-std::vector<std::string> SplitBlockIntoRecords(const std::string& payload);
 
 }  // namespace shadoop::hdfs
 

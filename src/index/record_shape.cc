@@ -5,6 +5,7 @@
 
 #include "common/string_util.h"
 #include "geometry/wkt.h"
+#include "hdfs/block_arena.h"
 
 namespace shadoop::index {
 namespace {
@@ -75,7 +76,7 @@ std::string_view GeometryField(std::string_view record) {
 }
 
 bool IsMetadataRecord(std::string_view record) {
-  return !record.empty() && record.front() == '#';
+  return hdfs::IsMetadataLine(record);
 }
 
 std::string EncodeLocalIndexHeader(const std::vector<Envelope>& envelopes) {

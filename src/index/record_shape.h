@@ -26,9 +26,10 @@ Result<ShapeType> ParseShapeType(const std::string& name);
 /// The geometry portion of a record line (text before the first tab).
 std::string_view GeometryField(std::string_view record);
 
-/// True for in-band metadata records ('#'-prefixed lines), e.g. the
-/// persisted local-index header the index builder can place at the start
-/// of each partition block. Map functions skip these.
+/// True for in-band metadata records ('#'-prefixed lines,
+/// hdfs::IsMetadataLine), e.g. the persisted local-index header the index
+/// builder can place at the start of each partition block. Map functions
+/// skip these.
 bool IsMetadataRecord(std::string_view record);
 
 /// Local-index header codec: "#lidx <csv>|<csv>|..." with one envelope

@@ -8,7 +8,8 @@
 namespace shadoop::mapreduce {
 
 /// Process-wide cache of immutable artifacts derived from a block's bytes
-/// — decoded local-index headers, parsed geometry columns, packed local
+/// — record indexes (the runner's `rec:<block id>`, hdfs::RecordIndex),
+/// decoded local-index headers, parsed geometry columns, packed local
 /// R-trees — shared across the map tasks of every job a runner executes.
 /// Builds are single-flight (FifoCache::GetOrBuild): tasks that miss one
 /// key at the same time wait for one build, so a cold job builds each

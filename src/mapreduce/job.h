@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "hdfs/block_arena.h"
 #include "mapreduce/artifact_cache.h"
 
 namespace shadoop::mapreduce {
@@ -88,7 +89,10 @@ class MapContext {
   /// Key/value bytes are copied into the task's shuffle buffer before the
   /// call returns, so views into short-lived storage are fine.
   virtual void Emit(std::string_view key, std::string_view value) = 0;
-  virtual void WriteOutput(std::string_view line) = 0;
+  /// Takes the line by value, like ReduceContext::Write: callers that
+  /// build a line move it in, and callers holding a view build the string
+  /// at the call site.
+  virtual void WriteOutput(std::string line) = 0;
   virtual void ChargeCpu(uint64_t ops) = 0;
   virtual Counters& counters() = 0;
   /// The split being processed (access to `meta`).
@@ -96,6 +100,8 @@ class MapContext {
   /// Marks the task (and hence the job) failed; record processing stops
   /// after the current record. For data errors the job must not ignore.
   virtual void Fail(Status status) = 0;
+  /// True once Fail() was called.
+  virtual bool failed() const = 0;
 
   /// Runner-wide cache of immutable per-block artifacts (see
   /// artifact_cache.h), or null when caching is unavailable — fault
@@ -127,8 +133,8 @@ class ReduceContext {
 
 /// User map function. One instance is created per map task (so instances
 /// may keep per-split state without locking). BeginSplit/EndSplit bracket
-/// the records of the split; whole-partition algorithms buffer in Map()
-/// and compute in EndSplit().
+/// the records of the split; whole-partition algorithms buffer in
+/// MapBlock() and compute in EndSplit().
 class Mapper {
  public:
   virtual ~Mapper() = default;
@@ -146,6 +152,18 @@ class Mapper {
   /// Map() calls. Anything that must outlive the task — Emit(),
   /// WriteOutput() — is copied by the context.
   virtual void Map(std::string_view record, MapContext& ctx) = 0;
+  /// Called once per block, after BeginBlock(), with all of its records.
+  /// `block` itself is valid only during the call; the record views it
+  /// yields have Map()'s lifetime. The runner calls this, never Map()
+  /// directly. The default feeds Map() one record at a time, in order, and
+  /// stops after a record that failed the task. Mappers that buffer whole
+  /// partitions (core::PartitionMapper) take the block in one call.
+  virtual void MapBlock(const hdfs::BlockRecords& block, MapContext& ctx) {
+    for (size_t i = 0; i < block.size(); ++i) {
+      Map(block[i], ctx);
+      if (ctx.failed()) return;
+    }
+  }
   virtual void EndSplit(MapContext& ctx) { (void)ctx; }
 };
 

@@ -49,9 +49,9 @@ class MapContextImpl : public MapContext {
                                 static_cast<uint32_t>(value.size())});
   }
 
-  void WriteOutput(std::string_view line) override {
+  void WriteOutput(std::string line) override {
     output_bytes_ += line.size() + 1;
-    output_.emplace_back(line);
+    output_.push_back(std::move(line));
   }
 
   void ChargeCpu(uint64_t ops) override { acct_.charged_cpu_ops += ops; }
@@ -61,6 +61,7 @@ class MapContextImpl : public MapContext {
   void Fail(Status status) override {
     if (acct_.status.ok()) acct_.status = std::move(status);
   }
+  bool failed() const override { return !acct_.status.ok(); }
 
   void set_partitioner(const Partitioner& p) { partition_ = p; }
 
@@ -172,6 +173,22 @@ void ReduceSortedRun(const std::vector<ShuffleRef>& pairs, Reducer& reducer,
     i = j;
   }
   reducer.Finish(ctx);
+}
+
+/// The record index of one block payload. With the artifact cache on and
+/// the block id known, it is built once per runner and shared: tasks that
+/// read the block at the same time wait for one build. Otherwise the
+/// attempt builds it and drops it.
+Result<std::shared_ptr<const hdfs::RecordIndex>> IndexRecords(
+    ArtifactCache* cache, uint64_t block_id, std::string_view payload) {
+  SHADOOP_RETURN_NOT_OK(hdfs::RecordIndex::CheckIndexable(payload));
+  auto build = [payload] {
+    return std::make_shared<const hdfs::RecordIndex>(
+        hdfs::RecordIndex::Build(payload));
+  };
+  if (cache == nullptr || block_id == 0) return build();
+  return std::static_pointer_cast<const hdfs::RecordIndex>(
+      cache->GetOrBuild("rec:" + std::to_string(block_id), build));
 }
 
 double CpuMs(const ClusterConfig& cfg, const TaskAccounting& acct) {
@@ -303,29 +320,28 @@ JobResult JobRunner::RunAdmitted(const JobConfig& job, int lanes,
   // Artifact caching is offered only on fully fault-free runs: any active
   // injector (scheduler or HDFS read faults) could otherwise be masked by
   // an artifact parsed before the fault fired. Block ids are resolved
-  // once per job from the namenode.
+  // once per job, one namenode lookup per file.
   const bool cache_enabled =
       fault_injector_ == nullptr && fs_injector == nullptr;
   std::vector<std::vector<uint64_t>> split_block_ids;
   if (cache_enabled) {
     split_block_ids.resize(num_maps);
-    std::unordered_map<std::string, hdfs::FileMeta> metas;
+    std::unordered_map<std::string, std::vector<hdfs::BlockId>> file_ids;
     for (size_t i = 0; i < num_maps; ++i) {
       for (const BlockRef& block : job.splits[i].blocks) {
-        auto it = metas.find(block.path);
+        auto it = file_ids.find(block.path);
         // Point lookup — no order observed.
-        if (it == metas.end()) {  // lint:allow(unordered-iteration)
-          auto meta = fs_->GetFileMeta(block.path);
-          it = metas.emplace(
-                        block.path,
-                        meta.ok() ? std::move(meta).value() : hdfs::FileMeta())
+        if (it == file_ids.end()) {  // lint:allow(unordered-iteration)
+          auto ids = fs_->GetBlockIds(block.path);
+          it = file_ids
+                   .emplace(block.path,
+                            ids.ok() ? std::move(ids).value()
+                                     : std::vector<hdfs::BlockId>())
                    .first;
         }
-        const hdfs::FileMeta& meta = it->second;
+        const std::vector<hdfs::BlockId>& ids = it->second;
         split_block_ids[i].push_back(
-            block.block_index < meta.blocks.size()
-                ? meta.blocks[block.block_index].id
-                : 0);
+            block.block_index < ids.size() ? ids[block.block_index] : 0);
       }
     }
   }
@@ -363,18 +379,21 @@ JobResult JobRunner::RunAdmitted(const JobConfig& job, int lanes,
             // Transient: a replica may still be alive on retry.
             return {payload.status(), /*transient=*/true};
           }
+          auto index = IndexRecords(ctx->artifact_cache(),
+                                    ctx->block_cache_id(ordinal), **payload);
+          if (!index.ok()) return {index.status(), /*transient=*/false};
+          const hdfs::RecordIndex& record_index = **index;
+          // Charged per block from the index: every record, plus one
+          // newline byte each.
+          bytes += record_index.bytes();
+          ctx->acct_.records_processed += record_index.size();
           mapper->BeginBlock(ordinal, *ctx);
-          for (std::string_view record :
-               arena.AddBlock(std::move(payload).value())) {
-            bytes += record.size() + 1;
-            ++ctx->acct_.records_processed;
-            mapper->Map(record, *ctx);
-            if (!ctx->acct_.status.ok()) break;
-          }
-          if (!ctx->acct_.status.ok()) break;
+          mapper->MapBlock(
+              arena.AddBlock(std::move(payload).value(), record_index), *ctx);
+          if (ctx->failed()) break;
         }
-        if (ctx->acct_.status.ok()) mapper->EndSplit(*ctx);
-        if (!ctx->acct_.status.ok()) {
+        if (!ctx->failed()) mapper->EndSplit(*ctx);
+        if (ctx->failed()) {
           // User-code failure: deterministic, retrying would repeat it.
           return {ctx->acct_.status, /*transient=*/false};
         }

@@ -163,7 +163,7 @@ TEST(FaultToleranceTest, TransientTaskFaultsDoNotChangeResults) {
   class EchoMapper : public mapreduce::Mapper {
    public:
     void Map(std::string_view record, mapreduce::MapContext& ctx) override {
-      ctx.WriteOutput(record);
+      ctx.WriteOutput(std::string(record));
     }
   };
   job.mapper = []() { return std::make_unique<EchoMapper>(); };

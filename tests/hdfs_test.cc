@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "hdfs/block_arena.h"
 #include "hdfs/file_system.h"
 
 namespace shadoop::hdfs {
@@ -124,12 +125,56 @@ TEST(FileSystemTest, ReadErrors) {
   EXPECT_TRUE(fs.ReadBlock("/f", 99).status().IsInvalidArgument());
 }
 
-TEST(SplitBlockTest, HandlesTrailingNewlineAndEmptyPayload) {
-  EXPECT_TRUE(SplitBlockIntoRecords("").empty());
-  EXPECT_EQ(SplitBlockIntoRecords("a\nb\n"),
-            (std::vector<std::string>{"a", "b"}));
-  EXPECT_EQ(SplitBlockIntoRecords("a\nb"),
-            (std::vector<std::string>{"a", "b"}));
+std::vector<std::string_view> AllViews(const RecordIndex& index,
+                                       std::string_view payload) {
+  std::vector<std::string_view> views;
+  index.AppendViews(payload, 0, index.size(), &views);
+  return views;
+}
+
+TEST(RecordIndexTest, HandlesTrailingNewlineEmptyLinesAndEmptyPayload) {
+  struct Case {
+    std::string payload;
+    std::vector<std::string_view> records;
+    uint64_t bytes;  // Σ(len + 1) over the records.
+    std::vector<uint32_t> metadata;
+  };
+  const std::vector<Case> cases = {
+      {"", {}, 0, {}},
+      {"a\nb\n", {"a", "b"}, 4, {}},
+      {"a\nb", {"a", "b"}, 4, {}},
+      {"\n", {""}, 1, {}},
+      {"\n\nx\n\n", {"", "", "x", ""}, 5, {}},
+      {"#h\n\nlast", {"#h", "", "last"}, 9, {0}},
+      {"a\n#\n\n#x", {"a", "#", "", "#x"}, 8, {1, 3}},
+  };
+  for (const Case& c : cases) {
+    const RecordIndex index = RecordIndex::Build(c.payload);
+    EXPECT_EQ(AllViews(index, c.payload), c.records) << c.payload;
+    EXPECT_EQ(index.size(), c.records.size()) << c.payload;
+    EXPECT_EQ(index.bytes(), c.bytes) << c.payload;
+    EXPECT_EQ(index.metadata(), c.metadata) << c.payload;
+    for (size_t i = 0; i < index.size(); ++i) {
+      EXPECT_EQ(index.View(c.payload, i), c.records[i]) << c.payload;
+      // A partial range starts at the right record too.
+      std::vector<std::string_view> tail;
+      index.AppendViews(c.payload, i, index.size(), &tail);
+      EXPECT_EQ(tail, std::vector<std::string_view>(c.records.begin() + i,
+                                                    c.records.end()));
+    }
+  }
+}
+
+TEST(RecordIndexTest, ReadBlockCutsRecordsWhereTheIndexDoes) {
+  FileSystem fs(SmallBlocks());
+  ASSERT_TRUE(fs.WriteLines("/f", {"", "x", "", "#meta", "yy"}).ok());
+  const std::shared_ptr<const std::string> payload =
+      fs.ReadBlockRaw("/f", 0).ValueOrDie();
+  const RecordIndex index = RecordIndex::Build(*payload);
+  const std::vector<std::string> records = fs.ReadBlock("/f", 0).ValueOrDie();
+  ASSERT_EQ(records.size(), index.size());
+  const std::vector<std::string_view> views = AllViews(index, *payload);
+  for (size_t i = 0; i < records.size(); ++i) EXPECT_EQ(records[i], views[i]);
 }
 
 }  // namespace

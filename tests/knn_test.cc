@@ -109,6 +109,86 @@ TEST(KnnTest, SpatialReadsFewerBytesThanHadoop) {
   EXPECT_LT(spatial_stats.cost.bytes_read, hadoop_stats.cost.bytes_read / 3);
 }
 
+TEST(KnnTest, TiesAtTheKthDistanceAreValidAndDeterministic) {
+  testing::TestCluster cluster;
+  workload::PointGenOptions gen;
+  gen.count = 1500;
+  gen.seed = 5;
+  std::vector<std::string> lines =
+      workload::PointsToRecords(workload::GeneratePoints(gen));
+  // Twelve points at exactly distance 1000 from q, so k = 5 cuts through
+  // the tie: which five survive depends only on the order records are
+  // offered in, never on thread timing.
+  const Point q(5e5, 5e5);
+  for (const auto& [dx, dy] : std::vector<std::pair<double, double>>{
+           {1000, 0}, {-1000, 0}, {0, 1000}, {0, -1000}, {600, 800},
+           {-600, 800}, {600, -800}, {-600, -800}, {800, 600}, {-800, 600},
+           {800, -600}, {-800, -600}}) {
+    lines.push_back(PointToCsv(Point(q.x + dx, q.y + dy)));
+  }
+  ASSERT_TRUE(cluster.fs.WriteLines("/pts", lines).ok());
+  std::vector<Point> points;
+  for (const std::string& line : lines) {
+    points.push_back(ParsePointCsv(line).ValueOrDie());
+  }
+  const size_t k = 5;
+  const std::vector<double> expected = BruteForceKnnDistances(points, q, k);
+  ASSERT_EQ(expected.back(), 1000.0);
+
+  auto expect_valid = [&](const std::vector<KnnAnswer>& got) {
+    ExpectSameDistances(got, expected);
+    for (size_t i = 0; i < got.size(); ++i) {
+      // Each answer is an input record at its reported distance, listed
+      // once, in (distance, record) order.
+      EXPECT_EQ(Distance(ParsePointCsv(got[i].record).ValueOrDie(), q),
+                got[i].distance);
+      EXPECT_NE(std::find(lines.begin(), lines.end(), got[i].record),
+                lines.end());
+      if (i > 0) {
+        EXPECT_LT(std::make_pair(got[i - 1].distance, got[i - 1].record),
+                  std::make_pair(got[i].distance, got[i].record));
+      }
+    }
+  };
+  auto expect_same = [](const std::vector<KnnAnswer>& a,
+                        const std::vector<KnnAnswer>& b) {
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].distance, b[i].distance) << "rank " << i;
+      EXPECT_EQ(a[i].record, b[i].record) << "rank " << i;
+    }
+  };
+
+  // One slot and four, cold and warm: the same answer every time.
+  testing::TestCluster one_slot(4 * 1024, /*num_slots=*/1);
+  ASSERT_TRUE(one_slot.fs.WriteLines("/pts", lines).ok());
+  const auto hadoop =
+      KnnHadoop(&cluster.runner, "/pts", index::ShapeType::kPoint, q, k)
+          .ValueOrDie();
+  expect_valid(hadoop);
+  expect_same(hadoop,
+              KnnHadoop(&cluster.runner, "/pts", index::ShapeType::kPoint, q,
+                        k)
+                  .ValueOrDie());
+  expect_same(hadoop, KnnHadoop(&one_slot.runner, "/pts",
+                                index::ShapeType::kPoint, q, k)
+                          .ValueOrDie());
+  for (PartitionScheme scheme :
+       {PartitionScheme::kGrid, PartitionScheme::kStr}) {
+    const std::string path =
+        std::string("/pts.") + index::PartitionSchemeName(scheme);
+    const index::SpatialFileInfo file =
+        testing::BuildIndex(&cluster.runner, "/pts", path, scheme);
+    const index::SpatialFileInfo serial =
+        testing::BuildIndex(&one_slot.runner, "/pts", path, scheme);
+    const auto spatial = KnnSpatial(&cluster.runner, file, q, k).ValueOrDie();
+    expect_valid(spatial);
+    expect_same(spatial, KnnSpatial(&cluster.runner, file, q, k).ValueOrDie());
+    expect_same(spatial,
+                KnnSpatial(&one_slot.runner, serial, q, k).ValueOrDie());
+  }
+}
+
 TEST(KnnTest, CorrectnessLoopTriggersNearPartitionBoundary) {
   testing::TestCluster cluster;
   testing::WritePoints(&cluster.fs, "/pts", 4000);

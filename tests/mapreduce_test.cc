@@ -136,7 +136,7 @@ TEST(MapReduceTest, InjectedFaultIsRetried) {
   class PassMapper : public Mapper {
    public:
     void Map(std::string_view record, MapContext& ctx) override {
-      ctx.WriteOutput(record);
+      ctx.WriteOutput(std::string(record));
     }
   };
   JobConfig job;
@@ -165,7 +165,7 @@ TEST(MapReduceTest, PersistentFaultFailsTheJob) {
   class PassMapper : public Mapper {
    public:
     void Map(std::string_view record, MapContext& ctx) override {
-      ctx.WriteOutput(record);
+      ctx.WriteOutput(std::string(record));
     }
   };
   JobConfig job;
@@ -194,6 +194,43 @@ TEST(MapReduceTest, UserFailureSurfacesStatus) {
   job.mapper = []() { return std::make_unique<FailMapper>(); };
   JobResult result = cluster.runner.Run(job);
   EXPECT_TRUE(result.status.IsParseError());
+
+  // A per-record mapper that fails on record k of a block sees records
+  // 0..k and nothing after: the default Mapper::MapBlock stops there, and
+  // the failed task never reaches EndSplit.
+  ASSERT_TRUE(
+      cluster.fs.WriteLines("/ten", {"r0", "r1", "r2", "r3", "r4", "r5", "r6",
+                                     "r7", "r8", "r9"})
+          .ok());
+  struct Seen {
+    std::vector<std::string> records;
+    bool ended = false;
+  };
+  class FailAtMapper : public Mapper {
+   public:
+    FailAtMapper(Seen* seen, std::string fail_on)
+        : seen_(seen), fail_on_(std::move(fail_on)) {}
+    void Map(std::string_view record, MapContext& ctx) override {
+      seen_->records.emplace_back(record);
+      if (record == fail_on_) ctx.Fail(Status::ParseError("bad record"));
+    }
+    void EndSplit(MapContext&) override { seen_->ended = true; }
+
+   private:
+    Seen* seen_;
+    std::string fail_on_;
+  };
+  Seen seen;
+  JobConfig fail_at;
+  fail_at.splits = MakeBlockSplits(cluster.fs, "/ten").ValueOrDie();
+  ASSERT_EQ(fail_at.splits.size(), 1u);
+  fail_at.mapper = [&seen]() {
+    return std::make_unique<FailAtMapper>(&seen, "r3");
+  };
+  result = cluster.runner.Run(fail_at);
+  EXPECT_TRUE(result.status.IsParseError());
+  EXPECT_EQ(seen.records, (std::vector<std::string>{"r0", "r1", "r2", "r3"}));
+  EXPECT_FALSE(seen.ended);
 }
 
 TEST(MapReduceTest, CostModelChargesStartupAndScan) {

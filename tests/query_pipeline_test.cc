@@ -11,6 +11,7 @@
 #include "core/operation_skeleton.h"
 #include "fault/fault_injector.h"
 #include "geometry/wkt.h"
+#include "hdfs/block_arena.h"
 #include "test_util.h"
 
 namespace shadoop::core {
@@ -177,6 +178,118 @@ TEST(QueryPipelineTest, LocalIndexBuildIsChargedOnce) {
   // rebuild: the increments are equal.
   EXPECT_NEAR(twice - once, thrice - twice, 1e-9);
   EXPECT_GT(twice, once);
+}
+
+// ---------------------------------------------------------------------
+// Record index: built once per block per runner, and whole blocks handed
+// to partition mappers.
+
+/// Range-searches its partition. PartitionMapper's Map and MapBlock are
+/// final, so it takes whole blocks like every partition mapper.
+class BlockFedMapper : public PartitionMapper {
+ public:
+  explicit BlockFedMapper(bool parse_extent = true)
+      : PartitionMapper(index::ShapeType::kPoint, parse_extent) {}
+
+ protected:
+  void Process(const SplitExtent& extent, SpatialRecordReader& reader,
+               MapContext& ctx) override {
+    (void)extent;
+    const Envelope query(1e5, 1e5, 6e5, 8e5);
+    for (uint32_t i : reader.Search(query, ctx)) {
+      ctx.WriteOutput(std::string(reader.records()[i]));
+    }
+    ctx.counters().Increment("test.records",
+                             static_cast<int64_t>(reader.NumRecords()));
+  }
+};
+
+void ExpectSameJob(const JobResult& a, const JobResult& b) {
+  ASSERT_TRUE(a.status.ok()) << a.status.ToString();
+  ASSERT_TRUE(b.status.ok()) << b.status.ToString();
+  EXPECT_EQ(a.output, b.output);
+  EXPECT_EQ(a.counters.values(), b.counters.values());
+  EXPECT_EQ(a.cost.total_ms, b.cost.total_ms);
+  EXPECT_EQ(a.cost.map_makespan_ms, b.cost.map_makespan_ms);
+  EXPECT_EQ(a.cost.shuffle_ms, b.cost.shuffle_ms);
+  EXPECT_EQ(a.cost.reduce_makespan_ms, b.cost.reduce_makespan_ms);
+  EXPECT_EQ(a.cost.bytes_read, b.cost.bytes_read);
+  EXPECT_EQ(a.cost.bytes_shuffled, b.cost.bytes_shuffled);
+  EXPECT_EQ(a.cost.bytes_written, b.cost.bytes_written);
+  EXPECT_EQ(a.cost.num_map_tasks, b.cost.num_map_tasks);
+  EXPECT_EQ(a.cost.num_reduce_tasks, b.cost.num_reduce_tasks);
+  EXPECT_EQ(a.cost.task_retries, b.cost.task_retries);
+  EXPECT_EQ(a.cost.speculative_launched, b.cost.speculative_launched);
+  EXPECT_EQ(a.cost.replica_failovers, b.cost.replica_failovers);
+}
+
+TEST(RecordIndexJobTest, WarmJobBuildsNoRecordIndexAndMatchesTheColdOne) {
+  testing::TestCluster cluster;
+  testing::WritePoints(&cluster.fs, "/pts", 3000);
+  index::IndexBuilder builder(&cluster.runner);
+  index::IndexBuildOptions options;
+  options.scheme = PartitionScheme::kStr;
+  options.build_local_indexes = true;
+  const auto file = builder.Build("/pts", "/pts.idx", options).ValueOrDie();
+  const size_t blocks = file.global_index.NumPartitions();
+  ASSERT_GT(blocks, 1u);
+
+  // A runner that has never read the index's blocks.
+  mapreduce::JobRunner runner(&cluster.fs, cluster.runner.cluster());
+  auto run = [&](mapreduce::JobRunner* r) {
+    return SpatialJobBuilder(r)
+        .ScanIndexed(file)
+        .Map([] { return std::make_unique<BlockFedMapper>(); })
+        .Run(nullptr)
+        .ValueOrDie();
+  };
+  const uint64_t builds_before = hdfs::RecordIndexBuildCount();
+  const JobResult cold = run(&runner);
+  EXPECT_EQ(hdfs::RecordIndexBuildCount() - builds_before, blocks);
+  EXPECT_EQ(cold.counters.Get("test.records"), 3000);
+
+  const uint64_t builds_warm = hdfs::RecordIndexBuildCount();
+  const uint64_t misses_warm = runner.artifact_cache()->misses();
+  const JobResult warm = run(&runner);
+  // Nothing is built on a warm read: no record index, and no artifact.
+  EXPECT_EQ(hdfs::RecordIndexBuildCount(), builds_warm);
+  EXPECT_EQ(runner.artifact_cache()->misses(), misses_warm);
+  ExpectSameJob(cold, warm);
+
+  // With the cache off (an installed injector that injects nothing),
+  // every job indexes each block it reads, and nothing else changes.
+  fault::FaultInjector inactive{fault::FaultPolicy()};
+  mapreduce::JobRunner uncached(&cluster.fs, cluster.runner.cluster());
+  uncached.set_fault_injector(&inactive);
+  for (int job = 0; job < 2; ++job) {
+    const uint64_t before = hdfs::RecordIndexBuildCount();
+    ExpectSameJob(cold, run(&uncached));
+    EXPECT_EQ(hdfs::RecordIndexBuildCount() - before, blocks);
+  }
+  EXPECT_EQ(uncached.artifact_cache()->misses(), 0u);
+}
+
+TEST(RecordIndexJobTest, ConcurrentTasksOnOneBlockBuildOneRecordIndex) {
+  testing::TestCluster cluster;
+  testing::WritePoints(&cluster.fs, "/pts", 400);
+  // Eight tasks over the same block, run on four lanes: the ones that
+  // miss together wait for a single build.
+  mapreduce::InputSplit split;
+  split.blocks.push_back({"/pts", 0});
+  SpatialJobBuilder builder(&cluster.runner);
+  for (int i = 0; i < 8; ++i) builder.AddSplit(split);
+  const uint64_t before = hdfs::RecordIndexBuildCount();
+  const JobResult result =
+      builder
+          .Map([] {
+            return std::make_unique<BlockFedMapper>(/*parse_extent=*/false);
+          })
+          .Run(nullptr)
+          .ValueOrDie();
+  EXPECT_EQ(hdfs::RecordIndexBuildCount() - before, 1u);
+  const int64_t per_task = result.counters.Get("test.records") / 8;
+  EXPECT_GT(per_task, 0);
+  EXPECT_EQ(result.counters.Get("test.records"), per_task * 8);
 }
 
 // ---------------------------------------------------------------------

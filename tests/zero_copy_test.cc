@@ -16,6 +16,7 @@
 #include "geometry/wkt.h"
 #include "hdfs/block_arena.h"
 #include "index/record_shape.h"
+#include "mapreduce/artifact_cache.h"
 #include "cpu_affinity.h"
 #include "mapreduce/thread_pool.h"
 #include "test_util.h"
@@ -56,11 +57,13 @@ TEST(BlockArenaTest, InternedViewsStayValidAcrossChunkGrowth) {
 
 TEST(BlockArenaTest, AddBlockPinsPayloadBeyondCallerRelease) {
   BlockArena arena;
-  std::vector<std::string_view> records;
+  hdfs::RecordIndex index;
+  hdfs::BlockRecords records;
   {
     auto payload = std::make_shared<const std::string>("1,2\n3,4\nuntermina"
                                                        "ted");
-    records = arena.AddBlock(payload);
+    index = hdfs::RecordIndex::Build(*payload);
+    records = arena.AddBlock(payload, index);
     // The caller's reference dies here; the arena's pin must keep the
     // bytes alive.
   }
@@ -190,6 +193,200 @@ TEST(SpatialRecordReaderTest, BorrowedViewsStableWhileArenaGrows) {
   EXPECT_EQ(reader.records().back(), "3,4");
   EXPECT_EQ(reader.records().front().data(), stable_a.data());
   EXPECT_EQ(reader.Points().size(), 2002u);
+}
+
+// ---------------------------------------------------------------------
+// SpatialRecordReader::AddBlock: a whole block in one call leaves the
+// reader exactly as per-record AddBorrowed leaves it.
+
+/// Feeds `blocks` (each a list of lines, stored newline-terminated) to one
+/// reader through AddBlock and to another through per-record
+/// AddBorrowed, then compares everything a caller can observe. With
+/// `cached`, each reader is attached to its own artifact cache, so the
+/// header decode goes through the cache path too. Without it, columns
+/// are built after every block, so a later block must invalidate them.
+void ExpectBlockFeedMatchesPerRecordFeed(
+    ShapeType shape, const std::vector<std::vector<std::string>>& blocks,
+    bool cached) {
+  SCOPED_TRACE(cached ? "cached" : "uncached");
+  std::vector<std::string> payloads;
+  for (const std::vector<std::string>& lines : blocks) {
+    std::string payload;
+    for (const std::string& line : lines) payload += line + "\n";
+    payloads.push_back(std::move(payload));
+  }
+  mapreduce::ArtifactCache cache_block(16);
+  mapreduce::ArtifactCache cache_record(16);
+  SpatialRecordReader by_block(shape);
+  SpatialRecordReader by_record(shape);
+  if (cached) {
+    by_block.AttachCache(&cache_block, /*block_id=*/7);
+    by_record.AttachCache(&cache_record, /*block_id=*/7);
+  }
+  for (const std::string& payload : payloads) {
+    const hdfs::RecordIndex index = hdfs::RecordIndex::Build(payload);
+    const hdfs::BlockRecords block{payload, &index};
+    by_block.AddBlock(block);
+    for (size_t i = 0; i < block.size(); ++i) by_record.AddBorrowed(block[i]);
+    if (!cached) {
+      EXPECT_EQ(by_block.EnvelopeAt(0) == nullptr,
+                by_record.EnvelopeAt(0) == nullptr);
+    }
+  }
+
+  ASSERT_EQ(by_block.records(), by_record.records());
+  for (size_t i = 0; i < by_block.NumRecords(); ++i) {
+    // Same bytes, not just equal text: both borrow from the payload.
+    EXPECT_EQ(by_block.records()[i].data(), by_record.records()[i].data());
+  }
+  EXPECT_EQ(by_block.has_local_index(), by_record.has_local_index());
+  EXPECT_EQ(by_block.bad_records(), by_record.bad_records());
+
+  // Every column, record by record, then the vector accessors that count
+  // malformed records.
+  for (size_t i = 0; i < by_block.NumRecords(); ++i) {
+    const Envelope* a = by_block.EnvelopeAt(i);
+    const Envelope* b = by_record.EnvelopeAt(i);
+    ASSERT_EQ(a == nullptr, b == nullptr) << "record " << i;
+    if (a != nullptr) {
+      EXPECT_EQ(*a, *b) << "record " << i;
+    }
+    if (shape == ShapeType::kPoint) {
+      const Point* pa = by_block.PointAt(i);
+      const Point* pb = by_record.PointAt(i);
+      ASSERT_EQ(pa == nullptr, pb == nullptr) << "record " << i;
+      if (pa != nullptr) {
+        EXPECT_EQ(*pa, *pb) << "record " << i;
+      }
+    }
+    if (shape == ShapeType::kPolygon) {
+      const Polygon* pa = by_block.PolygonAt(i);
+      const Polygon* pb = by_record.PolygonAt(i);
+      ASSERT_EQ(pa == nullptr, pb == nullptr) << "record " << i;
+      if (pa != nullptr) {
+        EXPECT_EQ(pa->Bounds(), pb->Bounds()) << "record " << i;
+      }
+    }
+  }
+  const auto entries_block = by_block.Envelopes();
+  const auto entries_record = by_record.Envelopes();
+  ASSERT_EQ(entries_block.size(), entries_record.size());
+  for (size_t i = 0; i < entries_block.size(); ++i) {
+    EXPECT_EQ(entries_block[i].box, entries_record[i].box);
+    EXPECT_EQ(entries_block[i].payload, entries_record[i].payload);
+  }
+  if (shape == ShapeType::kPoint) {
+    EXPECT_EQ(by_block.Points(), by_record.Points());
+  }
+  if (shape == ShapeType::kPolygon) {
+    EXPECT_EQ(by_block.Polygons().size(), by_record.Polygons().size());
+  }
+  EXPECT_EQ(by_block.bad_records(), by_record.bad_records());
+}
+
+void ExpectBlockFeedMatchesPerRecordFeed(
+    ShapeType shape, const std::vector<std::vector<std::string>>& blocks) {
+  ExpectBlockFeedMatchesPerRecordFeed(shape, blocks, /*cached=*/false);
+  // A cache attachment promises a reader that holds exactly one block.
+  if (blocks.size() == 1) {
+    ExpectBlockFeedMatchesPerRecordFeed(shape, blocks, /*cached=*/true);
+  }
+}
+
+std::string Header(const std::vector<Point>& points) {
+  std::vector<Envelope> envelopes;
+  for (const Point& p : points) envelopes.push_back(Envelope::FromPoint(p));
+  return index::EncodeLocalIndexHeader(envelopes);
+}
+
+TEST(SpatialRecordReaderBlockTest, LeadingLidxHeader) {
+  const std::string payload =
+      Header({Point(1, 1), Point(2, 2), Point(3, 3)}) + "\n1,1\n2,2\n3,3\n";
+  const hdfs::RecordIndex index = hdfs::RecordIndex::Build(payload);
+  SpatialRecordReader reader(ShapeType::kPoint);
+  reader.AddBlock({payload, &index});
+  EXPECT_TRUE(reader.has_local_index());
+  EXPECT_EQ(reader.NumRecords(), 3u);
+  ExpectBlockFeedMatchesPerRecordFeed(
+      ShapeType::kPoint,
+      {{Header({Point(1, 1), Point(2, 2), Point(3, 3)}), "1,1", "2,2",
+        "3,3"}});
+}
+
+TEST(SpatialRecordReaderBlockTest, HeaderThatIsNotFirst) {
+  const std::string header = Header({Point(1, 1), Point(2, 2)});
+  ExpectBlockFeedMatchesPerRecordFeed(ShapeType::kPoint,
+                                      {{"1,1", header, "2,2"}});
+  ExpectBlockFeedMatchesPerRecordFeed(ShapeType::kPoint,
+                                      {{"1,1", "2,2", header}});
+  // Two headers: each is consumed where it sits, in order.
+  ExpectBlockFeedMatchesPerRecordFeed(
+      ShapeType::kPoint,
+      {{header, "1,1", Header({Point(9, 9)}), "2,2"}});
+}
+
+TEST(SpatialRecordReaderBlockTest, EmptyLinesAndMalformedRecords) {
+  ExpectBlockFeedMatchesPerRecordFeed(
+      ShapeType::kPoint, {{"", "1,1", "", "", "not-a-point", "2,2", ""}});
+  ExpectBlockFeedMatchesPerRecordFeed(
+      ShapeType::kPolygon,
+      {{"POLYGON ((0 0, 4 0, 4 4, 0 0))", "", "POLYGON ((1 1",
+        "POLYGON ((2 2, 6 2, 6 6, 2 2))"}});
+  ExpectBlockFeedMatchesPerRecordFeed(ShapeType::kRectangle,
+                                      {{"0,0,1,1", "", "2,2,3,3"}});
+}
+
+TEST(SpatialRecordReaderBlockTest, HeaderCountDisagreesWithRecords) {
+  // Two envelopes for three records: no usable local index either way.
+  ExpectBlockFeedMatchesPerRecordFeed(
+      ShapeType::kPoint,
+      {{Header({Point(1, 1), Point(2, 2)}), "1,1", "2,2", "3,3"}});
+  // A header that does not decode is dropped either way.
+  ExpectBlockFeedMatchesPerRecordFeed(ShapeType::kPoint,
+                                      {{"#lidx garbage", "1,1", "2,2"}});
+}
+
+TEST(SpatialRecordReaderBlockTest, EmptyBlocksAndSeveralBlocksInOneReader) {
+  ExpectBlockFeedMatchesPerRecordFeed(ShapeType::kPoint, {{}});
+  ExpectBlockFeedMatchesPerRecordFeed(ShapeType::kPoint, {{Header({})}});
+  // A pair split's B side: several partition blocks, with headers and
+  // without. Columns built over the first block must not survive the
+  // records of the next.
+  ExpectBlockFeedMatchesPerRecordFeed(
+      ShapeType::kPoint,
+      {{Header({Point(1, 1)}), "1,1"},
+       {},
+       {Header({Point(5, 5), Point(6, 6)}), "5,5", "6,6"}});
+  ExpectBlockFeedMatchesPerRecordFeed(ShapeType::kPoint,
+                                      {{"1,1"}, {"2,2", "3,3"}, {"4,4"}});
+}
+
+TEST(SpatialRecordReaderBlockTest, ManyBlocksGrowTheRecordsGeometrically) {
+  // A knn_join verify split can hand one reader every partition of B. The
+  // record vector must grow geometrically across blocks, not be resized
+  // exactly (and copied whole) once per block.
+  constexpr int kBlocks = 2000;
+  std::vector<std::string> payloads;
+  for (int i = 0; i < kBlocks; ++i) {
+    payloads.push_back(std::to_string(i) + "," + std::to_string(i) + "\n");
+  }
+  std::vector<hdfs::RecordIndex> indexes;
+  for (const std::string& payload : payloads) {
+    indexes.push_back(hdfs::RecordIndex::Build(payload));
+  }
+  SpatialRecordReader reader(ShapeType::kPoint);
+  int reallocations = 0;
+  for (int i = 0; i < kBlocks; ++i) {
+    const std::string_view* before = reader.records().data();
+    reader.AddBlock({payloads[i], &indexes[i]});
+    if (i > 0 && reader.records().data() != before) ++reallocations;
+  }
+  ASSERT_EQ(reader.NumRecords(), static_cast<size_t>(kBlocks));
+  EXPECT_LE(reallocations, 32);
+  for (int i = 0; i < kBlocks; ++i) {
+    EXPECT_EQ(reader.records()[i].data(), payloads[i].data());
+  }
+  EXPECT_EQ(reader.Points().size(), static_cast<size_t>(kBlocks));
 }
 
 // ---------------------------------------------------------------------
