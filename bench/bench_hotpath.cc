@@ -126,6 +126,8 @@ BenchResult BenchIndexBuild(int reps) {
   gen.distribution = workload::Distribution::kClustered;
   SHADOOP_CHECK_OK(workload::WritePointFile(&cluster.fs, "/pts", gen));
 
+  // The first rep is cold and keeps its parse count; later reps hit the
+  // runner's cached source envelopes in both jobs.
   result.wall_ms = std::numeric_limits<double>::infinity();
   for (int rep = 0; rep < reps; ++rep) {
     index::IndexBuilder builder(&cluster.runner);
@@ -138,13 +140,15 @@ BenchResult BenchIndexBuild(int reps) {
         builder.Build("/pts", "/idx" + std::to_string(rep), options)
             .ValueOrDie();
     result.wall_ms = std::min(result.wall_ms, MsSince(start));
-    result.parses = ParseDelta(parses_before);
+    if (rep == 0) result.parses = ParseDelta(parses_before);
     result.checksum = static_cast<int64_t>(info.global_index.NumPartitions());
   }
-  // The build visits each record once per job phase that interprets
-  // geometry: the analysis scan, the partition map, and the master-side
-  // finalize pass over the partitioned output.
-  result.records = static_cast<int64_t>(kIndexBuildPoints) * 3;
+  // A cold build parses each record twice: once in the analysis job,
+  // whose per-block envelopes the partition job reads back from the
+  // artifact cache, and once in the master-side finalize pass over the
+  // partitioned output. Warm reps parse once per record, in the finalize
+  // pass alone.
+  result.records = static_cast<int64_t>(kIndexBuildPoints) * 2;
   return result;
 }
 

@@ -136,12 +136,11 @@ class ForwardAllMapper : public mapreduce::Mapper {
 
 class GlobalSkylineReducer : public mapreduce::Reducer {
  public:
-  void Reduce(const std::string& /*key*/,
-              const std::vector<std::string>& values,
+  void Reduce(std::string_view /*key*/, std::span<const std::string_view> values,
               mapreduce::ReduceContext& ctx) override {
     std::vector<Point> points;
     points.reserve(values.size());
-    for (const std::string& value : values) {
+    for (std::string_view value : values) {
       auto p = ParsePointCsv(value);
       if (p.ok()) points.push_back(p.value());
     }

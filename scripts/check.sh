@@ -78,7 +78,8 @@ TSAN_FLAGS="-fsanitize=thread -fno-omit-frame-pointer"
 #   - knn_test, aggregate_test: KNN and COUNT map tasks sharing parsed
 #     columns through the runner's artifact cache
 #   - index_builder_test, features_test: index builds encoding partition
-#     envelopes and `#lidx` headers on the shared thread pool
+#     envelopes and `#lidx` headers on the shared thread pool, and map
+#     tasks of two jobs sharing a source block's envelope entry
 #   - spatial_join_test: cold distributed-join tasks that read one block
 #     waiting on each other's single-flight column builds
 #   - query_pipeline_test: concurrent map tasks over one block waiting on

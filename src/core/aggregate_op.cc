@@ -53,11 +53,11 @@ class CountMapper : public PartitionMapper {
 
 class SumReducer : public mapreduce::Reducer {
  public:
-  void Reduce(const std::string& key, const std::vector<std::string>& values,
+  void Reduce(std::string_view key, std::span<const std::string_view> values,
               mapreduce::ReduceContext& ctx) override {
     (void)key;
     int64_t total = 0;
-    for (const std::string& value : values) {
+    for (std::string_view value : values) {
       auto v = ParseInt64(value);
       if (!v.ok()) {
         ctx.Fail(v.status());

@@ -80,10 +80,10 @@ class ClosestPairReducer : public mapreduce::Reducer {
     best_.distance = std::numeric_limits<double>::infinity();
   }
 
-  void Reduce(const std::string& key, const std::vector<std::string>& values,
+  void Reduce(std::string_view key, std::span<const std::string_view> values,
               mapreduce::ReduceContext& ctx) override {
     if (key == "L") {
-      for (const std::string& value : values) {
+      for (std::string_view value : values) {
         auto pair = DecodePair(value);
         if (!pair.ok()) {
           ctx.Fail(pair.status());
@@ -97,7 +97,7 @@ class ClosestPairReducer : public mapreduce::Reducer {
     // cell, so the candidate set has no artificial duplicates.
     std::vector<Point> points;
     points.reserve(values.size());
-    for (const std::string& value : values) {
+    for (std::string_view value : values) {
       auto p = ParsePointCsv(value);
       if (p.ok()) points.push_back(p.value());
     }

@@ -61,12 +61,12 @@ class FarthestPairMapper : public PartitionMapper {
 
 class MaxPairReducer : public mapreduce::Reducer {
  public:
-  void Reduce(const std::string& key, const std::vector<std::string>& values,
+  void Reduce(std::string_view key, std::span<const std::string_view> values,
               mapreduce::ReduceContext& ctx) override {
     (void)key;
     double best = -1.0;
-    std::string best_value;
-    for (const std::string& value : values) {
+    std::string_view best_value;
+    for (std::string_view value : values) {
       auto fields = SplitString(value, ';');
       if (fields.empty()) continue;
       auto dist = ParseDouble(fields[0]);
@@ -75,7 +75,7 @@ class MaxPairReducer : public mapreduce::Reducer {
         best_value = value;
       }
     }
-    if (best >= 0) ctx.Write(best_value);
+    if (best >= 0) ctx.Write(std::string(best_value));
   }
 };
 

@@ -47,14 +47,14 @@ class SumPerCellReducer : public mapreduce::Reducer {
  public:
   explicit SumPerCellReducer(bool include_key) : include_key_(include_key) {}
 
-  void Reduce(const std::string& key, const std::vector<std::string>& values,
+  void Reduce(std::string_view key, std::span<const std::string_view> values,
               mapreduce::ReduceContext& ctx) override {
     int64_t total = 0;
-    for (const std::string& value : values) {
+    for (std::string_view value : values) {
       auto v = ParseInt64(value);
       if (v.ok()) total += v.value();
     }
-    ctx.Write(include_key_ ? key + "," + std::to_string(total)
+    ctx.Write(include_key_ ? std::string(key) + "," + std::to_string(total)
                            : std::to_string(total));
   }
 

@@ -89,11 +89,11 @@ class KnnReducer : public mapreduce::Reducer {
  public:
   explicit KnnReducer(size_t k) : k_(k) {}
 
-  void Reduce(const std::string& key, const std::vector<std::string>& values,
+  void Reduce(std::string_view key, std::span<const std::string_view> values,
               mapreduce::ReduceContext& ctx) override {
     (void)key;
     TopK top(k_);
-    for (const std::string& value : values) {
+    for (std::string_view value : values) {
       const size_t tab = value.find('\t');
       if (tab == std::string::npos) continue;
       auto dist = ParseDouble(value.substr(0, tab));

@@ -136,7 +136,7 @@ class SjmrReducer : public mapreduce::Reducer {
         grid_(std::move(grid)),
         algorithm_(algorithm) {}
 
-  void Reduce(const std::string& key, const std::vector<std::string>& values,
+  void Reduce(std::string_view key, std::span<const std::string_view> values,
               mapreduce::ReduceContext& ctx) override {
     auto cell_id = ParseInt64(key);
     if (!cell_id.ok()) {
@@ -147,7 +147,7 @@ class SjmrReducer : public mapreduce::Reducer {
 
     SpatialRecordReader reader_a(shape_a_);
     SpatialRecordReader reader_b(shape_b_);
-    for (const std::string& value : values) {
+    for (std::string_view value : values) {
       if (value.empty()) continue;
       // `values` outlives the readers (both are scoped to this call), so
       // the untagged tails can be borrowed instead of copied.

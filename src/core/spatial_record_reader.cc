@@ -37,8 +37,7 @@ bool Take(Result<T> parsed, T* out) {
 void SpatialRecordReader::AttachCache(mapreduce::ArtifactCache* cache,
                                       uint64_t block_id) {
   if (cache == nullptr || block_id == 0) return;
-  if (!records_.empty() || preparsed_envelopes_ != nullptr ||
-      cache_ != nullptr) {
+  if (!records_.empty() || headers_ > 0 || cache_ != nullptr) {
     // Attached too late or twice: this reader's content is not (known to
     // be) exactly one block, so per-block artifacts would be wrong.
     cache_ = nullptr;
@@ -66,7 +65,10 @@ std::shared_ptr<const T> SpatialRecordReader::Shared(const char* kind,
 }
 
 void SpatialRecordReader::ConsumeHeader(std::string_view record) {
-  auto envelopes = Shared<std::vector<Envelope>>("lidx", [record] {
+  // Keyed by the header's ordinal among the block's metadata lines: each
+  // header that decodes replaces the previous one, cached or not.
+  const std::string kind = "lidx" + std::to_string(headers_++);
+  auto envelopes = Shared<std::vector<Envelope>>(kind.c_str(), [record] {
     auto decoded = index::DecodeLocalIndexHeader(record);
     return decoded.ok() ? std::make_shared<const std::vector<Envelope>>(
                               std::move(decoded).value())
@@ -118,6 +120,7 @@ void SpatialRecordReader::AddRecord(std::string_view stable_record) {
 void SpatialRecordReader::Clear() {
   records_.clear();
   preparsed_envelopes_.reset();
+  headers_ = 0;
   bad_records_ = 0;
   arena_.Clear();
   cache_ = nullptr;

@@ -165,6 +165,7 @@ class SpatialRecordReader {
   // From the #lidx header; shared so a cached decode is adopted, not
   // copied. Null until a header is decoded.
   std::shared_ptr<const std::vector<Envelope>> preparsed_envelopes_;
+  size_t headers_ = 0;  // Metadata records consumed so far.
   size_t bad_records_ = 0;
 
   mapreduce::ArtifactCache* cache_ = nullptr;

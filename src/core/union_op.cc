@@ -37,12 +37,12 @@ class HadoopUnionMapper : public mapreduce::Mapper {
 
 class HadoopUnionReducer : public mapreduce::Reducer {
  public:
-  void Reduce(const std::string& key, const std::vector<std::string>& values,
+  void Reduce(std::string_view key, std::span<const std::string_view> values,
               mapreduce::ReduceContext& ctx) override {
     (void)key;
     std::vector<Polygon> polygons;
     polygons.reserve(values.size());
-    for (const std::string& value : values) {
+    for (std::string_view value : values) {
       auto poly = index::RecordPolygon(value);
       if (poly.ok()) {
         polygons.push_back(std::move(poly).value());

@@ -30,28 +30,103 @@ uint64_t SplitSeed(const InputSplit& split) {
   return seed;
 }
 
+/// What the parser returns for one source block's data records, in
+/// order: a point's coordinates or another shape's envelope. Metadata and
+/// malformed records carry none; their positions are listed instead.
+struct BlockEnvelopes {
+  std::vector<Point> points;        // Point sources.
+  std::vector<Envelope> envelopes;  // Every other shape.
+  std::vector<uint32_t> skipped;    // Ascending record positions.
+  int64_t malformed = 0;
+};
+
+std::shared_ptr<const BlockEnvelopes> ParseBlock(
+    ShapeType shape, const hdfs::BlockRecords& block) {
+  auto parsed = std::make_shared<BlockEnvelopes>();
+  parsed->points.reserve(shape == ShapeType::kPoint ? block.size() : 0);
+  parsed->envelopes.reserve(shape == ShapeType::kPoint ? 0 : block.size());
+  for (size_t i = 0; i < block.size(); ++i) {
+    const std::string_view record = block[i];
+    const bool metadata = IsMetadataRecord(record);
+    bool valid = false;
+    if (!metadata && shape == ShapeType::kPoint) {
+      auto point = RecordPoint(record);
+      if ((valid = point.ok())) parsed->points.push_back(point.value());
+    } else if (!metadata) {
+      auto env = RecordEnvelope(shape, record);
+      if ((valid = env.ok())) parsed->envelopes.push_back(env.value());
+    }
+    if (!valid) parsed->skipped.push_back(static_cast<uint32_t>(i));
+    if (!valid && !metadata) ++parsed->malformed;
+  }
+  return parsed;
+}
+
+/// Base of the two source mappers: each takes whole blocks and reads a
+/// block's envelopes through the runner's artifact cache as
+/// `ienv:<shape>:<block id>`, so the analysis job parses each record and
+/// a later job over the same source parses none. With the cache off (any
+/// fault injector installed) the task builds the entry and drops it.
+class SourceMapper : public Mapper {
+ public:
+  SourceMapper(ShapeType shape, const char* bad_counter)
+      : shape_(shape), bad_counter_(bad_counter) {}
+
+  void BeginBlock(size_t ordinal, MapContext&) override { ordinal_ = ordinal; }
+  // Final, and never called: the runner hands whole blocks to MapBlock.
+  void Map(std::string_view, MapContext&) final {}
+  void MapBlock(const hdfs::BlockRecords& block, MapContext& ctx) final {
+    auto build = [this, &block] { return ParseBlock(shape_, block); };
+    mapreduce::ArtifactCache* cache = ctx.artifact_cache();
+    const uint64_t block_id = ctx.block_cache_id(ordinal_);
+    const std::shared_ptr<const BlockEnvelopes> parsed =
+        cache == nullptr || block_id == 0
+            ? build()
+            : std::static_pointer_cast<const BlockEnvelopes>(cache->GetOrBuild(
+                  "ienv:" + std::to_string(static_cast<int>(shape_)) + ':' +
+                      std::to_string(block_id),
+                  build));
+    if (parsed->malformed > 0) {
+      ctx.counters().Increment(bad_counter_, parsed->malformed);
+    }
+    size_t skip = 0;
+    size_t k = 0;
+    for (size_t i = 0; i < block.size(); ++i) {
+      if (skip < parsed->skipped.size() && parsed->skipped[skip] == i) {
+        ++skip;
+        continue;
+      }
+      // A point source stores no envelopes, any other no points.
+      MapRecord(block[i],
+                parsed->envelopes.empty()
+                    ? Envelope::FromPoint(parsed->points[k])
+                    : parsed->envelopes[k],
+                ctx);
+      ++k;
+    }
+  }
+
+ protected:
+  /// One data record of the block and its envelope, in block order.
+  virtual void MapRecord(std::string_view record, const Envelope& env,
+                         MapContext& ctx) = 0;
+
+ private:
+  ShapeType shape_;
+  const char* bad_counter_;
+  size_t ordinal_ = 0;
+};
+
 /// Analysis phase: computes the per-split MBR and emits a record sample.
 /// Output lines: "MBR <csv>" and "S <x,y>".
-class AnalysisMapper : public Mapper {
+class AnalysisMapper : public SourceMapper {
  public:
   AnalysisMapper(ShapeType shape, double sample_ratio)
-      : shape_(shape), sample_ratio_(sample_ratio) {}
+      : SourceMapper(shape, "analysis.bad_records"),
+        sample_ratio_(sample_ratio) {}
 
   void BeginSplit(MapContext& ctx) override {
     rng_ = std::make_unique<Random>(SplitSeed(ctx.split()));
-  }
-
-  void Map(std::string_view record, MapContext& ctx) override {
-    if (IsMetadataRecord(record)) return;
-    auto env = RecordEnvelope(shape_, record);
-    if (!env.ok()) {
-      ctx.counters().Increment("analysis.bad_records");
-      return;
-    }
-    mbr_.ExpandToInclude(env.value());
-    if (rng_->NextBool(sample_ratio_)) {
-      ctx.WriteOutput("S " + PointToCsv(env.value().Center()));
-    }
   }
 
   void EndSplit(MapContext& ctx) override {
@@ -60,27 +135,32 @@ class AnalysisMapper : public Mapper {
     }
   }
 
+ protected:
+  void MapRecord(std::string_view, const Envelope& env,
+                 MapContext& ctx) override {
+    mbr_.ExpandToInclude(env);
+    if (rng_->NextBool(sample_ratio_)) {
+      ctx.WriteOutput("S " + PointToCsv(env.Center()));
+    }
+  }
+
  private:
-  ShapeType shape_;
   double sample_ratio_;
   Envelope mbr_;
   std::unique_ptr<Random> rng_;
 };
 
 /// Partitioning phase: routes every record to its cell(s).
-class PartitionMapper : public Mapper {
+class PartitionMapper : public SourceMapper {
  public:
   PartitionMapper(ShapeType shape, std::shared_ptr<const Partitioner> part)
-      : shape_(shape), partitioner_(std::move(part)) {}
+      : SourceMapper(shape, "partition.bad_records"),
+        partitioner_(std::move(part)) {}
 
-  void Map(std::string_view record, MapContext& ctx) override {
-    if (IsMetadataRecord(record)) return;
-    auto env = RecordEnvelope(shape_, record);
-    if (!env.ok()) {
-      ctx.counters().Increment("partition.bad_records");
-      return;
-    }
-    const std::vector<int> cells = partitioner_->AssignEnvelope(env.value());
+ protected:
+  void MapRecord(std::string_view record, const Envelope& env,
+                 MapContext& ctx) override {
+    const std::vector<int> cells = partitioner_->AssignEnvelope(env);
     for (int cell : cells) {
       // "%010d": zero-padded keys keep within-reducer groups in numeric
       // order. Cell ids are non-negative ints, so ten digits always fit.
@@ -97,16 +177,15 @@ class PartitionMapper : public Mapper {
   }
 
  private:
-  ShapeType shape_;
   std::shared_ptr<const Partitioner> partitioner_;
 };
 
 /// Identity reducer tagging each record with its cell id.
 class PartitionReducer : public mapreduce::Reducer {
  public:
-  void Reduce(const std::string& key, const std::vector<std::string>& values,
+  void Reduce(std::string_view key, std::span<const std::string_view> values,
               mapreduce::ReduceContext& ctx) override {
-    for (const std::string& value : values) {
+    for (std::string_view value : values) {
       std::string line;
       line.reserve(key.size() + 1 + value.size());
       line.append(key).append(1, '\t').append(value);
@@ -150,6 +229,7 @@ Result<SpatialFileInfo> IndexBuilder::Build(const std::string& source_path,
   JobResult analysis_result = runner_->Run(analysis);
   SHADOOP_RETURN_NOT_OK(analysis_result.status);
   info.build_cost += analysis_result.cost;
+  info.build_counters.MergeFrom(analysis_result.counters);
 
   Envelope space;
   std::vector<Point> sample;
@@ -208,20 +288,27 @@ Result<SpatialFileInfo> IndexBuilder::Build(const std::string& source_path,
   JobResult partition_result = runner_->Run(partition_job);
   SHADOOP_RETURN_NOT_OK(partition_result.status);
   info.build_cost += partition_result.cost;
+  info.build_counters.MergeFrom(partition_result.counters);
 
   // Group routed records by cell id. The views point into
-  // partition_result.output, which outlives the block writes.
+  // partition_result.output, which outlives the block writes. A cell's
+  // lines are consecutive, so its id is parsed once per run of equal keys.
   const int num_cells = partitioner->NumCells();
   std::vector<std::vector<std::string_view>> cells(num_cells);
+  std::string_view run_key;
+  int64_t cell = -1;
   for (const std::string& line : partition_result.output) {
     const size_t tab = line.find('\t');
     if (tab == std::string::npos) continue;
     const std::string_view text(line);
-    SHADOOP_ASSIGN_OR_RETURN(int64_t cell, ParseInt64(text.substr(0, tab)));
-    if (cell < 0 || cell >= num_cells) {
-      return Status::Internal("partition job routed a record to cell " +
-                              std::to_string(cell) + " of " +
-                              std::to_string(num_cells));
+    if (cell < 0 || text.substr(0, tab) != run_key) {
+      run_key = text.substr(0, tab);
+      SHADOOP_ASSIGN_OR_RETURN(cell, ParseInt64(run_key));
+      if (cell < 0 || cell >= num_cells) {
+        return Status::Internal("partition job routed a record to cell " +
+                                std::to_string(cell) + " of " +
+                                std::to_string(num_cells));
+      }
     }
     cells[static_cast<size_t>(cell)].push_back(text.substr(tab + 1));
   }

@@ -43,8 +43,9 @@ struct SpatialFileInfo {
   bool has_local_indexes = false;
   GlobalIndex global_index;
 
-  /// Aggregate simulated cost of the build jobs.
+  /// Aggregate simulated cost and merged counters of the build jobs.
   mapreduce::JobCost build_cost;
+  mapreduce::Counters build_counters;
 };
 
 /// Builds spatially indexed files with the paper's three-phase MapReduce

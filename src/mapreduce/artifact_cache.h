@@ -9,8 +9,10 @@ namespace shadoop::mapreduce {
 
 /// Process-wide cache of immutable artifacts derived from a block's bytes
 /// — record indexes (the runner's `rec:<block id>`, hdfs::RecordIndex),
-/// decoded local-index headers, parsed geometry columns, packed local
-/// R-trees — shared across the map tasks of every job a runner executes.
+/// decoded local-index headers, parsed geometry columns and packed local
+/// R-trees (core::SpatialRecordReader), the index builder's source
+/// envelopes (`ienv:<shape>:<block id>`) — shared across the map tasks
+/// of every job a runner executes.
 /// Builds are single-flight (FifoCache::GetOrBuild): tasks that miss one
 /// key at the same time wait for one build, so a cold job builds each
 /// artifact of a block once.

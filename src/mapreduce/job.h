@@ -5,6 +5,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -14,21 +15,6 @@
 #include "mapreduce/artifact_cache.h"
 
 namespace shadoop::mapreduce {
-
-/// One intermediate key-value pair. Keys and values are text, in the
-/// spirit of Hadoop streaming: every operation defines its own record
-/// encodings on top (typically CSV or WKT, see geometry/wkt.h).
-struct KeyValue {
-  std::string key;
-  std::string value;
-
-  friend bool operator<(const KeyValue& a, const KeyValue& b) {
-    return a.key < b.key || (a.key == b.key && a.value < b.value);
-  }
-  friend bool operator==(const KeyValue& a, const KeyValue& b) {
-    return a.key == b.key && a.value == b.value;
-  }
-};
 
 /// Reference to one stored block of an input file.
 struct BlockRef {
@@ -86,8 +72,11 @@ class MapContext {
  public:
   virtual ~MapContext() = default;
 
-  /// Key/value bytes are copied into the task's shuffle buffer before the
-  /// call returns, so views into short-lived storage are fine.
+  /// Keys and values are text, in the spirit of Hadoop streaming: every
+  /// operation defines its own record encodings (typically CSV or WKT,
+  /// see geometry/wkt.h). Their bytes are copied into the task's shuffle
+  /// buffer before the call returns, so views into short-lived storage
+  /// are fine.
   virtual void Emit(std::string_view key, std::string_view value) = 0;
   /// Takes the line by value, like ReduceContext::Write: callers that
   /// build a line move it in, and callers holding a view build the string
@@ -174,8 +163,13 @@ class Reducer {
  public:
   virtual ~Reducer() = default;
 
-  virtual void Reduce(const std::string& key,
-                      const std::vector<std::string>& values,
+  /// One group: `key` and its `values`, in byte order. The views point
+  /// into the map tasks' shuffle buffers, which the runner keeps alive and
+  /// unchanged through Finish(); `values` itself (the span) is valid only
+  /// during this call. A reducer that keeps a key or value past Finish()
+  /// copies it.
+  virtual void Reduce(std::string_view key,
+                      std::span<const std::string_view> values,
                       ReduceContext& ctx) = 0;
 
   /// Called once after the last group of the task; reducers that combine

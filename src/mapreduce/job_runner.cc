@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
+#include <cstring>
 #include <unordered_map>
 
 #include "common/logging.h"
@@ -75,13 +77,6 @@ class MapContextImpl : public MapContext {
     block_ids_ = std::move(block_ids);
   }
 
-  std::string_view KeyOf(const EmitSlice& s) const {
-    return std::string_view(buffer_).substr(s.offset, s.key_len);
-  }
-  std::string_view ValueOf(const EmitSlice& s) const {
-    return std::string_view(buffer_).substr(s.offset + s.key_len, s.value_len);
-  }
-
   const InputSplit& split_;
   Partitioner partition_;
   ArtifactCache* cache_ = nullptr;
@@ -113,13 +108,18 @@ class ReduceContextImpl : public ReduceContext {
 };
 
 /// Combiner context: Write() re-emits the line under the current group
-/// key instead of producing final output.
+/// key, into the task's new shuffle buffer, instead of final output.
 class CombineContextImpl : public ReduceContext {
  public:
   explicit CombineContextImpl(TaskAccounting* acct) : acct_(acct) {}
 
   void Write(std::string line) override {
-    combined_.push_back({current_key_, std::move(line)});
+    const uint64_t offset = buffer_.size();
+    buffer_.append(key_);
+    buffer_.append(line);
+    bucket_->push_back({offset, static_cast<uint32_t>(key_.size()),
+                        static_cast<uint32_t>(line.size())});
+    bytes_ += key_.size() + line.size();
   }
   void ChargeCpu(uint64_t ops) override { acct_->charged_cpu_ops += ops; }
   Counters& counters() override { return acct_->counters; }
@@ -127,16 +127,29 @@ class CombineContextImpl : public ReduceContext {
     if (acct_->status.ok()) acct_->status = std::move(status);
   }
 
-  std::string current_key_;
-  std::vector<KeyValue> combined_;
+  std::string_view key_;  // The current group's key, in the old buffer.
+  std::vector<EmitSlice>* bucket_ = nullptr;  // Where Write() appends.
+  std::string buffer_;  // The task's new shuffle buffer.
+  uint64_t bytes_ = 0;
   TaskAccounting* acct_;
 };
+
+/// Up to 8 bytes of `text` from `pos` as a big-endian word, padded with
+/// zero bytes, so unsigned word order is the bytes' order.
+uint64_t PrefixWord(std::string_view text, size_t pos) {
+  if (pos >= text.size()) return 0;
+  uint64_t word = 0;
+  std::memcpy(&word, text.data() + pos, std::min<size_t>(8, text.size() - pos));
+  if constexpr (std::endian::native == std::endian::little) {
+    word = __builtin_bswap64(word);
+  }
+  return word;
+}
 
 /// Reference to one shuffled pair: `data` points at the key bytes inside
 /// the emitting map task's buffer, with the value bytes right after them.
 /// The buffers stay alive and unchanged for the whole job, so the shuffle
-/// moves 16-byte references instead of copying key/value strings, and a
-/// sort comparison reads the bytes through one pointer.
+/// moves 16-byte references instead of copying key/value strings.
 struct ShuffleRef {
   const char* data = nullptr;
   uint32_t key_len = 0;
@@ -146,32 +159,66 @@ struct ShuffleRef {
   std::string_view value() const { return {data + key_len, value_len}; }
 };
 
-/// Same ordering as the old KeyValue operator<: by key, then value.
-bool ShuffleRefLess(const ShuffleRef& a, const ShuffleRef& b) {
-  const std::string_view ka = a.key();
-  const std::string_view kb = b.key();
-  if (ka != kb) return ka < kb;
-  return a.value() < b.value();
+/// A reference with its sort key, computed once per pair: the first 16
+/// key bytes and the first 8 value bytes as prefix words.
+struct SortEntry {
+  explicit SortEntry(const ShuffleRef& r)
+      : ref(r),
+        key_hi(PrefixWord(r.key(), 0)),
+        key_lo(PrefixWord(r.key(), 8)),
+        value_hi(PrefixWord(r.value(), 0)) {}
+
+  ShuffleRef ref;
+  uint64_t key_hi;
+  uint64_t key_lo;
+  uint64_t value_hi;
+};
+
+/// Byte order by key, then by value: std::string_view's order, exactly.
+/// Unequal prefix words decide it alone, since a zero pad sorts a proper
+/// prefix first. The text is read only when the words tie and a key is
+/// longer than 16 bytes, the key lengths differ, or the keys are equal.
+bool SortEntryLess(const SortEntry& a, const SortEntry& b) {
+  if (a.key_hi != b.key_hi) return a.key_hi < b.key_hi;
+  if (a.key_lo != b.key_lo) return a.key_lo < b.key_lo;
+  if (a.ref.key_len != b.ref.key_len || a.ref.key_len > 16) {
+    const int order = a.ref.key().compare(b.ref.key());
+    if (order != 0) return order < 0;
+  }
+  if (a.value_hi != b.value_hi) return a.value_hi < b.value_hi;
+  return a.ref.value() < b.ref.value();
 }
 
-/// Groups a key-sorted run of pairs and invokes the reducer per group.
-/// Values are materialized here, at the reduce boundary — the only place
-/// the public Reducer API still requires owned strings.
+/// Sorts `run` by key, then value. The sort keys exist only during the
+/// call, so a sorted run keeps 16 bytes per pair.
+void SortRun(std::vector<ShuffleRef>* run) {
+  std::vector<SortEntry> entries(run->begin(), run->end());
+  std::sort(entries.begin(), entries.end(), SortEntryLess);
+  for (size_t i = 0; i < entries.size(); ++i) (*run)[i] = entries[i].ref;
+}
+
+/// Calls `group(key, values)` once per run of equal keys in the sorted
+/// `pairs`. The values are views into the map buffers, gathered into one
+/// vector that every group reuses.
+template <typename Group>
+void ForEachGroup(const std::vector<ShuffleRef>& pairs, Group group) {
+  std::vector<std::string_view> values;
+  for (size_t i = 0, j = 0; i < pairs.size(); i = j) {
+    values.clear();
+    for (j = i; j < pairs.size() && pairs[j].key() == pairs[i].key(); ++j) {
+      values.push_back(pairs[j].value());
+    }
+    group(pairs[i].key(), std::span<const std::string_view>(values));
+  }
+}
+
+/// Invokes the reducer once per group of a sorted run, then Finish().
 void ReduceSortedRun(const std::vector<ShuffleRef>& pairs, Reducer& reducer,
                      ReduceContext& ctx) {
-  size_t i = 0;
-  while (i < pairs.size()) {
-    size_t j = i;
-    const std::string_view group_key = pairs[i].key();
-    std::vector<std::string> values;
-    while (j < pairs.size() && pairs[j].key() == group_key) {
-      values.emplace_back(pairs[j].value());
-      ++j;
-    }
-    const std::string key(group_key);
+  ForEachGroup(pairs, [&](std::string_view key,
+                          std::span<const std::string_view> values) {
     reducer.Reduce(key, values, ctx);
-    i = j;
-  }
+  });
   reducer.Finish(ctx);
 }
 
@@ -450,51 +497,34 @@ JobResult JobRunner::RunAdmitted(const JobConfig& job, int lanes,
     return result;
   }
 
-  // Optional combiner: per map task, sort + group + combine in place,
-  // then rebuild the task's shuffle buffer from the combined pairs.
+  // Optional combiner: per map task, sort + group + combine each bucket
+  // as the reduce phase does, then swap in the rebuilt shuffle buffer
+  // (group keys are views into the old one).
   if (job.combiner) {
     ParallelFor(num_maps, lanes, [&](size_t i) {
       MapContextImpl& ctx = *map_ctxs[i];
       std::unique_ptr<Reducer> combiner = job.combiner();
-      uint64_t new_bytes = 0;
-      std::string new_buffer;
+      CombineContextImpl cc(&ctx.acct_);
+      std::vector<ShuffleRef> run;
       for (auto& bucket : ctx.emitted_) {
-        std::sort(bucket.begin(), bucket.end(),
-                  [&ctx](const EmitSlice& a, const EmitSlice& b) {
-                    const std::string_view ka = ctx.KeyOf(a);
-                    const std::string_view kb = ctx.KeyOf(b);
-                    if (ka != kb) return ka < kb;
-                    return ctx.ValueOf(a) < ctx.ValueOf(b);
-                  });
-        CombineContextImpl cc(&ctx.acct_);
-        size_t p = 0;
-        while (p < bucket.size()) {
-          size_t q = p;
-          const std::string_view group_key = ctx.KeyOf(bucket[p]);
-          std::vector<std::string> values;
-          while (q < bucket.size() && ctx.KeyOf(bucket[q]) == group_key) {
-            values.emplace_back(ctx.ValueOf(bucket[q]));
-            ++q;
-          }
-          cc.current_key_ = std::string(group_key);
+        run.clear();
+        for (const EmitSlice& s : bucket) {
+          run.push_back(
+              {ctx.buffer_.data() + s.offset, s.key_len, s.value_len});
+        }
+        SortRun(&run);
+        std::vector<EmitSlice> combined;
+        cc.bucket_ = &combined;
+        ForEachGroup(run, [&](std::string_view key,
+                              std::span<const std::string_view> values) {
+          cc.key_ = key;
           ctx.acct_.records_processed += values.size();
-          combiner->Reduce(cc.current_key_, values, cc);
-          p = q;
-        }
-        std::vector<EmitSlice> rebuilt;
-        rebuilt.reserve(cc.combined_.size());
-        for (const KeyValue& kv : cc.combined_) {
-          const uint64_t offset = new_buffer.size();
-          new_buffer.append(kv.key);
-          new_buffer.append(kv.value);
-          rebuilt.push_back({offset, static_cast<uint32_t>(kv.key.size()),
-                             static_cast<uint32_t>(kv.value.size())});
-          new_bytes += kv.key.size() + kv.value.size();
-        }
-        bucket = std::move(rebuilt);
+          combiner->Reduce(key, values, cc);
+        });
+        bucket = std::move(combined);
       }
-      ctx.buffer_ = std::move(new_buffer);
-      ctx.emitted_bytes_ = new_bytes;
+      ctx.buffer_ = std::move(cc.buffer_);
+      ctx.emitted_bytes_ = cc.bytes_;
     });
   }
 
@@ -510,6 +540,7 @@ JobResult JobRunner::RunAdmitted(const JobConfig& job, int lanes,
     reduce_inputs[r].reserve(pairs);
   }
   uint64_t shuffle_bytes = 0;
+  std::vector<uint64_t> reduce_input_bytes(num_reducers, 0);
   for (size_t i = 0; i < num_maps; ++i) {
     MapContextImpl& ctx = *map_ctxs[i];
     shuffle_bytes += ctx.emitted_bytes_;
@@ -518,6 +549,7 @@ JobResult JobRunner::RunAdmitted(const JobConfig& job, int lanes,
       auto& bucket = ctx.emitted_[r];
       for (const EmitSlice& s : bucket) {
         reduce_inputs[r].push_back({base + s.offset, s.key_len, s.value_len});
+        reduce_input_bytes[r] += s.key_len + s.value_len;
       }
       bucket.clear();
       bucket.shrink_to_fit();
@@ -528,10 +560,7 @@ JobResult JobRunner::RunAdmitted(const JobConfig& job, int lanes,
   // speculative attempts then share the sorted run read-only, so a
   // re-executed reducer sees bit-identical input.
   ParallelFor(static_cast<size_t>(num_reducers), lanes,
-              [&](size_t r) {
-                std::sort(reduce_inputs[r].begin(), reduce_inputs[r].end(),
-                          ShuffleRefLess);
-              });
+              [&](size_t r) { SortRun(&reduce_inputs[r]); });
 
   // ------------------------------------------------------------------
   // Reduce phase, under the same attempt scheduler as the map phase.
@@ -576,6 +605,11 @@ JobResult JobRunner::RunAdmitted(const JobConfig& job, int lanes,
       }
     }
   }
+
+  // No task reads the shuffled pairs again: release them before the
+  // output is assembled.
+  reduce_inputs.clear();
+  for (const auto& ctx : map_ctxs) std::string().swap(ctx->buffer_);
 
   // ------------------------------------------------------------------
   // Assemble output and counters deterministically (task order), into
@@ -625,14 +659,10 @@ JobResult JobRunner::RunAdmitted(const JobConfig& job, int lanes,
   if (has_reduce) {
     reduce_costs.reserve(num_reducers);
     for (int r = 0; r < num_reducers; ++r) {
-      uint64_t in_bytes = 0;
-      for (const ShuffleRef& ref : reduce_inputs[r]) {
-        in_bytes += ref.key_len + ref.value_len;
-      }
       reduce_output_bytes += reduce_ctxs[r]->output_bytes_;
-      const double io_ms =
-          static_cast<double>(in_bytes + reduce_ctxs[r]->output_bytes_) /
-          cluster_.disk_bytes_per_ms;
+      const double io_ms = static_cast<double>(reduce_input_bytes[r] +
+                                               reduce_ctxs[r]->output_bytes_) /
+                           cluster_.disk_bytes_per_ms;
       reduce_costs.push_back(cluster_.task_startup_ms + io_ms +
                              CpuMs(cluster_, reduce_ctxs[r]->acct_) +
                              reduce_sched.reports()[r].sim_overhead_ms);

@@ -92,7 +92,7 @@ class PlotMapper : public mapreduce::Mapper {
 /// Reduce side: pixel-wise sum of one row.
 class PlotReducer : public mapreduce::Reducer {
  public:
-  void Reduce(const std::string& key, const std::vector<std::string>& values,
+  void Reduce(std::string_view key, std::span<const std::string_view> values,
               mapreduce::ReduceContext& ctx) override {
     auto row = ParseInt64(key);
     if (!row.ok()) {
@@ -100,7 +100,7 @@ class PlotReducer : public mapreduce::Reducer {
       return;
     }
     std::map<int64_t, double> pixels;
-    for (const std::string& value : values) {
+    for (std::string_view value : values) {
       auto fields = SplitString(value, ',');
       if (fields.size() != 2) continue;
       auto x = ParseInt64(fields[0]);
@@ -109,7 +109,8 @@ class PlotReducer : public mapreduce::Reducer {
     }
     ctx.ChargeCpu(pixels.size() * 20);
     for (const auto& [x, v] : pixels) {
-      ctx.Write(std::to_string(x) + "," + key + "," + FormatDouble(v));
+      ctx.Write(std::to_string(x) + "," + std::string(key) + "," +
+                FormatDouble(v));
     }
   }
 };
@@ -191,10 +192,10 @@ class PyramidReducer : public mapreduce::Reducer {
  public:
   explicit PyramidReducer(bool final_pass) : final_(final_pass) {}
 
-  void Reduce(const std::string& key, const std::vector<std::string>& values,
+  void Reduce(std::string_view key, std::span<const std::string_view> values,
               mapreduce::ReduceContext& ctx) override {
     std::map<std::pair<int64_t, int64_t>, double> pixels;
-    for (const std::string& value : values) {
+    for (std::string_view value : values) {
       auto fields = SplitString(value, ',');
       if (fields.size() != 3) continue;
       auto x = ParseInt64(fields[0]);
@@ -209,7 +210,7 @@ class PyramidReducer : public mapreduce::Reducer {
       const std::string pixel = std::to_string(xy.first) + "," +
                                 std::to_string(xy.second) + "," +
                                 FormatDouble(v);
-      ctx.Write(final_ ? key + "|" + pixel : pixel);
+      ctx.Write(final_ ? std::string(key) + "|" + pixel : pixel);
     }
   }
 

@@ -177,7 +177,7 @@ TEST(MapReduceLifecycleTest, FinishHookRunsOncePerReduceTask) {
   };
   class CountingReducer : public mapreduce::Reducer {
    public:
-    void Reduce(const std::string&, const std::vector<std::string>&,
+    void Reduce(std::string_view, std::span<const std::string_view>,
                 mapreduce::ReduceContext&) override {
       ++groups_;
     }
@@ -211,9 +211,9 @@ TEST(MapReduceLifecycleTest, CustomPartitionerRoutesDeterministically) {
   };
   class KeyReducer : public mapreduce::Reducer {
    public:
-    void Reduce(const std::string& key, const std::vector<std::string>&,
+    void Reduce(std::string_view key, std::span<const std::string_view>,
                 mapreduce::ReduceContext& ctx) override {
-      ctx.Write(key);
+      ctx.Write(std::string(key));
     }
   };
   mapreduce::JobConfig job;

@@ -262,9 +262,9 @@ class WordCountMapper : public Mapper {
 
 class SumReducer : public Reducer {
  public:
-  void Reduce(const std::string& key, const std::vector<std::string>& values,
+  void Reduce(std::string_view key, std::span<const std::string_view> values,
               ReduceContext& ctx) override {
-    ctx.Write(key + "=" + std::to_string(values.size()));
+    ctx.Write(std::string(key) + "=" + std::to_string(values.size()));
   }
 };
 

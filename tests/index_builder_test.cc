@@ -4,10 +4,12 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "catalog/dataset_catalog.h"
 #include "common/string_util.h"
+#include "fault/fault_injector.h"
 #include "geometry/wkt.h"
 #include "index/index_builder.h"
 #include "test_util.h"
@@ -248,6 +250,125 @@ TEST(IndexBuilderTest, AppendedBlocksFollowLayoutContract) {
                       /*lidx=*/true, /*sorted=*/false);
   }
   EXPECT_GT(rewritten, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// One parse per source record: the analysis and partition jobs read each
+// source block's envelopes through the runner's artifact cache. A hit
+// saves host time only, so the bytes, charges and counters of a build are
+// the same with the cache on (cold or warm) and off.
+
+struct BuildOutput {
+  SpatialFileInfo info;
+  std::vector<std::string> blocks;  // Every block payload, in order.
+  std::vector<std::string> master;
+  uint64_t parses = 0;
+};
+
+BuildOutput BuildAndRead(testing::TestCluster* cluster, const std::string& src,
+                         const std::string& dst,
+                         const IndexBuildOptions& options) {
+  BuildOutput out;
+  const uint64_t parses_before = GeometryParseCount();
+  out.info = IndexBuilder(&cluster->runner)
+                 .Build(src, dst, options)
+                 .ValueOrDie();
+  out.parses = GeometryParseCount() - parses_before;
+  const hdfs::FileMeta meta = cluster->fs.GetFileMeta(dst).ValueOrDie();
+  for (size_t b = 0; b < meta.blocks.size(); ++b) {
+    out.blocks.push_back(*cluster->fs.ReadBlockRaw(dst, b).ValueOrDie());
+  }
+  out.master = cluster->fs.ReadLines(out.info.master_path).ValueOrDie();
+  return out;
+}
+
+/// Builds `src` three times on one runner: with the cache on and cold,
+/// with it off (an inactive fault injector installed), and on and warm.
+/// All three must write the same blocks and master, and charge and count
+/// the same. Returns the cold and warm parse counts.
+std::pair<uint64_t, uint64_t> ExpectCacheChangesNoByte(
+    testing::TestCluster* cluster, const std::string& src,
+    const IndexBuildOptions& options) {
+  const BuildOutput cold = BuildAndRead(cluster, src, src + ".cold", options);
+  fault::FaultInjector inactive{fault::FaultPolicy()};
+  cluster->runner.set_fault_injector(&inactive);
+  const BuildOutput off = BuildAndRead(cluster, src, src + ".off", options);
+  cluster->runner.set_fault_injector(nullptr);
+  const BuildOutput warm = BuildAndRead(cluster, src, src + ".warm", options);
+  EXPECT_FALSE(cold.blocks.empty());
+  for (const BuildOutput* other : {&off, &warm}) {
+    SCOPED_TRACE(other == &off ? "cache off" : "warm cache");
+    EXPECT_EQ(other->blocks, cold.blocks);
+    EXPECT_EQ(other->master, cold.master);
+    EXPECT_EQ(other->info.build_counters.values(),
+              cold.info.build_counters.values());
+    EXPECT_EQ(other->info.build_cost.total_ms, cold.info.build_cost.total_ms);
+    EXPECT_EQ(other->info.build_cost.bytes_shuffled,
+              cold.info.build_cost.bytes_shuffled);
+    EXPECT_EQ(other->info.build_cost.bytes_written,
+              cold.info.build_cost.bytes_written);
+  }
+  // Without the cache, both jobs parse what the cold build's analysis
+  // job parsed alone.
+  EXPECT_GT(off.parses, cold.parses);
+  return {cold.parses, warm.parses};
+}
+
+TEST(IndexBuilderCacheTest, PointBuildParsesTwiceColdAndOnceWarm) {
+  testing::TestCluster cluster;
+  constexpr size_t kPoints = 3000;
+  testing::WritePoints(&cluster.fs, "/points", kPoints,
+                       workload::Distribution::kClustered);
+  IndexBuildOptions options;
+  options.scheme = PartitionScheme::kStr;
+  const auto [cold, warm] =
+      ExpectCacheChangesNoByte(&cluster, "/points", options);
+  EXPECT_LE(cold, 2 * kPoints);
+  EXPECT_LE(warm, kPoints);
+}
+
+TEST(IndexBuilderCacheTest, PolygonsWithLocalIndexesWriteTheSameBytes) {
+  testing::TestCluster cluster;
+  workload::PolygonGenOptions polygons;
+  polygons.centers.count = 600;
+  polygons.centers.seed = 5;
+  ASSERT_TRUE(workload::WritePolygonFile(&cluster.fs, "/polys", polygons).ok());
+  IndexBuildOptions options;
+  options.scheme = PartitionScheme::kStr;
+  options.shape = ShapeType::kPolygon;
+  options.build_local_indexes = true;
+  const auto [cold, warm] =
+      ExpectCacheChangesNoByte(&cluster, "/polys", options);
+  // Polygons are replicated, so the finalize pass parses copies too.
+  EXPECT_LT(warm, cold);
+}
+
+TEST(IndexBuilderCacheTest, MalformedAndMetadataLinesCountTheSame) {
+  testing::TestCluster cluster;
+  std::vector<std::string> lines = workload::PointsToRecords(
+      workload::GeneratePoints(workload::PointGenOptions()));
+  lines.resize(1500);
+  // Metadata lines are skipped; the others fail to parse, or parse to
+  // coordinates whose envelope centre overflows.
+  const std::vector<std::string> odd = {
+      "#comment", "", "not-a-point", "1,2,3", "1e308,1.7e308",
+      "-1.7e308,5", "#lidx 1,1,1,1", "x,y", "inf,0"};
+  for (size_t i = 0; i < odd.size(); ++i) {
+    lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(i * 150),
+                 odd[i]);
+  }
+  int64_t malformed = 0;
+  for (const std::string& line : lines) {
+    malformed += !IsMetadataRecord(line) && !RecordPoint(line).ok() ? 1 : 0;
+  }
+  ASSERT_GT(malformed, 0);
+  ASSERT_TRUE(cluster.fs.WriteLines("/odd", lines).ok());
+  IndexBuildOptions options;
+  options.scheme = PartitionScheme::kGrid;
+  ExpectCacheChangesNoByte(&cluster, "/odd", options);
+  const BuildOutput built = BuildAndRead(&cluster, "/odd", "/odd.idx", options);
+  EXPECT_EQ(built.info.build_counters.Get("analysis.bad_records"), malformed);
+  EXPECT_EQ(built.info.build_counters.Get("partition.bad_records"), malformed);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/random.h"
 #include "common/string_util.h"
@@ -26,9 +30,9 @@ class WordCountMapper : public Mapper {
 
 class SumReducer : public Reducer {
  public:
-  void Reduce(const std::string& key, const std::vector<std::string>& values,
+  void Reduce(std::string_view key, std::span<const std::string_view> values,
               ReduceContext& ctx) override {
-    ctx.Write(key + "=" + std::to_string(values.size()));
+    ctx.Write(std::string(key) + "=" + std::to_string(values.size()));
   }
 };
 
@@ -84,7 +88,7 @@ TEST(MapReduceTest, CombinerReducesShuffleBytes) {
   // A count-preserving combiner: re-emits one value per occurrence count.
   class CountCombiner : public Reducer {
    public:
-    void Reduce(const std::string& key, const std::vector<std::string>& values,
+    void Reduce(std::string_view key, std::span<const std::string_view> values,
                 ReduceContext& ctx) override {
       (void)key;
       ctx.Write(std::to_string(values.size()));
@@ -92,13 +96,13 @@ TEST(MapReduceTest, CombinerReducesShuffleBytes) {
   };
   class WeightedSumReducer : public Reducer {
    public:
-    void Reduce(const std::string& key, const std::vector<std::string>& values,
+    void Reduce(std::string_view key, std::span<const std::string_view> values,
                 ReduceContext& ctx) override {
       int64_t total = 0;
-      for (const std::string& v : values) {
+      for (std::string_view v : values) {
         total += ParseInt64(v).ValueOrDie();
       }
-      ctx.Write(key + "=" + std::to_string(total));
+      ctx.Write(std::string(key) + "=" + std::to_string(total));
     }
   };
   JobConfig combined = WordCountJob(cluster.fs, "/text", 1);
@@ -282,9 +286,9 @@ class SpreadMapper : public Mapper {
 /// reduce task, so the output shows each task's groups in arrival order.
 class GroupEchoReducer : public Reducer {
  public:
-  void Reduce(const std::string& key, const std::vector<std::string>& values,
+  void Reduce(std::string_view key, std::span<const std::string_view> values,
               ReduceContext& ctx) override {
-    std::string line = key + "=";
+    std::string line = std::string(key) + "=";
     for (size_t i = 0; i < values.size(); ++i) {
       if (i > 0) line += ",";
       line += values[i];
@@ -358,6 +362,148 @@ TEST(MapReduceTest, ShuffleDeliversKeyOrderedGroupsWithByteOrderedValues) {
   EXPECT_EQ(second.cost.bytes_written, first.cost.bytes_written);
   EXPECT_EQ(second.cost.num_map_tasks, first.cost.num_map_tasks);
   EXPECT_EQ(second.cost.num_reduce_tasks, first.cost.num_reduce_tasks);
+}
+
+/// Crafted pairs for the shuffle sort: keys longer than 16 bytes that
+/// share a 16-byte prefix, keys that differ only in length or by a
+/// trailing '\0', bytes >= 0x80, empty keys and values, and values that
+/// share their first 8 bytes.
+std::vector<std::pair<std::string, std::string>> CraftedPairs() {
+  using namespace std::string_literals;
+  const std::string k16(16, 'k');
+  const std::vector<std::string> keys = {
+      ""s,        "a"s,           "a\0"s,        "a\0\0"s,
+      "ab"s,      k16.substr(1),  k16,           k16 + "\0"s,
+      k16 + "a"s, k16 + "a\0"s,   k16 + "b"s,    k16 + "\x80"s,
+      "\x7f"s,    "\x80"s,        "\xff"s,       "\xff\xff"s,
+      "a\x80"s,   "0000000007"s,  "0000000012"s, std::string(24, '\xff')};
+  const std::vector<std::string> values = {
+      ""s,          "\0"s,          "v"s,           "12345678"s,
+      "1234567"s,   "12345678\0"s,  "12345678a"s,   "12345678a\0"s,
+      "12345678b"s, "12345678\x90"s, "\x80\x81"s,    "\xff"s};
+  std::vector<std::pair<std::string, std::string>> pairs;
+  for (const std::string& key : keys) {
+    for (const std::string& value : values) pairs.emplace_back(key, value);
+  }
+  // Duplicates: equal pairs must survive as separate values.
+  pairs.emplace_back(k16 + "a", "12345678a");
+  pairs.emplace_back("", "");
+  return pairs;
+}
+
+std::string Hex(std::string_view bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (unsigned char c : bytes) {
+    hex.push_back(kDigits[c >> 4]);
+    hex.push_back(kDigits[c & 15]);
+  }
+  return hex;
+}
+
+/// Record n emits pair n.
+class CraftedPairMapper : public Mapper {
+ public:
+  explicit CraftedPairMapper(
+      const std::vector<std::pair<std::string, std::string>>* pairs)
+      : pairs_(pairs) {}
+  void Map(std::string_view record, MapContext& ctx) override {
+    const auto& [key, value] = (*pairs_)[ParseInt64(record).ValueOrDie()];
+    ctx.Emit(key, value);
+  }
+
+ private:
+  const std::vector<std::pair<std::string, std::string>>* pairs_;
+};
+
+/// Re-emits every value, and fails the task unless its input arrives in
+/// std::string pair order with one group per distinct key.
+class OrderCheckingCombiner : public Reducer {
+ public:
+  void Reduce(std::string_view key, std::span<const std::string_view> values,
+              ReduceContext& ctx) override {
+    if (seen_ && std::string(key) <= last_key_) {
+      ctx.Fail(Status::Internal("combiner groups out of order"));
+    }
+    for (size_t i = 1; i < values.size(); ++i) {
+      if (std::string(values[i]) < std::string(values[i - 1])) {
+        ctx.Fail(Status::Internal("combiner values out of order"));
+      }
+    }
+    seen_ = true;
+    last_key_ = std::string(key);
+    for (std::string_view value : values) ctx.Write(std::string(value));
+  }
+
+ private:
+  bool seen_ = false;
+  std::string last_key_;
+};
+
+/// One "hex(key)|hex(value)" line per value, in arrival order, and "#end"
+/// after each reduce task.
+class PairEchoReducer : public Reducer {
+ public:
+  void Reduce(std::string_view key, std::span<const std::string_view> values,
+              ReduceContext& ctx) override {
+    for (std::string_view value : values) {
+      ctx.Write(Hex(key) + "|" + Hex(value));
+    }
+  }
+  void Finish(ReduceContext& ctx) override { ctx.Write("#end"); }
+};
+
+TEST(MapReduceTest, ShuffleOrderEqualsStringPairSort) {
+  const std::vector<std::pair<std::string, std::string>> pairs =
+      CraftedPairs();
+  // Records in a shuffled order, over many small blocks: every reduce
+  // input merges pairs from several map tasks.
+  std::vector<std::string> lines;
+  for (size_t n = 0; n < pairs.size(); ++n) lines.push_back(std::to_string(n));
+  Random rng(5);
+  for (size_t i = lines.size(); i > 1; --i) {
+    std::swap(lines[i - 1], lines[rng.NextUint64(i)]);
+  }
+  testing::TestCluster cluster(/*block_size=*/64);
+  ASSERT_TRUE(cluster.fs.WriteLines("/in", lines).ok());
+
+  for (int reducers : {1, 3}) {
+    for (bool combine : {false, true}) {
+      SCOPED_TRACE(std::to_string(reducers) + " reducers" +
+                   (combine ? ", combiner" : ""));
+      std::vector<std::vector<std::pair<std::string, std::string>>> inputs(
+          reducers);
+      for (const auto& pair : pairs) {
+        inputs[HashPartition(pair.first, reducers)].push_back(pair);
+      }
+      std::vector<std::string> expected;
+      for (auto& input : inputs) {
+        std::sort(input.begin(), input.end());
+        for (const auto& [key, value] : input) {
+          expected.push_back(Hex(key) + "|" + Hex(value));
+        }
+        expected.push_back("#end");
+      }
+
+      JobConfig job;
+      job.name = "crafted-shuffle";
+      job.splits = MakeBlockSplits(cluster.fs, "/in").ValueOrDie();
+      ASSERT_GE(job.splits.size(), 4u);
+      job.mapper = [&pairs]() {
+        return std::make_unique<CraftedPairMapper>(&pairs);
+      };
+      if (combine) {
+        job.combiner = []() {
+          return std::make_unique<OrderCheckingCombiner>();
+        };
+      }
+      job.reducer = []() { return std::make_unique<PairEchoReducer>(); };
+      job.num_reducers = reducers;
+      const JobResult result = cluster.runner.Run(job);
+      ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+      EXPECT_EQ(result.output, expected);
+    }
+  }
 }
 
 TEST(MakespanTest, GreedyScheduling) {

@@ -419,9 +419,9 @@ TEST(QueryPipelineTest, ParallelMergeSpreadsReducers) {
   };
   class EchoReducer : public mapreduce::Reducer {
    public:
-    void Reduce(const std::string&, const std::vector<std::string>& values,
+    void Reduce(std::string_view, std::span<const std::string_view> values,
                 mapreduce::ReduceContext& ctx) override {
-      for (const std::string& v : values) ctx.Write(v);
+      for (std::string_view v : values) ctx.Write(std::string(v));
     }
   };
 

@@ -325,6 +325,33 @@ TEST(SpatialRecordReaderBlockTest, HeaderThatIsNotFirst) {
       {{header, "1,1", Header({Point(9, 9)}), "2,2"}});
 }
 
+TEST(SpatialRecordReaderBlockTest, SecondHeaderWinsCachedOrNot) {
+  // Each header that decodes replaces the previous one, so record 0 takes
+  // its envelope from the second header: uncached, through a cold cache
+  // and through a warm one, fed by block or by record.
+  const std::string payload = "#lidx 1,1,1,1\n#lidx 9,9,9,9\n5,5\n";
+  const hdfs::RecordIndex index = hdfs::RecordIndex::Build(payload);
+  const hdfs::BlockRecords block{payload, &index};
+  for (bool by_block : {true, false}) {
+    mapreduce::ArtifactCache cache(16);
+    for (int pass = 0; pass < 3; ++pass) {
+      SCOPED_TRACE(std::string(by_block ? "by block" : "by record") +
+                   ", pass " + std::to_string(pass));
+      SpatialRecordReader reader(ShapeType::kPoint);
+      if (pass > 0) reader.AttachCache(&cache, /*block_id=*/7);
+      if (by_block) {
+        reader.AddBlock(block);
+      } else {
+        for (size_t i = 0; i < block.size(); ++i) reader.AddBorrowed(block[i]);
+      }
+      ASSERT_EQ(reader.NumRecords(), 1u);
+      EXPECT_TRUE(reader.has_local_index());
+      ASSERT_NE(reader.EnvelopeAt(0), nullptr);
+      EXPECT_EQ(*reader.EnvelopeAt(0), Envelope::FromPoint(Point(9, 9)));
+    }
+  }
+}
+
 TEST(SpatialRecordReaderBlockTest, EmptyLinesAndMalformedRecords) {
   ExpectBlockFeedMatchesPerRecordFeed(
       ShapeType::kPoint, {{"", "1,1", "", "", "not-a-point", "2,2", ""}});
