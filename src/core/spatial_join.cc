@@ -20,19 +20,20 @@ using mapreduce::JobResult;
 using mapreduce::MapContext;
 
 /// True when the pair passes the join predicate: extents intersect, with
-/// exact refinement for polygon pairs. The polygons come from the
-/// readers' parse-once columns, so a candidate appearing in many pairs
-/// is never re-parsed.
+/// exact refinement for polygon pairs. The rings are views into the
+/// readers' parse-once polygon columns, so a candidate appearing in many
+/// pairs is never re-parsed or copied. A record without a ring (malformed,
+/// but given an envelope by a #lidx header) matches on its envelope.
 bool JoinMatch(SpatialRecordReader& reader_a, uint32_t pa,
                const Envelope& env_a, SpatialRecordReader& reader_b,
                uint32_t pb, const Envelope& env_b) {
   if (!env_a.Intersects(env_b)) return false;
   if (reader_a.shape() == index::ShapeType::kPolygon &&
       reader_b.shape() == index::ShapeType::kPolygon) {
-    const Polygon* poly_a = reader_a.PolygonAt(pa);
-    const Polygon* poly_b = reader_b.PolygonAt(pb);
-    if (poly_a != nullptr && poly_b != nullptr) {
-      return poly_a->Intersects(*poly_b);
+    const RingView ring_a = reader_a.PolygonAt(pa);
+    const RingView ring_b = reader_b.PolygonAt(pb);
+    if (!ring_a.ring.empty() && !ring_b.ring.empty()) {
+      return RingsIntersect(ring_a, ring_b);
     }
   }
   return true;

@@ -79,14 +79,6 @@ void SpatialRecordReader::ConsumeHeader(std::string_view record) {
   InvalidateColumns();
 }
 
-void SpatialRecordReader::Add(std::string_view record) {
-  if (index::IsMetadataRecord(record)) {
-    ConsumeHeader(record);
-    return;
-  }
-  AddRecord(arena_.Intern(record));
-}
-
 void SpatialRecordReader::AddBorrowed(std::string_view record) {
   if (index::IsMetadataRecord(record)) {
     ConsumeHeader(record);
@@ -122,17 +114,14 @@ void SpatialRecordReader::Clear() {
   preparsed_envelopes_.reset();
   headers_ = 0;
   bad_records_ = 0;
-  arena_.Clear();
   cache_ = nullptr;
   cache_block_id_ = 0;
   InvalidateColumns();
   // Post-state invariant: nothing that could disagree with records_ may
-  // survive a Clear() — no stale #lidx envelopes, columns, local index,
-  // or arena bytes backing now-dropped views.
+  // survive a Clear() — no stale #lidx envelopes, columns or local index.
   SHADOOP_DCHECK(records_.empty() && preparsed_envelopes_ == nullptr &&
-                 arena_.empty() && point_column_ == nullptr &&
-                 envelope_column_ == nullptr && polygon_column_ == nullptr &&
-                 local_index_ == nullptr);
+                 point_column_ == nullptr && envelope_column_ == nullptr &&
+                 polygon_column_ == nullptr && local_index_ == nullptr);
   CheckInvariants();
 }
 
@@ -145,14 +134,14 @@ void SpatialRecordReader::InvalidateColumns() {
 
 void SpatialRecordReader::CheckInvariants() const {
   // Every built column covers every record, and a cleared reader must
-  // hold no stale preparsed envelopes, columns, or arena bytes — the
-  // states that could otherwise disagree with records_.
+  // hold no stale preparsed envelopes or columns — the states that could
+  // otherwise disagree with records_.
   SHADOOP_DCHECK(point_column_ == nullptr ||
                  point_column_->values.size() == records_.size());
   SHADOOP_DCHECK(envelope_column_ == nullptr ||
                  envelope_column_->values.size() == records_.size());
   SHADOOP_DCHECK(polygon_column_ == nullptr ||
-                 polygon_column_->values.size() == records_.size());
+                 polygon_column_->starts.size() == records_.size() + 1);
 }
 
 void SpatialRecordReader::EnsurePointColumn() {
@@ -191,13 +180,9 @@ void SpatialRecordReader::EnsureEnvelopeColumn() {
       });
     }
     if (shape_ == index::ShapeType::kPolygon) {
-      // Likewise derived: the polygon column's bounds.
+      // Likewise shared: the polygon column's bounds.
       EnsurePolygonColumn();
-      return FillColumn<Column<Envelope>>(n, [this](size_t i, Envelope* out) {
-        if (!polygon_column_->valid[i]) return false;
-        *out = polygon_column_->values[i].Bounds();
-        return true;
-      });
+      return polygon_column_->bounds;
     }
     return FillColumn<Column<Envelope>>(n, [this](size_t i, Envelope* out) {
       return Take(index::RecordRectangle(records_[i]), out);
@@ -208,11 +193,21 @@ void SpatialRecordReader::EnsureEnvelopeColumn() {
 void SpatialRecordReader::EnsurePolygonColumn() {
   if (polygon_column_ != nullptr) return;
   CheckInvariants();
-  polygon_column_ = Shared<Column<Polygon>>("poly", [this] {
-    return FillColumn<Column<Polygon>>(
-        records_.size(), [this](size_t i, Polygon* out) {
-          return Take(index::RecordPolygon(records_[i]), out);
+  polygon_column_ = Shared<PolygonColumn>("poly", [this] {
+    auto column = std::make_shared<PolygonColumn>();
+    column->starts.reserve(records_.size() + 1);
+    column->starts.push_back(0);
+    column->bounds = FillColumn<Column<Envelope>>(
+        records_.size(), [this, &column](size_t i, Envelope* out) {
+          std::vector<Point>& vertices = column->vertices;
+          const size_t start = vertices.size();
+          const bool ok =
+              index::AppendRecordPolygon(records_[i], &vertices).ok();
+          column->starts.push_back(vertices.size());
+          *out = RingBounds(std::span(vertices).subspan(start));
+          return ok;
         });
+    return column;
   });
 }
 
@@ -248,12 +243,13 @@ std::vector<index::PackedRTree::Entry> SpatialRecordReader::EnvelopeEntries()
 
 std::vector<Polygon> SpatialRecordReader::Polygons() {
   EnsurePolygonColumn();
-  bad_records_ += polygon_column_->bad;
+  bad_records_ += polygon_column_->bounds->bad;
   std::vector<Polygon> polygons;
   polygons.reserve(records_.size());
   for (size_t i = 0; i < records_.size(); ++i) {
-    if (polygon_column_->valid[i]) {
-      polygons.push_back(polygon_column_->values[i]);
+    const std::span<const Point> ring = PolygonAt(i).ring;
+    if (!ring.empty()) {
+      polygons.emplace_back(std::vector<Point>(ring.begin(), ring.end()));
     }
   }
   return polygons;
@@ -271,10 +267,14 @@ const Point* SpatialRecordReader::PointAt(size_t i) {
   return &point_column_->values[i];
 }
 
-const Polygon* SpatialRecordReader::PolygonAt(size_t i) {
+RingView SpatialRecordReader::PolygonAt(size_t i) {
   EnsurePolygonColumn();
-  if (i >= records_.size() || !polygon_column_->valid[i]) return nullptr;
-  return &polygon_column_->values[i];
+  if (i >= records_.size()) return {};
+  const PolygonColumn& column = *polygon_column_;
+  const size_t start = column.starts[i];
+  const size_t size = column.starts[i + 1] - start;
+  return {std::span(column.vertices).subspan(start, size),
+          column.bounds->values[i]};
 }
 
 const index::PackedRTree& SpatialRecordReader::LocalIndex(

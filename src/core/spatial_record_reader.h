@@ -24,13 +24,12 @@ namespace shadoop::core {
 /// partition's local index. Malformed records are counted, not fatal
 /// (HDFS text files routinely contain stray lines).
 ///
-/// Storage is zero-copy: records are `std::string_view`s — either
-/// borrowed from the caller (AddBlock and AddBorrowed, used on the
-/// runner's pinned block bytes) or interned into the reader's own arena
-/// (Add). Geometry is parsed at most once per record: the first typed
+/// Storage is zero-copy: records are `std::string_view`s borrowed from
+/// the caller (AddBlock and AddBorrowed, used on the runner's pinned block
+/// bytes). Geometry is parsed at most once per record: the first typed
 /// accessor builds a contiguous column (envelopes, point coordinates, or
-/// polygons) that every later access — including the R-tree bulk load —
-/// reads directly.
+/// polygon rings) that every later access — including the R-tree bulk
+/// load — reads directly.
 /// A partition persisted with a `#lidx` header feeds the envelope column
 /// without parsing any geometry at all.
 ///
@@ -55,15 +54,11 @@ class SpatialRecordReader {
   /// be exactly one block). Null cache / zero id are ignored.
   void AttachCache(mapreduce::ArtifactCache* cache, uint64_t block_id);
 
-  /// Feeds one raw record, copying it into the reader's arena — safe for
-  /// callers whose bytes die immediately. '#'-prefixed metadata records
-  /// (the persisted local-index header) are consumed here and never
-  /// appear in records().
-  void Add(std::string_view record);
-
-  /// Zero-copy variant: the caller guarantees `record`'s bytes outlive
-  /// this reader's use (the map runner pins block payloads for the whole
-  /// task attempt, so partition mappers borrow).
+  /// Feeds one raw record without copying it: the caller guarantees
+  /// `record`'s bytes outlive this reader's use (the map runner pins block
+  /// payloads for the whole task attempt, so partition mappers borrow).
+  /// '#'-prefixed metadata records (the persisted local-index header) are
+  /// consumed here and never appear in records().
   void AddBorrowed(std::string_view record);
 
   /// Borrows a whole block's records at once (the partition mappers'
@@ -75,8 +70,8 @@ class SpatialRecordReader {
   void AddBlock(const hdfs::BlockRecords& block);
 
   /// Drops all records, parsed columns, the local index, the
-  /// local-index header, the cache attachment, and the arena — the
-  /// reader is reusable as if freshly constructed.
+  /// local-index header and the cache attachment — the reader is
+  /// reusable as if freshly constructed.
   void Clear();
 
   /// True when the partition carried a persisted local index, so
@@ -98,7 +93,8 @@ class SpatialRecordReader {
   /// Envelopes of all records, paired with their indices in records().
   std::vector<index::PackedRTree::Entry> Envelopes();
 
-  /// Parses all records as polygons (shape must be kPolygon).
+  /// Polygons of all well-formed records (shape must be kPolygon), copied
+  /// out of the polygon column.
   std::vector<Polygon> Polygons();
 
   // ------------------------------------------------------------------
@@ -112,8 +108,10 @@ class SpatialRecordReader {
   /// Point geometry of record i (shape must be kPoint).
   const Point* PointAt(size_t i);
 
-  /// Polygon geometry of record i (shape must be kPolygon).
-  const Polygon* PolygonAt(size_t i);
+  /// Polygon ring of record i (shape must be kPolygon): a view into the
+  /// polygon column, valid until records are next fed or cleared. Empty
+  /// when the record is malformed.
+  RingView PolygonAt(size_t i);
 
   // ------------------------------------------------------------------
   // Local index.
@@ -142,6 +140,16 @@ class SpatialRecordReader {
     size_t bad = 0;
   };
 
+  // The polygon column: every ring's vertices in one buffer, record i's
+  // at [starts[i], starts[i + 1]) (empty when it is malformed), and the
+  // rings' bounds as an envelope column, which is also the envelope
+  // column of a reader without a usable #lidx header.
+  struct PolygonColumn {
+    std::vector<Point> vertices;
+    std::vector<size_t> starts;
+    std::shared_ptr<const Column<Envelope>> bounds;
+  };
+
   void AddRecord(std::string_view stable_record);
   void ConsumeHeader(std::string_view record);
   void InvalidateColumns();
@@ -160,7 +168,6 @@ class SpatialRecordReader {
   std::shared_ptr<const T> Shared(const char* kind, Build build);
 
   index::ShapeType shape_;
-  hdfs::BlockArena arena_;  // Owns bytes behind Add()-ed records.
   std::vector<std::string_view> records_;
   // From the #lidx header; shared so a cached decode is adopted, not
   // copied. Null until a header is decoded.
@@ -174,7 +181,7 @@ class SpatialRecordReader {
   // Null = not built yet.
   std::shared_ptr<const Column<Point>> point_column_;
   std::shared_ptr<const Column<Envelope>> envelope_column_;
-  std::shared_ptr<const Column<Polygon>> polygon_column_;
+  std::shared_ptr<const PolygonColumn> polygon_column_;
   std::shared_ptr<const index::PackedRTree> local_index_;
 };
 

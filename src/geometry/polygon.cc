@@ -1,46 +1,48 @@
 #include "geometry/polygon.h"
 
 #include <algorithm>
-#include <bit>
+#include <array>
 #include <cmath>
-#include <cstdint>
+#include <cstddef>
 #include <vector>
 
-#include "simd/mbr_kernels.h"
-
 namespace shadoop {
-
-double Polygon::SignedArea() const {
-  if (IsEmpty()) return 0.0;
-  double sum = 0.0;
-  for (size_t i = 0; i < ring_.size(); ++i) {
-    const Point& p = ring_[i];
-    const Point& q = ring_[(i + 1) % ring_.size()];
-    sum += p.x * q.y - q.x * p.y;
-  }
-  return sum / 2.0;
-}
-
-double Polygon::Perimeter() const {
-  if (IsEmpty()) return 0.0;
-  double sum = 0.0;
-  for (size_t i = 0; i < ring_.size(); ++i) {
-    sum += Distance(ring_[i], ring_[(i + 1) % ring_.size()]);
-  }
-  return sum;
-}
-
-Envelope Polygon::RingBounds(const std::vector<Point>& ring) {
-  Envelope e;
-  for (const Point& p : ring) e.ExpandToInclude(p);
-  return e;
-}
-
 namespace {
 
+/// A closed box as raw coordinates: unlike an Envelope, a component may
+/// be NaN.
+struct Box {
+  double min_x, min_y, max_x, max_y;
+};
+
+Box EdgeBox(const Segment& e) {
+  return {std::min(e.a.x, e.b.x), std::min(e.a.y, e.b.y),
+          std::max(e.a.x, e.b.x), std::max(e.a.y, e.b.y)};
+}
+
+/// Closed overlap; false whenever a compared component is NaN. The four
+/// comparisons are combined with `&`, not `&&`, so an unpredictable
+/// outcome costs no branch.
+bool Meet(const Box& a, const Box& b) {
+  return (a.min_x <= b.max_x) & (b.min_x <= a.max_x) & (a.min_y <= b.max_y) &
+         (b.min_y <= a.max_y);
+}
+
+/// Writes the indices of `ring`'s edges that meet `window` to `out`, in
+/// ascending order, and returns how many there are.
+size_t EdgesMeeting(const RingView& ring, const Envelope& window,
+                    size_t* out) {
+  size_t count = 0;
+  for (size_t i = 0; i < ring.ring.size(); ++i) {
+    out[count] = i;
+    count += ring.EdgeMeets(i, window);
+  }
+  return count;
+}
+
 /// Even-odd crossing count; unreliable exactly on the boundary, so both
-/// public predicates resolve boundary points explicitly first.
-bool EvenOddInside(const std::vector<Point>& ring, const Point& p) {
+/// containment predicates resolve boundary points explicitly first.
+bool EvenOddInside(std::span<const Point> ring, const Point& p) {
   bool inside = false;
   for (size_t i = 0, j = ring.size() - 1; i < ring.size(); j = i++) {
     const Point& a = ring[i];
@@ -53,90 +55,101 @@ bool EvenOddInside(const std::vector<Point>& ring, const Point& p) {
   return inside;
 }
 
-bool OnBoundary(const std::vector<Point>& ring, const Point& p) {
-  for (size_t i = 0; i < ring.size(); ++i) {
-    const Segment edge(ring[i], ring[(i + 1) % ring.size()]);
-    if (PointSegmentDistance(p, edge) == 0.0) return true;
+bool OnBoundary(const RingView& ring, const Point& p) {
+  for (size_t i = 0; i < ring.ring.size(); ++i) {
+    if (PointSegmentDistance(p, ring.Edge(i)) == 0.0) return true;
   }
   return false;
 }
 
 }  // namespace
 
-bool Polygon::Contains(const Point& p) const {
-  if (IsEmpty()) return false;
+Envelope RingBounds(std::span<const Point> ring) {
+  Envelope e;
+  for (const Point& p : ring) e.ExpandToInclude(p);
+  return e;
+}
+
+bool RingView::EdgeMeets(size_t i, const Envelope& window) const {
+  return Meet(EdgeBox(Edge(i)), {window.min_x(), window.min_y(),
+                                 window.max_x(), window.max_y()});
+}
+
+bool RingContains(const RingView& ring, const Point& p) {
+  if (ring.IsEmpty()) return false;
   // A point outside the MBR is outside the ring: no edge can be at
   // distance zero and the even-odd crossing count is necessarily even,
   // so the reject is exact — it only skips the expensive loops.
-  if (!Bounds().Contains(p)) return false;
-  return OnBoundary(ring_, p) || EvenOddInside(ring_, p);
+  if (!ring.bounds.Contains(p)) return false;
+  return OnBoundary(ring, p) || EvenOddInside(ring.ring, p);
 }
 
-bool Polygon::ContainsInterior(const Point& p) const {
-  if (IsEmpty()) return false;
-  if (!Bounds().Contains(p)) return false;
-  return !OnBoundary(ring_, p) && EvenOddInside(ring_, p);
+bool RingContainsInterior(const RingView& ring, const Point& p) {
+  if (ring.IsEmpty()) return false;
+  if (!ring.bounds.Contains(p)) return false;
+  return !OnBoundary(ring, p) && EvenOddInside(ring.ring, p);
 }
 
-bool Polygon::Intersects(const Polygon& other) const {
-  if (IsEmpty() || other.IsEmpty()) return false;
-  if (!Bounds().Intersects(other.Bounds())) return false;
-  // Batch edge-bbox prefilter (join refinement hot path): lay out the
-  // other ring's edge bounding boxes as SoA lanes once, then test each of
-  // our edges' bboxes against all of them in one vector sweep. Two
-  // segments sharing a point have closed-intersecting bboxes, so a
-  // bbox miss exactly implies SegmentsIntersect is false (touching
-  // included) — the filtered loop returns the same answer as the full
-  // quadratic scan, in the same (i, j) order.
-  const size_t na = ring_.size();
-  const size_t nb = other.ring_.size();
-  thread_local std::vector<double> b_min_x, b_min_y, b_max_x, b_max_y;
-  thread_local std::vector<uint64_t> hit_bits;
-  b_min_x.resize(nb);
-  b_min_y.resize(nb);
-  b_max_x.resize(nb);
-  b_max_y.resize(nb);
-  hit_bits.resize(simd::BitmapWords(nb));
-  for (size_t j = 0; j < nb; ++j) {
-    const Point& t0 = other.ring_[j];
-    const Point& t1 = other.ring_[(j + 1) % nb];
-    b_min_x[j] = std::min(t0.x, t1.x);
-    b_min_y[j] = std::min(t0.y, t1.y);
-    b_max_x[j] = std::max(t0.x, t1.x);
-    b_max_y[j] = std::max(t0.y, t1.y);
+bool RingsIntersect(const RingView& a, const RingView& b) {
+  if (a.IsEmpty() || b.IsEmpty()) return false;
+  if (!a.bounds.Intersects(b.bounds)) return false;
+  // Window-masked edge loop. Every non-NaN edge box lies inside its own
+  // ring's MBR, so an edge whose box misses W = MBR(a) ∩ MBR(b) meets no
+  // edge box of the other ring. Skipping such edges leaves exactly the
+  // (i, j) pairs, in the same order, that reach SegmentsIntersect in a
+  // loop over all edge pairs with the same closed-box prefilter. A box
+  // with a NaN component fails both the window and the prefilter.
+  const Envelope window = a.bounds.Intersection(b.bounds);
+  const size_t na = a.ring.size();
+  const size_t nb = b.ring.size();
+  // The two rings' index lists, on the stack while they have at most
+  // 128 edges between them.
+  std::array<size_t, 128> stack;
+  std::vector<size_t> heap;
+  size_t* a_edges = stack.data();
+  if (na + nb > stack.size()) {
+    heap.resize(na + nb);
+    a_edges = heap.data();
   }
-  const simd::BoxLanes lanes{b_min_x.data(), b_min_y.data(), b_max_x.data(),
-                             b_max_y.data()};
-  const simd::detail::KernelTable& kernels = simd::ActiveKernels();
-  for (size_t i = 0; i < na; ++i) {
-    const Point& s0 = ring_[i];
-    const Point& s1 = ring_[(i + 1) % na];
-    const Segment s(s0, s1);
-    const size_t hits = kernels.intersect_box_bitmap(
-        lanes, nb, std::min(s0.x, s1.x), std::min(s0.y, s1.y),
-        std::max(s0.x, s1.x), std::max(s0.y, s1.y), hit_bits.data());
-    if (hits == 0) continue;
-    for (size_t w = 0; w < hit_bits.size(); ++w) {
-      uint64_t word = hit_bits[w];
-      while (word != 0) {
-        const size_t j = w * 64 + static_cast<size_t>(std::countr_zero(word));
-        word &= word - 1;
-        const Segment t(other.ring_[j], other.ring_[(j + 1) % nb]);
-        if (SegmentsIntersect(s, t)) return true;
-      }
+  size_t* const b_edges = a_edges + na;
+  const size_t ma = EdgesMeeting(a, window, a_edges);
+  const size_t mb = EdgesMeeting(b, window, b_edges);
+  for (size_t p = 0; p < ma; ++p) {
+    const Segment s = a.Edge(a_edges[p]);
+    const Box s_box = EdgeBox(s);
+    for (size_t q = 0; q < mb; ++q) {
+      const Segment t = b.Edge(b_edges[q]);
+      if (Meet(s_box, EdgeBox(t)) && SegmentsIntersect(s, t)) return true;
     }
   }
-  // No edge crossings: one polygon may still contain the other entirely.
-  return Contains(other.ring().front()) || other.Contains(ring_.front());
+  // No edge crossings: one ring may still contain the other entirely.
+  return RingContains(a, b.ring.front()) || RingContains(b, a.ring.front());
+}
+
+double Polygon::SignedArea() const {
+  if (IsEmpty()) return 0.0;
+  const size_t n = ring_.size();
+  double sum = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    const Point& p = ring_[i];
+    const Point& q = ring_[i + 1 == n ? 0 : i + 1];
+    sum += p.x * q.y - q.x * p.y;
+  }
+  return sum / 2.0;
+}
+
+double Polygon::Perimeter() const {
+  if (IsEmpty()) return 0.0;
+  double sum = 0.0;
+  for (size_t i = 0; i < ring_.size(); ++i) sum += View().Edge(i).Length();
+  return sum;
 }
 
 std::vector<Segment> Polygon::Edges() const {
   std::vector<Segment> edges;
   if (IsEmpty()) return edges;
   edges.reserve(ring_.size());
-  for (size_t i = 0; i < ring_.size(); ++i) {
-    edges.emplace_back(ring_[i], ring_[(i + 1) % ring_.size()]);
-  }
+  for (size_t i = 0; i < ring_.size(); ++i) edges.push_back(View().Edge(i));
   return edges;
 }
 

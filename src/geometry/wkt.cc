@@ -27,15 +27,16 @@ Status ExpectChar(std::string_view& text, char c) {
   return Status::OK();
 }
 
-/// Parses "x y" coordinate pairs separated by commas until the closing ')'.
-/// Each pair is scanned once, in place: its tokens are the runs of
-/// non-space bytes before the pair's ',' or ')', and the numbers go to
-/// ParseDouble (std::from_chars). A malformed pair reports the first
-/// failing check in the order unterminated list, token count, x, y.
-/// This runs once per vertex of every polygon record on the join hot
-/// path.
-Result<std::vector<Point>> ParseCoordinateList(std::string_view& text) {
-  std::vector<Point> points;
+/// The WKT scanner: appends "x y" coordinate pairs separated by commas,
+/// until the closing ')', to `points`. Each pair is scanned once, in
+/// place: its tokens are the runs of non-space bytes before the pair's ','
+/// or ')', and the numbers go to ParseDouble (std::from_chars). A
+/// malformed pair reports the first failing check in the order
+/// unterminated list, token count, x, y, and leaves the pairs before it
+/// appended. This runs once per vertex of every polygon record on the
+/// join hot path.
+Status AppendCoordinateList(std::string_view& text,
+                            std::vector<Point>* points) {
   const char* p = text.data();
   const char* const end = p + text.size();
   for (;;) {
@@ -62,11 +63,39 @@ Result<std::vector<Point>> ParseCoordinateList(std::string_view& text) {
     }
     SHADOOP_ASSIGN_OR_RETURN(double x, ParseDouble(tokens[0]));
     SHADOOP_ASSIGN_OR_RETURN(double y, ParseDouble(tokens[1]));
-    points.emplace_back(x, y);
+    points->emplace_back(x, y);
     if (*p++ == ')') break;
   }
   text = std::string_view(p, end - p);
+  return Status::OK();
+}
+
+Result<std::vector<Point>> ParseCoordinateList(std::string_view& text) {
+  std::vector<Point> points;
+  SHADOOP_RETURN_NOT_OK(AppendCoordinateList(text, &points));
   return points;
+}
+
+/// AppendPolygonWkt's checks, in order; on failure the caller truncates
+/// what was appended.
+Status AppendPolygonRing(std::string_view text, std::vector<Point>* ring) {
+  const size_t start = ring->size();
+  SHADOOP_RETURN_NOT_OK(ExpectKeyword(text, "POLYGON"));
+  SHADOOP_RETURN_NOT_OK(ExpectChar(text, '('));
+  SHADOOP_RETURN_NOT_OK(ExpectChar(text, '('));
+  SHADOOP_RETURN_NOT_OK(AppendCoordinateList(text, ring));
+  text = StripWhitespace(text);
+  if (!text.empty() && text.front() == ',') {
+    return Status::ParseError("polygons with holes are not supported");
+  }
+  SHADOOP_RETURN_NOT_OK(ExpectChar(text, ')'));
+  if (ring->size() - start >= 2 && (*ring)[start] == ring->back()) {
+    ring->pop_back();
+  }
+  if (ring->size() - start < 3) {
+    return Status::ParseError("POLYGON ring needs at least 3 distinct points");
+  }
+  return Status::OK();
 }
 
 std::string CoordinateListToString(const std::vector<Point>& points) {
@@ -108,20 +137,16 @@ Result<Point> ParsePointWkt(std::string_view text) {
   return pts.front();
 }
 
+Status AppendPolygonWkt(std::string_view text, std::vector<Point>* ring) {
+  const size_t start = ring->size();
+  Status status = AppendPolygonRing(text, ring);
+  if (!status.ok()) ring->resize(start);
+  return status;
+}
+
 Result<Polygon> ParsePolygonWkt(std::string_view text) {
-  SHADOOP_RETURN_NOT_OK(ExpectKeyword(text, "POLYGON"));
-  SHADOOP_RETURN_NOT_OK(ExpectChar(text, '('));
-  SHADOOP_RETURN_NOT_OK(ExpectChar(text, '('));
-  SHADOOP_ASSIGN_OR_RETURN(std::vector<Point> ring, ParseCoordinateList(text));
-  text = StripWhitespace(text);
-  if (!text.empty() && text.front() == ',') {
-    return Status::ParseError("polygons with holes are not supported");
-  }
-  SHADOOP_RETURN_NOT_OK(ExpectChar(text, ')'));
-  if (ring.size() >= 2 && ring.front() == ring.back()) ring.pop_back();
-  if (ring.size() < 3) {
-    return Status::ParseError("POLYGON ring needs at least 3 distinct points");
-  }
+  std::vector<Point> ring;
+  SHADOOP_RETURN_NOT_OK(AppendPolygonWkt(text, &ring));
   return Polygon(std::move(ring));
 }
 

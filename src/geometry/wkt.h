@@ -27,6 +27,10 @@ std::string LineStringToWkt(const std::vector<Point>& points);
 
 Result<Point> ParsePointWkt(std::string_view text);
 Result<Polygon> ParsePolygonWkt(std::string_view text);
+/// ParsePolygonWkt without the Polygon: appends the ring's vertices,
+/// without the repeated closing vertex, to `ring`, which may already hold
+/// other rings. On failure `ring` is truncated back to its size on entry.
+Status AppendPolygonWkt(std::string_view text, std::vector<Point>* ring);
 Result<std::vector<Point>> ParseLineStringWkt(std::string_view text);
 
 /// Compact CSV forms used by the HDFS record layer:

@@ -71,26 +71,4 @@ BlockRecords BlockArena::AddBlock(std::shared_ptr<const std::string> payload,
   return records;
 }
 
-std::string_view BlockArena::Intern(std::string_view bytes) {
-  if (bytes.empty()) return {};
-  if (chunks_.empty() || chunk_used_ + bytes.size() > chunk_capacity_) {
-    chunk_capacity_ = std::max(kMinChunkBytes, bytes.size());
-    chunks_.push_back(std::make_unique<char[]>(chunk_capacity_));
-    chunk_used_ = 0;
-  }
-  char* dst = chunks_.back().get() + chunk_used_;
-  std::memcpy(dst, bytes.data(), bytes.size());
-  chunk_used_ += bytes.size();
-  interned_bytes_ += bytes.size();
-  return {dst, bytes.size()};
-}
-
-void BlockArena::Clear() {
-  pinned_.clear();
-  chunks_.clear();
-  chunk_capacity_ = 0;
-  chunk_used_ = 0;
-  interned_bytes_ = 0;
-}
-
 }  // namespace shadoop::hdfs

@@ -88,14 +88,10 @@ struct BlockRecords {
 /// Owns the bytes behind `std::string_view` records so the data path can
 /// stay zero-copy: a block's payload is pinned once (shared with the
 /// datanode store, never duplicated) and every record of the block is a
-/// slice of it. Bytes that do not come from a block — combiner output,
-/// records assembled by an operation — are interned into bump-allocated
-/// chunks, so their views are equally stable.
+/// slice of it.
 ///
-/// Lifetime contract: every view returned by AddBlock()/Intern() stays
-/// valid until Clear() or destruction, regardless of how much is added
-/// afterwards (chunks grow by adding new chunks, never by reallocating
-/// old ones).
+/// Lifetime contract: every view returned by AddBlock() stays valid until
+/// the arena is destroyed, regardless of how much is added afterwards.
 class BlockArena {
  public:
   BlockArena() = default;
@@ -110,25 +106,10 @@ class BlockArena {
   BlockRecords AddBlock(std::shared_ptr<const std::string> payload,
                         const RecordIndex& index);
 
-  /// Copies `bytes` into arena-owned storage and returns a stable view.
-  std::string_view Intern(std::string_view bytes);
-
-  /// Releases every pinned block and interned chunk. All previously
-  /// returned views become invalid.
-  void Clear();
-
   size_t pinned_blocks() const { return pinned_.size(); }
-  size_t interned_bytes() const { return interned_bytes_; }
-  bool empty() const { return pinned_.empty() && chunks_.empty(); }
 
  private:
-  static constexpr size_t kMinChunkBytes = 16 * 1024;
-
   std::vector<std::shared_ptr<const std::string>> pinned_;
-  std::vector<std::unique_ptr<char[]>> chunks_;
-  size_t chunk_capacity_ = 0;  // Capacity of chunks_.back().
-  size_t chunk_used_ = 0;      // Bytes used in chunks_.back().
-  size_t interned_bytes_ = 0;
 };
 
 }  // namespace shadoop::hdfs

@@ -151,6 +151,11 @@ Result<Polygon> RecordPolygon(std::string_view record) {
   return ParsePolygonWkt(GeometryField(record));
 }
 
+Status AppendRecordPolygon(std::string_view record, std::vector<Point>* ring) {
+  CountGeometryParse();
+  return AppendPolygonWkt(GeometryField(record), ring);
+}
+
 Result<Envelope> RecordRectangle(std::string_view record) {
   CountGeometryParse();
   return ParseEnvelopeCsv(GeometryField(record));

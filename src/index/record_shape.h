@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/result.h"
 #include "geometry/envelope.h"
@@ -48,6 +49,10 @@ Result<Point> RecordPoint(std::string_view record);
 
 /// Parses the geometry of a polygon record.
 Result<Polygon> RecordPolygon(std::string_view record);
+
+/// The append form of RecordPolygon (AppendPolygonWkt): appends the ring
+/// to `ring`, or leaves `ring` as it was and returns the error.
+Status AppendRecordPolygon(std::string_view record, std::vector<Point>* ring);
 
 /// Parses the geometry of a rectangle record.
 Result<Envelope> RecordRectangle(std::string_view record);

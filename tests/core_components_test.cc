@@ -79,9 +79,9 @@ TEST(PairSplitsTest, CoversBothBlocksWithCombinedMeta) {
 
 TEST(SpatialRecordReaderTest, TypedViewsAndBadRecordCounting) {
   SpatialRecordReader reader(index::ShapeType::kPoint);
-  reader.Add("1,2");
-  reader.Add("not-a-point");
-  reader.Add("3,4");
+  reader.AddBorrowed("1,2");
+  reader.AddBorrowed("not-a-point");
+  reader.AddBorrowed("3,4");
   const std::vector<Point> points = reader.Points();
   ASSERT_EQ(points.size(), 2u);
   EXPECT_EQ(points[0], Point(1, 2));

@@ -7,6 +7,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -21,6 +22,7 @@
 #include "geometry/segment.h"
 #include "geometry/simplify.h"
 #include "geometry/wkt.h"
+#include "simd/mbr_kernels.h"
 
 namespace shadoop {
 namespace {
@@ -573,25 +575,355 @@ TEST(WktTest, WktScannerMatchesOracle) {
   const auto point = [](const Point& p) { return std::vector<Point>{p}; };
   const auto ring = [](const Polygon& poly) { return poly.ring(); };
   const auto line = [](const std::vector<Point>& pts) { return pts; };
+  // The append form writes after whatever rings its buffer already holds.
+  const std::vector<std::vector<Point>> prefixes = {
+      {},
+      {{0, 0}, {1, 0}, {0, 1}},
+      {{5, 5}, {6, 5}, {-0.0, 6}, {1, 1}, {2, 1}}};
   int mismatches = 0;
   int parsed = 0;
-  for (const std::string& text : corpus) {
+  for (size_t k = 0; k < corpus.size(); ++k) {
+    const std::string& text = corpus[k];
     const auto polygon = ParsePolygonWkt(text);
     const auto pt = ParsePointWkt(text);
     const auto linestring = ParseLineStringWkt(text);
     parsed += polygon.ok() + pt.ok() + linestring.ok();
+    const Result<Polygon> want = oracle::ParsePolygonWkt(text);
+    const std::vector<Point>& prefix = prefixes[k % prefixes.size()];
+    std::vector<Point> buffer = prefix;
+    const Status appended = AppendPolygonWkt(text, &buffer);
+    // The same Status, and after it the prefix alone or followed by the
+    // oracle's ring.
+    std::vector<Point> expected = prefix;
+    if (want.ok()) {
+      expected.insert(expected.end(), want.value().ring().begin(),
+                      want.value().ring().end());
+    }
+    const bool same_append =
+        appended.ok() == want.ok() && SamePoints(buffer, expected) &&
+        (want.ok() || (appended.code() == want.status().code() &&
+                       appended.message() == want.status().message()));
     const bool same =
-        SameOutcome(polygon, oracle::ParsePolygonWkt(text), ring) &&
+        SameOutcome(polygon, want, ring) &&
         SameOutcome(pt, oracle::ParsePointWkt(text), point) &&
         SameOutcome(linestring, oracle::ParseLineStringWkt(text), line);
     if (!same && ++mismatches <= 5) {
       ADD_FAILURE() << "scanner and oracle disagree on '" << text << "'";
+    }
+    if (!same_append && ++mismatches <= 5) {
+      ADD_FAILURE() << "append form and oracle disagree on '" << text << "'";
     }
   }
   EXPECT_EQ(mismatches, 0);
   // Both outcomes come in bulk (at most one parser accepts an input).
   EXPECT_GT(parsed, 20000);
   EXPECT_GT(static_cast<int>(corpus.size()) - parsed, 20000);
+}
+
+// ---------------------------------------------------------------------
+// The ring-view predicates against the Polygon predicates they replaced.
+
+namespace oracle {
+
+// Polygon::Contains, ContainsInterior and Intersects as they stood before
+// ring views: Intersects rebuilt the other ring's edge-box lanes for
+// every pair and tested every edge pair through the batch kernel.
+
+bool EvenOddInside(const std::vector<Point>& ring, const Point& p) {
+  bool inside = false;
+  for (size_t i = 0, j = ring.size() - 1; i < ring.size(); j = i++) {
+    const Point& a = ring[i];
+    const Point& b = ring[j];
+    if ((a.y > p.y) != (b.y > p.y)) {
+      const double x_cross = (b.x - a.x) * (p.y - a.y) / (b.y - a.y) + a.x;
+      if (p.x < x_cross) inside = !inside;
+    }
+  }
+  return inside;
+}
+
+bool OnBoundary(const std::vector<Point>& ring, const Point& p) {
+  for (size_t i = 0; i < ring.size(); ++i) {
+    const Segment edge(ring[i], ring[(i + 1) % ring.size()]);
+    if (PointSegmentDistance(p, edge) == 0.0) return true;
+  }
+  return false;
+}
+
+bool Contains(const Polygon& poly, const Point& p) {
+  if (poly.IsEmpty()) return false;
+  if (!poly.Bounds().Contains(p)) return false;
+  return OnBoundary(poly.ring(), p) || EvenOddInside(poly.ring(), p);
+}
+
+bool ContainsInterior(const Polygon& poly, const Point& p) {
+  if (poly.IsEmpty()) return false;
+  if (!poly.Bounds().Contains(p)) return false;
+  return !OnBoundary(poly.ring(), p) && EvenOddInside(poly.ring(), p);
+}
+
+bool Intersects(const Polygon& self, const Polygon& other) {
+  if (self.IsEmpty() || other.IsEmpty()) return false;
+  if (!self.Bounds().Intersects(other.Bounds())) return false;
+  const std::vector<Point>& ring = self.ring();
+  const size_t na = ring.size();
+  const size_t nb = other.ring().size();
+  thread_local std::vector<double> b_min_x, b_min_y, b_max_x, b_max_y;
+  thread_local std::vector<uint64_t> hit_bits;
+  b_min_x.resize(nb);
+  b_min_y.resize(nb);
+  b_max_x.resize(nb);
+  b_max_y.resize(nb);
+  hit_bits.resize(simd::BitmapWords(nb));
+  for (size_t j = 0; j < nb; ++j) {
+    const Point& t0 = other.ring()[j];
+    const Point& t1 = other.ring()[(j + 1) % nb];
+    b_min_x[j] = std::min(t0.x, t1.x);
+    b_min_y[j] = std::min(t0.y, t1.y);
+    b_max_x[j] = std::max(t0.x, t1.x);
+    b_max_y[j] = std::max(t0.y, t1.y);
+  }
+  const simd::BoxLanes lanes{b_min_x.data(), b_min_y.data(), b_max_x.data(),
+                             b_max_y.data()};
+  const simd::detail::KernelTable& kernels = simd::ActiveKernels();
+  for (size_t i = 0; i < na; ++i) {
+    const Point& s0 = ring[i];
+    const Point& s1 = ring[(i + 1) % na];
+    const Segment s(s0, s1);
+    const size_t hits = kernels.intersect_box_bitmap(
+        lanes, nb, std::min(s0.x, s1.x), std::min(s0.y, s1.y),
+        std::max(s0.x, s1.x), std::max(s0.y, s1.y), hit_bits.data());
+    if (hits == 0) continue;
+    for (size_t w = 0; w < hit_bits.size(); ++w) {
+      uint64_t word = hit_bits[w];
+      while (word != 0) {
+        const size_t j = w * 64 + static_cast<size_t>(std::countr_zero(word));
+        word &= word - 1;
+        const Segment t(other.ring()[j], other.ring()[(j + 1) % nb]);
+        if (SegmentsIntersect(s, t)) return true;
+      }
+    }
+  }
+  return Contains(self, other.ring().front()) ||
+         Contains(other, ring.front());
+}
+
+}  // namespace oracle
+
+/// Compares every predicate of `a` and `b`, both ways, with the oracle:
+/// the intersection test, and containment of up to 8 vertices of each
+/// ring, of its first edge's midpoint and of `probe`. Returns false on
+/// any difference, after reporting it.
+bool SamePredicates(const Polygon& a, const Polygon& b, const Point& probe,
+                    bool* intersects = nullptr) {
+  bool same = true;
+  const auto check = [&same](bool got, bool want, const char* what) {
+    if (got != want) {
+      ADD_FAILURE() << what << ": view " << got << ", oracle " << want;
+      same = false;
+    }
+  };
+  const bool ab = RingsIntersect(a.View(), b.View());
+  check(ab, oracle::Intersects(a, b), "a intersects b");
+  check(RingsIntersect(b.View(), a.View()), oracle::Intersects(b, a),
+        "b intersects a");
+  check(a.Intersects(b), ab, "Polygon::Intersects");
+  for (const Polygon* poly : {&a, &b}) {
+    std::vector<Point> probes = {probe};
+    for (const Polygon* other : {&a, &b}) {
+      const size_t n = other->NumVertices();
+      for (size_t v = 0; v < n; v += (n + 7) / 8) {
+        probes.push_back(other->ring()[v]);
+      }
+      if (n >= 2) {
+        probes.push_back(
+            Segment(other->ring()[0], other->ring()[1]).Midpoint());
+      }
+    }
+    for (const Point& p : probes) {
+      check(RingContains(poly->View(), p), oracle::Contains(*poly, p),
+            "contains");
+      check(RingContainsInterior(poly->View(), p),
+            oracle::ContainsInterior(*poly, p), "contains interior");
+    }
+  }
+  if (intersects != nullptr) *intersects = ab;
+  return same;
+}
+
+/// A star-convex ring like the benchmark's join polygons: `n` vertices
+/// at jittered angles around `center`, radii in [radius / 2, radius].
+/// With `grid` > 0 every vertex snaps to a multiple of it, so rings touch,
+/// share vertices and run along each other's edges.
+std::vector<Point> StarRing(Random& rng, const Point& center, double radius,
+                            int n, double grid) {
+  std::vector<Point> ring;
+  for (int v = 0; v < n; ++v) {
+    const double angle = 2.0 * M_PI * (v + 0.8 * rng.NextDouble()) / n;
+    const double r = radius * (0.5 + 0.5 * rng.NextDouble());
+    Point p(center.x + r * std::cos(angle), center.y + r * std::sin(angle));
+    if (grid > 0) {
+      p = Point(std::round(p.x / grid) * grid, std::round(p.y / grid) * grid);
+    }
+    ring.push_back(p);
+  }
+  return ring;
+}
+
+TEST(RingViewTest, SeededStarPairsMatchTheOracle) {
+  constexpr int kPairs = 100000;
+  Random rng(0x57a2);
+  const auto vertices = [&rng] {
+    const uint32_t size = rng.NextUint32(100);
+    if (size < 2) return 65 + static_cast<int>(rng.NextUint32(200));
+    if (size < 12) return 13 + static_cast<int>(rng.NextUint32(52));
+    return 3 + static_cast<int>(rng.NextUint32(10));
+  };
+  // Draws in a fixed order (braced lists evaluate left to right).
+  const auto star = [&rng, &vertices](double grid) {
+    const Point center{rng.NextDouble(0, 10), rng.NextDouble(0, 10)};
+    const double radius = rng.NextDouble(0.5, 3);
+    const int n = vertices();
+    return StarRing(rng, center, radius, n, grid);
+  };
+  int overlapping = 0;
+  int intersecting = 0;
+  int failures = 0;
+  for (int k = 0; k < kPairs && failures < 5; ++k) {
+    const double grid = rng.NextBool() ? 0.0 : 0.5 * (1 + rng.NextUint32(2));
+    const Polygon a(star(grid));
+    std::vector<Point> ring_b = star(grid);
+    if (rng.NextBool(0.1)) {
+      // Borrow a run of a's vertices: shared vertices and edges.
+      const size_t from = rng.NextUint32(a.NumVertices());
+      const size_t count = 1 + rng.NextUint32(a.NumVertices());
+      for (size_t v = 0; v < count; ++v) {
+        ring_b[v % ring_b.size()] = a.ring()[(from + v) % a.NumVertices()];
+      }
+    }
+    const Polygon b(std::move(ring_b));
+    const Point probe{rng.NextDouble(0, 10), rng.NextDouble(0, 10)};
+    bool intersects = false;
+    if (!SamePredicates(a, b, probe, &intersects)) {
+      ++failures;
+      ADD_FAILURE() << "pair " << k;
+    }
+    overlapping += a.Bounds().Intersects(b.Bounds());
+    intersecting += intersects;
+  }
+  EXPECT_EQ(failures, 0);
+  // Both answers come in bulk among the pairs the refine sees.
+  EXPECT_GT(intersecting, kPairs / 5);
+  EXPECT_GT(overlapping - intersecting, kPairs / 20);
+}
+
+TEST(RingViewTest, CraftedCasesMatchTheOracle) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double huge = std::numeric_limits<double>::max();
+  struct Case {
+    const char* name;
+    std::vector<Point> a;
+    std::vector<Point> b;
+    int expect;  // 1 or 0; -1 when only the oracle decides.
+  };
+  std::vector<Case> cases = {
+      // No ring's first vertex lies on the other ring, so the edge loop
+      // alone must find each contact.
+      {"touch at one vertex", {{0, 0}, {1, 0}, {1, 1}, {0, 1}},
+       {{2, 1}, {2, 2}, {1, 2}, {1, 1}}, 1},
+      {"vertex on an edge", {{0, 0}, {2, 0}, {2, 2}, {0, 2}},
+       {{3, 0}, {3, 2}, {2, 1}}, 1},
+      {"collinear overlapping edges", {{0, 1}, {0, 0}, {2, 0}, {2, 1}},
+       {{1, -1}, {3, -1}, {3, 0}, {1, 0}}, 1},
+      {"shared vertices", {{0, 0}, {4, 0}, {4, 4}, {0, 4}},
+       {{8, 2}, {4, 4}, {4, 0}}, 1},
+      {"b nested in a", {{0, 0}, {10, 0}, {10, 10}, {0, 10}},
+       {{4, 4}, {6, 4}, {6, 6}, {4, 6}}, 1},
+      {"a nested in b", {{4, 4}, {6, 4}, {6, 6}, {4, 6}},
+       {{0, 0}, {10, 0}, {10, 10}, {0, 10}}, 1},
+      {"identical rings", {{0, 0}, {3, 1}, {1, 4}}, {{0, 0}, {3, 1}, {1, 4}},
+       1},
+      {"vertex in the other's MBR, outside its ring",
+       {{0, 0}, {10, 0}, {0, 10}}, {{8, 8}, {9, 8}, {9, 9}}, 0},
+      {"thin triangles in one box", {{0, 0}, {10, 0}, {0, 1}},
+       {{10, 10}, {0, 10}, {10, 9}}, 0},
+      {"MBRs touch at a corner only", {{0, 0}, {1, 0}, {0, 1}},
+       {{1, 1}, {2, 1}, {2, 2}}, 0},
+      {"NaN vertex", {{0, 0}, {4, 0}, {nan, 2}, {4, 4}, {0, 4}},
+       {{3, 1}, {6, 1}, {6, 3}}, -1},
+      {"NaN first vertex", {{nan, nan}, {4, 0}, {4, 4}, {0, 4}},
+       {{3, 1}, {6, 1}, {6, 3}}, -1},
+      {"NaN x only", {{0, 0}, {4, 0}, {4, 4}, {nan, 4}},
+       {{-1, 3}, {1, 3}, {1, 5}}, -1},
+      {"all NaN", {{nan, nan}, {nan, nan}, {nan, nan}},
+       {{0, 0}, {1, 0}, {0, 1}}, -1},
+      {"infinite vertices", {{-inf, 0}, {inf, 0}, {0, 5}},
+       {{0, -1}, {1, 1}, {-1, 1}}, -1},
+      {"infinite bounds", {{0, 0}, {inf, 0}, {inf, inf}, {0, inf}},
+       {{1, 1}, {2, 1}, {2, 2}}, -1},
+      {"huge coordinates", {{-huge, -huge}, {huge, -huge}, {huge, huge}},
+       {{0, 0}, {1, 0}, {0, 1}}, -1},
+      {"huge touching", {{0, 0}, {huge, 0}, {huge, huge}},
+       {{huge, huge}, {huge, 2 * 1e307}, {1e307, huge}}, -1},
+  };
+  // Rings of 3, 65 and 256 vertices: crossing, nested, and apart inside
+  // overlapping MBRs, at every pairing of sizes.
+  for (int na : {3, 65, 256}) {
+    for (int nb : {3, 65, 256}) {
+      const Polygon a = MakeRegularPolygon({0, 0}, 10, na);
+      cases.push_back({"regular, crossing", a.ring(),
+                       MakeRegularPolygon({12, 3}, 5, nb).ring(), 1});
+      cases.push_back({"regular, nested", a.ring(),
+                       MakeRegularPolygon({1, 1}, 2, nb).ring(), 1});
+      cases.push_back({"regular, apart", a.ring(),
+                       MakeRegularPolygon({9.5, 9.5}, 1, nb).ring(), -1});
+      Random rng(static_cast<uint64_t>(na * 1000 + nb));
+      cases.push_back({"star", StarRing(rng, {0, 0}, 10, na, 0),
+                       StarRing(rng, {4, 4}, 10, nb, 0), -1});
+    }
+  }
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const Polygon a(c.a);
+    const Polygon b(c.b);
+    bool intersects = false;
+    EXPECT_TRUE(SamePredicates(a, b, Point(0.5, 0.5), &intersects));
+    if (c.expect >= 0) {
+      EXPECT_EQ(intersects, c.expect == 1);
+    }
+  }
+}
+
+TEST(RingViewTest, EdgeMeetsIsTheClosedBoxTest) {
+  // Coordinates on a small grid, so edges often touch the window exactly.
+  Random rng(0xed6e);
+  const auto coordinate = [&rng] {
+    return static_cast<double>(rng.NextUint32(5));
+  };
+  int meets = 0;
+  for (int k = 0; k < 20000; ++k) {
+    const Polygon poly({{coordinate(), coordinate()},
+                        {coordinate(), coordinate()},
+                        {coordinate(), coordinate()}});
+    Envelope window = Envelope::FromPoint({coordinate(), coordinate()});
+    window.ExpandToInclude(Point{coordinate(), coordinate()});
+    const RingView view = poly.View();
+    for (size_t i = 0; i < view.ring.size(); ++i) {
+      const bool want = view.Edge(i).Bounds().Intersects(window);
+      ASSERT_EQ(view.EdgeMeets(i, window), want)
+          << "edge " << i << " of ring " << k;
+      meets += want;
+    }
+  }
+  EXPECT_GT(meets, 10000);
+  EXPECT_LT(meets, 50000);
+  // A NaN endpoint leaves a NaN component when it comes first.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Polygon poly({{nan, 0}, {1, 1}, {0, 1}});
+  const Envelope everything(-1e300, -1e300, 1e300, 1e300);
+  EXPECT_FALSE(poly.View().EdgeMeets(0, everything));
+  EXPECT_TRUE(poly.View().EdgeMeets(1, everything));
 }
 
 }  // namespace

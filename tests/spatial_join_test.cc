@@ -4,7 +4,9 @@
 #include <set>
 
 #include "core/spatial_join.h"
+#include "fault/fault_injector.h"
 #include "geometry/wkt.h"
+#include "index/index_builder.h"
 #include "index/record_shape.h"
 #include "test_util.h"
 
@@ -207,6 +209,120 @@ TEST(SpatialJoinTest, ColdDistributedJoinParsesEachReadBlockOnce) {
     } else {
       EXPECT_EQ(rows, first_rows) << "run " << run;
     }
+  }
+}
+
+/// `file` rewritten into `path`, one block per partition: each block
+/// gets a '#' comment line and a malformed polygon line after every fifth
+/// record. With local indexes the #lidx header is re-encoded over the new
+/// records, giving each malformed one its partition's MBR: such a record
+/// reaches the refine without a ring and matches on its envelope.
+index::SpatialFileInfo WithOddLines(hdfs::FileSystem* fs,
+                                    const index::SpatialFileInfo& file,
+                                    const std::string& path) {
+  const std::vector<std::string> malformed = {
+      "POLYGON ((1 1", "not a polygon", "POLYGON ((0 0, 1 1, 0 0))"};
+  auto writer = fs->Create(path).ValueOrDie();
+  writer->set_auto_seal(false);
+  std::vector<index::Partition> parts = file.global_index.partitions();
+  for (size_t p = 0; p < parts.size(); ++p) {
+    std::vector<std::string> records = {"# partition " + std::to_string(p)};
+    for (const std::string& line :
+         fs->ReadBlock(file.data_path, parts[p].block_index).ValueOrDie()) {
+      if (index::IsMetadataRecord(line)) continue;
+      records.push_back(line);
+      if (records.size() % 5 == 0) {
+        records.push_back(malformed[records.size() % malformed.size()]);
+      }
+    }
+    index::EncodedPartition encoded{parts[p].mbr, ""};
+    if (file.has_local_indexes) {
+      std::vector<Envelope> envelopes;
+      for (const std::string& record : records) {
+        if (index::IsMetadataRecord(record)) continue;
+        const auto env =
+            index::RecordEnvelope(index::ShapeType::kPolygon, record);
+        envelopes.push_back(env.ok() ? env.value() : parts[p].mbr);
+      }
+      encoded.header = index::EncodeLocalIndexHeader(envelopes);
+    }
+    const std::vector<std::string_view> views(records.begin(), records.end());
+    index::AppendPartitionBlock(writer.get(), encoded, views, &parts[p]);
+    parts[p].block_index = p;
+  }
+  SHADOOP_CHECK_OK(writer->Close());
+  index::SpatialFileInfo odd = file;
+  odd.data_path = path;
+  odd.global_index =
+      index::GlobalIndex(file.global_index.scheme(), std::move(parts));
+  return odd;
+}
+
+TEST(SpatialJoinTest, PolygonJoinWithOddLinesIsTheSameCachedOrNot) {
+  // A polygon DJ over blocks with malformed and '#' lines gives the same
+  // rows, join.results and JobCost with the artifact cache on and cold,
+  // off (an inactive fault injector installed), and on and warm.
+  testing::TestCluster cluster(16 * 1024);
+  workload::PolygonGenOptions gen;
+  gen.centers.count = 1500;
+  gen.centers.seed = 43;
+  gen.centers.distribution = workload::Distribution::kClustered;
+  gen.max_radius_fraction = 0.03;
+  ASSERT_TRUE(workload::WritePolygonFile(&cluster.fs, "/a", gen).ok());
+  gen.centers.seed = 44;
+  ASSERT_TRUE(workload::WritePolygonFile(&cluster.fs, "/b", gen).ok());
+  index::IndexBuilder builder(&cluster.runner);
+  index::IndexBuildOptions options;
+  options.scheme = PartitionScheme::kStr;
+  options.shape = index::ShapeType::kPolygon;
+  const index::SpatialFileInfo file_a = WithOddLines(
+      &cluster.fs, builder.Build("/a", "/a.idx", options).ValueOrDie(),
+      "/a.odd");
+  options.build_local_indexes = true;
+  const index::SpatialFileInfo file_b = WithOddLines(
+      &cluster.fs, builder.Build("/b", "/b.idx", options).ValueOrDie(),
+      "/b.odd");
+  ASSERT_TRUE(file_b.has_local_indexes);
+
+  struct Run {
+    std::vector<std::string> rows;
+    OpStats stats;
+  };
+  mapreduce::JobRunner runner(&cluster.fs,
+                              testing::TestCluster::MakeCluster(4));
+  const auto run = [&] {
+    Run r;
+    r.rows = DistributedJoin(&runner, file_a, file_b, &r.stats).ValueOrDie();
+    return r;
+  };
+  const Run cold = run();
+  fault::FaultInjector inactive{fault::FaultPolicy()};
+  runner.set_fault_injector(&inactive);
+  const Run off = run();
+  runner.set_fault_injector(nullptr);
+  const Run warm = run();
+
+  ASSERT_FALSE(cold.rows.empty());
+  EXPECT_EQ(cold.stats.counters.Get("join.results"),
+            static_cast<int64_t>(cold.rows.size()));
+  // Some malformed B records matched on their #lidx envelopes alone.
+  EXPECT_TRUE(std::any_of(cold.rows.begin(), cold.rows.end(),
+                          [](const std::string& row) {
+                            return row.ends_with("not a polygon") ||
+                                   row.ends_with("POLYGON ((1 1") ||
+                                   row.ends_with("POLYGON ((0 0, 1 1, 0 0))");
+                          }));
+  for (const Run* other : {&off, &warm}) {
+    SCOPED_TRACE(other == &off ? "cache off" : "warm cache");
+    EXPECT_EQ(other->rows, cold.rows);
+    EXPECT_EQ(other->stats.counters.values(), cold.stats.counters.values());
+    const mapreduce::JobCost& c = cold.stats.cost;
+    const mapreduce::JobCost& o = other->stats.cost;
+    EXPECT_EQ(o.total_ms, c.total_ms);
+    EXPECT_EQ(o.map_makespan_ms, c.map_makespan_ms);
+    EXPECT_EQ(o.bytes_read, c.bytes_read);
+    EXPECT_EQ(o.bytes_written, c.bytes_written);
+    EXPECT_EQ(o.num_map_tasks, c.num_map_tasks);
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <memory>
 #include <string>
@@ -33,28 +34,6 @@ using index::ShapeType;
 // (scripts/check.sh): a violated lifetime contract shows up as a
 // use-after-free under the sanitizer, not just a value mismatch.
 
-TEST(BlockArenaTest, InternedViewsStayValidAcrossChunkGrowth) {
-  BlockArena arena;
-  std::vector<std::string> originals;
-  std::vector<std::string_view> views;
-  // Far more than one 16 KiB chunk, with sizes straddling the chunk
-  // boundary, so growth allocates many new chunks while old views are
-  // still held.
-  for (int i = 0; i < 4000; ++i) {
-    originals.push_back("record-" + std::to_string(i) + "-" +
-                        std::string(static_cast<size_t>(i % 97), 'x'));
-    views.push_back(arena.Intern(originals.back()));
-  }
-  // An interned view larger than the minimum chunk gets its own chunk.
-  const std::string huge(64 * 1024, 'h');
-  const std::string_view huge_view = arena.Intern(huge);
-  for (size_t i = 0; i < views.size(); ++i) {
-    EXPECT_EQ(views[i], originals[i]);
-  }
-  EXPECT_EQ(huge_view, huge);
-  EXPECT_GT(arena.interned_bytes(), size_t{64} * 1024);
-}
-
 TEST(BlockArenaTest, AddBlockPinsPayloadBeyondCallerRelease) {
   BlockArena arena;
   hdfs::RecordIndex index;
@@ -74,33 +53,14 @@ TEST(BlockArenaTest, AddBlockPinsPayloadBeyondCallerRelease) {
   EXPECT_EQ(arena.pinned_blocks(), 1u);
 }
 
-TEST(BlockArenaTest, OpResultsOutliveArenaEviction) {
-  // Views produced from arena bytes are materialized into owned strings
-  // by every operation before they escape; this mirrors that flow and
-  // lets ASan prove the owned results don't alias evicted chunks.
-  std::vector<std::string> results;
-  {
-    BlockArena arena;
-    for (int i = 0; i < 1000; ++i) {
-      std::string_view v = arena.Intern("row-" + std::to_string(i));
-      if (i % 3 == 0) results.emplace_back(v);
-    }
-    arena.Clear();  // Evicts every chunk; `results` must not notice.
-    EXPECT_TRUE(arena.empty());
-  }
-  ASSERT_EQ(results.size(), 334u);
-  EXPECT_EQ(results.front(), "row-0");
-  EXPECT_EQ(results.back(), "row-999");
-}
-
 // ---------------------------------------------------------------------
 // SpatialRecordReader: parse-once columns and reuse after Clear().
 
 TEST(SpatialRecordReaderTest, GeometryIsParsedOncePerRecord) {
+  std::vector<std::string> lines;
+  for (int i = 0; i < 100; ++i) lines.push_back(PointToCsv(Point(i, -i)));
   SpatialRecordReader reader(ShapeType::kPoint);
-  for (int i = 0; i < 100; ++i) {
-    reader.Add(PointToCsv(Point(i, -i)));
-  }
+  for (const std::string& line : lines) reader.AddBorrowed(line);
   index::ResetGeometryParseCount();
   const auto first = reader.Envelopes();
   EXPECT_EQ(index::GeometryParseCount(), 100u);
@@ -120,10 +80,11 @@ TEST(SpatialRecordReaderTest, GeometryIsParsedOncePerRecord) {
 TEST(SpatialRecordReaderTest, LocalIndexHeaderFeedsEnvelopesWithoutParsing) {
   std::vector<Envelope> envelopes = {Envelope(0, 0, 0, 0),
                                      Envelope(5, 5, 5, 5)};
+  const std::string header = index::EncodeLocalIndexHeader(envelopes);
   SpatialRecordReader reader(ShapeType::kPoint);
-  reader.Add(index::EncodeLocalIndexHeader(envelopes));
-  reader.Add("0,0");
-  reader.Add("5,5");
+  reader.AddBorrowed(header);
+  reader.AddBorrowed("0,0");
+  reader.AddBorrowed("5,5");
   ASSERT_TRUE(reader.has_local_index());
   index::ResetGeometryParseCount();
   const auto entries = reader.Envelopes();
@@ -133,11 +94,12 @@ TEST(SpatialRecordReaderTest, LocalIndexHeaderFeedsEnvelopesWithoutParsing) {
 }
 
 TEST(SpatialRecordReaderTest, ClearDropsPreparsedEnvelopesAndColumns) {
+  const std::string header = index::EncodeLocalIndexHeader(
+      {Envelope(1, 1, 1, 1), Envelope(2, 2, 2, 2)});
   SpatialRecordReader reader(ShapeType::kPoint);
-  reader.Add(index::EncodeLocalIndexHeader(
-      {Envelope(1, 1, 1, 1), Envelope(2, 2, 2, 2)}));
-  reader.Add("1,1");
-  reader.Add("2,2");
+  reader.AddBorrowed(header);
+  reader.AddBorrowed("1,1");
+  reader.AddBorrowed("2,2");
   ASSERT_TRUE(reader.has_local_index());
   ASSERT_EQ(reader.Envelopes().size(), 2u);
 
@@ -149,9 +111,9 @@ TEST(SpatialRecordReaderTest, ClearDropsPreparsedEnvelopesAndColumns) {
   // Reuse with a different record count and NO header: were the two
   // stale preparsed envelopes still around, they would either be served
   // for the wrong records or trip has_local_index() at size 2.
-  reader.Add("10,10");
-  reader.Add("not-a-point");
-  reader.Add("30,30");
+  reader.AddBorrowed("10,10");
+  reader.AddBorrowed("not-a-point");
+  reader.AddBorrowed("30,30");
   EXPECT_FALSE(reader.has_local_index());
   const auto entries = reader.Envelopes();
   ASSERT_EQ(entries.size(), 2u);
@@ -162,42 +124,23 @@ TEST(SpatialRecordReaderTest, ClearDropsPreparsedEnvelopesAndColumns) {
   EXPECT_EQ(reader.EnvelopeAt(1), nullptr);
 }
 
-TEST(SpatialRecordReaderTest, ClearAlsoReleasesInternedBytes) {
-  SpatialRecordReader reader(ShapeType::kPoint);
-  for (int round = 0; round < 3; ++round) {
-    for (int i = 0; i < 500; ++i) {
-      // Add() interns (the temporary dies immediately); records() views
-      // must point at arena-owned bytes.
-      reader.Add(PointToCsv(Point(round, i)));
-    }
-    ASSERT_EQ(reader.NumRecords(), 500u);
-    EXPECT_EQ(reader.records().front(), PointToCsv(Point(round, 0)));
-    EXPECT_EQ(reader.Points().size(), 500u);
-    reader.Clear();
-  }
-  EXPECT_EQ(reader.NumRecords(), 0u);
-}
-
-TEST(SpatialRecordReaderTest, BorrowedViewsStableWhileArenaGrows) {
-  // Mixing borrowed and interned records: growing the intern arena must
-  // never move previously added records of either kind.
-  const std::string stable_a = "1,2";
-  const std::string stable_b = "3,4";
-  SpatialRecordReader reader(ShapeType::kPoint);
-  reader.AddBorrowed(stable_a);
-  for (int i = 0; i < 2000; ++i) {
-    reader.Add(PointToCsv(Point(i, i)));
-  }
-  reader.AddBorrowed(stable_b);
-  EXPECT_EQ(reader.records().front(), "1,2");
-  EXPECT_EQ(reader.records().back(), "3,4");
-  EXPECT_EQ(reader.records().front().data(), stable_a.data());
-  EXPECT_EQ(reader.Points().size(), 2002u);
-}
-
 // ---------------------------------------------------------------------
 // SpatialRecordReader::AddBlock: a whole block in one call leaves the
 // reader exactly as per-record AddBorrowed leaves it.
+
+/// Same vertices bit for bit (NaN and -0.0 included), and same bounds.
+void ExpectSameRing(const RingView& got, const RingView& want) {
+  ASSERT_EQ(got.ring.size(), want.ring.size());
+  for (size_t v = 0; v < got.ring.size(); ++v) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.ring[v].x),
+              std::bit_cast<uint64_t>(want.ring[v].x))
+        << "vertex " << v;
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.ring[v].y),
+              std::bit_cast<uint64_t>(want.ring[v].y))
+        << "vertex " << v;
+  }
+  EXPECT_EQ(got.bounds, want.bounds);
+}
 
 /// Feeds `blocks` (each a list of lines, stored newline-terminated) to one
 /// reader through AddBlock and to another through per-record
@@ -260,12 +203,14 @@ void ExpectBlockFeedMatchesPerRecordFeed(
       }
     }
     if (shape == ShapeType::kPolygon) {
-      const Polygon* pa = by_block.PolygonAt(i);
-      const Polygon* pb = by_record.PolygonAt(i);
-      ASSERT_EQ(pa == nullptr, pb == nullptr) << "record " << i;
-      if (pa != nullptr) {
-        EXPECT_EQ(pa->Bounds(), pb->Bounds()) << "record " << i;
-      }
+      SCOPED_TRACE("record " + std::to_string(i));
+      const RingView ring = by_block.PolygonAt(i);
+      ExpectSameRing(ring, by_record.PolygonAt(i));
+      // The column holds what a per-record parse returns, and an empty
+      // ring for a malformed record.
+      const Result<Polygon> parsed =
+          index::RecordPolygon(by_block.records()[i]);
+      ExpectSameRing(ring, parsed.ok() ? parsed.value().View() : RingView{});
     }
   }
   const auto entries_block = by_block.Envelopes();
@@ -279,7 +224,12 @@ void ExpectBlockFeedMatchesPerRecordFeed(
     EXPECT_EQ(by_block.Points(), by_record.Points());
   }
   if (shape == ShapeType::kPolygon) {
-    EXPECT_EQ(by_block.Polygons().size(), by_record.Polygons().size());
+    const std::vector<Polygon> got = by_block.Polygons();
+    const std::vector<Polygon> want = by_record.Polygons();
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      ExpectSameRing(got[i].View(), want[i].View());
+    }
   }
   EXPECT_EQ(by_block.bad_records(), by_record.bad_records());
 }
@@ -359,6 +309,27 @@ TEST(SpatialRecordReaderBlockTest, EmptyLinesAndMalformedRecords) {
       ShapeType::kPolygon,
       {{"POLYGON ((0 0, 4 0, 4 4, 0 0))", "", "POLYGON ((1 1",
         "POLYGON ((2 2, 6 2, 6 6, 2 2))"}});
+  // Rings of different sizes around malformed ones, NaN, infinite and
+  // signed-zero coordinates, attributes after a tab, and a #lidx header:
+  // in one block (cached and not) and over several.
+  const std::vector<std::string> polygons = {
+      "POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0))\tid=1",
+      "POLYGON ((0 0, 1 1))",
+      "POLYGON ((-0 0, 3 nan, 1 -0, inf 2, -0 0))",
+      "POLYGON ((1 1, 2 1, 2 2), (0 0, 1 0, 1 1))",
+      "POLYGON ((5 5, 9 5, 9 9, 7 11, 5 9, 5 5))",
+      "garbage"};
+  std::vector<std::string> with_header = polygons;
+  with_header.insert(
+      with_header.begin() + 2,
+      index::EncodeLocalIndexHeader(std::vector<Envelope>(
+          polygons.size(), Envelope(0, 0, 1, 1))));
+  ExpectBlockFeedMatchesPerRecordFeed(ShapeType::kPolygon, {polygons});
+  ExpectBlockFeedMatchesPerRecordFeed(ShapeType::kPolygon, {with_header});
+  ExpectBlockFeedMatchesPerRecordFeed(
+      ShapeType::kPolygon,
+      {{polygons[0], polygons[1]}, {}, {polygons[2], polygons[3]},
+       {polygons[4], polygons[5], polygons[0]}});
   ExpectBlockFeedMatchesPerRecordFeed(ShapeType::kRectangle,
                                       {{"0,0,1,1", "", "2,2,3,3"}});
 }
