@@ -547,7 +547,6 @@ Result<uint64_t> DatasetCatalog::Append(const std::string& name,
     } else {
       SHADOOP_ASSIGN_OR_RETURN(writer, fs->Create(delta_path));
     }
-    writer->set_auto_seal(false);  // One partition == one block, exactly.
     for (PartState& ps : parts) {
       if (!ps.rewritten) continue;
       ps.part.source_path = delta_path;
@@ -556,8 +555,9 @@ Result<uint64_t> DatasetCatalog::Append(const std::string& name,
                                                   ps.records.end());
       index::AppendPartitionBlock(
           writer.get(),
-          index::EncodePartitionBlock(ps.envs, latest.has_local_indexes),
-          records, &ps.part);
+          index::EncodePartitionBlock(ps.envs, records,
+                                      latest.has_local_indexes),
+          &ps.part);
     }
     SHADOOP_RETURN_NOT_OK(writer->Close());
   }

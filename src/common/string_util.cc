@@ -1,7 +1,11 @@
 #include "common/string_util.h"
 
+#include <algorithm>
+#include <bit>
 #include <cctype>
 #include <charconv>
+#include <cmath>
+#include <cstdint>
 
 namespace shadoop {
 
@@ -63,10 +67,12 @@ Result<int64_t> ParseInt64(std::string_view text) {
   return value;
 }
 
-std::string FormatDouble(double value) {
-  // Try increasing precision until the text round-trips exactly. The
-  // general format prints what printf's "%.*g" prints, without the locale
-  // and format-string machinery.
+namespace {
+
+/// The shortest precision from 15 to 17 whose text round-trips exactly,
+/// printed in general format: what printf's "%.*g" prints, without the
+/// locale and format-string machinery.
+std::string FormatDoubleByRoundTrip(double value) {
   char buf[40];
   char* end = buf;
   for (int precision = 15; precision <= 17; ++precision) {
@@ -78,6 +84,61 @@ std::string FormatDouble(double value) {
     if (parsed == value) break;
   }
   return std::string(buf, end);
+}
+
+}  // namespace
+
+std::string FormatDouble(double value) {
+  // The round trip's answer for a normal double, from one shortest
+  // conversion. Let k be the shortest round-trip text's digit count and
+  // P = max(15, k). That text is the correctly rounded P-digit decimal:
+  // for k <= 15 its error is below half a 15-digit step, and for k >= 16
+  // the nearest P-digit decimal lies inside the rounding interval too.
+  // So the loop stops at P, printing those digits as "%.{P}g" lays them
+  // out. The exception is k = 16 at an exact power of two, whose rounding
+  // interval is narrower below than above: there the nearest 16-digit
+  // decimal may not round-trip, so the loop decides. Zeros, subnormals,
+  // infinities and NaNs take the loop as well.
+  if (!std::isnormal(value)) return FormatDoubleByRoundTrip(value);
+  // "[-]d[.ddd]e(+|-)dd[d]": at most 17 digits and a 3-digit exponent.
+  char sci[32] = {};
+  char* const sci_end =
+      std::to_chars(sci, sci + sizeof(sci), value,
+                    std::chars_format::scientific)
+          .ptr;
+  const char* p = sci + (value < 0 ? 1 : 0);
+  char digits[17] = {};
+  int k = 0;
+  for (; *p != 'e'; ++p) {
+    if (*p != '.') digits[k++] = *p;
+  }
+  int exponent = 0;
+  std::from_chars(p + (p[1] == '+' ? 2 : 1), sci_end, exponent);
+  constexpr uint64_t kSignificand = (uint64_t{1} << 52) - 1;
+  if (k == 16 && (std::bit_cast<uint64_t>(value) & kSignificand) == 0) {
+    return FormatDoubleByRoundTrip(value);
+  }
+  // %g prints scientific notation when the exponent is below -4 or at
+  // least the precision, with trailing zeros dropped, as to_chars did.
+  if (exponent < -4 || exponent >= std::max(15, k)) {
+    return std::string(sci, sci_end);
+  }
+  std::string out;
+  out.reserve(static_cast<size_t>(k) + 24);
+  if (value < 0) out.push_back('-');
+  if (exponent < 0) {
+    out.append("0.");
+    out.append(static_cast<size_t>(-exponent - 1), '0');
+    out.append(digits, static_cast<size_t>(k));
+  } else if (k <= exponent + 1) {
+    out.append(digits, static_cast<size_t>(k));
+    out.append(static_cast<size_t>(exponent + 1 - k), '0');
+  } else {
+    out.append(digits, static_cast<size_t>(exponent + 1));
+    out.push_back('.');
+    out.append(digits + exponent + 1, static_cast<size_t>(k - exponent - 1));
+  }
+  return out;
 }
 
 bool StartsWithIgnoreCase(std::string_view text, std::string_view prefix) {

@@ -68,15 +68,13 @@ Result<std::vector<std::string>> RunOperation(mapreduce::JobRunner* runner,
           })
           .Run(stats));
 
-  // Map-only job: emitted pairs pass through as "M\t<row>"; split them
-  // from the early-flushed rows.
-  std::vector<std::string> output;
+  // Map-only job: the early-flushed rows are the output, and the merge
+  // candidates pass through as pair rows, whatever either's text.
+  std::vector<std::string> output = std::move(result.output);
   std::vector<std::string> candidates;
-  for (std::string& line : result.output) {
-    if (line.rfind("M\t", 0) == 0) {
-      candidates.push_back(line.substr(2));
-    } else {
-      output.push_back(std::move(line));
+  for (const mapreduce::PairRows& rows : result.pair_rows) {
+    for (size_t i = 0; i < rows.size(); ++i) {
+      candidates.emplace_back(rows.value(i));
     }
   }
   if (op.merge) {

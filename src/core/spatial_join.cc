@@ -112,7 +112,8 @@ class SjmrMapper : public mapreduce::Mapper {
     tagged.reserve(tag_.size() + record.size());
     tagged.append(tag_);
     tagged.append(record);
-    for (int cell : grid_->AssignEnvelope(env.value())) {
+    grid_->AssignEnvelope(env.value(), &cells_);
+    for (int cell : cells_) {
       char key[16];
       std::snprintf(key, sizeof(key), "%010d", cell);
       ctx.Emit(key, tagged);
@@ -124,6 +125,7 @@ class SjmrMapper : public mapreduce::Mapper {
   index::ShapeType shape_b_;
   std::shared_ptr<const index::Partitioner> grid_;
   std::string tag_;
+  std::vector<int> cells_;  // Reused by every record.
 };
 
 /// Reduce phase of SJMR: joins one grid cell.

@@ -40,24 +40,26 @@ void FileWriter::Append(std::string_view line) {
   current_block_.append(line);
   current_block_.push_back('\n');
   ++current_records_;
-  if (auto_seal_ && current_block_.size() >= fs_->config().block_size) {
-    SealCurrentBlock();
-  }
+  if (current_block_.size() >= fs_->config().block_size) SealCurrentBlock();
 }
 
-void FileWriter::EndBlock() {
+void FileWriter::AppendBlock(std::string payload, size_t num_records) {
   SHADOOP_DCHECK(!closed_);
   SealCurrentBlock();
+  StoreBlock(std::move(payload), num_records);
 }
 
 void FileWriter::SealCurrentBlock() {
   if (current_block_.empty()) return;
-  meta_.total_bytes += current_block_.size();
-  meta_.total_records += current_records_;
-  meta_.blocks.push_back(
-      fs_->StoreBlock(std::move(current_block_), current_records_));
+  StoreBlock(std::move(current_block_), current_records_);
   current_block_.clear();
   current_records_ = 0;
+}
+
+void FileWriter::StoreBlock(std::string payload, size_t num_records) {
+  meta_.total_bytes += payload.size();
+  meta_.total_records += num_records;
+  meta_.blocks.push_back(fs_->StoreBlock(std::move(payload), num_records));
 }
 
 Status FileWriter::Close() {

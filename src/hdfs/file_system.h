@@ -71,15 +71,12 @@ class FileWriter {
   /// Appends one record. `line` must not contain '\n'.
   void Append(std::string_view line);
 
-  /// Forces a block boundary after the current record. The spatial index
-  /// builder uses this to store exactly one partition per block, so that
-  /// the global index can address partitions as (file, block) pairs.
-  void EndBlock();
-
-  /// Disables size-based block cuts: blocks end only at EndBlock(). The
-  /// index builder sets this so a partition slightly larger than the
-  /// block size still occupies exactly one block.
-  void set_auto_seal(bool auto_seal) { auto_seal_ = auto_seal; }
+  /// Stores `payload` as the next block, whatever its size: `num_records`
+  /// lines, each ending in '\n'. Records appended before it are sealed
+  /// first, as their own block. The spatial index builder stores exactly
+  /// one partition per block this way, so that the global index can
+  /// address partitions as (file, block) pairs.
+  void AppendBlock(std::string payload, size_t num_records);
 
   /// Seals the current block (if non-empty) and registers the file.
   Status Close();
@@ -88,13 +85,13 @@ class FileWriter {
   friend class FileSystem;
   FileWriter(FileSystem* fs, std::string path);
   void SealCurrentBlock();
+  void StoreBlock(std::string payload, size_t num_records);
 
   FileSystem* fs_;
   FileMeta meta_;
   std::string current_block_;
   size_t current_records_ = 0;
   bool closed_ = false;
-  bool auto_seal_ = true;
   bool appending_ = false;  // Opened by FileSystem::Append.
 };
 

@@ -49,19 +49,17 @@ int GridPartitioner::AssignPoint(const Point& p) const {
   return RowOf(p.y) * cols_ + ColumnOf(p.x);
 }
 
-std::vector<int> GridPartitioner::OverlappingCells(
-    const Envelope& extent) const {
-  std::vector<int> cells;
+void GridPartitioner::OverlappingCells(const Envelope& extent,
+                                       std::vector<int>* out) const {
   const int c0 = ColumnOf(extent.min_x());
   const int c1 = ColumnOf(extent.max_x());
   const int r0 = RowOf(extent.min_y());
   const int r1 = RowOf(extent.max_y());
   for (int r = r0; r <= r1; ++r) {
     for (int c = c0; c <= c1; ++c) {
-      cells.push_back(r * cols_ + c);
+      out->push_back(r * cols_ + c);
     }
   }
-  return cells;
 }
 
 }  // namespace shadoop::index

@@ -23,7 +23,8 @@ class GridPartitioner : public Partitioner {
   int rows() const { return rows_; }
 
  protected:
-  std::vector<int> OverlappingCells(const Envelope& extent) const override;
+  void OverlappingCells(const Envelope& extent,
+                        std::vector<int>* out) const override;
 
  private:
   int ColumnOf(double x) const;

@@ -160,8 +160,8 @@ class PartitionMapper : public SourceMapper {
  protected:
   void MapRecord(std::string_view record, const Envelope& env,
                  MapContext& ctx) override {
-    const std::vector<int> cells = partitioner_->AssignEnvelope(env);
-    for (int cell : cells) {
+    partitioner_->AssignEnvelope(env, &cells_);
+    for (int cell : cells_) {
       // "%010d": zero-padded keys keep within-reducer groups in numeric
       // order. Cell ids are non-negative ints, so ten digits always fit.
       char key[10];
@@ -170,27 +170,24 @@ class PartitionMapper : public SourceMapper {
       }
       ctx.Emit(std::string_view(key, sizeof(key)), record);
     }
-    if (cells.size() > 1) {
+    if (cells_.size() > 1) {
       ctx.counters().Increment("partition.replicated_records",
-                               static_cast<int64_t>(cells.size()) - 1);
+                               static_cast<int64_t>(cells_.size()) - 1);
     }
   }
 
  private:
   std::shared_ptr<const Partitioner> partitioner_;
+  std::vector<int> cells_;  // Reused by every record.
 };
 
-/// Identity reducer tagging each record with its cell id.
+/// Identity reducer tagging each record with its cell id: one pair row
+/// (cell id, record) per record.
 class PartitionReducer : public mapreduce::Reducer {
  public:
   void Reduce(std::string_view key, std::span<const std::string_view> values,
               mapreduce::ReduceContext& ctx) override {
-    for (std::string_view value : values) {
-      std::string line;
-      line.reserve(key.size() + 1 + value.size());
-      line.append(key).append(1, '\t').append(value);
-      ctx.Write(std::move(line));
-    }
+    for (std::string_view value : values) ctx.WritePair(key, value);
   }
 };
 
@@ -291,26 +288,26 @@ Result<SpatialFileInfo> IndexBuilder::Build(const std::string& source_path,
   info.build_counters.MergeFrom(partition_result.counters);
 
   // Group routed records by cell id. The views point into
-  // partition_result.output, which outlives the block writes. A cell's
-  // lines are consecutive, so its id is parsed once per run of equal keys.
+  // partition_result.pair_rows, which outlives the block writes. One
+  // reducer owns each cell and writes its rows consecutively, so a cell
+  // id is parsed once per run of equal keys and its list is sized once.
   const int num_cells = partitioner->NumCells();
   std::vector<std::vector<std::string_view>> cells(num_cells);
-  std::string_view run_key;
-  int64_t cell = -1;
-  for (const std::string& line : partition_result.output) {
-    const size_t tab = line.find('\t');
-    if (tab == std::string::npos) continue;
-    const std::string_view text(line);
-    if (cell < 0 || text.substr(0, tab) != run_key) {
-      run_key = text.substr(0, tab);
-      SHADOOP_ASSIGN_OR_RETURN(cell, ParseInt64(run_key));
+  for (const mapreduce::PairRows& rows : partition_result.pair_rows) {
+    for (size_t i = 0, j = 0; i < rows.size(); i = j) {
+      const std::string_view key = rows.key(i);
+      for (j = i + 1; j < rows.size() && rows.key(j) == key; ++j) {
+      }
+      SHADOOP_ASSIGN_OR_RETURN(const int64_t cell, ParseInt64(key));
       if (cell < 0 || cell >= num_cells) {
         return Status::Internal("partition job routed a record to cell " +
                                 std::to_string(cell) + " of " +
                                 std::to_string(num_cells));
       }
+      std::vector<std::string_view>& records = cells[cell];
+      records.reserve(records.size() + (j - i));
+      for (size_t k = i; k < j; ++k) records.push_back(rows.value(k));
     }
-    cells[static_cast<size_t>(cell)].push_back(text.substr(tab + 1));
   }
   // Empty cells are dropped (standard practice: the global index only
   // records materialized partitions).
@@ -319,8 +316,8 @@ Result<SpatialFileInfo> IndexBuilder::Build(const std::string& source_path,
     if (!cells[cell].empty()) filled.push_back(cell);
   }
 
-  // Each partition's envelopes, MBR and `#lidx` header depend on its
-  // records alone, so they are computed in parallel...
+  // Each partition's block depends on its records alone, so envelopes,
+  // MBR, `#lidx` header and payload are built in parallel...
   std::vector<EncodedPartition> encoded(filled.size());
   mapreduce::ParallelFor(
       filled.size(), runner_->cluster().num_slots, [&](size_t i) {
@@ -331,21 +328,20 @@ Result<SpatialFileInfo> IndexBuilder::Build(const std::string& source_path,
           auto env = RecordEnvelope(shape, record);
           envelopes.push_back(env.ok() ? env.value() : Envelope());
         }
-        encoded[i] = EncodePartitionBlock(envelopes,
+        encoded[i] = EncodePartitionBlock(envelopes, records,
                                           options.build_local_indexes);
       });
 
   // ...and laid out serially, one cell per HDFS block, in cell order.
   SHADOOP_ASSIGN_OR_RETURN(std::unique_ptr<hdfs::FileWriter> writer,
                            fs->Create(dest_path));
-  writer->set_auto_seal(false);  // One partition == one block, exactly.
   std::vector<Partition> partitions(filled.size());
   for (size_t i = 0; i < filled.size(); ++i) {
     Partition& part = partitions[i];
     part.id = static_cast<int>(i);
     part.block_index = i;
     part.cell = partitioner->CellExtent(filled[i]);
-    AppendPartitionBlock(writer.get(), encoded[i], cells[filled[i]], &part);
+    AppendPartitionBlock(writer.get(), std::move(encoded[i]), &part);
   }
   SHADOOP_RETURN_NOT_OK(writer->Close());
 
@@ -356,30 +352,34 @@ Result<SpatialFileInfo> IndexBuilder::Build(const std::string& source_path,
   return info;
 }
 
-EncodedPartition EncodePartitionBlock(const std::vector<Envelope>& envelopes,
-                                      bool local_index) {
+EncodedPartition EncodePartitionBlock(
+    const std::vector<Envelope>& envelopes,
+    const std::vector<std::string_view>& records, bool local_index) {
   EncodedPartition encoded;
   for (const Envelope& env : envelopes) encoded.mbr.ExpandToInclude(env);
-  if (local_index) encoded.header = EncodeLocalIndexHeader(envelopes);
+  size_t record_bytes = 0;
+  for (std::string_view record : records) record_bytes += record.size() + 1;
+  if (local_index) {
+    encoded.payload = EncodeLocalIndexHeader(envelopes);
+    encoded.payload.push_back('\n');
+  }
+  encoded.payload.reserve(encoded.payload.size() + record_bytes);
+  for (std::string_view record : records) {
+    encoded.payload.append(record);
+    encoded.payload.push_back('\n');
+  }
+  encoded.num_records = records.size();
+  encoded.has_header = local_index;
   return encoded;
 }
 
-void AppendPartitionBlock(hdfs::FileWriter* writer,
-                          const EncodedPartition& encoded,
-                          const std::vector<std::string_view>& records,
+void AppendPartitionBlock(hdfs::FileWriter* writer, EncodedPartition encoded,
                           Partition* part) {
-  part->num_records = records.size();
-  part->num_bytes = 0;
+  part->num_records = encoded.num_records;
+  part->num_bytes = encoded.payload.size();
   part->mbr = encoded.mbr;
-  if (!encoded.header.empty()) {
-    part->num_bytes += encoded.header.size() + 1;
-    writer->Append(encoded.header);
-  }
-  for (std::string_view record : records) {
-    part->num_bytes += record.size() + 1;
-    writer->Append(record);
-  }
-  writer->EndBlock();
+  writer->AppendBlock(std::move(encoded.payload),
+                      encoded.num_records + (encoded.has_header ? 1 : 0));
 }
 
 Status WriteMasterFile(hdfs::FileSystem* fs, const SpatialFileInfo& info) {
@@ -441,14 +441,21 @@ Result<SpatialFileInfo> LoadSpatialFileFromMaster(
     return Status::ParseError("master file " + master_path + " " + where +
                               ": " + what);
   };
-  std::map<std::string, size_t> block_counts;  // Per file a line names.
-  auto block_count = [&](const std::string& file) -> Result<size_t> {
-    auto it = block_counts.find(file);
-    if (it == block_counts.end()) {
+  // Per file a line names: the byte size of each of its blocks.
+  std::map<std::string, std::vector<size_t>> block_bytes;
+  auto blocks_of = [&](const std::string& file)
+      -> Result<const std::vector<size_t>*> {
+    auto it = block_bytes.find(file);
+    if (it == block_bytes.end()) {
       SHADOOP_ASSIGN_OR_RETURN(hdfs::FileMeta meta, fs.GetFileMeta(file));
-      it = block_counts.emplace(file, meta.blocks.size()).first;
+      std::vector<size_t> bytes;
+      bytes.reserve(meta.blocks.size());
+      for (const hdfs::BlockMeta& block : meta.blocks) {
+        bytes.push_back(block.num_bytes);
+      }
+      it = block_bytes.emplace(file, std::move(bytes)).first;
     }
-    return it->second;
+    return &it->second;
   };
   std::set<std::pair<std::string, size_t>> named_blocks;
   bool any_source_path = false;
@@ -461,17 +468,27 @@ Result<SpatialFileInfo> LoadSpatialFileFromMaster(
     const Partition& part = partitions.emplace_back(std::move(parsed).value());
     any_source_path = any_source_path || !part.source_path.empty();
     const std::string& file = PartitionSourcePath(part, data_path);
-    Result<size_t> blocks = block_count(file);
+    Result<const std::vector<size_t>*> blocks = blocks_of(file);
     if (!blocks.ok()) return master_error(where, blocks.status().message());
+    const std::vector<size_t>& bytes = *blocks.value();
     const std::string block =
         "block " + std::to_string(part.block_index) + " of " + file;
-    if (part.block_index >= blocks.value()) {
+    if (part.block_index >= bytes.size()) {
       return master_error(where, block + " does not exist (" +
-                                     std::to_string(blocks.value()) +
+                                     std::to_string(bytes.size()) +
                                      " blocks)");
     }
     if (!named_blocks.emplace(file, part.block_index).second) {
       return master_error(where, block + " is named by an earlier line");
+    }
+    // The splitter and the cost model read num_bytes: a line that
+    // disagrees with its block (a truncated or swapped block) would
+    // misprice every job over it.
+    if (part.num_bytes != bytes[part.block_index]) {
+      return master_error(
+          where, block + " holds " + std::to_string(bytes[part.block_index]) +
+                     " bytes, but the line says " +
+                     std::to_string(part.num_bytes));
     }
   }
   // A bulk build writes one block per partition.
@@ -479,12 +496,12 @@ Result<SpatialFileInfo> LoadSpatialFileFromMaster(
     const std::string where = lines.size() > 1
                                   ? "lines 2-" + std::to_string(lines.size())
                                   : "line 1";
-    Result<size_t> blocks = block_count(data_path);
+    Result<const std::vector<size_t>*> blocks = blocks_of(data_path);
     if (!blocks.ok()) return master_error(where, blocks.status().message());
-    if (partitions.size() != blocks.value()) {
+    if (partitions.size() != blocks.value()->size()) {
       return master_error(
           where, std::to_string(partitions.size()) + " partitions for the " +
-                     std::to_string(blocks.value()) + " blocks of " +
+                     std::to_string(blocks.value()->size()) + " blocks of " +
                      data_path);
     }
   }

@@ -74,26 +74,28 @@ class IndexBuilder {
 // appends both write it through EncodePartitionBlock + AppendPartitionBlock
 // and WriteMasterFile.
 
-/// What a partition block derives from its records' envelopes.
+/// One partition block, ready to store.
 struct EncodedPartition {
   Envelope mbr;
-  /// The block's first line, "#lidx ...", or empty without a local index.
-  std::string header;
+  /// The whole block: the "#lidx ..." header line when built with a
+  /// local index, then the records, each line ending in '\n'.
+  std::string payload;
+  size_t num_records = 0;  // Data records, the header not counted.
+  bool has_header = false;
 };
 
-/// The pure half of writing a partition: its MBR and, when `local_index`,
-/// its `#lidx` header. `envelopes[i]` is record i's envelope, empty when
-/// it failed to parse. Touches no shared state, so callers may encode
-/// many partitions in parallel.
-EncodedPartition EncodePartitionBlock(const std::vector<Envelope>& envelopes,
-                                      bool local_index);
+/// The pure half of writing a partition: its MBR and its block payload,
+/// with a `#lidx` header when `local_index`. `envelopes[i]` is
+/// `records[i]`'s envelope, empty when it failed to parse. Touches no
+/// shared state, so callers may encode many partitions in parallel.
+EncodedPartition EncodePartitionBlock(
+    const std::vector<Envelope>& envelopes,
+    const std::vector<std::string_view>& records, bool local_index);
 
-/// The serial half: writes `encoded.header` (if any), then `records`, as
-/// the next block of `writer` (which must not auto-seal), then EndBlock().
-/// Sets the partition's num_records, num_bytes and mbr.
-void AppendPartitionBlock(hdfs::FileWriter* writer,
-                          const EncodedPartition& encoded,
-                          const std::vector<std::string_view>& records,
+/// The serial half: stores `encoded.payload` as the next block of
+/// `writer` (FileWriter::AppendBlock) and sets the partition's
+/// num_records, num_bytes and mbr.
+void AppendPartitionBlock(hdfs::FileWriter* writer, EncodedPartition encoded,
                           Partition* part);
 
 /// Writes `info.master_path`: the header "#scheme=<name> shape=<name>

@@ -101,11 +101,9 @@ void KdTreePartitioner::CollectOverlaps(const Node* node,
   CollectOverlaps(node->high.get(), extent, out);
 }
 
-std::vector<int> KdTreePartitioner::OverlappingCells(
-    const Envelope& extent) const {
-  std::vector<int> out;
-  CollectOverlaps(root_.get(), extent, &out);
-  return out;
+void KdTreePartitioner::OverlappingCells(const Envelope& extent,
+                                         std::vector<int>* out) const {
+  CollectOverlaps(root_.get(), extent, out);
 }
 
 }  // namespace shadoop::index

@@ -23,7 +23,8 @@ class KdTreePartitioner : public Partitioner {
   int AssignPoint(const Point& p) const override;
 
  protected:
-  std::vector<int> OverlappingCells(const Envelope& extent) const override;
+  void OverlappingCells(const Envelope& extent,
+                        std::vector<int>* out) const override;
 
  private:
   struct Node {

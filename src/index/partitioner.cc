@@ -8,26 +8,21 @@
 
 namespace shadoop::index {
 
-std::vector<int> Partitioner::AssignEnvelope(const Envelope& extent) const {
+void Partitioner::AssignEnvelope(const Envelope& extent,
+                                 std::vector<int>* cells) const {
+  cells->clear();
   // Degenerate (point) extents follow the half-open point assignment: a
   // point on a shared cell edge belongs to exactly one cell, never two.
-  if (extent.Width() == 0.0 && extent.Height() == 0.0) {
-    return {AssignPoint(extent.Center())};
-  }
-  if (IsDisjoint()) {
-    std::vector<int> cells = OverlappingCells(extent);
-    if (cells.empty()) cells.push_back(AssignPoint(extent.Center()));
-    return cells;
-  }
-  return {AssignPoint(extent.Center())};
+  const bool point = extent.Width() == 0.0 && extent.Height() == 0.0;
+  if (!point && IsDisjoint()) OverlappingCells(extent, cells);
+  if (cells->empty()) cells->push_back(AssignPoint(extent.Center()));
 }
 
-std::vector<int> Partitioner::OverlappingCells(const Envelope& extent) const {
-  std::vector<int> cells;
+void Partitioner::OverlappingCells(const Envelope& extent,
+                                   std::vector<int>* out) const {
   for (int id = 0; id < NumCells(); ++id) {
-    if (CellExtent(id).Intersects(extent)) cells.push_back(id);
+    if (CellExtent(id).Intersects(extent)) out->push_back(id);
   }
-  return cells;
 }
 
 Result<std::unique_ptr<Partitioner>> MakePartitioner(PartitionScheme scheme) {

@@ -40,15 +40,18 @@ class Partitioner {
   /// The single cell a point belongs to.
   virtual int AssignPoint(const Point& p) const = 0;
 
-  /// Every cell a shape with the given extent is stored in. For disjoint
-  /// schemes this is every overlapping cell (replication); overlapping
-  /// schemes store the shape once, in the cell of its center.
-  std::vector<int> AssignEnvelope(const Envelope& extent) const;
+  /// Sets `*cells` to every cell a shape with the given extent is stored
+  /// in. For disjoint schemes this is every overlapping cell
+  /// (replication); overlapping schemes store the shape once, in the cell
+  /// of its center. The caller owns the vector, so a mapper routing many
+  /// records reuses one.
+  void AssignEnvelope(const Envelope& extent, std::vector<int>* cells) const;
 
  protected:
-  /// Cells overlapping `extent`; default scans all cells (subclasses with
-  /// structure override for speed).
-  virtual std::vector<int> OverlappingCells(const Envelope& extent) const;
+  /// Appends the cells overlapping `extent` to `*out`; default scans all
+  /// cells (subclasses with structure override for speed).
+  virtual void OverlappingCells(const Envelope& extent,
+                                std::vector<int>* out) const;
 };
 
 /// Factory over all techniques.

@@ -80,11 +80,9 @@ void QuadTreePartitioner::CollectOverlaps(const Node* node,
   }
 }
 
-std::vector<int> QuadTreePartitioner::OverlappingCells(
-    const Envelope& extent) const {
-  std::vector<int> out;
-  CollectOverlaps(root_.get(), extent, &out);
-  return out;
+void QuadTreePartitioner::OverlappingCells(const Envelope& extent,
+                                           std::vector<int>* out) const {
+  CollectOverlaps(root_.get(), extent, out);
 }
 
 }  // namespace shadoop::index

@@ -25,7 +25,8 @@ class QuadTreePartitioner : public Partitioner {
   int MaxDepth() const { return max_depth_reached_; }
 
  protected:
-  std::vector<int> OverlappingCells(const Envelope& extent) const override;
+  void OverlappingCells(const Envelope& extent,
+                        std::vector<int>* out) const override;
 
  private:
   struct Node {

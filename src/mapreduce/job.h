@@ -114,6 +114,12 @@ class ReduceContext {
   virtual ~ReduceContext() = default;
 
   virtual void Write(std::string line) = 0;
+  /// Writes the row "key<TAB>value", or `value` alone when `key` is empty,
+  /// charged exactly as Write() of that text, without building it: the
+  /// runner copies both views into one buffer per task attempt, and the
+  /// rows reach JobResult::pair_rows, not JobResult::output. A combiner
+  /// rejects the call (it fails the task).
+  virtual void WritePair(std::string_view key, std::string_view value) = 0;
   virtual void ChargeCpu(uint64_t ops) = 0;
   virtual Counters& counters() = 0;
   /// Marks the task (and hence the job) failed.
@@ -243,6 +249,38 @@ struct JobCost {
   }
 };
 
+/// The pair rows one reduce task wrote (ReduceContext::WritePair), in
+/// write order: every key and value in one buffer, and one entry per row.
+/// The buffer is a vector, not a string, so a move never copies it inline
+/// (as a short string's would be): key and value views stay valid across
+/// moves, until the rows are appended to or destroyed.
+class PairRows {
+ public:
+  void Append(std::string_view key, std::string_view value) {
+    entries_.push_back({bytes_.size(), static_cast<uint32_t>(key.size()),
+                        static_cast<uint32_t>(value.size())});
+    bytes_.insert(bytes_.end(), key.begin(), key.end());
+    bytes_.insert(bytes_.end(), value.begin(), value.end());
+  }
+  size_t size() const { return entries_.size(); }
+  std::string_view key(size_t i) const {
+    return {bytes_.data() + entries_[i].offset, entries_[i].key_len};
+  }
+  std::string_view value(size_t i) const {
+    const Entry& e = entries_[i];
+    return {bytes_.data() + e.offset + e.key_len, e.value_len};
+  }
+
+ private:
+  struct Entry {
+    uint64_t offset;
+    uint32_t key_len;
+    uint32_t value_len;
+  };
+  std::vector<char> bytes_;
+  std::vector<Entry> entries_;
+};
+
 struct JobResult {
   Status status;
   Counters counters;
@@ -251,6 +289,10 @@ struct JobResult {
   /// Final output lines in deterministic order (map-task order for
   /// map-side writes, then reduce-task order).
   std::vector<std::string> output;
+  /// Rows written with ReduceContext::WritePair, one block per reduce task
+  /// in task order; a map-only job's emitted pairs pass through as one
+  /// block. Empty when the job failed.
+  std::vector<PairRows> pair_rows;
 };
 
 }  // namespace shadoop::mapreduce

@@ -3,14 +3,13 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <bit>
-#include <cstring>
 #include <unordered_map>
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "fault/fault_injector.h"
 #include "hdfs/block_arena.h"
+#include "mapreduce/shuffle_sort.h"
 #include "mapreduce/task_scheduler.h"
 #include "mapreduce/thread_pool.h"
 
@@ -96,6 +95,11 @@ class ReduceContextImpl : public ReduceContext {
     output_bytes_ += line.size() + 1;
     output_.push_back(std::move(line));
   }
+  // Charged as Write() of "key<TAB>value", or of `value` for an empty key.
+  void WritePair(std::string_view key, std::string_view value) override {
+    output_bytes_ += (key.empty() ? 0 : key.size() + 1) + value.size() + 1;
+    pairs_.Append(key, value);
+  }
   void ChargeCpu(uint64_t ops) override { acct_.charged_cpu_ops += ops; }
   Counters& counters() override { return acct_.counters; }
   void Fail(Status status) override {
@@ -103,6 +107,7 @@ class ReduceContextImpl : public ReduceContext {
   }
 
   std::vector<std::string> output_;
+  PairRows pairs_;
   uint64_t output_bytes_ = 0;
   TaskAccounting acct_;
 };
@@ -121,6 +126,10 @@ class CombineContextImpl : public ReduceContext {
                         static_cast<uint32_t>(line.size())});
     bytes_ += key_.size() + line.size();
   }
+  void WritePair(std::string_view, std::string_view) override {
+    Fail(Status::InvalidArgument(
+        "a combiner re-emits with Write(); WritePair() writes job output"));
+  }
   void ChargeCpu(uint64_t ops) override { acct_->charged_cpu_ops += ops; }
   Counters& counters() override { return acct_->counters; }
   void Fail(Status status) override {
@@ -133,69 +142,6 @@ class CombineContextImpl : public ReduceContext {
   uint64_t bytes_ = 0;
   TaskAccounting* acct_;
 };
-
-/// Up to 8 bytes of `text` from `pos` as a big-endian word, padded with
-/// zero bytes, so unsigned word order is the bytes' order.
-uint64_t PrefixWord(std::string_view text, size_t pos) {
-  if (pos >= text.size()) return 0;
-  uint64_t word = 0;
-  std::memcpy(&word, text.data() + pos, std::min<size_t>(8, text.size() - pos));
-  if constexpr (std::endian::native == std::endian::little) {
-    word = __builtin_bswap64(word);
-  }
-  return word;
-}
-
-/// Reference to one shuffled pair: `data` points at the key bytes inside
-/// the emitting map task's buffer, with the value bytes right after them.
-/// The buffers stay alive and unchanged for the whole job, so the shuffle
-/// moves 16-byte references instead of copying key/value strings.
-struct ShuffleRef {
-  const char* data = nullptr;
-  uint32_t key_len = 0;
-  uint32_t value_len = 0;
-
-  std::string_view key() const { return {data, key_len}; }
-  std::string_view value() const { return {data + key_len, value_len}; }
-};
-
-/// A reference with its sort key, computed once per pair: the first 16
-/// key bytes and the first 8 value bytes as prefix words.
-struct SortEntry {
-  explicit SortEntry(const ShuffleRef& r)
-      : ref(r),
-        key_hi(PrefixWord(r.key(), 0)),
-        key_lo(PrefixWord(r.key(), 8)),
-        value_hi(PrefixWord(r.value(), 0)) {}
-
-  ShuffleRef ref;
-  uint64_t key_hi;
-  uint64_t key_lo;
-  uint64_t value_hi;
-};
-
-/// Byte order by key, then by value: std::string_view's order, exactly.
-/// Unequal prefix words decide it alone, since a zero pad sorts a proper
-/// prefix first. The text is read only when the words tie and a key is
-/// longer than 16 bytes, the key lengths differ, or the keys are equal.
-bool SortEntryLess(const SortEntry& a, const SortEntry& b) {
-  if (a.key_hi != b.key_hi) return a.key_hi < b.key_hi;
-  if (a.key_lo != b.key_lo) return a.key_lo < b.key_lo;
-  if (a.ref.key_len != b.ref.key_len || a.ref.key_len > 16) {
-    const int order = a.ref.key().compare(b.ref.key());
-    if (order != 0) return order < 0;
-  }
-  if (a.value_hi != b.value_hi) return a.value_hi < b.value_hi;
-  return a.ref.value() < b.ref.value();
-}
-
-/// Sorts `run` by key, then value. The sort keys exist only during the
-/// call, so a sorted run keeps 16 bytes per pair.
-void SortRun(std::vector<ShuffleRef>* run) {
-  std::vector<SortEntry> entries(run->begin(), run->end());
-  std::sort(entries.begin(), entries.end(), SortEntryLess);
-  for (size_t i = 0; i < entries.size(); ++i) (*run)[i] = entries[i].ref;
-}
 
 /// Calls `group(key, values)` once per run of equal keys in the sorted
 /// `pairs`. The values are views into the map buffers, gathered into one
@@ -526,6 +472,15 @@ JobResult JobRunner::RunAdmitted(const JobConfig& job, int lanes,
       ctx.buffer_ = std::move(cc.buffer_);
       ctx.emitted_bytes_ = cc.bytes_;
     });
+    // A combiner's Fail() fails the job like a map task's, first task
+    // first.
+    for (const auto& ctx : map_ctxs) {
+      if (ctx->acct_.status.ok()) continue;
+      finish_fault_accounting();
+      result.status = ctx->acct_.status;
+      result.wall_ms = wall.ElapsedMillis();
+      return result;
+    }
   }
 
   // ------------------------------------------------------------------
@@ -594,14 +549,11 @@ JobResult JobRunner::RunAdmitted(const JobConfig& job, int lanes,
       return result;
     }
   } else {
-    // Map-only job: emitted pairs (if any) pass through as "key<TAB>value".
+    // Map-only job: emitted pairs (if any) pass through as pair rows.
     for (int r = 0; r < num_reducers; ++r) {
       reduce_ctxs[r] = std::make_unique<ReduceContextImpl>();
       for (const ShuffleRef& ref : reduce_inputs[r]) {
-        reduce_ctxs[r]->Write(ref.key_len == 0
-                                  ? std::string(ref.value())
-                                  : std::string(ref.key()) + "\t" +
-                                        std::string(ref.value()));
+        reduce_ctxs[r]->WritePair(ref.key(), ref.value());
       }
     }
   }
@@ -625,11 +577,13 @@ JobResult JobRunner::RunAdmitted(const JobConfig& job, int lanes,
       result.output.push_back(std::move(line));
     }
   }
+  result.pair_rows.reserve(reduce_ctxs.size());
   for (std::unique_ptr<ReduceContextImpl>& ctx : reduce_ctxs) {
     result.counters.MergeFrom(ctx->acct_.counters);
     for (std::string& line : ctx->output_) {
       result.output.push_back(std::move(line));
     }
+    result.pair_rows.push_back(std::move(ctx->pairs_));
   }
   finish_fault_accounting();
 

@@ -96,8 +96,10 @@ Result<AdvisorChoice> AdvisePartitioning(hdfs::FileSystem* fs,
 
       std::map<int, size_t> cell_loads;
       size_t assignments = 0;
+      std::vector<int> assigned;
       for (const Envelope& e : sample) {
-        for (const int cell : partitioner->AssignEnvelope(e)) {
+        partitioner->AssignEnvelope(e, &assigned);
+        for (const int cell : assigned) {
           ++cell_loads[cell];
           ++assignments;
         }

@@ -137,6 +137,18 @@ std::string SnprintfFormatDouble(double value) {
   return buf;
 }
 
+/// `v`, its negation and both neighbours of each.
+std::vector<double> WithNeighbours(double v) {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> out;
+  for (double s : {v, -v}) {
+    out.push_back(s);
+    out.push_back(std::nextafter(s, inf));
+    out.push_back(std::nextafter(s, -inf));
+  }
+  return out;
+}
+
 TEST(StringUtilTest, FormatDoubleMatchesSnprintfOracle) {
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -145,15 +157,50 @@ TEST(StringUtilTest, FormatDoubleMatchesSnprintfOracle) {
                    std::numeric_limits<double>::denorm_min()}) {
     EXPECT_EQ(FormatDouble(v), SnprintfFormatDouble(v)) << "value " << v;
   }
+  // Every power of two, subnormal to largest: at a normal one the
+  // rounding interval is narrower below than above.
+  for (int e = -1074; e <= 1023; ++e) {
+    for (double v : WithNeighbours(std::ldexp(1.0, e))) {
+      ASSERT_EQ(FormatDouble(v), SnprintfFormatDouble(v))
+          << "2^" << e << " neighbourhood, value " << v;
+    }
+  }
+  // Every power of ten, as the correctly rounded double.
+  for (int e = -323; e <= 308; ++e) {
+    const std::string text = "1e" + std::to_string(e);
+    double ten = 0;
+    std::from_chars(text.data(), text.data() + text.size(), ten);
+    for (double v : WithNeighbours(ten)) {
+      ASSERT_EQ(FormatDouble(v), SnprintfFormatDouble(v))
+          << text << " neighbourhood, value " << v;
+    }
+  }
   Random rng(20261017);
   for (int i = 0; i < 20000; ++i) {
     const double uniform = rng.NextDouble(0, 1e6);
     const double integral = std::floor(rng.NextDouble(-1e9, 1e9));
     const double four_decimals =
         std::round(rng.NextDouble(-1e6, 1e6) * 1e4) / 1e4;
-    // Random bit patterns reach denormals, extremes, infinities and NaNs.
-    const double bits = std::bit_cast<double>(rng.NextUint64());
-    for (double v : {uniform, integral, four_decimals, bits}) {
+    for (double v : {uniform, integral, four_decimals}) {
+      ASSERT_EQ(FormatDouble(v), SnprintfFormatDouble(v)) << "value " << v;
+    }
+  }
+  // Random bit patterns reach denormals, extremes, infinities and NaNs.
+  for (int i = 0; i < 1000000; ++i) {
+    const double v = std::bit_cast<double>(rng.NextUint64());
+    ASSERT_EQ(FormatDouble(v), SnprintfFormatDouble(v)) << "value " << v;
+  }
+  // Coordinates as the benchmark writes them (a unit draw times 1e6, in
+  // shortest text), the values that text parses back to, three-decimal
+  // roundings, and their negations.
+  for (int i = 0; i < 100000; ++i) {
+    const double coord = rng.NextDouble() * 1e6;
+    char text[32];
+    double parsed = 0;
+    std::from_chars(text, std::to_chars(text, text + sizeof(text), coord).ptr,
+                    parsed);
+    const double three_decimals = std::round(coord * 1e3) / 1e3;
+    for (double v : {coord, parsed, three_decimals, -coord, -three_decimals}) {
       ASSERT_EQ(FormatDouble(v), SnprintfFormatDouble(v)) << "value " << v;
     }
   }

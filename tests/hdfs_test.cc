@@ -43,18 +43,29 @@ TEST(FileSystemTest, FilesSplitIntoBlocksAtRecordBoundaries) {
 TEST(FileSystemTest, ForcedBlockBoundaries) {
   FileSystem fs(SmallBlocks());
   auto writer = fs.Create("/f").ValueOrDie();
-  writer->set_auto_seal(false);
+  writer->Append("loose");  // Sealed as its own block by AppendBlock.
+  std::vector<std::string> payloads;
   for (int part = 0; part < 3; ++part) {
-    for (int i = 0; i < 50; ++i) {
-      writer->Append("p" + std::to_string(part));
-    }
-    writer->EndBlock();
+    std::string payload;
+    for (int i = 0; i < 50; ++i) payload += "p" + std::to_string(part) + "\n";
+    // Far beyond the block size: still one block.
+    ASSERT_GT(payload.size(), SmallBlocks().block_size);
+    payloads.push_back(payload);
+    writer->AppendBlock(std::move(payload), 50);
   }
   ASSERT_TRUE(writer->Close().ok());
   const FileMeta meta = fs.GetFileMeta("/f").ValueOrDie();
-  ASSERT_EQ(meta.blocks.size(), 3u);  // Exactly one block per EndBlock.
-  for (size_t b = 0; b < 3; ++b) {
+  ASSERT_EQ(meta.blocks.size(), 4u);  // "loose", then one per AppendBlock.
+  EXPECT_EQ(meta.blocks[0].num_records, 1u);
+  EXPECT_EQ(meta.total_records, 151u);
+  EXPECT_EQ(meta.total_bytes, 6 + 3 * payloads[0].size());
+  for (size_t b = 1; b < 4; ++b) {
     EXPECT_EQ(meta.blocks[b].num_records, 50u);
+    EXPECT_EQ(meta.blocks[b].num_bytes, payloads[b - 1].size());
+    EXPECT_EQ(*fs.ReadBlockRaw("/f", b).ValueOrDie(), payloads[b - 1]);
+    const std::vector<std::string> records = fs.ReadBlock("/f", b).ValueOrDie();
+    ASSERT_EQ(records.size(), 50u);
+    EXPECT_EQ(records.front(), "p" + std::to_string(b - 1));
   }
 }
 

@@ -425,6 +425,7 @@ class CorruptMasterTest : public ::testing::Test {
 
 constexpr size_t kBlockField = 1;
 constexpr size_t kRecordsField = 10;
+constexpr size_t kBytesField = 11;
 
 TEST_F(CorruptMasterTest, IntactMasterLoads) {
   const SpatialFileInfo loaded =
@@ -448,6 +449,20 @@ TEST_F(CorruptMasterTest, BlockPastTheEndFailsTheLoad) {
 TEST_F(CorruptMasterTest, NegativeFieldsFailTheLoad) {
   ExpectLoadFails(WithField(2, kBlockField, "-1"), "line 2");
   ExpectLoadFails(WithField(3, kRecordsField, "-5"), "line 3");
+}
+
+TEST_F(CorruptMasterTest, ByteCountThatDisagreesWithItsBlockFailsTheLoad) {
+  // A truncated (or swapped) block: the line's num_bytes no longer
+  // matches what the block holds.
+  const std::string bytes = Field(3, kBytesField);
+  const std::string fewer = std::to_string(std::stoull(bytes) - 1);
+  ExpectLoadFails(WithField(3, kBytesField, fewer), "line 3");
+  const Status status = LoadSpatialFile(cluster_.fs, "/pts.idx").status();
+  const std::string block = "block " + Field(3, kBlockField) + " of /pts.idx";
+  EXPECT_NE(status.message().find(block + " holds " + bytes +
+                                  " bytes, but the line says " + fewer),
+            std::string::npos)
+      << status.ToString();
 }
 
 TEST_F(CorruptMasterTest, TwoPartitionsNamingOneBlockFailTheLoad) {

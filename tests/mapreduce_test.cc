@@ -13,6 +13,7 @@
 #include "fault/fault_injector.h"
 #include "mapreduce/cluster.h"
 #include "mapreduce/job_runner.h"
+#include "mapreduce/shuffle_sort.h"
 #include "test_util.h"
 
 namespace shadoop::mapreduce {
@@ -417,12 +418,18 @@ class CraftedPairMapper : public Mapper {
 };
 
 /// Re-emits every value, and fails the task unless its input arrives in
-/// std::string pair order with one group per distinct key.
+/// std::string pair order with one group per distinct key. One combiner
+/// serves all of a map task's buckets, one after another, so key order is
+/// checked per bucket (per reduce task).
 class OrderCheckingCombiner : public Reducer {
  public:
+  explicit OrderCheckingCombiner(int reducers) : reducers_(reducers) {}
+
   void Reduce(std::string_view key, std::span<const std::string_view> values,
               ReduceContext& ctx) override {
-    if (seen_ && std::string(key) <= last_key_) {
+    const int bucket = HashPartition(key, reducers_);
+    auto last = last_key_.find(bucket);
+    if (last != last_key_.end() && std::string(key) <= last->second) {
       ctx.Fail(Status::Internal("combiner groups out of order"));
     }
     for (size_t i = 1; i < values.size(); ++i) {
@@ -430,14 +437,13 @@ class OrderCheckingCombiner : public Reducer {
         ctx.Fail(Status::Internal("combiner values out of order"));
       }
     }
-    seen_ = true;
-    last_key_ = std::string(key);
+    last_key_[bucket] = std::string(key);
     for (std::string_view value : values) ctx.Write(std::string(value));
   }
 
  private:
-  bool seen_ = false;
-  std::string last_key_;
+  int reducers_;
+  std::map<int, std::string> last_key_;  // Per bucket.
 };
 
 /// One "hex(key)|hex(value)" line per value, in arrival order, and "#end"
@@ -493,8 +499,8 @@ TEST(MapReduceTest, ShuffleOrderEqualsStringPairSort) {
         return std::make_unique<CraftedPairMapper>(&pairs);
       };
       if (combine) {
-        job.combiner = []() {
-          return std::make_unique<OrderCheckingCombiner>();
+        job.combiner = [reducers]() {
+          return std::make_unique<OrderCheckingCombiner>(reducers);
         };
       }
       job.reducer = []() { return std::make_unique<PairEchoReducer>(); };
@@ -504,6 +510,319 @@ TEST(MapReduceTest, ShuffleOrderEqualsStringPairSort) {
       EXPECT_EQ(result.output, expected);
     }
   }
+}
+
+// ---------------------------------------------------------------------
+// SortRun against its oracle: std::sort with SortEntryLess.
+
+/// Sorts `pairs` both ways and expects the same key and value at every
+/// position, which is also std::pair<std::string, std::string> order.
+void ExpectSortRunMatchesOracle(
+    const std::vector<std::pair<std::string, std::string>>& pairs) {
+  std::string buffer;  // Key bytes, then value bytes, as a map task's.
+  std::vector<size_t> offsets;
+  for (const auto& [key, value] : pairs) {
+    offsets.push_back(buffer.size());
+    buffer += key;
+    buffer += value;
+  }
+  std::vector<ShuffleRef> run;
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    run.push_back({buffer.data() + offsets[i],
+                   static_cast<uint32_t>(pairs[i].first.size()),
+                   static_cast<uint32_t>(pairs[i].second.size())});
+  }
+  std::vector<SortEntry> oracle(run.begin(), run.end());
+  std::sort(oracle.begin(), oracle.end(), SortEntryLess);
+  std::vector<std::pair<std::string, std::string>> sorted = pairs;
+  std::sort(sorted.begin(), sorted.end());
+
+  SortRun(&run);
+  ASSERT_EQ(run.size(), oracle.size());
+  for (size_t i = 0; i < run.size(); ++i) {
+    ASSERT_EQ(run[i].key(), oracle[i].ref.key()) << "position " << i;
+    ASSERT_EQ(run[i].value(), oracle[i].ref.value()) << "position " << i;
+    ASSERT_EQ(run[i].key(), sorted[i].first) << "position " << i;
+    ASSERT_EQ(run[i].value(), sorted[i].second) << "position " << i;
+  }
+}
+
+/// `length` bytes drawn from the first `alphabet` bytes of a set that
+/// includes '\0' and bytes >= 0x80; small alphabets force prefix ties.
+std::string RandomBytes(Random& rng, size_t length, size_t alphabet) {
+  static const char kBytes[] = {'0', '1', '\0', '\x80', 'a', '\xff', 'z', '9'};
+  std::string out;
+  for (size_t i = 0; i < length; ++i) {
+    out.push_back(kBytes[rng.NextUint64(alphabet)]);
+  }
+  return out;
+}
+
+TEST(SortRunTest, SeededRunsMatchTheOracleOnBothSidesOfTheThreshold) {
+  Random rng(29);
+  for (size_t size : {size_t{0}, size_t{1}, size_t{2}, kRadixMinRun - 1,
+                      kRadixMinRun, kRadixMinRun + 1, size_t{1000},
+                      size_t{5000}}) {
+    for (int shape = 0; shape < 4; ++shape) {
+      SCOPED_TRACE("size " + std::to_string(size) + ", shape " +
+                   std::to_string(shape));
+      std::vector<std::pair<std::string, std::string>> pairs;
+      for (size_t i = 0; i < size; ++i) {
+        std::string key;
+        std::string value;
+        switch (shape) {
+          case 0: {  // An index build: 10-digit cell ids, record values.
+            char cell[11];
+            std::snprintf(cell, sizeof(cell), "%010d",
+                          static_cast<int>(rng.NextUint64(40)));
+            key = cell;
+            value = std::to_string(rng.NextDouble(0, 1e6)) + "," +
+                    std::to_string(rng.NextDouble(0, 1e6));
+            break;
+          }
+          case 1:  // Short random keys and values over a tiny alphabet.
+            key = RandomBytes(rng, rng.NextUint64(5), 3);
+            value = RandomBytes(rng, rng.NextUint64(12), 3);
+            break;
+          case 2:  // Keys around the 16-byte word boundary.
+            key = RandomBytes(rng, 14 + rng.NextUint64(6), 2);
+            value = RandomBytes(rng, rng.NextUint64(10), 8);
+            break;
+          default:  // One key; values tie in their first 8 bytes.
+            key = "0000000007";
+            value = "12345678" + RandomBytes(rng, rng.NextUint64(4), 8);
+            break;
+        }
+        pairs.emplace_back(std::move(key), std::move(value));
+      }
+      ExpectSortRunMatchesOracle(pairs);
+    }
+  }
+}
+
+TEST(SortRunTest, AdversarialRunsMatchTheOracle) {
+  using namespace std::string_literals;
+  const std::vector<std::pair<std::string, std::string>> crafted =
+      CraftedPairs();
+  // Below the threshold, once; above it, every crafted pair three times
+  // in a seeded order, with identical pairs among them.
+  ExpectSortRunMatchesOracle(crafted);
+  std::vector<std::pair<std::string, std::string>> many;
+  for (int copy = 0; copy < 3; ++copy) {
+    many.insert(many.end(), crafted.begin(), crafted.end());
+  }
+  Random rng(3);
+  for (size_t i = many.size(); i > 1; --i) {
+    std::swap(many[i - 1], many[rng.NextUint64(i)]);
+  }
+  ASSERT_GE(many.size(), kRadixMinRun);
+  ExpectSortRunMatchesOracle(many);
+
+  // Keys over 16 bytes that share their first 16 bytes, keys that differ
+  // only in length or by trailing NULs, and empty keys and values.
+  std::vector<std::pair<std::string, std::string>> long_keys;
+  const std::string prefix(16, 'p');
+  for (int i = 0; i < 600; ++i) {
+    const int pick = (i * 7919) % 6;
+    std::string key = pick == 0   ? prefix + std::to_string(i % 13)
+                      : pick == 1 ? prefix + std::string(i % 4, '\0')
+                      : pick == 2 ? "k"s + std::string(i % 5, '\0')
+                      : pick == 3 ? ""s
+                      : pick == 4 ? prefix.substr(0, i % 17)
+                                  : prefix + "\xff"s;
+    std::string value = i % 9 == 0 ? ""s : "v"s + std::to_string(i % 11);
+    long_keys.emplace_back(std::move(key), std::move(value));
+  }
+  ExpectSortRunMatchesOracle(long_keys);
+}
+
+// ---------------------------------------------------------------------
+// Pair rows (ReduceContext::WritePair) against Write() of the same text.
+
+/// Record "k v" emits (k, v); a field "-" stands for an empty string.
+class FieldsMapper : public Mapper {
+ public:
+  void Map(std::string_view record, MapContext& ctx) override {
+    const std::vector<std::string_view> fields = SplitString(record, ' ');
+    auto field = [](std::string_view f) {
+      return f == "-" ? std::string_view() : f;
+    };
+    ctx.Emit(field(fields[0]), field(fields[1]));
+  }
+};
+
+/// Writes each pair as the text WritePair() stands for.
+class TextRowReducer : public Reducer {
+ public:
+  void Reduce(std::string_view key, std::span<const std::string_view> values,
+              ReduceContext& ctx) override {
+    for (std::string_view value : values) {
+      ctx.Write(key.empty() ? std::string(value)
+                            : std::string(key) + "\t" + std::string(value));
+    }
+    ctx.counters().Increment("rows", static_cast<int64_t>(values.size()));
+  }
+};
+
+class PairRowReducer : public Reducer {
+ public:
+  void Reduce(std::string_view key, std::span<const std::string_view> values,
+              ReduceContext& ctx) override {
+    for (std::string_view value : values) ctx.WritePair(key, value);
+    ctx.counters().Increment("rows", static_cast<int64_t>(values.size()));
+  }
+};
+
+/// Pair rows as the text they stand for, in block order.
+std::vector<std::string> PairRowText(const JobResult& result) {
+  std::vector<std::string> text;
+  for (const PairRows& rows : result.pair_rows) {
+    for (size_t i = 0; i < rows.size(); ++i) {
+      text.push_back(rows.key(i).empty() ? std::string(rows.value(i))
+                                         : std::string(rows.key(i)) + "\t" +
+                                               std::string(rows.value(i)));
+    }
+  }
+  return text;
+}
+
+void ExpectSameCost(const JobCost& a, const JobCost& b) {
+  EXPECT_EQ(a.total_ms, b.total_ms);
+  EXPECT_EQ(a.map_makespan_ms, b.map_makespan_ms);
+  EXPECT_EQ(a.shuffle_ms, b.shuffle_ms);
+  EXPECT_EQ(a.reduce_makespan_ms, b.reduce_makespan_ms);
+  EXPECT_EQ(a.bytes_read, b.bytes_read);
+  EXPECT_EQ(a.bytes_shuffled, b.bytes_shuffled);
+  EXPECT_EQ(a.bytes_written, b.bytes_written);
+  EXPECT_EQ(a.num_map_tasks, b.num_map_tasks);
+  EXPECT_EQ(a.num_reduce_tasks, b.num_reduce_tasks);
+  EXPECT_EQ(a.task_retries, b.task_retries);
+  EXPECT_EQ(a.speculative_launched, b.speculative_launched);
+  EXPECT_EQ(a.speculative_won, b.speculative_won);
+}
+
+class PairRowsTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    std::vector<std::string> lines;
+    for (int i = 0; i < 600; ++i) {
+      // Empty keys and values, and short strings throughout.
+      const std::string key = i % 10 == 0 ? "-" : "k" + std::to_string(i % 17);
+      const std::string value =
+          i % 7 == 0 ? "-" : std::string(1 + i % 40, 'a' + i % 26);
+      lines.push_back(key + " " + value);
+    }
+    ASSERT_TRUE(cluster_.fs.WriteLines("/in", lines).ok());
+  }
+
+  JobConfig Job(bool pairs) {
+    JobConfig job;
+    job.name = "pair-rows";
+    job.splits = MakeBlockSplits(cluster_.fs, "/in").ValueOrDie();
+    job.mapper = []() { return std::make_unique<FieldsMapper>(); };
+    if (pairs) {
+      job.reducer = []() { return std::make_unique<PairRowReducer>(); };
+    } else {
+      job.reducer = []() { return std::make_unique<TextRowReducer>(); };
+    }
+    job.num_reducers = 3;
+    return job;
+  }
+
+  testing::TestCluster cluster_{/*block_size=*/512};
+};
+
+TEST_F(PairRowsTest, ChargeAndReadLikeWriteOfTheSameText) {
+  const JobResult text = cluster_.runner.Run(Job(false));
+  const JobResult pairs = cluster_.runner.Run(Job(true));
+  ASSERT_TRUE(text.status.ok()) << text.status.ToString();
+  ASSERT_TRUE(pairs.status.ok()) << pairs.status.ToString();
+  ExpectSameCost(pairs.cost, text.cost);
+  EXPECT_EQ(pairs.counters.values(), text.counters.values());
+  EXPECT_EQ(PairRowText(pairs), text.output);
+  EXPECT_EQ(text.output.size(), 600u);
+  EXPECT_TRUE(pairs.output.empty());
+  // One block per reduce task, in task order.
+  ASSERT_EQ(pairs.pair_rows.size(), 3u);
+  ASSERT_EQ(text.pair_rows.size(), 3u);
+  for (const PairRows& rows : text.pair_rows) EXPECT_EQ(rows.size(), 0u);
+}
+
+TEST_F(PairRowsTest, ViewsSurviveAMoveOfTheResult) {
+  auto owner = std::make_unique<JobResult>(cluster_.runner.Run(Job(true)));
+  ASSERT_TRUE(owner->status.ok());
+  std::vector<std::string_view> keys;
+  std::vector<std::string> copies;
+  for (const PairRows& rows : owner->pair_rows) {
+    for (size_t i = 0; i < rows.size(); ++i) {
+      keys.push_back(rows.key(i));
+      copies.emplace_back(rows.key(i));
+    }
+  }
+  const JobResult moved = std::move(*owner);
+  owner.reset();  // Frees the moved-from result.
+  ASSERT_EQ(keys.size(), copies.size());
+  for (size_t i = 0; i < keys.size(); ++i) EXPECT_EQ(keys[i], copies[i]);
+  EXPECT_EQ(PairRowText(moved).size(), 600u);
+}
+
+TEST_F(PairRowsTest, OnlyTheCommittedAttemptsRowsAppear) {
+  const JobResult clean = cluster_.runner.Run(Job(true));
+  ASSERT_TRUE(clean.status.ok());
+  cluster_.runner.set_max_task_attempts(8);
+  int64_t rivals = 0;
+  for (uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    fault::FaultPolicy policy;
+    policy.seed = seed;
+    policy.reduce_failure_prob = 0.3;
+    policy.straggler_prob = 0.5;
+    fault::FaultInjector injector(policy);
+    cluster_.runner.set_fault_injector(&injector);
+    const JobResult faulty = cluster_.runner.Run(Job(true));
+    const JobResult text = cluster_.runner.Run(Job(false));
+    cluster_.runner.set_fault_injector(nullptr);
+    ASSERT_TRUE(faulty.status.ok()) << faulty.status.ToString();
+    ASSERT_TRUE(text.status.ok()) << text.status.ToString();
+    EXPECT_EQ(PairRowText(faulty), PairRowText(clean)) << "seed " << seed;
+    // The same fault pattern charges pair rows as it charges Write().
+    ExpectSameCost(faulty.cost, text.cost);
+    rivals += faulty.cost.task_retries + faulty.cost.speculative_launched;
+  }
+  EXPECT_GT(rivals, 0);
+}
+
+TEST(PairRowsJobTest, ACombinerCannotWritePairs) {
+  testing::TestCluster cluster;
+  ASSERT_TRUE(cluster.fs.WriteLines("/in", {"a x", "a y", "b z"}).ok());
+  class PairCombiner : public Reducer {
+   public:
+    void Reduce(std::string_view key, std::span<const std::string_view> values,
+                ReduceContext& ctx) override {
+      for (std::string_view value : values) ctx.WritePair(key, value);
+    }
+  };
+  JobConfig job;
+  job.splits = MakeBlockSplits(cluster.fs, "/in").ValueOrDie();
+  job.mapper = []() { return std::make_unique<FieldsMapper>(); };
+  job.combiner = []() { return std::make_unique<PairCombiner>(); };
+  job.reducer = []() { return std::make_unique<PairRowReducer>(); };
+  const JobResult result = cluster.runner.Run(job);
+  EXPECT_TRUE(result.status.IsInvalidArgument()) << result.status.ToString();
+  EXPECT_TRUE(result.pair_rows.empty());
+}
+
+TEST(PairRowsJobTest, MapOnlyPairsPassThroughAsPairRows) {
+  testing::TestCluster cluster;
+  ASSERT_TRUE(cluster.fs.WriteLines("/in", {"b 2", "- 1", "a -"}).ok());
+  JobConfig job;
+  job.splits = MakeBlockSplits(cluster.fs, "/in").ValueOrDie();
+  job.mapper = []() { return std::make_unique<FieldsMapper>(); };
+  const JobResult result = cluster.runner.Run(job);
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  EXPECT_TRUE(result.output.empty());
+  ASSERT_EQ(result.pair_rows.size(), 1u);
+  EXPECT_EQ(PairRowText(result),
+            (std::vector<std::string>{"1", "a\t", "b\t2"}));
 }
 
 TEST(MakespanTest, GreedyScheduling) {

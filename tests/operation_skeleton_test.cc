@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 
 #include "common/string_util.h"
 #include "core/operation_skeleton.h"
@@ -105,6 +106,35 @@ TEST(OperationSkeletonTest, EarlyFlushBypassesMerge) {
   size_t total = 0;
   for (const std::string& row : rows) {
     total += ParseInt64(row.substr(row.find("-> ") + 3)).ValueOrDie();
+  }
+  EXPECT_EQ(total, 500u);
+}
+
+TEST(OperationSkeletonTest, EarlyFlushedRowsNeverReachMerge) {
+  testing::TestCluster cluster;
+  testing::WritePoints(&cluster.fs, "/pts", 500);
+  const auto file = testing::BuildIndex(&cluster.runner, "/pts", "/pts.idx",
+                                        PartitionScheme::kGrid);
+  // Early-flushed rows whose text looks like what merge candidates used
+  // to look like on their way through the job ("M<TAB>row").
+  OperationSkeleton op;
+  op.name = "flush-m-rows";
+  op.local = [](const SplitExtent&, const std::vector<std::string>& records,
+                LocalOutput* out) {
+    out->ToOutput("M\t" + std::to_string(records.size()));
+  };
+  std::atomic<size_t> merged{0};
+  op.merge = [&merged](const std::vector<std::string>& candidates,
+                       std::vector<std::string>*) {
+    merged += candidates.size();
+  };
+  const auto rows = RunOperation(&cluster.runner, file, op).ValueOrDie();
+  EXPECT_EQ(merged.load(), 0u);
+  ASSERT_EQ(rows.size(), file.global_index.NumPartitions());
+  size_t total = 0;
+  for (const std::string& row : rows) {
+    ASSERT_EQ(row.rfind("M\t", 0), 0u) << row;
+    total += ParseInt64(row.substr(2)).ValueOrDie();
   }
   EXPECT_EQ(total, 500u);
 }

@@ -90,7 +90,8 @@ TEST_P(PartitionerPropertyTest, EnvelopeAssignmentCoversContainingCells) {
     const Envelope box(c.x, c.y,
                        std::min(space_.max_x(), c.x + space_.Width() * 0.03),
                        std::min(space_.max_y(), c.y + space_.Height() * 0.03));
-    const std::vector<int> cells = partitioner_->AssignEnvelope(box);
+    std::vector<int> cells = {-1};  // Stale contents are replaced.
+    partitioner_->AssignEnvelope(box, &cells);
     ASSERT_FALSE(cells.empty());
     if (partitioner_->IsDisjoint()) {
       // Every cell intersecting the box must be present.

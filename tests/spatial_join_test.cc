@@ -223,7 +223,6 @@ index::SpatialFileInfo WithOddLines(hdfs::FileSystem* fs,
   const std::vector<std::string> malformed = {
       "POLYGON ((1 1", "not a polygon", "POLYGON ((0 0, 1 1, 0 0))"};
   auto writer = fs->Create(path).ValueOrDie();
-  writer->set_auto_seal(false);
   std::vector<index::Partition> parts = file.global_index.partitions();
   for (size_t p = 0; p < parts.size(); ++p) {
     std::vector<std::string> records = {"# partition " + std::to_string(p)};
@@ -235,7 +234,8 @@ index::SpatialFileInfo WithOddLines(hdfs::FileSystem* fs,
         records.push_back(malformed[records.size() % malformed.size()]);
       }
     }
-    index::EncodedPartition encoded{parts[p].mbr, ""};
+    std::string payload;
+    size_t lines = records.size();
     if (file.has_local_indexes) {
       std::vector<Envelope> envelopes;
       for (const std::string& record : records) {
@@ -244,11 +244,14 @@ index::SpatialFileInfo WithOddLines(hdfs::FileSystem* fs,
             index::RecordEnvelope(index::ShapeType::kPolygon, record);
         envelopes.push_back(env.ok() ? env.value() : parts[p].mbr);
       }
-      encoded.header = index::EncodeLocalIndexHeader(envelopes);
+      payload = index::EncodeLocalIndexHeader(envelopes) + "\n";
+      ++lines;
     }
-    const std::vector<std::string_view> views(records.begin(), records.end());
-    index::AppendPartitionBlock(writer.get(), encoded, views, &parts[p]);
+    for (const std::string& record : records) payload += record + "\n";
+    parts[p].num_records = records.size();
+    parts[p].num_bytes = payload.size();
     parts[p].block_index = p;
+    writer->AppendBlock(std::move(payload), lines);
   }
   SHADOOP_CHECK_OK(writer->Close());
   index::SpatialFileInfo odd = file;
