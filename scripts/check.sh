@@ -84,10 +84,12 @@ TSAN_FLAGS="-fsanitize=thread -fno-omit-frame-pointer"
 #     waiting on each other's single-flight column builds
 #   - query_pipeline_test: concurrent map tasks over one block waiting on
 #     a single-flight build of its record index
+#   - operation_skeleton_test: map-only jobs whose pair rows point into
+#     map buffers the result keeps alive after the pooled gather
 TSAN_SUITES=(mapreduce_test zero_copy_test fault_test robustness_test
              admission_test catalog_test server_test common_test
              knn_test aggregate_test index_builder_test features_test
-             spatial_join_test query_pipeline_test)
+             spatial_join_test query_pipeline_test operation_skeleton_test)
 
 asan_phase() {
   cmake -B "${BUILD_DIR}" -S . \

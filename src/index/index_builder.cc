@@ -1,9 +1,11 @@
 #include "index/index_builder.h"
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <set>
+#include <type_traits>
 #include <utility>
 
 #include "common/random.h"
@@ -39,6 +41,14 @@ struct BlockEnvelopes {
   std::vector<uint32_t> skipped;    // Ascending record positions.
   int64_t malformed = 0;
 };
+
+/// A parsed point's or envelope's bytes, as a routed record carries them
+/// through the shuffle.
+template <typename T>
+std::string_view AsBytes(const T& value) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  return {reinterpret_cast<const char*>(&value), sizeof(T)};
+}
 
 std::shared_ptr<const BlockEnvelopes> ParseBlock(
     ShapeType shape, const hdfs::BlockRecords& block) {
@@ -97,19 +107,22 @@ class SourceMapper : public Mapper {
         continue;
       }
       // A point source stores no envelopes, any other no points.
-      MapRecord(block[i],
-                parsed->envelopes.empty()
-                    ? Envelope::FromPoint(parsed->points[k])
-                    : parsed->envelopes[k],
-                ctx);
+      if (parsed->envelopes.empty()) {
+        const Point& point = parsed->points[k];
+        MapRecord(block[i], Envelope::FromPoint(point), AsBytes(point), ctx);
+      } else {
+        const Envelope& env = parsed->envelopes[k];
+        MapRecord(block[i], env, AsBytes(env), ctx);
+      }
       ++k;
     }
   }
 
  protected:
-  /// One data record of the block and its envelope, in block order.
+  /// One data record of the block and its envelope, in block order;
+  /// `parsed` holds the bytes of what the parser returned for it.
   virtual void MapRecord(std::string_view record, const Envelope& env,
-                         MapContext& ctx) = 0;
+                         std::string_view parsed, MapContext& ctx) = 0;
 
  private:
   ShapeType shape_;
@@ -136,7 +149,7 @@ class AnalysisMapper : public SourceMapper {
   }
 
  protected:
-  void MapRecord(std::string_view, const Envelope& env,
+  void MapRecord(std::string_view, const Envelope& env, std::string_view,
                  MapContext& ctx) override {
     mbr_.ExpandToInclude(env);
     if (rng_->NextBool(sample_ratio_)) {
@@ -150,7 +163,8 @@ class AnalysisMapper : public SourceMapper {
   std::unique_ptr<Random> rng_;
 };
 
-/// Partitioning phase: routes every record to its cell(s).
+/// Partitioning phase: routes every record to its cell(s), with what the
+/// parser returned for it attached, so the encode parses nothing.
 class PartitionMapper : public SourceMapper {
  public:
   PartitionMapper(ShapeType shape, std::shared_ptr<const Partitioner> part)
@@ -159,7 +173,7 @@ class PartitionMapper : public SourceMapper {
 
  protected:
   void MapRecord(std::string_view record, const Envelope& env,
-                 MapContext& ctx) override {
+                 std::string_view parsed, MapContext& ctx) override {
     partitioner_->AssignEnvelope(env, &cells_);
     for (int cell : cells_) {
       // "%010d": zero-padded keys keep within-reducer groups in numeric
@@ -168,7 +182,7 @@ class PartitionMapper : public SourceMapper {
       for (int i = 9, rest = cell; i >= 0; --i, rest /= 10) {
         key[i] = static_cast<char>('0' + rest % 10);
       }
-      ctx.Emit(std::string_view(key, sizeof(key)), record);
+      ctx.Emit(std::string_view(key, sizeof(key)), record, parsed);
     }
     if (cells_.size() > 1) {
       ctx.counters().Increment("partition.replicated_records",
@@ -182,14 +196,60 @@ class PartitionMapper : public SourceMapper {
 };
 
 /// Identity reducer tagging each record with its cell id: one pair row
-/// (cell id, record) per record.
+/// (cell id, record) per record, its parse still attached.
 class PartitionReducer : public mapreduce::Reducer {
  public:
-  void Reduce(std::string_view key, std::span<const std::string_view> values,
+  void Reduce(std::string_view, std::span<const std::string_view>,
               mapreduce::ReduceContext& ctx) override {
-    for (std::string_view value : values) ctx.WritePair(key, value);
+    ctx.WriteGroup();
   }
 };
+
+using CellBlocks = std::vector<std::pair<int, EncodedPartition>>;
+
+/// Encodes one reduce task's pair rows: one block per run of equal cell
+/// ids (a cell's rows are consecutive), from the records and the parses
+/// attached to them. Returns (cell id, block) in row order.
+Result<CellBlocks> EncodeCells(const mapreduce::PairRows& rows,
+                               ShapeType shape, int num_cells,
+                               bool local_index) {
+  CellBlocks blocks;
+  std::vector<std::string_view> records;
+  std::vector<Envelope> envelopes;
+  const bool points = shape == ShapeType::kPoint;
+  const size_t parsed_size = points ? sizeof(Point) : sizeof(Envelope);
+  for (size_t i = 0, j = 0; i < rows.size(); i = j) {
+    const std::string_view key = rows.key(i);
+    SHADOOP_ASSIGN_OR_RETURN(const int64_t cell, ParseInt64(key));
+    if (cell < 0 || cell >= num_cells) {
+      return Status::Internal("partition job routed a record to cell " +
+                              std::to_string(cell) + " of " +
+                              std::to_string(num_cells));
+    }
+    records.clear();
+    envelopes.clear();
+    for (j = i; j < rows.size() && rows.key(j) == key; ++j) {
+      const std::string_view parsed = rows.attachment(j);
+      if (parsed.size() != parsed_size) {
+        return Status::Internal("a routed record carries a " +
+                                std::to_string(parsed.size()) + "-byte parse");
+      }
+      // The bytes may be unaligned: copied out, never cast.
+      Envelope& env = envelopes.emplace_back();
+      if (points) {
+        Point point;
+        std::memcpy(&point, parsed.data(), sizeof(point));
+        env = Envelope::FromPoint(point);
+      } else {
+        std::memcpy(&env, parsed.data(), sizeof(env));
+      }
+      records.push_back(rows.value(j));
+    }
+    blocks.emplace_back(static_cast<int>(cell),
+                        EncodePartitionBlock(envelopes, records, local_index));
+  }
+  return blocks;
+}
 
 }  // namespace
 
@@ -287,61 +347,41 @@ Result<SpatialFileInfo> IndexBuilder::Build(const std::string& source_path,
   info.build_cost += partition_result.cost;
   info.build_counters.MergeFrom(partition_result.counters);
 
-  // Group routed records by cell id. The views point into
-  // partition_result.pair_rows, which outlives the block writes. One
-  // reducer owns each cell and writes its rows consecutively, so a cell
-  // id is parsed once per run of equal keys and its list is sized once.
+  // Each reduce task's cells are encoded on the pool from the envelopes
+  // their records carry, then placed by cell id...
   const int num_cells = partitioner->NumCells();
-  std::vector<std::vector<std::string_view>> cells(num_cells);
-  for (const mapreduce::PairRows& rows : partition_result.pair_rows) {
-    for (size_t i = 0, j = 0; i < rows.size(); i = j) {
-      const std::string_view key = rows.key(i);
-      for (j = i + 1; j < rows.size() && rows.key(j) == key; ++j) {
+  const std::vector<mapreduce::PairRows>& tasks = partition_result.pair_rows;
+  std::vector<Result<CellBlocks>> encoded(tasks.size(), CellBlocks());
+  mapreduce::ParallelFor(
+      tasks.size(), runner_->cluster().num_slots, [&](size_t t) {
+        encoded[t] = EncodeCells(tasks[t], shape, num_cells,
+                                 options.build_local_indexes);
+      });
+  std::vector<EncodedPartition*> by_cell(num_cells, nullptr);
+  for (Result<CellBlocks>& blocks : encoded) {
+    if (!blocks.ok()) return blocks.status();
+    for (auto& [cell, block] : *blocks) {
+      if (by_cell[cell] != nullptr) {
+        return Status::Internal("partition job routed cell " +
+                                std::to_string(cell) + " to two reducers");
       }
-      SHADOOP_ASSIGN_OR_RETURN(const int64_t cell, ParseInt64(key));
-      if (cell < 0 || cell >= num_cells) {
-        return Status::Internal("partition job routed a record to cell " +
-                                std::to_string(cell) + " of " +
-                                std::to_string(num_cells));
-      }
-      std::vector<std::string_view>& records = cells[cell];
-      records.reserve(records.size() + (j - i));
-      for (size_t k = i; k < j; ++k) records.push_back(rows.value(k));
+      by_cell[cell] = &block;
     }
   }
-  // Empty cells are dropped (standard practice: the global index only
-  // records materialized partitions).
-  std::vector<int> filled;
-  for (int cell = 0; cell < num_cells; ++cell) {
-    if (!cells[cell].empty()) filled.push_back(cell);
-  }
-
-  // Each partition's block depends on its records alone, so envelopes,
-  // MBR, `#lidx` header and payload are built in parallel...
-  std::vector<EncodedPartition> encoded(filled.size());
-  mapreduce::ParallelFor(
-      filled.size(), runner_->cluster().num_slots, [&](size_t i) {
-        const std::vector<std::string_view>& records = cells[filled[i]];
-        std::vector<Envelope> envelopes;
-        envelopes.reserve(records.size());
-        for (std::string_view record : records) {
-          auto env = RecordEnvelope(shape, record);
-          envelopes.push_back(env.ok() ? env.value() : Envelope());
-        }
-        encoded[i] = EncodePartitionBlock(envelopes, records,
-                                          options.build_local_indexes);
-      });
 
   // ...and laid out serially, one cell per HDFS block, in cell order.
+  // Empty cells are dropped (standard practice: the global index only
+  // records materialized partitions).
   SHADOOP_ASSIGN_OR_RETURN(std::unique_ptr<hdfs::FileWriter> writer,
                            fs->Create(dest_path));
-  std::vector<Partition> partitions(filled.size());
-  for (size_t i = 0; i < filled.size(); ++i) {
-    Partition& part = partitions[i];
-    part.id = static_cast<int>(i);
-    part.block_index = i;
-    part.cell = partitioner->CellExtent(filled[i]);
-    AppendPartitionBlock(writer.get(), std::move(encoded[i]), &part);
+  std::vector<Partition> partitions;
+  for (int cell = 0; cell < num_cells; ++cell) {
+    if (by_cell[cell] == nullptr) continue;
+    Partition& part = partitions.emplace_back();
+    part.id = static_cast<int>(partitions.size() - 1);
+    part.block_index = partitions.size() - 1;
+    part.cell = partitioner->CellExtent(cell);
+    AppendPartitionBlock(writer.get(), std::move(*by_cell[cell]), &part);
   }
   SHADOOP_RETURN_NOT_OK(writer->Close());
 

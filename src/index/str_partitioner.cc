@@ -47,14 +47,13 @@ Status StrPartitioner::Construct(const Envelope& space,
   }
   x_bounds_.push_back(space.max_x());
 
-  // Row boundaries at y-quantiles within each slab.
+  // Row boundaries at y-quantiles within each slab, ys bucketed in one pass.
+  std::vector<std::vector<double>> slab_ys(num_slabs);
+  for (const Point& p : sample) slab_ys[SlabOf(p.x)].push_back(p.y);
   int next_cell = 0;
   for (int s = 0; s < num_slabs; ++s) {
     first_cell_of_slab_.push_back(next_cell);
-    std::vector<double> ys;
-    for (const Point& p : sample) {
-      if (SlabOf(p.x) == s) ys.push_back(p.y);
-    }
+    std::vector<double>& ys = slab_ys[s];
     std::sort(ys.begin(), ys.end());
     std::vector<double> bounds;
     bounds.push_back(space.min_y());

@@ -13,6 +13,7 @@
 #include "common/status.h"
 #include "hdfs/block_arena.h"
 #include "mapreduce/artifact_cache.h"
+#include "mapreduce/shuffle_sort.h"
 
 namespace shadoop::mapreduce {
 
@@ -76,8 +77,12 @@ class MapContext {
   /// operation defines its own record encodings (typically CSV or WKT,
   /// see geometry/wkt.h). Their bytes are copied into the task's shuffle
   /// buffer before the call returns, so views into short-lived storage
-  /// are fine.
-  virtual void Emit(std::string_view key, std::string_view value) = 0;
+  /// are fine. `attachment` (at most 255 bytes, longer fails the task)
+  /// rides with the pair to PairRows::attachment() uncharged: it is not
+  /// shuffled bytes, the sort ignores it, reducers' values exclude it,
+  /// and a combiner's re-emits carry none.
+  virtual void Emit(std::string_view key, std::string_view value,
+                    std::string_view attachment = {}) = 0;
   /// Takes the line by value, like ReduceContext::Write: callers that
   /// build a line move it in, and callers holding a view build the string
   /// at the call site.
@@ -114,12 +119,12 @@ class ReduceContext {
   virtual ~ReduceContext() = default;
 
   virtual void Write(std::string line) = 0;
-  /// Writes the row "key<TAB>value", or `value` alone when `key` is empty,
-  /// charged exactly as Write() of that text, without building it: the
-  /// runner copies both views into one buffer per task attempt, and the
-  /// rows reach JobResult::pair_rows, not JobResult::output. A combiner
-  /// rejects the call (it fails the task).
-  virtual void WritePair(std::string_view key, std::string_view value) = 0;
+  /// Writes every pair of the group being reduced as a row standing for
+  /// "key<TAB>value", or `value` alone when the key is empty, charged
+  /// exactly as Write() of that text, without building it. The rows are
+  /// references into the map tasks' buffers and reach JobResult::pair_rows,
+  /// not JobResult::output. A combiner rejects the call (it fails the task).
+  virtual void WriteGroup() = 0;
   virtual void ChargeCpu(uint64_t ops) = 0;
   virtual Counters& counters() = 0;
   /// Marks the task (and hence the job) failed.
@@ -249,36 +254,21 @@ struct JobCost {
   }
 };
 
-/// The pair rows one reduce task wrote (ReduceContext::WritePair), in
-/// write order: every key and value in one buffer, and one entry per row.
-/// The buffer is a vector, not a string, so a move never copies it inline
-/// (as a short string's would be): key and value views stay valid across
-/// moves, until the rows are appended to or destroyed.
+/// The pair rows one reduce task wrote (ReduceContext::WriteGroup), in
+/// write order: references into the map tasks' shuffle buffers, which the
+/// JobResult holding the rows keeps alive.
 class PairRows {
  public:
-  void Append(std::string_view key, std::string_view value) {
-    entries_.push_back({bytes_.size(), static_cast<uint32_t>(key.size()),
-                        static_cast<uint32_t>(value.size())});
-    bytes_.insert(bytes_.end(), key.begin(), key.end());
-    bytes_.insert(bytes_.end(), value.begin(), value.end());
-  }
-  size_t size() const { return entries_.size(); }
-  std::string_view key(size_t i) const {
-    return {bytes_.data() + entries_[i].offset, entries_[i].key_len};
-  }
-  std::string_view value(size_t i) const {
-    const Entry& e = entries_[i];
-    return {bytes_.data() + e.offset + e.key_len, e.value_len};
-  }
+  explicit PairRows(std::vector<ShuffleRef> rows) : rows_(std::move(rows)) {}
+
+  size_t size() const { return rows_.size(); }
+  std::string_view key(size_t i) const { return rows_[i].key(); }
+  std::string_view value(size_t i) const { return rows_[i].value(); }
+  /// What MapContext::Emit attached to the pair; empty when nothing was.
+  std::string_view attachment(size_t i) const { return rows_[i].attachment(); }
 
  private:
-  struct Entry {
-    uint64_t offset;
-    uint32_t key_len;
-    uint32_t value_len;
-  };
-  std::vector<char> bytes_;
-  std::vector<Entry> entries_;
+  std::vector<ShuffleRef> rows_;
 };
 
 struct JobResult {
@@ -289,10 +279,13 @@ struct JobResult {
   /// Final output lines in deterministic order (map-task order for
   /// map-side writes, then reduce-task order).
   std::vector<std::string> output;
-  /// Rows written with ReduceContext::WritePair, one block per reduce task
-  /// in task order; a map-only job's emitted pairs pass through as one
-  /// block. Empty when the job failed.
+  /// Rows written with ReduceContext::WriteGroup, one block per reduce
+  /// task in task order; a map-only job's emitted pairs pass through as
+  /// one block. Empty when the job failed.
   std::vector<PairRows> pair_rows;
+  /// Owns the map tasks' buffers `pair_rows` point into, when there are
+  /// rows; shared, so copies and moves of the result keep them valid.
+  std::shared_ptr<const void> pair_row_buffers;
 };
 
 }  // namespace shadoop::mapreduce

@@ -25,29 +25,41 @@ struct TaskAccounting {
 };
 
 /// One emitted pair, stored as offsets into the owning task's shuffle
-/// buffer instead of a pair of owned strings: the key bytes start at
-/// `offset`, the value bytes follow immediately.
+/// buffer instead of a pair of owned strings.
 struct EmitSlice {
   uint64_t offset = 0;
   uint32_t key_len = 0;
   uint32_t value_len = 0;
 };
 
+/// Appends a pair to a task's shuffle buffer as ShuffleRef reads it: the
+/// key, the value, the attachment's length byte and the attachment.
+EmitSlice AppendPair(std::string* buffer, std::string_view key,
+                     std::string_view value, std::string_view attachment) {
+  const EmitSlice slice{buffer->size(), static_cast<uint32_t>(key.size()),
+                        static_cast<uint32_t>(value.size())};
+  buffer->append(key);
+  buffer->append(value);
+  buffer->push_back(static_cast<char>(attachment.size()));
+  buffer->append(attachment);
+  return slice;
+}
+
 class MapContextImpl : public MapContext {
  public:
   MapContextImpl(const InputSplit& split, int num_reducers)
       : split_(split), emitted_(std::max(1, num_reducers)) {}
 
-  void Emit(std::string_view key, std::string_view value) override {
+  void Emit(std::string_view key, std::string_view value,
+            std::string_view attachment) override {
+    if (attachment.size() > 255) {
+      return Fail(Status::InvalidArgument("attachment over 255 bytes"));
+    }
     const int bucket =
         partition_ ? partition_(key, static_cast<int>(emitted_.size()))
                    : HashPartition(key, static_cast<int>(emitted_.size()));
     emitted_bytes_ += key.size() + value.size();
-    const uint64_t offset = buffer_.size();
-    buffer_.append(key);
-    buffer_.append(value);
-    emitted_[bucket].push_back({offset, static_cast<uint32_t>(key.size()),
-                                static_cast<uint32_t>(value.size())});
+    emitted_[bucket].push_back(AppendPair(&buffer_, key, value, attachment));
   }
 
   void WriteOutput(std::string line) override {
@@ -76,11 +88,11 @@ class MapContextImpl : public MapContext {
     block_ids_ = std::move(block_ids);
   }
 
-  const InputSplit& split_;
+  const InputSplit& split_;  // Dangles once the job returns; unused then.
   Partitioner partition_;
   ArtifactCache* cache_ = nullptr;
   std::vector<uint64_t> block_ids_;  // Per split ordinal; 0 = unknown.
-  std::string buffer_;  // Backing bytes of every emitted pair.
+  std::string buffer_;  // Every emitted pair's bytes; fixed once gathered.
   std::vector<std::vector<EmitSlice>> emitted_;  // One bucket per reducer.
   std::vector<std::string> output_;              // Map-side final output.
   uint64_t emitted_bytes_ = 0;
@@ -96,9 +108,12 @@ class ReduceContextImpl : public ReduceContext {
     output_.push_back(std::move(line));
   }
   // Charged as Write() of "key<TAB>value", or of `value` for an empty key.
-  void WritePair(std::string_view key, std::string_view value) override {
-    output_bytes_ += (key.empty() ? 0 : key.size() + 1) + value.size() + 1;
-    pairs_.Append(key, value);
+  void WriteGroup() override {
+    for (const ShuffleRef& ref : group_) {
+      output_bytes_ +=
+          (ref.key_len == 0 ? 0 : ref.key_len + 1) + ref.value_len + 1;
+    }
+    rows_.insert(rows_.end(), group_.begin(), group_.end());
   }
   void ChargeCpu(uint64_t ops) override { acct_.charged_cpu_ops += ops; }
   Counters& counters() override { return acct_.counters; }
@@ -107,7 +122,8 @@ class ReduceContextImpl : public ReduceContext {
   }
 
   std::vector<std::string> output_;
-  PairRows pairs_;
+  std::span<const ShuffleRef> group_;  // The group being reduced, if any.
+  std::vector<ShuffleRef> rows_;       // Written with WriteGroup().
   uint64_t output_bytes_ = 0;
   TaskAccounting acct_;
 };
@@ -119,16 +135,12 @@ class CombineContextImpl : public ReduceContext {
   explicit CombineContextImpl(TaskAccounting* acct) : acct_(acct) {}
 
   void Write(std::string line) override {
-    const uint64_t offset = buffer_.size();
-    buffer_.append(key_);
-    buffer_.append(line);
-    bucket_->push_back({offset, static_cast<uint32_t>(key_.size()),
-                        static_cast<uint32_t>(line.size())});
+    bucket_->push_back(AppendPair(&buffer_, key_, line, {}));
     bytes_ += key_.size() + line.size();
   }
-  void WritePair(std::string_view, std::string_view) override {
+  void WriteGroup() override {
     Fail(Status::InvalidArgument(
-        "a combiner re-emits with Write(); WritePair() writes job output"));
+        "a combiner re-emits with Write(); WriteGroup() writes job output"));
   }
   void ChargeCpu(uint64_t ops) override { acct_->charged_cpu_ops += ops; }
   Counters& counters() override { return acct_->counters; }
@@ -143,9 +155,9 @@ class CombineContextImpl : public ReduceContext {
   TaskAccounting* acct_;
 };
 
-/// Calls `group(key, values)` once per run of equal keys in the sorted
-/// `pairs`. The values are views into the map buffers, gathered into one
-/// vector that every group reuses.
+/// Calls `group(refs, values)` once per run of equal keys in the sorted
+/// `pairs`: `refs` is the run, `values` its values as views into the map
+/// buffers, gathered into one vector that every group reuses.
 template <typename Group>
 void ForEachGroup(const std::vector<ShuffleRef>& pairs, Group group) {
   std::vector<std::string_view> values;
@@ -154,17 +166,21 @@ void ForEachGroup(const std::vector<ShuffleRef>& pairs, Group group) {
     for (j = i; j < pairs.size() && pairs[j].key() == pairs[i].key(); ++j) {
       values.push_back(pairs[j].value());
     }
-    group(pairs[i].key(), std::span<const std::string_view>(values));
+    group(std::span<const ShuffleRef>(pairs).subspan(i, j - i),
+          std::span<const std::string_view>(values));
   }
 }
 
-/// Invokes the reducer once per group of a sorted run, then Finish().
+/// Invokes the reducer once per group of a sorted run, each group handed
+/// to the context for WriteGroup(), then Finish().
 void ReduceSortedRun(const std::vector<ShuffleRef>& pairs, Reducer& reducer,
-                     ReduceContext& ctx) {
-  ForEachGroup(pairs, [&](std::string_view key,
+                     ReduceContextImpl& ctx) {
+  ForEachGroup(pairs, [&](std::span<const ShuffleRef> refs,
                           std::span<const std::string_view> values) {
-    reducer.Reduce(key, values, ctx);
+    ctx.group_ = refs;
+    reducer.Reduce(refs.front().key(), values, ctx);
   });
+  ctx.group_ = {};
   reducer.Finish(ctx);
 }
 
@@ -461,11 +477,11 @@ JobResult JobRunner::RunAdmitted(const JobConfig& job, int lanes,
         SortRun(&run);
         std::vector<EmitSlice> combined;
         cc.bucket_ = &combined;
-        ForEachGroup(run, [&](std::string_view key,
+        ForEachGroup(run, [&](std::span<const ShuffleRef> refs,
                               std::span<const std::string_view> values) {
-          cc.key_ = key;
+          cc.key_ = refs.front().key();
           ctx.acct_.records_processed += values.size();
-          combiner->Reduce(key, values, cc);
+          combiner->Reduce(cc.key_, values, cc);
         });
         bucket = std::move(combined);
       }
@@ -484,38 +500,34 @@ JobResult JobRunner::RunAdmitted(const JobConfig& job, int lanes,
   }
 
   // ------------------------------------------------------------------
-  // Shuffle: route each map task's buckets to reduce task inputs. Only
-  // references move; the bytes stay in the map tasks' buffers, which
-  // outlive the reduce phase. Each reduce input is sized once, from the
-  // bucket counts, so the gather is linear in the number of pairs.
+  // Shuffle: each reducer gathers its bucket from every map task, in
+  // map-task order, and sorts it, on the pool. Only references move; the
+  // bytes stay in the map tasks' buffers, which outlive the reduce phase.
+  // Each reduce input is sized once, from the bucket counts, so the
+  // gather is linear in the number of pairs. Sorting once, before any
+  // attempt runs, lets concurrent speculative attempts share the sorted
+  // run read-only, so a re-executed reducer sees bit-identical input.
+  uint64_t shuffle_bytes = 0;
+  for (const auto& ctx : map_ctxs) shuffle_bytes += ctx->emitted_bytes_;
   std::vector<std::vector<ShuffleRef>> reduce_inputs(num_reducers);
-  for (int r = 0; r < num_reducers; ++r) {
+  std::vector<uint64_t> reduce_input_bytes(num_reducers, 0);
+  ParallelFor(static_cast<size_t>(num_reducers), lanes, [&](size_t r) {
     size_t pairs = 0;
     for (const auto& ctx : map_ctxs) pairs += ctx->emitted_[r].size();
-    reduce_inputs[r].reserve(pairs);
-  }
-  uint64_t shuffle_bytes = 0;
-  std::vector<uint64_t> reduce_input_bytes(num_reducers, 0);
-  for (size_t i = 0; i < num_maps; ++i) {
-    MapContextImpl& ctx = *map_ctxs[i];
-    shuffle_bytes += ctx.emitted_bytes_;
-    const char* base = ctx.buffer_.data();
-    for (int r = 0; r < num_reducers; ++r) {
-      auto& bucket = ctx.emitted_[r];
-      for (const EmitSlice& s : bucket) {
-        reduce_inputs[r].push_back({base + s.offset, s.key_len, s.value_len});
-        reduce_input_bytes[r] += s.key_len + s.value_len;
+    std::vector<ShuffleRef>& input = reduce_inputs[r];
+    input.reserve(pairs);
+    uint64_t bytes = 0;  // Local: the lanes' counters share a cache line.
+    for (const auto& ctx : map_ctxs) {
+      const char* base = ctx->buffer_.data();
+      for (const EmitSlice& s : ctx->emitted_[r]) {
+        input.push_back({base + s.offset, s.key_len, s.value_len});
+        bytes += s.key_len + s.value_len;
       }
-      bucket.clear();
-      bucket.shrink_to_fit();
     }
-  }
-
-  // Sort each reduce input once, before any attempt runs: concurrent
-  // speculative attempts then share the sorted run read-only, so a
-  // re-executed reducer sees bit-identical input.
-  ParallelFor(static_cast<size_t>(num_reducers), lanes,
-              [&](size_t r) { SortRun(&reduce_inputs[r]); });
+    reduce_input_bytes[r] = bytes;
+    SortRun(&input);
+  });
+  for (const auto& ctx : map_ctxs) ctx->emitted_.clear();
 
   // ------------------------------------------------------------------
   // Reduce phase, under the same attempt scheduler as the map phase.
@@ -552,16 +564,19 @@ JobResult JobRunner::RunAdmitted(const JobConfig& job, int lanes,
     // Map-only job: emitted pairs (if any) pass through as pair rows.
     for (int r = 0; r < num_reducers; ++r) {
       reduce_ctxs[r] = std::make_unique<ReduceContextImpl>();
-      for (const ShuffleRef& ref : reduce_inputs[r]) {
-        reduce_ctxs[r]->WritePair(ref.key(), ref.value());
-      }
+      reduce_ctxs[r]->rows_ = std::move(reduce_inputs[r]);
     }
   }
 
   // No task reads the shuffled pairs again: release them before the
-  // output is assembled.
+  // output is assembled, unless pair rows point into the map buffers.
   reduce_inputs.clear();
-  for (const auto& ctx : map_ctxs) std::string().swap(ctx->buffer_);
+  const bool has_pair_rows = std::any_of(
+      reduce_ctxs.begin(), reduce_ctxs.end(),
+      [](const auto& ctx) { return !ctx->rows_.empty(); });
+  if (!has_pair_rows) {
+    for (const auto& ctx : map_ctxs) std::string().swap(ctx->buffer_);
+  }
 
   // ------------------------------------------------------------------
   // Assemble output and counters deterministically (task order), into
@@ -583,7 +598,7 @@ JobResult JobRunner::RunAdmitted(const JobConfig& job, int lanes,
     for (std::string& line : ctx->output_) {
       result.output.push_back(std::move(line));
     }
-    result.pair_rows.push_back(std::move(ctx->pairs_));
+    result.pair_rows.emplace_back(std::move(ctx->rows_));
   }
   finish_fault_accounting();
 
@@ -633,6 +648,13 @@ JobResult JobRunner::RunAdmitted(const JobConfig& job, int lanes,
   result.cost.total_ms = cluster_.job_startup_ms + result.cost.map_makespan_ms +
                          result.cost.shuffle_ms +
                          result.cost.reduce_makespan_ms;
+  // The contexts themselves, not their buffers, move into the result: a
+  // buffer's bytes may live inline in its string.
+  if (has_pair_rows) {
+    result.pair_row_buffers =
+        std::make_shared<std::vector<std::unique_ptr<MapContextImpl>>>(
+            std::move(map_ctxs));
+  }
   result.wall_ms = wall.ElapsedMillis();
   result.status = Status::OK();
   return result;

@@ -8,9 +8,10 @@
 namespace shadoop::mapreduce {
 
 /// Reference to one shuffled pair: `data` points at the key bytes inside
-/// the emitting map task's buffer, with the value bytes right after them.
-/// The buffers stay alive and unchanged for the whole job, so the shuffle
-/// moves 16-byte references instead of copying key/value strings.
+/// the emitting map task's buffer, with the value bytes right after them,
+/// then the attachment's one-byte length and bytes. The buffers stay alive
+/// and unchanged for the whole job, so the shuffle moves 16-byte
+/// references instead of copying key/value strings.
 struct ShuffleRef {
   const char* data = nullptr;
   uint32_t key_len = 0;
@@ -18,6 +19,11 @@ struct ShuffleRef {
 
   std::string_view key() const { return {data, key_len}; }
   std::string_view value() const { return {data + key_len, value_len}; }
+  /// Valid only for references into a map task's buffer.
+  std::string_view attachment() const {
+    const char* length = data + key_len + value_len;
+    return {length + 1, static_cast<unsigned char>(*length)};
+  }
 };
 
 /// A reference with its sort key, computed once per pair: the first 16

@@ -314,7 +314,11 @@ std::pair<uint64_t, uint64_t> ExpectCacheChangesNoByte(
   return {cold.parses, warm.parses};
 }
 
-TEST(IndexBuilderCacheTest, PointBuildParsesTwiceColdAndOnceWarm) {
+// The partition job's records carry their parsed envelopes through the
+// shuffle, so the blocks are encoded without a parse: a cold build parses
+// each source record once (the analysis job), a warm one none.
+
+TEST(IndexBuilderCacheTest, PointBuildParsesOnceColdAndNeverWarm) {
   testing::TestCluster cluster;
   constexpr size_t kPoints = 3000;
   testing::WritePoints(&cluster.fs, "/points", kPoints,
@@ -323,8 +327,8 @@ TEST(IndexBuilderCacheTest, PointBuildParsesTwiceColdAndOnceWarm) {
   options.scheme = PartitionScheme::kStr;
   const auto [cold, warm] =
       ExpectCacheChangesNoByte(&cluster, "/points", options);
-  EXPECT_LE(cold, 2 * kPoints);
-  EXPECT_LE(warm, kPoints);
+  EXPECT_EQ(cold, kPoints);
+  EXPECT_EQ(warm, 0u);
 }
 
 TEST(IndexBuilderCacheTest, PolygonsWithLocalIndexesWriteTheSameBytes) {
@@ -339,8 +343,48 @@ TEST(IndexBuilderCacheTest, PolygonsWithLocalIndexesWriteTheSameBytes) {
   options.build_local_indexes = true;
   const auto [cold, warm] =
       ExpectCacheChangesNoByte(&cluster, "/polys", options);
-  // Polygons are replicated, so the finalize pass parses copies too.
-  EXPECT_LT(warm, cold);
+  EXPECT_EQ(cold, 600u);
+  EXPECT_EQ(warm, 0u);
+}
+
+TEST(IndexBuilderCacheTest, ReplicatedCopiesCarryTheirFullEnvelopes) {
+  testing::TestCluster cluster;
+  workload::RectGenOptions rects;
+  rects.centers.count = 800;
+  rects.centers.seed = 11;
+  rects.max_side_fraction = 0.08;  // Large rects, copied into many cells.
+  std::vector<std::string> lines = workload::RectanglesToRecords(
+      workload::GenerateRectangles(rects));
+  lines.insert(lines.begin() + 400, "1,2,3");  // Malformed.
+  ASSERT_TRUE(cluster.fs.WriteLines("/rects", lines).ok());
+  IndexBuildOptions options;
+  options.scheme = PartitionScheme::kGrid;
+  options.shape = ShapeType::kRectangle;
+  options.build_local_indexes = true;
+  const auto [cold, warm] =
+      ExpectCacheChangesNoByte(&cluster, "/rects", options);
+  EXPECT_EQ(cold, lines.size());
+  EXPECT_EQ(warm, 0u);
+  // Each copy's block holds it with its whole envelope, not the part
+  // inside the cell: in the partition MBR and in the `#lidx` header.
+  for (const char* build : {".cold", ".off", ".warm"}) {
+    SCOPED_TRACE(build);
+    const SpatialFileInfo info =
+        LoadSpatialFile(cluster.fs, std::string("/rects") + build)
+            .ValueOrDie();
+    ExpectIndexLayout(cluster.fs, info);
+    size_t stored = 0;
+    int beyond_cell = 0;
+    for (const Partition& part : info.global_index.partitions()) {
+      stored += part.num_records;
+      beyond_cell += part.cell.Contains(part.mbr) ? 0 : 1;
+    }
+    EXPECT_GT(stored, lines.size());  // Replication happened.
+    EXPECT_GT(beyond_cell, 0);
+  }
+  const BuildOutput built =
+      BuildAndRead(&cluster, "/rects", "/rects.idx", options);
+  EXPECT_EQ(built.info.build_counters.Get("partition.bad_records"), 1);
 }
 
 TEST(IndexBuilderCacheTest, MalformedAndMetadataLinesCountTheSame) {

@@ -637,21 +637,33 @@ TEST(SortRunTest, AdversarialRunsMatchTheOracle) {
 }
 
 // ---------------------------------------------------------------------
-// Pair rows (ReduceContext::WritePair) against Write() of the same text.
+// Pair rows (ReduceContext::WriteGroup) against Write() of the same text,
+// and the attachments that ride the shuffle with them.
 
-/// Record "k v" emits (k, v); a field "-" stands for an empty string.
+/// Record "k v a" emits (k, v), a field "-" standing for an empty string.
+/// With `attach`, the third field (empty when absent) is the attachment.
 class FieldsMapper : public Mapper {
  public:
+  explicit FieldsMapper(bool attach = false) : attach_(attach) {}
+
   void Map(std::string_view record, MapContext& ctx) override {
     const std::vector<std::string_view> fields = SplitString(record, ' ');
-    auto field = [](std::string_view f) {
-      return f == "-" ? std::string_view() : f;
+    auto field = [&fields](size_t i) {
+      return i >= fields.size() || fields[i] == "-" ? std::string_view()
+                                                     : fields[i];
     };
-    ctx.Emit(field(fields[0]), field(fields[1]));
+    if (attach_) {
+      ctx.Emit(field(0), field(1), field(2));
+    } else {
+      ctx.Emit(field(0), field(1));
+    }
   }
+
+ private:
+  bool attach_;
 };
 
-/// Writes each pair as the text WritePair() stands for.
+/// Writes each pair as the text WriteGroup() stands for.
 class TextRowReducer : public Reducer {
  public:
   void Reduce(std::string_view key, std::span<const std::string_view> values,
@@ -666,10 +678,19 @@ class TextRowReducer : public Reducer {
 
 class PairRowReducer : public Reducer {
  public:
-  void Reduce(std::string_view key, std::span<const std::string_view> values,
+  void Reduce(std::string_view, std::span<const std::string_view> values,
               ReduceContext& ctx) override {
-    for (std::string_view value : values) ctx.WritePair(key, value);
+    ctx.WriteGroup();
     ctx.counters().Increment("rows", static_cast<int64_t>(values.size()));
+  }
+};
+
+/// Re-emits every value of the group unchanged.
+class IdentityCombiner : public Reducer {
+ public:
+  void Reduce(std::string_view, std::span<const std::string_view> values,
+              ReduceContext& ctx) override {
+    for (std::string_view value : values) ctx.Write(std::string(value));
   }
 };
 
@@ -684,6 +705,43 @@ std::vector<std::string> PairRowText(const JobResult& result) {
     }
   }
   return text;
+}
+
+/// (key, value) -> the sorted attachments of the pairs with that text.
+using AttachmentsByPair =
+    std::map<std::pair<std::string, std::string>, std::vector<std::string>>;
+
+AttachmentsByPair RowAttachments(const JobResult& result) {
+  AttachmentsByPair out;
+  for (const PairRows& rows : result.pair_rows) {
+    for (size_t i = 0; i < rows.size(); ++i) {
+      out[{std::string(rows.key(i)), std::string(rows.value(i))}]
+          .emplace_back(rows.attachment(i));
+    }
+  }
+  for (auto& [pair, attachments] : out) {
+    std::sort(attachments.begin(), attachments.end());
+  }
+  return out;
+}
+
+/// What FieldsMapper(attach) attaches to each pair of `lines`: the third
+/// field, or nothing without `attach`.
+AttachmentsByPair LineAttachments(const std::vector<std::string>& lines,
+                                  bool attach) {
+  AttachmentsByPair out;
+  for (const std::string& line : lines) {
+    std::vector<std::string> f;
+    for (std::string_view field : SplitString(line, ' ')) {
+      f.emplace_back(field == "-" ? std::string_view() : field);
+    }
+    f.resize(3);
+    out[{f[0], f[1]}].push_back(attach ? f[2] : std::string());
+  }
+  for (auto& [pair, attachments] : out) {
+    std::sort(attachments.begin(), attachments.end());
+  }
+  return out;
 }
 
 void ExpectSameCost(const JobCost& a, const JobCost& b) {
@@ -701,40 +759,60 @@ void ExpectSameCost(const JobCost& a, const JobCost& b) {
   EXPECT_EQ(a.speculative_won, b.speculative_won);
 }
 
+/// Lines "k v a" with empty keys, values and attachments, short strings
+/// throughout, and attachments of every length up to 255 bytes.
+std::vector<std::string> FieldLines() {
+  std::vector<std::string> lines;
+  for (int i = 0; i < 600; ++i) {
+    const std::string key = i % 10 == 0 ? "-" : "k" + std::to_string(i % 17);
+    const std::string value =
+        i % 7 == 0 ? "-" : std::string(1 + i % 40, 'a' + i % 26);
+    const std::string attachment =
+        i % 3 == 0 ? "-" : std::string(i % 256, 'a' + i % 23);
+    lines.push_back(key + " " + value + " " + attachment);
+  }
+  return lines;
+}
+
+enum class Rows { kText, kPairs, kMapOnly };
+
+/// A FieldsMapper job over `path` with three reduce tasks (one block of
+/// pass-through rows for kMapOnly).
+JobConfig FieldsJob(const hdfs::FileSystem& fs, const std::string& path,
+                    Rows rows, bool attach = false, bool combine = false) {
+  JobConfig job;
+  job.name = "pair-rows";
+  job.splits = MakeBlockSplits(fs, path).ValueOrDie();
+  job.mapper = [attach]() { return std::make_unique<FieldsMapper>(attach); };
+  if (combine) {
+    job.combiner = []() { return std::make_unique<IdentityCombiner>(); };
+  }
+  if (rows == Rows::kPairs) {
+    job.reducer = []() { return std::make_unique<PairRowReducer>(); };
+  } else if (rows == Rows::kText) {
+    job.reducer = []() { return std::make_unique<TextRowReducer>(); };
+  }
+  job.num_reducers = 3;
+  return job;
+}
+
 class PairRowsTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    std::vector<std::string> lines;
-    for (int i = 0; i < 600; ++i) {
-      // Empty keys and values, and short strings throughout.
-      const std::string key = i % 10 == 0 ? "-" : "k" + std::to_string(i % 17);
-      const std::string value =
-          i % 7 == 0 ? "-" : std::string(1 + i % 40, 'a' + i % 26);
-      lines.push_back(key + " " + value);
-    }
-    ASSERT_TRUE(cluster_.fs.WriteLines("/in", lines).ok());
+    ASSERT_TRUE(cluster_.fs.WriteLines("/in", lines_).ok());
   }
 
-  JobConfig Job(bool pairs) {
-    JobConfig job;
-    job.name = "pair-rows";
-    job.splits = MakeBlockSplits(cluster_.fs, "/in").ValueOrDie();
-    job.mapper = []() { return std::make_unique<FieldsMapper>(); };
-    if (pairs) {
-      job.reducer = []() { return std::make_unique<PairRowReducer>(); };
-    } else {
-      job.reducer = []() { return std::make_unique<TextRowReducer>(); };
-    }
-    job.num_reducers = 3;
-    return job;
+  JobConfig Job(Rows rows, bool attach = false, bool combine = false) {
+    return FieldsJob(cluster_.fs, "/in", rows, attach, combine);
   }
 
+  const std::vector<std::string> lines_ = FieldLines();
   testing::TestCluster cluster_{/*block_size=*/512};
 };
 
 TEST_F(PairRowsTest, ChargeAndReadLikeWriteOfTheSameText) {
-  const JobResult text = cluster_.runner.Run(Job(false));
-  const JobResult pairs = cluster_.runner.Run(Job(true));
+  const JobResult text = cluster_.runner.Run(Job(Rows::kText));
+  const JobResult pairs = cluster_.runner.Run(Job(Rows::kPairs));
   ASSERT_TRUE(text.status.ok()) << text.status.ToString();
   ASSERT_TRUE(pairs.status.ok()) << pairs.status.ToString();
   ExpectSameCost(pairs.cost, text.cost);
@@ -748,26 +826,41 @@ TEST_F(PairRowsTest, ChargeAndReadLikeWriteOfTheSameText) {
   for (const PairRows& rows : text.pair_rows) EXPECT_EQ(rows.size(), 0u);
 }
 
-TEST_F(PairRowsTest, ViewsSurviveAMoveOfTheResult) {
-  auto owner = std::make_unique<JobResult>(cluster_.runner.Run(Job(true)));
-  ASSERT_TRUE(owner->status.ok());
-  std::vector<std::string_view> keys;
-  std::vector<std::string> copies;
-  for (const PairRows& rows : owner->pair_rows) {
-    for (size_t i = 0; i < rows.size(); ++i) {
-      keys.push_back(rows.key(i));
-      copies.emplace_back(rows.key(i));
+TEST_F(PairRowsTest, AttachmentsChangeNoChargeCounterOrRow) {
+  for (Rows rows : {Rows::kText, Rows::kPairs, Rows::kMapOnly}) {
+    for (bool combine : {false, true}) {
+      SCOPED_TRACE("rows " + std::to_string(static_cast<int>(rows)) +
+                   (combine ? ", combiner" : ""));
+      const JobResult plain = cluster_.runner.Run(Job(rows, false, combine));
+      const JobResult attached = cluster_.runner.Run(Job(rows, true, combine));
+      ASSERT_TRUE(plain.status.ok()) << plain.status.ToString();
+      ASSERT_TRUE(attached.status.ok()) << attached.status.ToString();
+      ExpectSameCost(attached.cost, plain.cost);
+      EXPECT_EQ(attached.counters.values(), plain.counters.values());
+      EXPECT_EQ(attached.output, plain.output);
+      EXPECT_EQ(PairRowText(attached), PairRowText(plain));
+      EXPECT_EQ(PairRowText(attached).size(), rows == Rows::kText ? 0u : 600u);
     }
   }
-  const JobResult moved = std::move(*owner);
-  owner.reset();  // Frees the moved-from result.
-  ASSERT_EQ(keys.size(), copies.size());
-  for (size_t i = 0; i < keys.size(); ++i) EXPECT_EQ(keys[i], copies[i]);
-  EXPECT_EQ(PairRowText(moved).size(), 600u);
+}
+
+TEST_F(PairRowsTest, EachRowReadsItsOwnAttachment) {
+  const AttachmentsByPair attached = LineAttachments(lines_, true);
+  const AttachmentsByPair none = LineAttachments(lines_, false);
+  ASSERT_GT(attached.size(), 100u);
+  // Reduced and passed through (map-only), with and without attachments.
+  for (Rows rows : {Rows::kPairs, Rows::kMapOnly}) {
+    SCOPED_TRACE(rows == Rows::kPairs ? "reduced" : "map-only");
+    EXPECT_EQ(RowAttachments(cluster_.runner.Run(Job(rows, true))), attached);
+    EXPECT_EQ(RowAttachments(cluster_.runner.Run(Job(rows, false))), none);
+    // A combiner's re-emits carry nothing.
+    EXPECT_EQ(RowAttachments(cluster_.runner.Run(Job(rows, true, true))),
+              none);
+  }
 }
 
 TEST_F(PairRowsTest, OnlyTheCommittedAttemptsRowsAppear) {
-  const JobResult clean = cluster_.runner.Run(Job(true));
+  const JobResult clean = cluster_.runner.Run(Job(Rows::kPairs, true));
   ASSERT_TRUE(clean.status.ok());
   cluster_.runner.set_max_task_attempts(8);
   int64_t rivals = 0;
@@ -778,12 +871,13 @@ TEST_F(PairRowsTest, OnlyTheCommittedAttemptsRowsAppear) {
     policy.straggler_prob = 0.5;
     fault::FaultInjector injector(policy);
     cluster_.runner.set_fault_injector(&injector);
-    const JobResult faulty = cluster_.runner.Run(Job(true));
-    const JobResult text = cluster_.runner.Run(Job(false));
+    const JobResult faulty = cluster_.runner.Run(Job(Rows::kPairs, true));
+    const JobResult text = cluster_.runner.Run(Job(Rows::kText));
     cluster_.runner.set_fault_injector(nullptr);
     ASSERT_TRUE(faulty.status.ok()) << faulty.status.ToString();
     ASSERT_TRUE(text.status.ok()) << text.status.ToString();
     EXPECT_EQ(PairRowText(faulty), PairRowText(clean)) << "seed " << seed;
+    EXPECT_EQ(RowAttachments(faulty), RowAttachments(clean)) << "seed " << seed;
     // The same fault pattern charges pair rows as it charges Write().
     ExpectSameCost(faulty.cost, text.cost);
     rivals += faulty.cost.task_retries + faulty.cost.speculative_launched;
@@ -791,21 +885,103 @@ TEST_F(PairRowsTest, OnlyTheCommittedAttemptsRowsAppear) {
   EXPECT_GT(rivals, 0);
 }
 
-TEST(PairRowsJobTest, ACombinerCannotWritePairs) {
+/// Runs a FieldsJob with attachments on a cluster holding `lines` in
+/// blocks of `block_size` bytes, then copies and moves the result and
+/// destroys the cluster (its runner and file system): the copy and the
+/// moved result must still read every row and attachment, and so must
+/// views taken before.
+void ExpectRowsOutliveTheirRunner(const std::vector<std::string>& lines,
+                                  size_t block_size, Rows rows) {
+  auto cluster = std::make_unique<testing::TestCluster>(block_size);
+  ASSERT_TRUE(cluster->fs.WriteLines("/in", lines).ok());
+  auto owner = std::make_unique<JobResult>(
+      cluster->runner.Run(FieldsJob(cluster->fs, "/in", rows, true)));
+  ASSERT_TRUE(owner->status.ok()) << owner->status.ToString();
+  const std::vector<std::string> text = PairRowText(*owner);
+  const AttachmentsByPair attachments = RowAttachments(*owner);
+  ASSERT_EQ(text.size(), lines.size());
+  EXPECT_EQ(attachments, LineAttachments(lines, true));
+  std::vector<std::string_view> views;
+  std::vector<std::string> copies;
+  for (const PairRows& block : owner->pair_rows) {
+    for (size_t i = 0; i < block.size(); ++i) {
+      for (std::string_view view :
+           {block.key(i), block.value(i), block.attachment(i)}) {
+        views.push_back(view);
+        copies.emplace_back(view);
+      }
+    }
+  }
+  const JobResult copy = *owner;
+  const JobResult moved = std::move(*owner);
+  owner.reset();    // Frees the moved-from result.
+  cluster.reset();  // The runner and its file system go too.
+  for (const JobResult* result : {&copy, &moved}) {
+    EXPECT_EQ(PairRowText(*result), text);
+    EXPECT_EQ(RowAttachments(*result), attachments);
+  }
+  ASSERT_EQ(views.size(), copies.size());
+  for (size_t i = 0; i < views.size(); ++i) EXPECT_EQ(views[i], copies[i]);
+}
+
+TEST(PairRowsJobTest, RowsSurviveAMoveACopyAndTheirRunner) {
+  for (Rows rows : {Rows::kPairs, Rows::kMapOnly}) {
+    ExpectRowsOutliveTheirRunner(FieldLines(), /*block_size=*/512, rows);
+  }
+}
+
+TEST(PairRowsJobTest, MapBuffersShortEnoughToStayInlineReadBack) {
+  // Blocks of at most 16 bytes hold two or three of these lines, so each
+  // map task's buffer (4 bytes per pair) fits inside its std::string.
+  std::vector<std::string> lines;
+  for (int i = 0; i < 40; ++i) {
+    lines.push_back(std::string(1, 'a' + i % 5) + " " +
+                    std::string(1, 'a' + i % 26) + " " +
+                    (i % 4 == 0 ? "-" : std::string(1, '0' + i % 10)));
+  }
+  testing::TestCluster cluster(/*block_size=*/16);
+  ASSERT_TRUE(cluster.fs.WriteLines("/in", lines).ok());
+  ASSERT_GE(MakeBlockSplits(cluster.fs, "/in").ValueOrDie().size(),
+            lines.size() / 3);
+  for (Rows rows : {Rows::kPairs, Rows::kMapOnly}) {
+    ExpectRowsOutliveTheirRunner(lines, /*block_size=*/16, rows);
+  }
+}
+
+TEST(PairRowsJobTest, AnAttachmentHoldsAtMost255Bytes) {
+  testing::TestCluster cluster;
+  for (size_t size : {size_t{255}, size_t{256}}) {
+    ASSERT_TRUE(cluster.fs
+                    .WriteLines("/in" + std::to_string(size),
+                                {"a x -", "b y " + std::string(size, 'z')})
+                    .ok());
+    const JobResult result = cluster.runner.Run(FieldsJob(
+        cluster.fs, "/in" + std::to_string(size), Rows::kPairs, true));
+    if (size == 255) {
+      ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+      EXPECT_EQ(RowAttachments(result),
+                (AttachmentsByPair{{{"a", "x"}, {""}},
+                                   {{"b", "y"}, {std::string(255, 'z')}}}));
+    } else {
+      EXPECT_TRUE(result.status.IsInvalidArgument())
+          << result.status.ToString();
+      EXPECT_TRUE(result.pair_rows.empty());
+    }
+  }
+}
+
+TEST(PairRowsJobTest, ACombinerCannotWriteGroups) {
   testing::TestCluster cluster;
   ASSERT_TRUE(cluster.fs.WriteLines("/in", {"a x", "a y", "b z"}).ok());
-  class PairCombiner : public Reducer {
+  class GroupCombiner : public Reducer {
    public:
-    void Reduce(std::string_view key, std::span<const std::string_view> values,
+    void Reduce(std::string_view, std::span<const std::string_view>,
                 ReduceContext& ctx) override {
-      for (std::string_view value : values) ctx.WritePair(key, value);
+      ctx.WriteGroup();
     }
   };
-  JobConfig job;
-  job.splits = MakeBlockSplits(cluster.fs, "/in").ValueOrDie();
-  job.mapper = []() { return std::make_unique<FieldsMapper>(); };
-  job.combiner = []() { return std::make_unique<PairCombiner>(); };
-  job.reducer = []() { return std::make_unique<PairRowReducer>(); };
+  JobConfig job = FieldsJob(cluster.fs, "/in", Rows::kPairs);
+  job.combiner = []() { return std::make_unique<GroupCombiner>(); };
   const JobResult result = cluster.runner.Run(job);
   EXPECT_TRUE(result.status.IsInvalidArgument()) << result.status.ToString();
   EXPECT_TRUE(result.pair_rows.empty());
@@ -813,16 +989,18 @@ TEST(PairRowsJobTest, ACombinerCannotWritePairs) {
 
 TEST(PairRowsJobTest, MapOnlyPairsPassThroughAsPairRows) {
   testing::TestCluster cluster;
-  ASSERT_TRUE(cluster.fs.WriteLines("/in", {"b 2", "- 1", "a -"}).ok());
-  JobConfig job;
-  job.splits = MakeBlockSplits(cluster.fs, "/in").ValueOrDie();
-  job.mapper = []() { return std::make_unique<FieldsMapper>(); };
-  const JobResult result = cluster.runner.Run(job);
+  ASSERT_TRUE(cluster.fs.WriteLines("/in", {"b 2 q", "- 1", "a - r"}).ok());
+  const JobResult result =
+      cluster.runner.Run(FieldsJob(cluster.fs, "/in", Rows::kMapOnly, true));
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
   EXPECT_TRUE(result.output.empty());
   ASSERT_EQ(result.pair_rows.size(), 1u);
   EXPECT_EQ(PairRowText(result),
             (std::vector<std::string>{"1", "a\t", "b\t2"}));
+  const PairRows& rows = result.pair_rows[0];
+  EXPECT_EQ(rows.attachment(0), "");
+  EXPECT_EQ(rows.attachment(1), "r");
+  EXPECT_EQ(rows.attachment(2), "q");
 }
 
 TEST(MakespanTest, GreedyScheduling) {

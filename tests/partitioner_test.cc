@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <map>
 #include <memory>
 #include <tuple>
@@ -169,6 +171,93 @@ TEST(GridPartitionerTest, UniformCellsOnUnitSquare) {
   EXPECT_EQ(grid.AssignPoint(Point(0.25, 0.0)), 1);
   // Points on the global max edge stay in range.
   EXPECT_EQ(grid.AssignPoint(Point(1.0, 1.0)), 15);
+}
+
+/// StrPartitioner's cell extents as its original construction computed
+/// them, scanning the whole sample once per slab for the slab's ys: the
+/// oracle for its one-pass bucketing.
+std::vector<Envelope> StrExtentsByRescan(const Envelope& space,
+                                         const std::vector<Point>& sample,
+                                         int target) {
+  const int num_slabs =
+      static_cast<int>(std::ceil(std::sqrt(static_cast<double>(target))));
+  const int rows_per_slab = (target + num_slabs - 1) / num_slabs;
+  std::vector<double> xs;
+  for (const Point& p : sample) xs.push_back(p.x);
+  std::sort(xs.begin(), xs.end());
+  std::vector<double> x_bounds = {space.min_x()};
+  for (int s = 1; s < num_slabs; ++s) {
+    double b = xs[std::min(s * xs.size() / num_slabs, xs.size() - 1)];
+    if (b <= x_bounds.back()) b = x_bounds.back();
+    x_bounds.push_back(b);
+  }
+  x_bounds.push_back(space.max_x());
+  auto slab_of = [&x_bounds](double x) {
+    return static_cast<int>(
+        std::upper_bound(x_bounds.begin() + 1, x_bounds.end() - 1, x) -
+        (x_bounds.begin() + 1));
+  };
+  std::vector<Envelope> extents;
+  for (int s = 0; s < num_slabs; ++s) {
+    std::vector<double> ys;
+    for (const Point& p : sample) {
+      if (slab_of(p.x) == s) ys.push_back(p.y);
+    }
+    std::sort(ys.begin(), ys.end());
+    std::vector<double> bounds = {space.min_y()};
+    const int rows = ys.empty() ? 1 : rows_per_slab;
+    for (int r = 1; r < rows; ++r) {
+      double b = ys[std::min(r * ys.size() / rows, ys.size() - 1)];
+      if (b <= bounds.back()) b = bounds.back();
+      bounds.push_back(b);
+    }
+    bounds.push_back(space.max_y());
+    for (size_t r = 0; r + 1 < bounds.size(); ++r) {
+      extents.emplace_back(x_bounds[s], bounds[r], x_bounds[s + 1],
+                           bounds[r + 1]);
+    }
+  }
+  return extents;
+}
+
+TEST(StrPartitionerTest, OnePassBoundariesMatchThePerSlabRescan) {
+  std::vector<std::pair<std::string, std::vector<Point>>> samples;
+  for (Distribution dist : {Distribution::kUniform, Distribution::kClustered}) {
+    workload::PointGenOptions options;
+    options.distribution = dist;
+    options.count = 5000;
+    options.seed = 17;
+    samples.emplace_back(workload::DistributionName(dist),
+                         workload::GeneratePoints(options));
+  }
+  // Few distinct coordinates: boundaries collapse onto one another.
+  std::vector<Point> duplicates;
+  for (int i = 0; i < 5000; ++i) {
+    duplicates.emplace_back((i * 7919) % 5, (i * 104729) % 3);
+  }
+  samples.emplace_back("duplicates", std::move(duplicates));
+  // Fewer points than slabs: some slabs get no ys.
+  samples.emplace_back("three points",
+                       std::vector<Point>{{5, 1}, {1, 9}, {5, 2}});
+  for (const auto& [name, sample] : samples) {
+    Envelope space;
+    for (const Point& p : sample) space.ExpandToInclude(p);
+    for (int target : {1, 2, 81, 100}) {
+      const std::vector<Envelope> expected =
+          StrExtentsByRescan(space, sample, target);
+      for (PartitionScheme scheme :
+           {PartitionScheme::kStr, PartitionScheme::kStrPlus}) {
+        SCOPED_TRACE(name + ", target " + std::to_string(target) + ", " +
+                     PartitionSchemeName(scheme));
+        auto part = MakePartitioner(scheme).ValueOrDie();
+        ASSERT_TRUE(part->Construct(space, sample, target).ok());
+        ASSERT_EQ(part->NumCells(), static_cast<int>(expected.size()));
+        for (int cell = 0; cell < part->NumCells(); ++cell) {
+          EXPECT_EQ(part->CellExtent(cell), expected[cell]) << "cell " << cell;
+        }
+      }
+    }
+  }
 }
 
 TEST(CurvePartitionerTest, HilbertPreservesLocality) {
