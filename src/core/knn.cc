@@ -158,9 +158,6 @@ Result<std::vector<KnnAnswer>> KnnSpatial(mapreduce::JobRunner* runner,
   if (k == 0) return std::vector<KnnAnswer>{};
 
   // Seed: nearest partitions until they collectively hold >= k records.
-  // Distances come from one batch kernel over the packed MBR lanes,
-  // bit-identical to per-partition MinDistance, so the ranking (and the
-  // rounds it drives) is unchanged.
   const std::vector<double> distances = gi.PartitionDistances(q);
   std::vector<std::pair<double, int>> by_distance;
   by_distance.reserve(gi.NumPartitions());

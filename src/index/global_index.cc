@@ -1,18 +1,32 @@
 #include "index/global_index.h"
 
-#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 
 #include "common/string_util.h"
 #include "geometry/wkt.h"
-#include "simd/mbr_kernels.h"
 
 namespace shadoop::index {
+namespace {
+
+/// A box the MBR filters may hold: finite with min <= max on both axes,
+/// or exactly the canonical empty box. On these Envelope::Intersects and
+/// MinDistance need no care for inverted or NaN bounds (DESIGN.md §13).
+bool IsFilterableBox(const double* c) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  if (c[0] == kInf && c[1] == kInf && c[2] == -kInf && c[3] == -kInf) {
+    return true;
+  }
+  return std::isfinite(c[0]) && std::isfinite(c[1]) && std::isfinite(c[2]) &&
+         std::isfinite(c[3]) && c[0] <= c[2] && c[1] <= c[3];
+}
+
+}  // namespace
 
 std::vector<std::pair<int, int>> OverlappingPartitionPairs(
     const GlobalIndex& a, const GlobalIndex& b) {
-  // One batch sweep over b's MBR lanes per a-partition; hit order is
-  // ascending, so the pair list is identical to the old nested loops.
+  // Pairs in a's partition order, each a-partition's b hits ascending.
   std::vector<std::pair<int, int>> pairs;
   for (const Partition& pa : a.partitions()) {
     for (int ib : b.OverlappingPartitions(pa.mbr)) {
@@ -20,20 +34,6 @@ std::vector<std::pair<int, int>> OverlappingPartitionPairs(
     }
   }
   return pairs;
-}
-
-void GlobalIndex::BuildMbrLanes() {
-  const size_t n = partitions_.size();
-  mbr_min_x_.resize(n);
-  mbr_min_y_.resize(n);
-  mbr_max_x_.resize(n);
-  mbr_max_y_.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    mbr_min_x_[i] = partitions_[i].mbr.min_x();
-    mbr_min_y_[i] = partitions_[i].mbr.min_y();
-    mbr_max_x_[i] = partitions_[i].mbr.max_x();
-    mbr_max_y_[i] = partitions_[i].mbr.max_y();
-  }
 }
 
 Envelope GlobalIndex::Bounds() const {
@@ -45,31 +45,18 @@ Envelope GlobalIndex::Bounds() const {
 std::vector<int> GlobalIndex::OverlappingPartitions(
     const Envelope& query) const {
   std::vector<int> ids;
-  if (partitions_.empty() || query.IsEmpty()) return ids;
-  const simd::BoxLanes lanes{mbr_min_x_.data(), mbr_min_y_.data(),
-                             mbr_max_x_.data(), mbr_max_y_.data()};
-  std::vector<uint64_t> bits(simd::BitmapWords(partitions_.size()));
-  simd::IntersectBoxBitmap(lanes, partitions_.size(), query.min_x(),
-                           query.min_y(), query.max_x(), query.max_y(),
-                           bits.data());
-  for (size_t w = 0; w < bits.size(); ++w) {
-    uint64_t word = bits[w];
-    while (word != 0) {
-      const size_t i = w * 64 + static_cast<size_t>(std::countr_zero(word));
-      word &= word - 1;
-      ids.push_back(partitions_[i].id);
-    }
+  for (const Partition& p : partitions_) {
+    if (p.mbr.Intersects(query)) ids.push_back(p.id);
   }
   return ids;
 }
 
 std::vector<double> GlobalIndex::PartitionDistances(const Point& p) const {
-  std::vector<double> distances(partitions_.size());
-  if (partitions_.empty()) return distances;
-  const simd::BoxLanes lanes{mbr_min_x_.data(), mbr_min_y_.data(),
-                             mbr_max_x_.data(), mbr_max_y_.data()};
-  simd::BoxMinDistance(lanes, partitions_.size(), p.x, p.y,
-                       distances.data());
+  std::vector<double> distances;
+  distances.reserve(partitions_.size());
+  for (const Partition& part : partitions_) {
+    distances.push_back(part.mbr.MinDistance(p));
+  }
   return distances;
 }
 
@@ -114,6 +101,10 @@ Result<Partition> GlobalIndex::ParseLine(std::string_view line) {
   SHADOOP_ASSIGN_OR_RETURN(int64_t bytes, ParseInt64(fields[11]));
   if (id < 0 || block < 0 || records < 0 || bytes < 0) {
     return Status::ParseError("negative id, block, record or byte count: '" +
+                              std::string(line) + "'");
+  }
+  if (!IsFilterableBox(coords) || !IsFilterableBox(coords + 4)) {
+    return Status::ParseError("cell or MBR neither a finite box nor empty: '" +
                               std::string(line) + "'");
   }
   p.id = static_cast<int>(id);

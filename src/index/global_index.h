@@ -20,9 +20,7 @@ class GlobalIndex {
  public:
   GlobalIndex() = default;
   GlobalIndex(PartitionScheme scheme, std::vector<Partition> partitions)
-      : scheme_(scheme), partitions_(std::move(partitions)) {
-    BuildMbrLanes();
-  }
+      : scheme_(scheme), partitions_(std::move(partitions)) {}
 
   PartitionScheme scheme() const { return scheme_; }
   bool IsDisjoint() const { return IsDisjointScheme(scheme_); }
@@ -37,10 +35,8 @@ class GlobalIndex {
   /// filter function.
   std::vector<int> OverlappingPartitions(const Envelope& query) const;
 
-  /// MinDistance of every partition's MBR to `p`, in partition order —
-  /// one batch kernel call, bit-identical to calling
-  /// Envelope::MinDistance per partition. The kNN seeding/pruning steps
-  /// rank partitions with this.
+  /// MinDistance of every partition's MBR to `p`, in partition order.
+  /// The kNN seeding/pruning steps rank partitions with this.
   std::vector<double> PartitionDistances(const Point& p) const;
 
   /// Serialization to/from the master-file line format:
@@ -51,19 +47,15 @@ class GlobalIndex {
   /// pre-catalog master files round-trip byte-identically.
   std::vector<std::string> ToLines() const;
   /// Parses one line of ToLines(). The id, block, records and bytes
-  /// fields must not be negative.
+  /// fields must not be negative, and the cell and MBR must each be a
+  /// finite box with min <= max on both axes or the canonical empty box
+  /// (what Envelope() writes), so the MBR filters never see an inverted
+  /// or NaN box.
   static Result<Partition> ParseLine(std::string_view line);
 
  private:
-  void BuildMbrLanes();
-
   PartitionScheme scheme_ = PartitionScheme::kNone;
   std::vector<Partition> partitions_;
-  // Packed SoA lanes of the partition MBRs, in partition order: the
-  // filter/prune steps (range filter, kNN seeding, join pairing) test
-  // every partition with one batch MBR kernel call. Rebuilt whenever
-  // partitions_ is (re)assigned — only the constructor does.
-  std::vector<double> mbr_min_x_, mbr_min_y_, mbr_max_x_, mbr_max_y_;
 };
 
 /// Partition pairs (a_id, b_id) whose MBRs intersect — the global-join

@@ -1,7 +1,6 @@
 #include "index/packed_rtree.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <queue>
 
@@ -22,8 +21,8 @@ PackedRTree::PackedRTree(const std::vector<Entry>& entries, int leaf_capacity)
 
   // STR packing: sort by center x, cut into vertical slabs, sort each slab
   // by center y. Sorting (key, index) pairs instead of Entry structs
-  // avoids moving 40-byte records; the lanes are filled through the
-  // resulting permutation.
+  // avoids moving 40-byte records; the entry arrays are filled through
+  // the resulting permutation.
   const size_t num_leaves = (n + capacity_ - 1) / capacity_;
   const size_t num_slabs = static_cast<size_t>(
       std::ceil(std::sqrt(static_cast<double>(num_leaves))));
@@ -48,29 +47,21 @@ PackedRTree::PackedRTree(const std::vector<Entry>& entries, int leaf_capacity)
               [](const KeyIdx& a, const KeyIdx& b) { return a.key < b.key; });
   }
 
-  entry_min_x_.resize(n);
-  entry_min_y_.resize(n);
-  entry_max_x_.resize(n);
-  entry_max_y_.resize(n);
+  entry_box_.resize(n);
   entry_payload_.resize(n);
   for (size_t i = 0; i < n; ++i) {
     const Entry& entry = entries[order[i].idx];
-    entry_min_x_[i] = entry.box.min_x();
-    entry_min_y_[i] = entry.box.min_y();
-    entry_max_x_[i] = entry.box.max_x();
-    entry_max_y_[i] = entry.box.max_y();
+    entry_box_[i] = entry.box;
     entry_payload_[i] = entry.payload;
   }
-  BuildNodes(n);
+  BuildNodes();
 }
 
-void PackedRTree::BuildNodes(size_t n) {
+void PackedRTree::BuildNodes() {
+  const size_t n = entry_box_.size();
   auto push_node = [this](const Envelope& box, uint32_t first, uint32_t last,
                           bool is_leaf) {
-    node_min_x_.push_back(box.min_x());
-    node_min_y_.push_back(box.min_y());
-    node_max_x_.push_back(box.max_x());
-    node_max_y_.push_back(box.max_y());
+    node_box_.push_back(box);
     node_meta_.push_back({first, last, is_leaf});
   };
 
@@ -79,26 +70,19 @@ void PackedRTree::BuildNodes(size_t n) {
   for (size_t s = 0; s < n; s += capacity_) {
     const size_t e = std::min(n, s + capacity_);
     Envelope box;
-    for (size_t i = s; i < e; ++i) {
-      box.ExpandToInclude(Envelope(entry_min_x_[i], entry_min_y_[i],
-                                   entry_max_x_[i], entry_max_y_[i]));
-    }
+    for (size_t i = s; i < e; ++i) box.ExpandToInclude(entry_box_[i]);
     level.push_back(static_cast<uint32_t>(node_meta_.size()));
     push_node(box, static_cast<uint32_t>(s), static_cast<uint32_t>(e), true);
   }
   // Internal levels bottom-up: children are already in STR order, so
   // consecutive grouping preserves locality, and each group's children
-  // are contiguous in the node lanes.
+  // are contiguous in node_box_.
   while (level.size() > 1) {
     std::vector<uint32_t> next;
     for (size_t s = 0; s < level.size(); s += capacity_) {
       const size_t e = std::min(level.size(), s + capacity_);
       Envelope box;
-      for (size_t i = s; i < e; ++i) {
-        const uint32_t c = level[i];
-        box.ExpandToInclude(Envelope(node_min_x_[c], node_min_y_[c],
-                                     node_max_x_[c], node_max_y_[c]));
-      }
+      for (size_t i = s; i < e; ++i) box.ExpandToInclude(node_box_[level[i]]);
       next.push_back(static_cast<uint32_t>(node_meta_.size()));
       push_node(box, level[s], level[e - 1] + 1, false);
     }
@@ -107,67 +91,28 @@ void PackedRTree::BuildNodes(size_t n) {
   root_ = level.front();
 }
 
-simd::BoxLanes PackedRTree::ChildLanes(const NodeMeta& node) const {
-  const uint32_t first = node.first;
-  return node.is_leaf
-             ? simd::BoxLanes{entry_min_x_.data() + first,
-                              entry_min_y_.data() + first,
-                              entry_max_x_.data() + first,
-                              entry_max_y_.data() + first}
-             : simd::BoxLanes{node_min_x_.data() + first,
-                              node_min_y_.data() + first,
-                              node_max_x_.data() + first,
-                              node_max_y_.data() + first};
-}
-
 Envelope PackedRTree::Bounds() const {
-  if (node_meta_.empty()) return Envelope();
-  return Envelope(node_min_x_[root_], node_min_y_[root_], node_max_x_[root_],
-                  node_max_y_[root_]);
+  return node_box_.empty() ? Envelope() : node_box_[root_];
 }
 
 size_t PackedRTree::Search(const Envelope& query,
                            std::vector<uint32_t>* out) const {
   if (node_meta_.empty() || !Bounds().Intersects(query)) return 0;
-  const simd::detail::KernelTable& kernels = simd::ActiveKernels();
-
-  // Scratch hit bitmap: one batch call covers one node's children, so
-  // `capacity_` bits suffice. Nodes wider than the stack buffer (unusual
-  // capacities) spill to a heap buffer once per search.
-  uint64_t stack_bits[4];
-  std::vector<uint64_t> heap_bits;
-  uint64_t* bits = stack_bits;
-  const size_t words = simd::BitmapWords(static_cast<size_t>(capacity_));
-  if (words > 4) {
-    heap_bits.resize(words);
-    bits = heap_bits.data();
-  }
-
   size_t visited = 0;
   std::vector<uint32_t> stack = {root_};
   while (!stack.empty()) {
     const NodeMeta node = node_meta_[stack.back()];
     stack.pop_back();
     ++visited;
-    const size_t count = node.last - node.first;
-    const size_t hits = kernels.intersect_box_bitmap(
-        ChildLanes(node), count, query.min_x(), query.min_y(), query.max_x(),
-        query.max_y(), bits);
-    if (hits == 0) continue;
-    // Ascending bit order: leaf payloads append in entry order, and
+    // Ascending child order: leaf payloads append in entry order, and
     // pushed children pop last-first.
-    for (size_t w = 0; w < simd::BitmapWords(count); ++w) {
-      uint64_t word = bits[w];
-      while (word != 0) {
-        const uint32_t offset =
-            node.first + static_cast<uint32_t>(w * 64) +
-            static_cast<uint32_t>(std::countr_zero(word));
-        word &= word - 1;
-        if (node.is_leaf) {
-          out->push_back(entry_payload_[offset]);
-        } else {
-          stack.push_back(offset);
-        }
+    const Envelope* boxes = node.is_leaf ? entry_box_.data() : node_box_.data();
+    for (uint32_t i = node.first; i < node.last; ++i) {
+      if (!boxes[i].Intersects(query)) continue;
+      if (node.is_leaf) {
+        out->push_back(entry_payload_[i]);
+      } else {
+        stack.push_back(i);
       }
     }
   }
@@ -178,7 +123,6 @@ std::vector<uint32_t> PackedRTree::NearestNeighbors(const Point& q,
                                                     size_t k) const {
   std::vector<uint32_t> result;
   if (node_meta_.empty() || k == 0) return result;
-  const simd::detail::KernelTable& kernels = simd::ActiveKernels();
 
   // Best-first search over nodes and entries by MinDistance. The queue
   // orders by distance only; ties resolve by the heap's push history,
@@ -192,7 +136,6 @@ std::vector<uint32_t> PackedRTree::NearestNeighbors(const Point& q,
   std::priority_queue<Item, std::vector<Item>, decltype(greater)> queue(
       greater);
   queue.push({Bounds().MinDistance(q), false, root_});
-  std::vector<double> dist(static_cast<size_t>(capacity_));
   while (!queue.empty() && result.size() < k) {
     const Item item = queue.top();
     queue.pop();
@@ -201,11 +144,9 @@ std::vector<uint32_t> PackedRTree::NearestNeighbors(const Point& q,
       continue;
     }
     const NodeMeta node = node_meta_[item.index];
-    const size_t count = node.last - node.first;
-    kernels.box_min_distance(ChildLanes(node), count, q.x, q.y, dist.data());
-    for (size_t i = 0; i < count; ++i) {
-      queue.push({dist[i], node.is_leaf,
-                  node.first + static_cast<uint32_t>(i)});
+    const Envelope* boxes = node.is_leaf ? entry_box_.data() : node_box_.data();
+    for (uint32_t i = node.first; i < node.last; ++i) {
+      queue.push({boxes[i].MinDistance(q), node.is_leaf, i});
     }
   }
   return result;

@@ -6,7 +6,6 @@
 
 #include "geometry/envelope.h"
 #include "geometry/point.h"
-#include "simd/mbr_kernels.h"
 
 namespace shadoop::index {
 
@@ -15,13 +14,12 @@ namespace shadoop::index {
 /// times. Entries carry an opaque uint32 payload (the record's index in
 /// the block).
 ///
-/// Node and entry boxes live in contiguous SoA lanes (separate min-x /
-/// min-y / max-x / max-y arrays), so Search tests a whole node's children
-/// with one batch MBR kernel call (simd::IntersectBoxBitmap) and
-/// NearestNeighbors scores them with one simd::BoxMinDistance call. The
-/// kernels are bit-identical on every dispatch target, so hit order,
-/// neighbour order and visited-node counts (the CPU-cost proxy charged to
-/// the simulated cost model) do not depend on the CPU.
+/// Entry and node boxes live in contiguous Envelope arrays, so a node's
+/// children are one run of boxes: Search tests them with
+/// Envelope::Intersects and NearestNeighbors scores them with
+/// Envelope::MinDistance, in ascending order. That order fixes hit
+/// order, neighbour order and visited-node counts (the CPU-cost proxy
+/// charged to the simulated cost model).
 class PackedRTree {
  public:
   struct Entry {
@@ -55,24 +53,20 @@ class PackedRTree {
 
  private:
   struct NodeMeta {
-    uint32_t first = 0;  // Children in node lanes (inner) or entry lanes
+    uint32_t first = 0;  // Children in node_box_ (inner) or entry_box_
     uint32_t last = 0;   // (leaf): [first, last).
     bool is_leaf = true;
   };
 
-  void BuildNodes(size_t n);
+  void BuildNodes();
 
-  /// The lanes holding `node`'s children: entry lanes for a leaf, node
-  /// lanes otherwise.
-  simd::BoxLanes ChildLanes(const NodeMeta& node) const;
-
-  // Entry lanes, in STR-packed order.
-  std::vector<double> entry_min_x_, entry_min_y_, entry_max_x_, entry_max_y_;
+  // Entry boxes and payloads, in STR-packed order.
+  std::vector<Envelope> entry_box_;
   std::vector<uint32_t> entry_payload_;
 
-  // Node lanes: leaves first, then each internal level bottom-up; the
+  // Node boxes: leaves first, then each internal level bottom-up; the
   // root is the last node.
-  std::vector<double> node_min_x_, node_min_y_, node_max_x_, node_max_y_;
+  std::vector<Envelope> node_box_;
   std::vector<NodeMeta> node_meta_;
   uint32_t root_ = 0;
   int capacity_ = 32;

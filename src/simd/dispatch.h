@@ -1,34 +1,16 @@
 #ifndef SHADOOP_SIMD_DISPATCH_H_
 #define SHADOOP_SIMD_DISPATCH_H_
 
-#include <string>
-#include <vector>
-
 namespace shadoop::simd {
 
-/// Kernel instruction-set targets. kScalar is always compiled in and is
-/// the semantic reference: every vector target must produce bit-identical
-/// results (hit bitmaps, distances) for the same inputs.
-enum class Target {
-  kScalar,
-  kAvx2,
-  kNeon,
-};
+/// Exists only for perfbench, whose report header prints the filter
+/// target. The MBR filters are plain loops over Envelopes (DESIGN.md
+/// §13), so the one target is scalar.
+enum class Target { kScalar };
 
-const char* TargetName(Target target);
+inline const char* TargetName(Target) { return "scalar"; }
 
-/// Targets compiled into this binary AND usable on this CPU. Always
-/// contains kScalar. Order: kScalar first, then vector targets.
-std::vector<Target> SupportedTargets();
-
-/// The target the kernel entry points currently dispatch to. Defaults to
-/// the widest supported vector target (detected once at first use).
-Target ActiveTarget();
-
-/// Overrides dispatch (tests and the scalar-forced CI leg use this).
-/// Returns false — leaving the active target unchanged — when `target`
-/// is not compiled in or not supported by the running CPU.
-bool SetActiveTarget(Target target);
+inline Target ActiveTarget() { return Target::kScalar; }
 
 }  // namespace shadoop::simd
 

@@ -22,7 +22,6 @@
 #include "geometry/segment.h"
 #include "geometry/simplify.h"
 #include "geometry/wkt.h"
-#include "simd/mbr_kernels.h"
 
 namespace shadoop {
 namespace {
@@ -626,8 +625,8 @@ TEST(WktTest, WktScannerMatchesOracle) {
 namespace oracle {
 
 // Polygon::Contains, ContainsInterior and Intersects as they stood before
-// ring views: Intersects rebuilt the other ring's edge-box lanes for
-// every pair and tested every edge pair through the batch kernel.
+// ring views: Intersects tested every edge pair, filtered by the two
+// edges' boxes.
 
 bool EvenOddInside(const std::vector<Point>& ring, const Point& p) {
   bool inside = false;
@@ -668,40 +667,19 @@ bool Intersects(const Polygon& self, const Polygon& other) {
   const std::vector<Point>& ring = self.ring();
   const size_t na = ring.size();
   const size_t nb = other.ring().size();
-  thread_local std::vector<double> b_min_x, b_min_y, b_max_x, b_max_y;
-  thread_local std::vector<uint64_t> hit_bits;
-  b_min_x.resize(nb);
-  b_min_y.resize(nb);
-  b_max_x.resize(nb);
-  b_max_y.resize(nb);
-  hit_bits.resize(simd::BitmapWords(nb));
-  for (size_t j = 0; j < nb; ++j) {
-    const Point& t0 = other.ring()[j];
-    const Point& t1 = other.ring()[(j + 1) % nb];
-    b_min_x[j] = std::min(t0.x, t1.x);
-    b_min_y[j] = std::min(t0.y, t1.y);
-    b_max_x[j] = std::max(t0.x, t1.x);
-    b_max_y[j] = std::max(t0.y, t1.y);
-  }
-  const simd::BoxLanes lanes{b_min_x.data(), b_min_y.data(), b_max_x.data(),
-                             b_max_y.data()};
-  const simd::detail::KernelTable& kernels = simd::ActiveKernels();
+  // The edge box as the ring-view loop builds it: std::min/std::max of
+  // the endpoints in ring order.
+  const auto edge_box = [](const Segment& e) {
+    return Envelope(std::min(e.a.x, e.b.x), std::min(e.a.y, e.b.y),
+                    std::max(e.a.x, e.b.x), std::max(e.a.y, e.b.y));
+  };
   for (size_t i = 0; i < na; ++i) {
-    const Point& s0 = ring[i];
-    const Point& s1 = ring[(i + 1) % na];
-    const Segment s(s0, s1);
-    const size_t hits = kernels.intersect_box_bitmap(
-        lanes, nb, std::min(s0.x, s1.x), std::min(s0.y, s1.y),
-        std::max(s0.x, s1.x), std::max(s0.y, s1.y), hit_bits.data());
-    if (hits == 0) continue;
-    for (size_t w = 0; w < hit_bits.size(); ++w) {
-      uint64_t word = hit_bits[w];
-      while (word != 0) {
-        const size_t j = w * 64 + static_cast<size_t>(std::countr_zero(word));
-        word &= word - 1;
-        const Segment t(other.ring()[j], other.ring()[(j + 1) % nb]);
-        if (SegmentsIntersect(s, t)) return true;
-      }
+    const Segment s(ring[i], ring[(i + 1) % na]);
+    const Envelope s_box = edge_box(s);
+    for (size_t j = 0; j < nb; ++j) {
+      const Segment t(other.ring()[j], other.ring()[(j + 1) % nb]);
+      if (!s_box.Intersects(edge_box(t))) continue;
+      if (SegmentsIntersect(s, t)) return true;
     }
   }
   return Contains(self, other.ring().front()) ||

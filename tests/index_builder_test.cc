@@ -468,6 +468,8 @@ class CorruptMasterTest : public ::testing::Test {
 };
 
 constexpr size_t kBlockField = 1;
+constexpr size_t kCellField = 2;  // cell x1,y1,x2,y2 in fields 2-5
+constexpr size_t kMbrField = 6;   // mbr x1,y1,x2,y2 in fields 6-9
 constexpr size_t kRecordsField = 10;
 constexpr size_t kBytesField = 11;
 
@@ -511,6 +513,17 @@ TEST_F(CorruptMasterTest, ByteCountThatDisagreesWithItsBlockFailsTheLoad) {
 
 TEST_F(CorruptMasterTest, TwoPartitionsNamingOneBlockFailTheLoad) {
   ExpectLoadFails(WithField(3, kBlockField, Field(2, kBlockField)), "line 3");
+}
+
+TEST_F(CorruptMasterTest, ImpossibleMbrFailsTheLoad) {
+  // Neither finite with min <= max nor the canonical empty box: an
+  // inverted MBR (its partition would never be read), a NaN MBR, a NaN
+  // cell (the disjoint schemes' reference-point test would reject every
+  // record) and an infinite cell corner.
+  ExpectLoadFails(WithField(2, kMbrField, "1e300"), "line 2");
+  ExpectLoadFails(WithField(3, kMbrField + 1, "nan"), "line 3");
+  ExpectLoadFails(WithField(2, kCellField, "nan"), "line 2");
+  ExpectLoadFails(WithField(3, kCellField + 3, "inf"), "line 3");
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -29,23 +30,80 @@ std::vector<Entry> RandomEntries(size_t n, uint64_t seed) {
   return entries;
 }
 
-std::set<uint32_t> BruteForceSearch(const std::vector<Entry>& entries,
-                                    const Envelope& query) {
-  std::set<uint32_t> hits;
+/// Search returns every entry whose box intersects `query` exactly
+/// once, and visits no node when the tree's bounds miss the query.
+void ExpectSearchMatchesBruteForce(const PackedRTree& tree,
+                                   const std::vector<Entry>& entries,
+                                   const Envelope& query) {
+  std::set<uint32_t> expected;
   for (const Entry& e : entries) {
-    if (e.box.Intersects(query)) hits.insert(e.payload);
+    if (e.box.Intersects(query)) expected.insert(e.payload);
   }
-  return hits;
+  std::vector<uint32_t> out;
+  const size_t visited = tree.Search(query, &out);
+  EXPECT_EQ(visited > 0, tree.Bounds().Intersects(query));
+  EXPECT_EQ(std::set<uint32_t>(out.begin(), out.end()).size(), out.size());
+  EXPECT_EQ(std::set<uint32_t>(out.begin(), out.end()), expected)
+      << query.ToString();
 }
 
-/// MinDistance of every entry to `q`, ascending.
-std::vector<double> BruteForceDistances(const std::vector<Entry>& entries,
-                                        const Point& q) {
+/// NearestNeighbors returns min(k, n) payloads, nearest first, whose
+/// distances are exactly the k smallest MinDistances. Payload i must be
+/// entry i.
+void ExpectKnnMatchesBruteForce(const PackedRTree& tree,
+                                const std::vector<Entry>& entries,
+                                const Point& q, size_t k) {
   std::vector<double> dists;
   for (const Entry& e : entries) dists.push_back(e.box.MinDistance(q));
   std::sort(dists.begin(), dists.end());
-  return dists;
+  const std::vector<uint32_t> knn = tree.NearestNeighbors(q, k);
+  ASSERT_EQ(knn.size(), std::min(k, entries.size()));
+  for (size_t i = 0; i < knn.size(); ++i) {
+    EXPECT_EQ(entries[knn[i]].box.MinDistance(q), dists[i]) << "rank " << i;
+  }
 }
+
+/// Entries mixing the boxes the MBR filter must get right: regular
+/// boxes, degenerate point and segment boxes, boxes whose min-x edge
+/// lies on kEdgeQuery's max-x edge (closed semantics: touching hits), and
+/// canonical-empty boxes, which never match and lie at +inf from every
+/// point. Entry i carries payload i.
+const Envelope kEdgeQuery(-10, -10, 10, 10);
+
+std::vector<Entry> MixedEntries(size_t n, Random* rng) {
+  std::vector<Entry> entries;
+  entries.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    const double x = rng->NextDouble(-100, 100);
+    const double y = rng->NextDouble(-100, 100);
+    const double len = rng->NextDouble(0, 20);
+    Envelope box;
+    switch (rng->NextUint32(5)) {
+      case 0:  // Canonical empty box.
+        break;
+      case 1:
+        box = Envelope(x, y, x, y);
+        break;
+      case 2:
+        box = rng->NextBool() ? Envelope(x, y, x + len, y)
+                              : Envelope(x, y, x, y + len);
+        break;
+      case 3:
+        box = Envelope(10, y / 8, 10 + len, y / 8 + 1);
+        break;
+      default:
+        box = Envelope(x, y, x + len, y + rng->NextDouble(0, 20));
+        break;
+    }
+    entries.push_back({box, static_cast<uint32_t>(i)});
+  }
+  return entries;
+}
+
+/// The tree grid: empty, single-entry, single-leaf and multi-level trees
+/// at several fan-outs.
+const size_t kTreeSizes[] = {0, 1, 5, 100, 1000};
+const int kCapacities[] = {2, 4, 32};
 
 TEST(PackedRTreeTest, EmptyTree) {
   for (const PackedRTree& tree :
@@ -74,12 +132,33 @@ TEST(PackedRTreeTest, SearchMatchesBruteForce) {
     const double y = rng.NextDouble(0, 90);
     const Envelope query(x, y, x + rng.NextDouble(0, 20),
                          y + rng.NextDouble(0, 20));
-    std::vector<uint32_t> out;
-    tree.Search(query, &out);
-    // Every hit exactly once.
-    EXPECT_EQ(std::set<uint32_t>(out.begin(), out.end()).size(), out.size());
-    EXPECT_EQ(std::set<uint32_t>(out.begin(), out.end()),
-              BruteForceSearch(entries, query));
+    ExpectSearchMatchesBruteForce(tree, entries, query);
+  }
+
+  // The tree grid over mixed boxes, with the edge query, a point query
+  // and random windows; an empty query never matches and never visits.
+  Random grid_rng(23);
+  for (size_t n : kTreeSizes) {
+    for (int capacity : kCapacities) {
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   " capacity=" + std::to_string(capacity));
+      const std::vector<Entry> mixed = MixedEntries(n, &grid_rng);
+      const PackedRTree grid_tree(mixed, capacity);
+      EXPECT_EQ(grid_tree.NumEntries(), n);
+      ExpectSearchMatchesBruteForce(grid_tree, mixed, kEdgeQuery);
+      ExpectSearchMatchesBruteForce(grid_tree, mixed, Envelope(5, 5, 5, 5));
+      for (int q = 0; q < 30; ++q) {
+        const double x = grid_rng.NextDouble(-110, 110);
+        const double y = grid_rng.NextDouble(-110, 110);
+        ExpectSearchMatchesBruteForce(
+            grid_tree, mixed,
+            Envelope(x, y, x + grid_rng.NextDouble(0, 40),
+                     y + grid_rng.NextDouble(0, 40)));
+      }
+      std::vector<uint32_t> out;
+      EXPECT_EQ(grid_tree.Search(Envelope(), &out), 0u);
+      EXPECT_TRUE(out.empty());
+    }
   }
 }
 
@@ -117,12 +196,25 @@ TEST(PackedRTreeTest, NearestNeighborsMatchBruteForce) {
 
   // Box entries: the k smallest MinDistances, nearest first.
   const auto boxes = RandomEntries(1000, 13);
-  const PackedRTree box_tree(boxes, /*leaf_capacity=*/8);
-  const std::vector<double> dists = BruteForceDistances(boxes, q);
-  const auto box_knn = box_tree.NearestNeighbors(q, 25);
-  ASSERT_EQ(box_knn.size(), 25u);
-  for (size_t i = 0; i < box_knn.size(); ++i) {
-    EXPECT_EQ(boxes[box_knn[i]].box.MinDistance(q), dists[i]) << i;
+  ExpectKnnMatchesBruteForce(PackedRTree(boxes, /*leaf_capacity=*/8), boxes,
+                             q, 25);
+
+  // The tree grid over mixed boxes; canonical-empty entries rank last,
+  // at +inf.
+  Random grid_rng(29);
+  for (size_t n : kTreeSizes) {
+    for (int capacity : kCapacities) {
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   " capacity=" + std::to_string(capacity));
+      const std::vector<Entry> mixed = MixedEntries(n, &grid_rng);
+      const PackedRTree grid_tree(mixed, capacity);
+      for (int qi = 0; qi < 20; ++qi) {
+        const Point p(grid_rng.NextDouble(-110, 110),
+                      grid_rng.NextDouble(-110, 110));
+        ExpectKnnMatchesBruteForce(grid_tree, mixed, p,
+                                   1 + grid_rng.NextUint32(12));
+      }
+    }
   }
 }
 

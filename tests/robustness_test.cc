@@ -112,6 +112,31 @@ TEST(CorruptMasterTest, GlobalIndexLineRoundTripAndErrors) {
   EXPECT_FALSE(index::GlobalIndex::ParseLine("1,2,3").ok());
   EXPECT_FALSE(index::GlobalIndex::ParseLine("a,b,0,0,1,1,0,0,1,1,5,5").ok());
   EXPECT_FALSE(index::GlobalIndex::ParseLine("1,2,0,0,1,1,0,0,1,1,-5,5").ok());
+
+  // The cell and the MBR must each be a finite box with min <= max on
+  // both axes, or exactly the canonical empty box, which an empty
+  // partition writes and reads back.
+  const char* impossible[] = {
+      "1,2,0,0,1,1,5,0,3,1,5,5",            // Inverted MBR.
+      "1,2,0,0,1,1,0,3,1,2,5,5",            // MBR inverted in y.
+      "1,2,1,0,0,1,0,0,1,1,5,5",            // Inverted cell.
+      "1,2,0,0,1,1,nan,0,1,1,5,5",          // NaN MBR.
+      "1,2,0,nan,1,1,0,0,1,1,5,5",          // NaN cell.
+      "1,2,0,0,1,1,0,0,inf,1,5,5",          // Infinite MBR corner.
+      "1,2,-inf,-inf,inf,inf,0,0,1,1,5,5",  // Infinite cell.
+      "1,2,0,0,1,1,inf,0,-inf,1,5,5",       // Empty in x only.
+  };
+  for (const char* line : impossible) {
+    const Status status = index::GlobalIndex::ParseLine(line).status();
+    EXPECT_TRUE(status.IsParseError()) << line << ": " << status.ToString();
+  }
+  index::Partition empty = p;
+  empty.mbr = Envelope();
+  const std::string empty_line =
+      index::GlobalIndex(PartitionScheme::kGrid, {empty}).ToLines()[0];
+  EXPECT_EQ(empty_line, "3,7,0,0,10,10,inf,inf,-inf,-inf,42,1234");
+  EXPECT_TRUE(
+      index::GlobalIndex::ParseLine(empty_line).ValueOrDie().mbr.IsEmpty());
 }
 
 // ---------------------------------------------------------------------

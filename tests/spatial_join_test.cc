@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "core/spatial_join.h"
 #include "fault/fault_injector.h"
@@ -370,6 +372,53 @@ TEST(LocalJoinTest, EmptySidesYieldNothing) {
     LocalJoinPairs(some, {}, algorithm, [&](uint32_t, uint32_t) { ++emitted; });
     EXPECT_EQ(emitted, 0);
   }
+}
+
+TEST(LocalJoinTest, ChargeAndPairOrderArePinned) {
+  // 41 x 32 boxes: the R-tree over A has two leaves under its root, and
+  // the last three boxes add a pair touching at x = 52 and a point box.
+  // The charges feed JobCost and the pair order is the join's row order,
+  // so both are pinned per algorithm.
+  Random rng(58);
+  std::vector<index::PackedRTree::Entry> a;
+  std::vector<index::PackedRTree::Entry> b;
+  for (uint32_t i = 0; i < 70; ++i) {
+    const double x = rng.NextDouble(0, 40);
+    const double y = rng.NextDouble(0, 40);
+    const double w = rng.NextDouble(0, 6);
+    const double h = rng.NextDouble(0, 6);
+    const Envelope box(x, y, x + w, y + h);
+    if (i < 40) {
+      a.push_back({box, i});
+    } else {
+      b.push_back({box, i - 40});
+    }
+  }
+  a.push_back({Envelope(50, 50, 52, 52), 40});
+  b.push_back({Envelope(52, 51, 54, 53), 30});
+  b.push_back({Envelope(51, 51, 51, 51), 31});
+  using Pairs = std::vector<std::pair<uint32_t, uint32_t>>;
+  const auto run = [&](LocalJoinAlgorithm algorithm, Pairs* pairs) {
+    return LocalJoinPairs(a, b, algorithm, [&](uint32_t pa, uint32_t pb) {
+      pairs->emplace_back(pa, pb);
+    });
+  };
+  Pairs rtree;
+  EXPECT_EQ(run(LocalJoinAlgorithm::kRTreeProbe, &rtree), 6196u);
+  EXPECT_EQ(rtree, (Pairs{{8, 1}, {26, 2}, {12, 3}, {24, 3}, {36, 6}, {18, 7},
+                        {23, 7}, {25, 8}, {24, 8}, {2, 9}, {16, 9}, {35, 11},
+                        {38, 11}, {25, 12}, {12, 12}, {24, 12}, {4, 12},
+                        {29, 14}, {13, 15}, {18, 17}, {33, 18}, {34, 19},
+                        {10, 19}, {29, 22}, {13, 23}, {26, 26}, {39, 27},
+                        {26, 29}, {40, 30}, {40, 31}}));
+  Pairs sweep;
+  EXPECT_EQ(run(LocalJoinAlgorithm::kPlaneSweep, &sweep), 5041u);
+  EXPECT_EQ(sweep, (Pairs{{29, 14}, {29, 22}, {26, 29}, {26, 26}, {26, 2},
+                        {13, 15}, {13, 23}, {2, 9}, {8, 1}, {16, 9}, {33, 18},
+                        {36, 6}, {25, 8}, {25, 12}, {24, 8}, {24, 12}, {4, 12},
+                        {12, 12}, {24, 3}, {35, 11}, {38, 11}, {12, 3},
+                        {18, 17}, {18, 7}, {10, 19}, {34, 19}, {39, 27},
+                        {23, 7}, {40, 31}, {40, 30}}));
 }
 
 TEST(SpatialJoinTest, PlaneSweepKernelMatchesRTreeInBothJoins) {
