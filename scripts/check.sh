@@ -8,7 +8,7 @@
 #      suite (memory and UB coverage).
 #   2. ThreadSanitizer over the concurrency-heavy suites — the MapReduce
 #      runtime, the zero-copy record path, the fault-tolerance scheduler
-#      whose speculative attempts race by design, and the multi-tenant
+#      whose tasks retry in parallel lanes, and the multi-tenant
 #      admission controller whose FIFO queues block across threads.
 # Use this before sending a change for review; the plain `build/` tree
 # stays untouched for fast iteration.
@@ -67,10 +67,11 @@ TSAN_FLAGS="-fsanitize=thread -fno-omit-frame-pointer"
 # the (slow) TSan runtime stays affordable:
 #   - mapreduce_test: thread pool, shuffle, parallel map/reduce
 #   - zero_copy_test: shared block arenas across map attempts
-#   - fault_test: retries + speculative attempt races, commit-once CAS
+#   - fault_test: retries in parallel task lanes, and two jobs counting
+#     replica failovers on one file system at the same time
 #   - robustness_test: fault-matrix sweep over whole operations
-#   - admission_test: cross-thread FIFO admission, quota blocking, lane
-#     accounting under concurrent tenants
+#   - admission_test: cross-thread FIFO admission and quota blocking
+#     under concurrent tenants
 #   - catalog_test: snapshot reads racing concurrent catalog appends
 #   - server_test: concurrent tenant sessions sharing one result cache
 #   - common_test: concurrent inserts of one key into a FifoCache, and

@@ -25,8 +25,6 @@ const char* StatusCodeName(StatusCode code) {
       return "Unimplemented";
     case StatusCode::kInternal:
       return "Internal";
-    case StatusCode::kCancelled:
-      return "Cancelled";
   }
   return "Unknown";
 }

@@ -22,7 +22,6 @@ enum class StatusCode {
   kResourceExhausted = 6,
   kUnimplemented = 7,
   kInternal = 8,
-  kCancelled = 9,
 };
 
 /// Returns a stable human-readable name for a status code.
@@ -80,9 +79,6 @@ class Status {
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
   }
-  static Status Cancelled(std::string msg) {
-    return Status(StatusCode::kCancelled, std::move(msg));
-  }
 
   bool ok() const { return state_ == nullptr; }
   StatusCode code() const { return state_ ? state_->code : StatusCode::kOk; }
@@ -101,7 +97,6 @@ class Status {
   }
   bool IsUnimplemented() const { return code() == StatusCode::kUnimplemented; }
   bool IsInternal() const { return code() == StatusCode::kInternal; }
-  bool IsCancelled() const { return code() == StatusCode::kCancelled; }
 
   /// Formats as "OK" or "<CodeName>: <message>".
   std::string ToString() const;

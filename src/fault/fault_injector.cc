@@ -65,27 +65,15 @@ double FaultInjector::StragglerDelayMs(TaskKind kind, std::string_view job,
   return policy_.straggler_delay_ms;
 }
 
-FaultInjector::ReadFault FaultInjector::ReadFaultAt(uint64_t block_id,
-                                                    int replica_node) const {
-  const double corrupt = policy_.read_corruption_prob;
-  const double io_error = policy_.read_io_error_prob;
-  if (corrupt <= 0 && io_error <= 0) return ReadFault::kNone;
-  // One draw decides both modes so their union stays monotone in either
-  // probability: [0, corrupt) corrupts, [corrupt, corrupt + io) errors.
-  const double u = UnitDraw(kReplicaRead, block_id,
-                            static_cast<uint64_t>(replica_node), 0);
-  if (u < corrupt) return ReadFault::kCorruption;
-  if (u < corrupt + io_error) return ReadFault::kIoError;
-  return ReadFault::kNone;
-}
-
-void FaultInjector::RecordReplicaFailover(ReadFault fault) {
-  replica_failovers_.fetch_add(1, std::memory_order_relaxed);
-  if (fault == ReadFault::kCorruption) {
-    read_corruptions_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    read_io_errors_.fetch_add(1, std::memory_order_relaxed);
-  }
+bool FaultInjector::FailsReplicaRead(uint64_t block_id,
+                                     int replica_node) const {
+  // Both modes make the reader fail over, so one draw against their summed
+  // probability decides: the faulted set only grows as either one rises.
+  const double prob =
+      policy_.read_corruption_prob + policy_.read_io_error_prob;
+  if (prob <= 0) return false;
+  return UnitDraw(kReplicaRead, block_id, static_cast<uint64_t>(replica_node),
+                  0) < prob;
 }
 
 }  // namespace shadoop::fault

@@ -1,7 +1,6 @@
 #ifndef SHADOOP_FAULT_FAULT_INJECTOR_H_
 #define SHADOOP_FAULT_FAULT_INJECTOR_H_
 
-#include <atomic>
 #include <cstdint>
 #include <string_view>
 
@@ -60,10 +59,10 @@ struct FaultPolicy {
 
 /// Deterministic, thread-safe fault source. Every decision is a pure
 /// function of the policy seed and the decision's identity (job name,
-/// task, attempt, block, replica): no internal RNG state advances, so
-/// concurrent queries from worker threads cannot reorder the fault
-/// pattern. The only mutable state is the read-fault counters, which the
-/// file system bumps when an injected fault makes it skip a replica.
+/// task, attempt, block, replica): the injector holds no mutable state,
+/// so concurrent queries from worker threads cannot reorder the fault
+/// pattern. The replicas a read skips are counted by its caller
+/// (hdfs::FileSystem::ReadBlockRaw).
 class FaultInjector {
  public:
   explicit FaultInjector(FaultPolicy policy) : policy_(policy) {}
@@ -78,32 +77,15 @@ class FaultInjector {
   double StragglerDelayMs(TaskKind kind, std::string_view job, size_t task,
                           int attempt) const;
 
-  /// Outcome of reading one replica of a block.
-  enum class ReadFault { kNone = 0, kIoError, kCorruption };
-  ReadFault ReadFaultAt(uint64_t block_id, int replica_node) const;
-
-  /// Called by the file system when an injected fault (or a checksum
-  /// mismatch) made it fail over to another replica.
-  void RecordReplicaFailover(ReadFault fault);
-
-  uint64_t replica_failovers() const {
-    return replica_failovers_.load(std::memory_order_relaxed);
-  }
-  uint64_t read_io_errors() const {
-    return read_io_errors_.load(std::memory_order_relaxed);
-  }
-  uint64_t read_corruptions() const {
-    return read_corruptions_.load(std::memory_order_relaxed);
-  }
+  /// True when reading this replica of the block fails, by an I/O error
+  /// or by corrupt bytes; either way the reader fails over.
+  bool FailsReplicaRead(uint64_t block_id, int replica_node) const;
 
  private:
   /// Uniform draw in [0, 1) keyed by (seed, stream, a, b, c).
   double UnitDraw(uint64_t stream, uint64_t a, uint64_t b, uint64_t c) const;
 
   FaultPolicy policy_;
-  std::atomic<uint64_t> replica_failovers_{0};
-  std::atomic<uint64_t> read_io_errors_{0};
-  std::atomic<uint64_t> read_corruptions_{0};
 };
 
 }  // namespace shadoop::fault

@@ -153,7 +153,7 @@ Result<std::vector<std::string>> FileSystem::ReadBlock(
 }
 
 Result<std::shared_ptr<const std::string>> FileSystem::ReadBlockRaw(
-    const std::string& path, size_t block_index) const {
+    const std::string& path, size_t block_index, uint64_t* failovers) const {
   std::shared_ptr<const std::string> payload;
   size_t payload_bytes = 0;
   {
@@ -184,10 +184,8 @@ Result<std::shared_ptr<const std::string>> FileSystem::ReadBlockRaw(
         // Injected replica fault: a dead-disk I/O error, or corrupt bytes
         // (modeled as a checksum mismatch). Either way the client skips
         // this replica and fails over to the next one.
-        const fault::FaultInjector::ReadFault fault =
-            injector->ReadFaultAt(block.id, node);
-        if (fault != fault::FaultInjector::ReadFault::kNone) {
-          injector->RecordReplicaFailover(fault);
+        if (injector->FailsReplicaRead(block.id, node)) {
+          if (failovers != nullptr) ++*failovers;
           continue;
         }
       }
@@ -197,10 +195,7 @@ Result<std::shared_ptr<const std::string>> FileSystem::ReadBlockRaw(
       // only for blocks whose checksum was recorded at write time.
       if (block.checksum != 0 && !last_resort &&
           BlockChecksum(*blk->second) != block.checksum) {
-        if (injector != nullptr) {
-          injector->RecordReplicaFailover(
-              fault::FaultInjector::ReadFault::kCorruption);
-        }
+        if (failovers != nullptr) ++*failovers;
         continue;
       }
       payload = blk->second;

@@ -149,10 +149,12 @@ class FileSystem {
   /// Zero-copy read of one block: returns the stored payload itself
   /// (shared with the datanode, never duplicated) so callers can slice
   /// records out of it without copying — see hdfs/block_arena.h. I/O
-  /// accounting is identical to ReadBlock.
+  /// accounting is identical to ReadBlock. Adds the replicas the read
+  /// skipped (injected faults, checksum mismatches) to `*failovers` when
+  /// it is given.
   Result<std::shared_ptr<const std::string>> ReadBlockRaw(
-      const std::string& path, size_t block_index) const
-      SHADOOP_EXCLUDES(mu_);
+      const std::string& path, size_t block_index,
+      uint64_t* failovers = nullptr) const SHADOOP_EXCLUDES(mu_);
 
   /// Reads a whole file in block order.
   Result<std::vector<std::string>> ReadLines(const std::string& path) const;

@@ -1,7 +1,9 @@
 #include "index/record_shape.h"
 
 #include <atomic>
+#include <cmath>
 #include <cstddef>
+#include <span>
 
 #include "common/string_util.h"
 #include "geometry/wkt.h"
@@ -32,6 +34,39 @@ ParseCountShard& TakeParseCountShard() {
 void CountGeometryParse() {
   thread_local ParseCountShard& shard = TakeParseCountShard();
   shard.count.fetch_add(1, std::memory_order_relaxed);
+}
+
+// A record with an `inf` or `nan` coordinate is a bad record, like one
+// that does not parse: its envelope would stretch a partition's MBR, or a
+// grid's cells, to infinity, or compare false against every window.
+bool AllFinite(std::span<const Point> points) {
+  for (const Point& p : points) {
+    if (!std::isfinite(p.x) || !std::isfinite(p.y)) return false;
+  }
+  return true;
+}
+
+Status NonFiniteError() {
+  return Status::ParseError("non-finite coordinate in record");
+}
+
+Result<Point> FinitePoint(std::string_view geom) {
+  SHADOOP_ASSIGN_OR_RETURN(Point p, ParsePointCsv(geom));
+  if (!AllFinite({&p, 1})) return NonFiniteError();
+  return p;
+}
+
+Result<Envelope> FiniteRectangle(std::string_view geom) {
+  SHADOOP_ASSIGN_OR_RETURN(Envelope env, ParseEnvelopeCsv(geom));
+  const Point corners[] = {env.BottomLeft(), env.TopRight()};
+  if (!AllFinite(corners)) return NonFiniteError();
+  return env;
+}
+
+Result<Polygon> FinitePolygon(std::string_view geom) {
+  SHADOOP_ASSIGN_OR_RETURN(Polygon poly, ParsePolygonWkt(geom));
+  if (!AllFinite(poly.ring())) return NonFiniteError();
+  return poly;
 }
 
 }  // namespace
@@ -128,13 +163,13 @@ Result<Envelope> RecordEnvelope(ShapeType type, std::string_view record) {
   const std::string_view geom = GeometryField(record);
   switch (type) {
     case ShapeType::kPoint: {
-      SHADOOP_ASSIGN_OR_RETURN(Point p, ParsePointCsv(geom));
+      SHADOOP_ASSIGN_OR_RETURN(Point p, FinitePoint(geom));
       return Envelope::FromPoint(p);
     }
     case ShapeType::kRectangle:
-      return ParseEnvelopeCsv(geom);
+      return FiniteRectangle(geom);
     case ShapeType::kPolygon: {
-      SHADOOP_ASSIGN_OR_RETURN(Polygon poly, ParsePolygonWkt(geom));
+      SHADOOP_ASSIGN_OR_RETURN(Polygon poly, FinitePolygon(geom));
       return poly.Bounds();
     }
   }
@@ -143,22 +178,28 @@ Result<Envelope> RecordEnvelope(ShapeType type, std::string_view record) {
 
 Result<Point> RecordPoint(std::string_view record) {
   CountGeometryParse();
-  return ParsePointCsv(GeometryField(record));
+  return FinitePoint(GeometryField(record));
 }
 
 Result<Polygon> RecordPolygon(std::string_view record) {
   CountGeometryParse();
-  return ParsePolygonWkt(GeometryField(record));
+  return FinitePolygon(GeometryField(record));
 }
 
 Status AppendRecordPolygon(std::string_view record, std::vector<Point>* ring) {
   CountGeometryParse();
-  return AppendPolygonWkt(GeometryField(record), ring);
+  const size_t old_size = ring->size();
+  SHADOOP_RETURN_NOT_OK(AppendPolygonWkt(GeometryField(record), ring));
+  if (!AllFinite(std::span<const Point>(*ring).subspan(old_size))) {
+    ring->resize(old_size);
+    return NonFiniteError();
+  }
+  return Status::OK();
 }
 
 Result<Envelope> RecordRectangle(std::string_view record) {
   CountGeometryParse();
-  return ParseEnvelopeCsv(GeometryField(record));
+  return FiniteRectangle(GeometryField(record));
 }
 
 }  // namespace shadoop::index

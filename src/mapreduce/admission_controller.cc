@@ -155,7 +155,6 @@ AdmissionController::AdmitJob(const std::string& tenant) {
   const double wait_ms = t.sim_lanes[lane];
 
   auto ticket = std::unique_ptr<JobTicket>(new JobTicket());
-  ticket->controller_ = this;
   ticket->tenant_ = tenant;
   ticket->sim_wait_ms_ = wait_ms;
   ticket->sim_lane_ = lane;
@@ -205,7 +204,6 @@ void AdmissionController::ReleaseJob(JobTicket* ticket, double sim_cost_ms) {
   if (ticket->sim_lane_ < t.sim_lanes.size()) {
     t.sim_lanes[ticket->sim_lane_] += std::max(0.0, sim_cost_ms);
   }
-  t.stats.preempted_specs += ticket->preempted_specs();
   t.running_jobs = std::max(0, t.running_jobs - 1);
   admit_cv_.notify_all();
 }
@@ -226,34 +224,6 @@ int AdmissionController::RunningJobs(const std::string& tenant) const {
   MutexLock lock(&mu_);
   auto it = tenants_.find(tenant);
   return it == tenants_.end() ? 0 : it->second.running_jobs;
-}
-
-void AdmissionController::JobTicket::OnAttemptStart(bool speculative) {
-  (void)speculative;
-  MutexLock lock(&controller_->mu_);
-  Tenant& t = controller_->tenants_[tenant_];
-  ++t.lanes_in_use;
-  ++t.stats.lanes_acquired;
-  t.stats.peak_lanes = std::max(t.stats.peak_lanes, t.lanes_in_use);
-}
-
-void AdmissionController::JobTicket::OnAttemptDone(bool speculative) {
-  (void)speculative;
-  MutexLock lock(&controller_->mu_);
-  Tenant& t = controller_->tenants_[tenant_];
-  t.lanes_in_use = std::max(0, t.lanes_in_use - 1);
-  ++t.stats.lanes_released;
-}
-
-bool AdmissionController::JobTicket::AllowSpeculative(size_t task) {
-  (void)task;
-  // Deterministic: a backup needs a second lane concurrently with the
-  // straggling primary, so a one-lane share can never speculate. The
-  // share is fixed at admission, making the answer identical on every
-  // run regardless of which attempts happen to be in flight.
-  if (lane_share_ >= 2) return true;
-  preempted_specs_.fetch_add(1, std::memory_order_relaxed);
-  return false;
 }
 
 }  // namespace shadoop::mapreduce

@@ -1,7 +1,6 @@
 #ifndef SHADOOP_MAPREDUCE_ADMISSION_CONTROLLER_H_
 #define SHADOOP_MAPREDUCE_ADMISSION_CONTROLLER_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <map>
@@ -11,7 +10,6 @@
 
 #include "common/result.h"
 #include "common/thread_annotations.h"
-#include "mapreduce/task_scheduler.h"
 
 namespace shadoop::mapreduce {
 
@@ -37,9 +35,9 @@ namespace shadoop::mapreduce {
 /// is modeled, not measured. `wait_ms` comes from a per-tenant simulated
 /// lane ledger (greedy least-loaded assignment of each job's simulated
 /// JobCost), `queued` counts jobs whose simulated wait was nonzero, and
-/// speculative preemption is a pure function of the lane share — so
-/// admission counters and JobCost reproduce across runs and machines
-/// exactly like the fault counters do (DESIGN.md §9).
+/// whether a job's speculative backups fit is a pure function of its lane
+/// share — so admission counters and JobCost reproduce across runs and
+/// machines exactly like the fault counters do (DESIGN.md §9).
 struct AdmissionOptions {
   /// Task lanes shared by all tenants; mirrors ClusterConfig::num_slots.
   int total_slots = 25;
@@ -54,49 +52,30 @@ struct TenantStats {
   int64_t jobs_queued = 0;
   /// Total simulated milliseconds jobs of this tenant spent queued.
   double wait_ms = 0;
-  /// Speculative backups denied because the lane share cannot fit a
-  /// second concurrent attempt of the same task.
-  int64_t preempted_specs = 0;
-  /// Attempt-lane acquire/release pairs (primary, retried and
-  /// speculative attempts all count; the two totals must match after
-  /// every job — the quota-release invariant).
-  int64_t lanes_acquired = 0;
-  int64_t lanes_released = 0;
-  /// High-water mark of concurrently running attempts.
-  int peak_lanes = 0;
 };
 
 class AdmissionController {
  public:
   explicit AdmissionController(AdmissionOptions options = AdmissionOptions());
 
-  /// One admitted job. Implements the scheduler's AttemptGate so every
-  /// task attempt of the job (including retries and speculative backups)
-  /// acquires a lane on start and releases it on completion, and so
-  /// speculation respects the tenant's lane share.
-  class JobTicket : public AttemptGate {
+  /// One admitted job: its tenant, its lane share and its simulated
+  /// queue wait, all fixed at admission.
+  class JobTicket {
    public:
     const std::string& tenant() const { return tenant_; }
+    /// The tenant's lane share. A job runs with at most this many lanes,
+    /// and its speculative backups launch only when the share is at least
+    /// two, so a backup can run beside its primary.
     int lane_share() const { return lane_share_; }
     /// Simulated milliseconds this job waited in its tenant's queue.
     double sim_wait_ms() const { return sim_wait_ms_; }
-    /// Speculative backups denied for this job.
-    int64_t preempted_specs() const {
-      return preempted_specs_.load(std::memory_order_relaxed);
-    }
-
-    void OnAttemptStart(bool speculative) override;
-    void OnAttemptDone(bool speculative) override;
-    bool AllowSpeculative(size_t task) override;
 
    private:
     friend class AdmissionController;
-    AdmissionController* controller_ = nullptr;
     std::string tenant_;
     int lane_share_ = 1;
     double sim_wait_ms_ = 0;
     size_t sim_lane_ = 0;
-    std::atomic<int64_t> preempted_specs_{0};
   };
 
   /// Sets a tenant's slot quota: its maximum concurrent jobs and its
@@ -158,7 +137,6 @@ class AdmissionController {
     int waiting_jobs = 0;
     uint64_t next_seq = 0;    // Next FIFO ticket to hand out.
     uint64_t admit_seq = 0;   // Next FIFO ticket allowed to admit.
-    int lanes_in_use = 0;     // Attempts currently holding a lane.
     std::vector<double> sim_lanes;  // Simulated lane finish times.
     TenantStats stats;
   };

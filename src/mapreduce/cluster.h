@@ -41,8 +41,8 @@ struct ClusterConfig {
 
   /// Speculative execution: when an attempt straggles past
   /// `speculative_slack_ms` of simulated delay, a backup attempt is
-  /// launched and whichever attempt commits first wins.
-  bool speculative_execution = true;
+  /// launched, and the simulated race between the two decides which one
+  /// runs (DESIGN.md §9).
   double speculative_slack_ms = 5000.0;
 };
 

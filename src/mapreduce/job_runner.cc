@@ -1,8 +1,7 @@
 #include "mapreduce/job_runner.h"
 
 #include <algorithm>
-#include <array>
-#include <atomic>
+#include <numeric>
 #include <unordered_map>
 
 #include "common/logging.h"
@@ -210,16 +209,15 @@ double CpuMs(const ClusterConfig& cfg, const TaskAccounting& acct) {
 TaskSchedulerOptions SchedulerOptions(const JobConfig& job,
                                       const ClusterConfig& cluster,
                                       fault::TaskKind kind, int max_attempts,
-                                      AttemptGate* gate) {
+                                      bool backups_fit) {
   TaskSchedulerOptions options;
   options.job_name = job.name;
   options.kind = kind;
   options.max_task_attempts = max_attempts;
   options.task_startup_ms = cluster.task_startup_ms;
   options.retry_backoff_ms = cluster.retry_backoff_ms;
-  options.speculative_execution = cluster.speculative_execution;
   options.speculative_slack_ms = cluster.speculative_slack_ms;
-  options.gate = gate;
+  options.backups_fit = backups_fit;
   return options;
 }
 
@@ -261,11 +259,13 @@ void ChargeAdmissionWait(double wait_ms, JobCost* cost, Counters* counters) {
 
 JobResult JobRunner::Run(const JobConfig& job) {
   if (admission_ == nullptr) {
-    return RunAdmitted(job, cluster_.num_slots, /*gate=*/nullptr);
+    return RunAdmitted(job, cluster_.num_slots, /*backups_fit=*/true);
   }
-  // Admission gate: blocks until the session's tenant has a free job
-  // slot (FIFO within the tenant; other tenants' queues are independent)
-  // and pins the tenant's deterministic lane share for the whole run.
+  // Admission: blocks until the session's tenant has a free job slot
+  // (FIFO within the tenant; other tenants' queues are independent) and
+  // pins the tenant's deterministic lane share for the whole run. A
+  // backup needs a second lane beside its primary, so a one-lane share
+  // denies every backup.
   auto admit = admission_->AdmitJob(tenant_);
   if (!admit.ok()) {
     JobResult result;
@@ -276,17 +276,12 @@ JobResult JobRunner::Run(const JobConfig& job) {
       std::move(admit).value();
   const int lanes =
       std::max(1, std::min(cluster_.num_slots, ticket->lane_share()));
-  JobResult result = RunAdmitted(job, lanes, ticket.get());
+  JobResult result = RunAdmitted(job, lanes, ticket->lane_share() >= 2);
 
   // Admission accounting rides on the result the same way the fault
   // counters do: JobCost fields always, Counters entries only when
   // nonzero, so un-contended runs stay byte-identical.
   ChargeAdmissionWait(ticket->sim_wait_ms(), &result.cost, &result.counters);
-  result.cost.admission_preempted_specs = ticket->preempted_specs();
-  if (result.cost.admission_preempted_specs > 0) {
-    result.counters.Increment("admission.preempted_specs",
-                              result.cost.admission_preempted_specs);
-  }
   // Release even for failed jobs: a job that aborted mid-phase still
   // held its slot (an aborted job's total_ms is 0, so it adds no
   // simulated backlog to the tenant's ledger).
@@ -295,7 +290,7 @@ JobResult JobRunner::Run(const JobConfig& job) {
 }
 
 JobResult JobRunner::RunAdmitted(const JobConfig& job, int lanes,
-                                 AttemptGate* gate) {
+                                 bool backups_fit) {
   Stopwatch wall;
   JobResult result;
   result.cost.num_map_tasks = static_cast<int>(job.splits.size());
@@ -309,29 +304,23 @@ JobResult JobRunner::RunAdmitted(const JobConfig& job, int lanes,
     return result;
   }
 
-  // Read-fault counters are owned by the file system's injector; the
-  // job's share is the delta across the run.
-  fault::FaultInjector* fs_injector = fs_->fault_injector();
-  const uint64_t failovers_before =
-      fs_injector != nullptr ? fs_injector->replica_failovers() : 0;
-
   // ------------------------------------------------------------------
   // Map phase: each task runs as a sequence of attempts under the task
-  // scheduler. Every attempt builds a fresh, private context in its lane
-  // slot; only the committed attempt's context is published to
-  // `map_ctxs`, so a retried or speculative attempt can never double-emit
-  // (commit-once, DESIGN.md §9).
+  // scheduler. Every attempt builds a fresh, private context; only the
+  // committed attempt publishes it to `map_ctxs`, so a retried attempt
+  // can never double-emit (DESIGN.md §9). The replicas each task's
+  // attempts skip are counted per task, so concurrent jobs on one file
+  // system never count each other's failovers.
   const size_t num_maps = job.splits.size();
   std::vector<std::unique_ptr<MapContextImpl>> map_ctxs(num_maps);
-  std::vector<std::array<std::unique_ptr<MapContextImpl>, 2>> map_slots(
-      num_maps);
+  std::vector<uint64_t> map_failovers(num_maps, 0);
 
   // Artifact caching is offered only on fully fault-free runs: any active
   // injector (scheduler or HDFS read faults) could otherwise be masked by
   // an artifact parsed before the fault fired. Block ids are resolved
   // once per job, one namenode lookup per file.
   const bool cache_enabled =
-      fault_injector_ == nullptr && fs_injector == nullptr;
+      fault_injector_ == nullptr && fs_->fault_injector() == nullptr;
   std::vector<std::vector<uint64_t>> split_block_ids;
   if (cache_enabled) {
     split_block_ids.resize(num_maps);
@@ -357,13 +346,10 @@ JobResult JobRunner::RunAdmitted(const JobConfig& job, int lanes,
 
   TaskScheduler map_sched(
       SchedulerOptions(job, cluster_, fault::TaskKind::kMap,
-                       max_task_attempts_, gate),
+                       max_task_attempts_, backups_fit),
       fault_injector_);
   map_sched.RunTasks(
-      num_maps, lanes,
-      [&](size_t i, const AttemptInfo& info, int slot,
-          const std::atomic<bool>& cancelled) -> AttemptOutcome {
-        (void)info;
+      num_maps, lanes, [&](size_t i, const AttemptInfo&) -> AttemptOutcome {
         const InputSplit& split = job.splits[i];
         auto ctx = std::make_unique<MapContextImpl>(split, num_reducers);
         ctx->set_partitioner(job.partitioner);
@@ -378,12 +364,9 @@ JobResult JobRunner::RunAdmitted(const JobConfig& job, int lanes,
         hdfs::BlockArena arena;
         uint64_t bytes = 0;
         for (size_t ordinal = 0; ordinal < split.blocks.size(); ++ordinal) {
-          if (cancelled.load(std::memory_order_acquire)) {
-            return {Status::Cancelled("map attempt killed by rival commit"),
-                    /*transient=*/true};
-          }
           const BlockRef& block = split.blocks[ordinal];
-          auto payload = fs_->ReadBlockRaw(block.path, block.block_index);
+          auto payload = fs_->ReadBlockRaw(block.path, block.block_index,
+                                           &map_failovers[i]);
           if (!payload.ok()) {
             // Transient: a replica may still be alive on retry.
             return {payload.status(), /*transient=*/true};
@@ -407,17 +390,13 @@ JobResult JobRunner::RunAdmitted(const JobConfig& job, int lanes,
           return {ctx->acct_.status, /*transient=*/false};
         }
         ctx->bytes_read_ = bytes;
-        map_slots[i][slot] = std::move(ctx);
+        map_ctxs[i] = std::move(ctx);
         return {};
-      },
-      [&](size_t i, int slot) {
-        map_ctxs[i] = std::move(map_slots[i][slot]);
       });
-  map_slots.clear();  // Discard losing attempts' partial output.
 
   TaskScheduler reduce_sched(
       SchedulerOptions(job, cluster_, fault::TaskKind::kReduce,
-                       max_task_attempts_, gate),
+                       max_task_attempts_, backups_fit),
       fault_injector_);
 
   auto finish_fault_accounting = [&] {
@@ -427,10 +406,10 @@ JobResult JobRunner::RunAdmitted(const JobConfig& job, int lanes,
         map_sched.speculative_launched() + reduce_sched.speculative_launched();
     result.cost.speculative_won =
         map_sched.speculative_won() + reduce_sched.speculative_won();
-    if (fs_injector != nullptr) {
-      result.cost.replica_failovers = static_cast<int64_t>(
-          fs_injector->replica_failovers() - failovers_before);
-    }
+    result.cost.replica_failovers = static_cast<int64_t>(std::accumulate(
+        map_failovers.begin(), map_failovers.end(), uint64_t{0}));
+    result.cost.admission_preempted_specs =
+        map_sched.backups_denied() + reduce_sched.backups_denied();
     // Counters appear only when nonzero, so fault-free runs (and the
     // golden parity suite) serialize byte-identically to the pre-fault
     // runtime.
@@ -449,6 +428,10 @@ JobResult JobRunner::RunAdmitted(const JobConfig& job, int lanes,
     if (result.cost.replica_failovers > 0) {
       result.counters.Increment("fault.replica_failovers",
                                 result.cost.replica_failovers);
+    }
+    if (result.cost.admission_preempted_specs > 0) {
+      result.counters.Increment("admission.preempted_specs",
+                                result.cost.admission_preempted_specs);
     }
   };
 
@@ -505,8 +488,7 @@ JobResult JobRunner::RunAdmitted(const JobConfig& job, int lanes,
   // bytes stay in the map tasks' buffers, which outlive the reduce phase.
   // Each reduce input is sized once, from the bucket counts, so the
   // gather is linear in the number of pairs. Sorting once, before any
-  // attempt runs, lets concurrent speculative attempts share the sorted
-  // run read-only, so a re-executed reducer sees bit-identical input.
+  // attempt runs, gives a retried reducer bit-identical input.
   uint64_t shuffle_bytes = 0;
   for (const auto& ctx : map_ctxs) shuffle_bytes += ctx->emitted_bytes_;
   std::vector<std::vector<ShuffleRef>> reduce_inputs(num_reducers);
@@ -533,14 +515,9 @@ JobResult JobRunner::RunAdmitted(const JobConfig& job, int lanes,
   // Reduce phase, under the same attempt scheduler as the map phase.
   std::vector<std::unique_ptr<ReduceContextImpl>> reduce_ctxs(num_reducers);
   if (has_reduce) {
-    std::vector<std::array<std::unique_ptr<ReduceContextImpl>, 2>>
-        reduce_slots(num_reducers);
     reduce_sched.RunTasks(
         static_cast<size_t>(num_reducers), lanes,
-        [&](size_t r, const AttemptInfo& info, int slot,
-            const std::atomic<bool>& cancelled) -> AttemptOutcome {
-          (void)info;
-          (void)cancelled;
+        [&](size_t r, const AttemptInfo&) -> AttemptOutcome {
           auto ctx = std::make_unique<ReduceContextImpl>();
           std::unique_ptr<Reducer> reducer = job.reducer();
           ctx->acct_.records_processed += reduce_inputs[r].size();
@@ -548,11 +525,8 @@ JobResult JobRunner::RunAdmitted(const JobConfig& job, int lanes,
           if (!ctx->acct_.status.ok()) {
             return {ctx->acct_.status, /*transient=*/false};
           }
-          reduce_slots[r][slot] = std::move(ctx);
+          reduce_ctxs[r] = std::move(ctx);
           return {};
-        },
-        [&](size_t r, int slot) {
-          reduce_ctxs[r] = std::move(reduce_slots[r][slot]);
         });
     if (!reduce_sched.ok()) {
       finish_fault_accounting();

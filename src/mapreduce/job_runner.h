@@ -21,8 +21,10 @@ namespace shadoop::mapreduce {
 ///
 /// Failed task attempts (I/O errors on dead datanodes, injected faults)
 /// are retried with exponential backoff up to max_task_attempts() before
-/// failing the job; stragglers are speculatively re-executed. See
-/// TaskScheduler and DESIGN.md §9.
+/// failing the job; a straggler gets a speculative backup, and the
+/// simulated race between the two decides which attempt runs. The fault
+/// counters are counted per attempt, so jobs that run at the same time
+/// never count each other's faults. See TaskScheduler and DESIGN.md §9.
 class JobRunner {
  public:
   JobRunner(hdfs::FileSystem* fs, ClusterConfig cluster = ClusterConfig())
@@ -43,9 +45,9 @@ class JobRunner {
   /// Binds this runner's session to an admission controller and tenant:
   /// every subsequent Run() is admitted under the tenant's quotas (jobs
   /// queue FIFO-per-tenant, task lanes shrink to the tenant's share, and
-  /// speculation respects it — DESIGN.md §10). Neither is owned; a null
-  /// controller (the default) disables admission entirely and keeps the
-  /// runtime byte-identical to the pre-admission behavior.
+  /// a one-lane share launches no backups — DESIGN.md §10). Neither is
+  /// owned; a null controller (the default) disables admission entirely
+  /// and keeps the runtime byte-identical to the pre-admission behavior.
   void set_admission(AdmissionController* controller, std::string tenant) {
     admission_ = controller;
     tenant_ = std::move(tenant);
@@ -71,8 +73,9 @@ class JobRunner {
 
  private:
   /// The admitted run: `lanes` caps task parallelism (real threads and
-  /// the simulated makespan alike) and `gate` brackets every attempt.
-  JobResult RunAdmitted(const JobConfig& job, int lanes, AttemptGate* gate);
+  /// the simulated makespan alike), and stragglers get speculative
+  /// backups only when `backups_fit` (TaskSchedulerOptions::backups_fit).
+  JobResult RunAdmitted(const JobConfig& job, int lanes, bool backups_fit);
 
   hdfs::FileSystem* fs_;
   ClusterConfig cluster_;

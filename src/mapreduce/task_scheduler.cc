@@ -6,36 +6,9 @@
 #include "mapreduce/thread_pool.h"
 
 namespace shadoop::mapreduce {
-namespace {
-
-/// RAII bracket for one attempt's lane: OnAttemptStart on construction,
-/// OnAttemptDone on destruction — so a lane is released on every exit
-/// path (success, failure, injected fault, lost commit race).
-class LaneHold {
- public:
-  LaneHold(AttemptGate* gate, bool speculative)
-      : gate_(gate), speculative_(speculative) {
-    if (gate_ != nullptr) gate_->OnAttemptStart(speculative_);
-  }
-  ~LaneHold() {
-    if (gate_ != nullptr) gate_->OnAttemptDone(speculative_);
-  }
-  LaneHold(const LaneHold&) = delete;
-  LaneHold& operator=(const LaneHold&) = delete;
-
- private:
-  AttemptGate* gate_;
-  bool speculative_;
-};
-
-}  // namespace
 
 const char* AttemptStateName(AttemptState state) {
   switch (state) {
-    case AttemptState::kScheduled:
-      return "SCHEDULED";
-    case AttemptState::kRunning:
-      return "RUNNING";
     case AttemptState::kCommitted:
       return "COMMITTED";
     case AttemptState::kFailed:
@@ -69,212 +42,111 @@ TaskScheduler::TaskScheduler(TaskSchedulerOptions options,
   }
 }
 
-void TaskScheduler::RunTask(size_t task, const AttemptFn& attempt_fn,
-                            const CommitFn& commit_fn) {
+AttemptRecord TaskScheduler::Launch(size_t task, int id,
+                                    bool speculative) const {
+  AttemptRecord rec;
+  rec.id = id;
+  rec.speculative = speculative;
+  if (injector_ == nullptr) return rec;
+  rec.injected_delay_ms =
+      injector_->StragglerDelayMs(options_.kind, options_.job_name, task, id);
+  if (injector_->ShouldFailAttempt(options_.kind, options_.job_name, task,
+                                   id)) {
+    rec.state = AttemptState::kFailed;
+    rec.status = Status::IoError("injected task failure (attempt " +
+                                 std::to_string(id) + ")");
+  }
+  return rec;
+}
+
+void TaskScheduler::RunTask(size_t task, const AttemptFn& attempt_fn) {
   TaskReport& report = reports_[task];
   report.task = task;
-
-  int next_attempt_id = 1;
+  const int max_attempts = options_.max_task_attempts;
+  int next_id = 1;
   int failures = 0;
-  static const std::atomic<bool> kNeverCancelled{false};
 
-  while (report.committed_attempt < 0 &&
-         next_attempt_id <= options_.max_task_attempts) {
-    const int attempt_id = next_attempt_id++;
-    const double backoff_ms =
+  while (next_id <= max_attempts) {
+    AttemptRecord primary = Launch(task, next_id++, /*speculative=*/false);
+    primary.backoff_ms =
         failures == 0 ? 0.0
                       : options_.retry_backoff_ms *
                             std::pow(2.0, static_cast<double>(failures - 1));
-    double delay_ms = 0;
-    bool injected_failure = false;
-    if (injector_ != nullptr) {
-      injected_failure = injector_->ShouldFailAttempt(
-          options_.kind, options_.job_name, task, attempt_id);
-      delay_ms = injector_->StragglerDelayMs(options_.kind, options_.job_name,
-                                             task, attempt_id);
+    const bool straggles =
+        options_.speculative_slack_ms > 0 &&
+        primary.injected_delay_ms > options_.speculative_slack_ms &&
+        next_id <= max_attempts;
+    if (straggles && !options_.backups_fit) {
+      backups_denied_.fetch_add(1, std::memory_order_relaxed);
     }
 
-    // The admission gate can veto the backup: a tenant whose lane share
-    // cannot fit a second concurrent attempt runs the straggler alone
-    // (counted by the gate as a preempted speculation). The gate is
-    // consulted only when the scheduler actually wants to speculate, so
-    // the preemption count is as deterministic as the injector's
-    // straggler decisions.
-    const bool wants_speculation = options_.speculative_execution &&
-                                   options_.speculative_slack_ms > 0 &&
-                                   delay_ms > options_.speculative_slack_ms &&
-                                   next_attempt_id <= options_.max_task_attempts;
-    const bool speculate =
-        wants_speculation &&
-        (options_.gate == nullptr || options_.gate->AllowSpeculative(task));
-
-    if (!speculate) {
-      AttemptRecord rec;
-      rec.id = attempt_id;
-      rec.backoff_ms = backoff_ms;
-      rec.injected_delay_ms = delay_ms;
-      rec.state = AttemptState::kRunning;
-      AttemptOutcome outcome;
-      {
-        LaneHold lane(options_.gate, /*speculative=*/false);
-        if (injected_failure) {
-          outcome.status = Status::IoError("injected task failure (attempt " +
-                                           std::to_string(attempt_id) + ")");
-          outcome.transient = true;
-        } else {
-          AttemptInfo info{attempt_id, /*speculative=*/false};
-          outcome = attempt_fn(task, info, /*slot=*/0, kNeverCancelled);
-        }
-      }
-      if (outcome.status.ok()) {
-        rec.state = AttemptState::kCommitted;
-        report.attempts.push_back(rec);
-        report.committed_attempt = attempt_id;
-        report.sim_overhead_ms += backoff_ms + delay_ms;
-        commit_fn(task, /*slot=*/0);
-        return;
-      }
-      rec.state = AttemptState::kFailed;
-      rec.status = outcome.status;
-      report.attempts.push_back(rec);
-      report.sim_overhead_ms += backoff_ms + options_.task_startup_ms;
-      ++failures;
-      if (!outcome.transient) return;
-      if (next_attempt_id <= options_.max_task_attempts) {
-        retries_.fetch_add(1, std::memory_order_relaxed);
-      }
-      continue;
+    // A straggler's backup consumes the next attempt id, and the race
+    // between the two is decided in simulated time: the backup wins iff
+    // the primary's straggler delay exceeds the backup's launch latency
+    // plus its own delay, and an attempt whose launch failure is injected
+    // loses. Only the winner runs.
+    AttemptRecord backup;
+    AttemptRecord* winner = &primary;
+    AttemptRecord* rival = nullptr;
+    double winner_ms = primary.injected_delay_ms;
+    if (straggles && options_.backups_fit) {
+      backup = Launch(task, next_id++, /*speculative=*/true);
+      speculative_launched_.fetch_add(1, std::memory_order_relaxed);
+      const double backup_ms =
+          options_.task_startup_ms + backup.injected_delay_ms;
+      const bool backup_wins =
+          backup.status.ok() &&
+          (!primary.status.ok() || primary.injected_delay_ms > backup_ms);
+      winner = backup_wins ? &backup : &primary;
+      rival = backup_wins ? &primary : &backup;
+      if (backup_wins) winner_ms = backup_ms;
     }
+    const bool rival_injected = rival != nullptr && !rival->status.ok();
 
-    // Speculative race: the straggling primary and a fresh backup run as
-    // the two lanes of one ParallelFor, into separate slots; the first
-    // clean finisher commits the task via a compare-and-swap, the loser is
-    // killed. With no free worker the backup runs after the primary, finds
-    // its cancel flag set and stops. The backup consumes the next attempt
-    // id.
-    const int backup_id = next_attempt_id++;
-    speculative_launched_.fetch_add(1, std::memory_order_relaxed);
-
-    AttemptRecord primary_rec;
-    primary_rec.id = attempt_id;
-    primary_rec.backoff_ms = backoff_ms;
-    primary_rec.injected_delay_ms = delay_ms;
-    AttemptRecord backup_rec;
-    backup_rec.id = backup_id;
-    backup_rec.speculative = true;
-    if (injector_ != nullptr) {
-      backup_rec.injected_delay_ms = injector_->StragglerDelayMs(
-          options_.kind, options_.job_name, task, backup_id);
+    AttemptOutcome outcome{winner->status, /*transient=*/true};
+    if (outcome.status.ok()) {
+      outcome = attempt_fn(task, AttemptInfo{winner->id, winner->speculative});
     }
-    const bool backup_injected_failure =
-        injector_ != nullptr &&
-        injector_->ShouldFailAttempt(options_.kind, options_.job_name, task,
-                                     backup_id);
-
-    std::atomic<int> committed_slot{-1};
-    std::atomic<bool> cancel[2] = {{false}, {false}};
-
-    auto run_lane = [&](int slot, const AttemptRecord& rec, bool injected,
-                        AttemptOutcome* out) {
-      LaneHold lane(options_.gate, rec.speculative);
-      if (injected) {
-        out->status = Status::IoError("injected task failure (attempt " +
-                                      std::to_string(rec.id) + ")");
-        out->transient = true;
-        return;
+    if (outcome.status.ok()) {
+      winner->state = AttemptState::kCommitted;
+      if (rival != nullptr && !rival_injected) {
+        rival->state = AttemptState::kKilled;
       }
-      if (cancel[slot].load(std::memory_order_acquire)) {
-        out->status = Status::Cancelled("attempt killed by rival commit");
-        out->transient = true;
-        return;
-      }
-      AttemptInfo info{rec.id, rec.speculative};
-      *out = attempt_fn(task, info, slot, cancel[slot]);
-      if (!out->status.ok()) return;
-      int expected = -1;
-      if (committed_slot.compare_exchange_strong(expected, slot,
-                                                 std::memory_order_acq_rel)) {
-        cancel[1 - slot].store(true, std::memory_order_release);
-      } else {
-        // A rival committed first; our clean output is discarded.
-        out->status = Status::Cancelled("attempt lost commit race");
-      }
-    };
-
-    AttemptOutcome primary_out, backup_out;
-    ParallelFor(2, 2, [&](size_t slot) {
-      if (slot == 0) {
-        run_lane(0, primary_rec, injected_failure, &primary_out);
-      } else {
-        run_lane(1, backup_rec, backup_injected_failure, &backup_out);
-      }
-    });
-
-    const int winner_slot = committed_slot.load(std::memory_order_acquire);
-
-    // Records follow the *simulated* outcome, decided by the injector —
-    // not by which attempt happened to win the wall-clock race. A clean
-    // attempt (succeeded, or killed after the rival committed) is
-    // COMMITTED when the sim says it won and KILLED otherwise; both
-    // produce the same output, so the committed result is identical
-    // either way.
-    auto finalize = [&](AttemptRecord rec, const AttemptOutcome& out,
-                        bool won_sim) {
-      const bool clean = out.status.ok() || out.status.IsCancelled();
-      if (clean) {
-        rec.state = won_sim ? AttemptState::kCommitted : AttemptState::kKilled;
-      } else {
-        rec.state = AttemptState::kFailed;
-        rec.status = out.status;
-      }
-      report.attempts.push_back(rec);
-    };
-
-    if (winner_slot >= 0) {
-      const bool primary_clean = primary_out.status.ok() ||
-                                 primary_out.status.IsCancelled();
-      const bool backup_clean =
-          backup_out.status.ok() || backup_out.status.IsCancelled();
-      // Sim race: the backup wins iff the primary's straggler delay
-      // exceeds the backup's launch latency plus its own delay.
-      const double backup_total_ms =
-          options_.task_startup_ms + backup_rec.injected_delay_ms;
-      bool backup_wins_sim = delay_ms > backup_total_ms;
-      if (!backup_clean) backup_wins_sim = false;
-      if (!primary_clean) backup_wins_sim = true;
-
-      finalize(primary_rec, primary_out, !backup_wins_sim);
-      finalize(backup_rec, backup_out, backup_wins_sim);
-      if (backup_wins_sim) {
+      report.committed_attempt = winner->id;
+      report.sim_overhead_ms += primary.backoff_ms + winner_ms;
+      if (winner == &backup) {
         speculative_won_.fetch_add(1, std::memory_order_relaxed);
-        report.sim_overhead_ms += backoff_ms + backup_total_ms;
-      } else {
-        report.sim_overhead_ms += backoff_ms + delay_ms;
       }
-      report.committed_attempt =
-          backup_wins_sim ? backup_rec.id : primary_rec.id;
-      commit_fn(task, winner_slot);
-      return;
+    } else {
+      // The rival would run the same code over the same input, so the
+      // winner's own failure is the rival's too.
+      for (AttemptRecord* rec : {winner, rival}) {
+        if (rec == nullptr || !rec->status.ok()) continue;
+        rec->state = AttemptState::kFailed;
+        rec->status = outcome.status;
+      }
+      const int launches = rival != nullptr ? 2 : 1;
+      failures += launches;
+      report.sim_overhead_ms +=
+          primary.backoff_ms + launches * options_.task_startup_ms;
     }
-
-    // Both attempts failed; charge both launches and retry if possible.
-    finalize(primary_rec, primary_out, false);
-    finalize(backup_rec, backup_out, false);
-    failures += 2;
-    report.sim_overhead_ms += backoff_ms + 2 * options_.task_startup_ms;
-    if (!primary_out.transient && !backup_out.transient) return;
-    if (next_attempt_id <= options_.max_task_attempts) {
+    report.attempts.push_back(std::move(primary));
+    if (rival != nullptr) report.attempts.push_back(std::move(backup));
+    if (outcome.status.ok()) return;
+    // An injected launch failure is transient, so a rival's keeps the
+    // task retrying even when the winner's own failure would not.
+    if (!outcome.transient && !rival_injected) return;
+    if (next_id <= max_attempts) {
       retries_.fetch_add(1, std::memory_order_relaxed);
     }
   }
 }
 
 void TaskScheduler::RunTasks(size_t num_tasks, int max_parallel,
-                             const AttemptFn& attempt_fn,
-                             const CommitFn& commit_fn) {
+                             const AttemptFn& attempt_fn) {
   reports_.assign(num_tasks, TaskReport{});
   ParallelFor(num_tasks, max_parallel,
-              [&](size_t task) { RunTask(task, attempt_fn, commit_fn); });
+              [&](size_t task) { RunTask(task, attempt_fn); });
 }
 
 bool TaskScheduler::ok() const {

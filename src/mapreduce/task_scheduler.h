@@ -12,16 +12,16 @@
 
 namespace shadoop::mapreduce {
 
-/// Attempt lifecycle (DESIGN.md §9):
+/// How an attempt ended (DESIGN.md §9):
 ///
-///   SCHEDULED → RUNNING → { COMMITTED, FAILED, KILLED }
-///
-/// COMMITTED: the attempt finished cleanly and won the task's commit race.
-/// FAILED:    the attempt reported an error; retried while transient and
-///            the attempt budget lasts.
-/// KILLED:    a rival attempt committed first — the attempt's output is
-///            discarded (never merged into the job).
-enum class AttemptState { kScheduled, kRunning, kCommitted, kFailed, kKilled };
+/// COMMITTED: the attempt ran cleanly and won its task — alone, or the
+///            simulated race against its speculative rival.
+/// FAILED:    the attempt reported an error, or its rival's run failed
+///            (the same code over the same input); retried while
+///            transient and the attempt budget lasts.
+/// KILLED:    the attempt lost the simulated race to a rival that
+///            committed; it never ran.
+enum class AttemptState { kCommitted, kFailed, kKilled };
 
 const char* AttemptStateName(AttemptState state);
 
@@ -29,7 +29,7 @@ const char* AttemptStateName(AttemptState state);
 struct AttemptRecord {
   int id = 1;  // 1-based launch order within the task.
   bool speculative = false;
-  AttemptState state = AttemptState::kScheduled;
+  AttemptState state = AttemptState::kCommitted;
   Status status;                 // Failure reason when state == kFailed.
   double injected_delay_ms = 0;  // Simulated straggler delay.
   double backoff_ms = 0;         // Simulated wait before this launch.
@@ -42,8 +42,7 @@ struct TaskReport {
   int committed_attempt = -1;  // Attempt id, or -1 when the task failed.
   /// Simulated milliseconds the task's retries, backoff waits and
   /// effective straggler delay added on top of its clean single-attempt
-  /// cost. Deterministic: derived from the injector's decisions, never
-  /// from which attempt happened to win the wall-clock race.
+  /// cost. Deterministic: derived from the injector's decisions alone.
   double sim_overhead_ms = 0;
 
   /// "#1 FAILED (IoError: ...); #2 COMMITTED" — for error messages.
@@ -64,42 +63,12 @@ struct AttemptOutcome {
   bool transient = true;
 };
 
-/// Admission hook around task attempts (see AdmissionController). The
-/// scheduler brackets *every* attempt — first launches, retries and
-/// speculative backups alike — with OnAttemptStart/OnAttemptDone, so a
-/// quota holder can account lanes and verify that every acquired lane is
-/// released whatever the attempt's fate. AllowSpeculative is consulted
-/// once per task the scheduler wants to back up; returning false vetoes
-/// the backup (counted by the gate as a preempted speculation). All
-/// three methods are called from worker threads and must be thread-safe.
-class AttemptGate {
- public:
-  virtual ~AttemptGate() = default;
-
-  virtual void OnAttemptStart(bool speculative) = 0;
-  virtual void OnAttemptDone(bool speculative) = 0;
-  /// Whether a speculative backup may occupy a second lane. Must be
-  /// deterministic for the same gate state: the set of tasks asking is
-  /// injector-decided, and JobCost reproducibility hinges on the same
-  /// tasks getting the same answer on every run.
-  virtual bool AllowSpeculative(size_t task) = 0;
-};
-
-/// Runs one attempt of `task` into private, attempt-scoped state keyed by
-/// `slot` (0 = primary, 1 = speculative backup). The body must not
-/// publish anything outside its slot: publication happens exactly once,
-/// through the CommitFn, for the winning attempt only — this is the
-/// commit-once rule that makes retries and speculation unable to
-/// double-emit. `cancelled` flips when a rival attempt commits; long
-/// attempts should poll it and bail out early.
-using AttemptFn = std::function<AttemptOutcome(
-    size_t task, const AttemptInfo& info, int slot,
-    const std::atomic<bool>& cancelled)>;
-
-/// Publishes the given slot's output as the task's committed result.
-/// Invoked at most once per task, after every attempt of the task has
-/// stopped running (so it never races the losing attempt).
-using CommitFn = std::function<void(size_t task, int slot)>;
+/// Runs one attempt of `task`. The scheduler runs at most one attempt of
+/// a task at a time, and an attempt that returns OK is the task's
+/// committed attempt: it publishes its own output. A failed attempt must
+/// publish nothing, so a retry never double-emits.
+using AttemptFn =
+    std::function<AttemptOutcome(size_t task, const AttemptInfo& info)>;
 
 struct TaskSchedulerOptions {
   std::string job_name = "job";
@@ -112,32 +81,30 @@ struct TaskSchedulerOptions {
   /// consecutive failure (exponential backoff).
   double retry_backoff_ms = 1000.0;
   /// Speculative execution: when an attempt's injected straggler delay
-  /// exceeds `speculative_slack_ms`, a backup attempt launches and
-  /// whichever attempt commits first wins; the loser is killed.
-  bool speculative_execution = true;
+  /// exceeds `speculative_slack_ms`, a backup attempt launches, and the
+  /// simulated race between the two decides which one runs.
   double speculative_slack_ms = 5000.0;
-  /// Admission gate bracketing every attempt; not owned, null (the
-  /// default) disables admission accounting entirely.
-  AttemptGate* gate = nullptr;
+  /// Whether a backup fits beside its primary: false when an admitted
+  /// tenant's lane share is one lane. Denied backups are counted.
+  bool backups_fit = true;
 };
 
 /// Task-attempt scheduler: drives every task of one phase through the
 /// attempt state machine with bounded retries, exponential backoff and
-/// speculative execution of stragglers. Execution is real (attempts run
-/// user code through ParallelFor, a backup as the second lane beside its
-/// primary) while time is modeled: all cost/counter outputs are pure
-/// functions of the injector's deterministic decisions, so JobCost and
-/// the fault counters are reproducible even though which attempt wins a
-/// wall-clock race is not.
+/// speculative execution of stragglers. Execution is real (tasks run user
+/// code through ParallelFor) while time is modeled: a speculative race is
+/// decided in simulated time and only its winner runs, so the attempt
+/// histories, JobCost and the fault counters are pure functions of the
+/// injector's deterministic decisions.
 class TaskScheduler {
  public:
   TaskScheduler(TaskSchedulerOptions options, fault::FaultInjector* injector);
 
   /// Runs all `num_tasks` tasks through ParallelFor with at most
   /// `max_parallel` lanes; each lane drives one task's attempts to
-  /// completion (including its speculative backup) before returning.
+  /// completion before returning.
   void RunTasks(size_t num_tasks, int max_parallel,
-                const AttemptFn& attempt_fn, const CommitFn& commit_fn);
+                const AttemptFn& attempt_fn);
 
   /// True when every task committed an attempt.
   bool ok() const;
@@ -154,15 +121,20 @@ class TaskScheduler {
   int64_t speculative_launched() const {
     return speculative_launched_.load(std::memory_order_relaxed);
   }
-  /// Backups that finish first in *simulated* time (injected delay
-  /// exceeded the slack) — deterministic, unlike the wall-clock race.
+  /// Backups that won the simulated race.
   int64_t speculative_won() const {
     return speculative_won_.load(std::memory_order_relaxed);
   }
+  /// Backups not launched because they did not fit (`backups_fit`).
+  int64_t backups_denied() const {
+    return backups_denied_.load(std::memory_order_relaxed);
+  }
 
  private:
-  void RunTask(size_t task, const AttemptFn& attempt_fn,
-               const CommitFn& commit_fn);
+  void RunTask(size_t task, const AttemptFn& attempt_fn);
+  /// The record of launching attempt `id`, with the injector's straggler
+  /// delay and, when it fails the launch, the FAILED state and status.
+  AttemptRecord Launch(size_t task, int id, bool speculative) const;
 
   TaskSchedulerOptions options_;
   fault::FaultInjector* injector_;  // Nullable: no injection.
@@ -170,6 +142,7 @@ class TaskScheduler {
   std::atomic<int64_t> retries_{0};
   std::atomic<int64_t> speculative_launched_{0};
   std::atomic<int64_t> speculative_won_{0};
+  std::atomic<int64_t> backups_denied_{0};
 };
 
 }  // namespace shadoop::mapreduce

@@ -7,9 +7,9 @@
 namespace shadoop::mapreduce {
 
 /// Runs fn(i) for every i in [0, n) and returns once all have finished.
-/// This is the runtime's one way to run work in parallel: task attempts
-/// and their speculative backups, combine and shuffle sort, partition
-/// encoding, and the query server's concurrent streams.
+/// This is the runtime's one way to run work in parallel: tasks, combine
+/// and shuffle sort, partition encoding, and the query server's
+/// concurrent streams.
 ///
 /// Work runs on one process-wide pool of worker threads, started on first
 /// use with one worker fewer than the CPUs in the first caller's affinity

@@ -2,11 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/string_util.h"
+#include "cpu_affinity.h"
 #include "fault/fault_injector.h"
 #include "mapreduce/job_runner.h"
 #include "mapreduce/task_scheduler.h"
@@ -49,7 +53,7 @@ TEST(FaultInjectorTest, DecisionsAreDeterministic) {
       EXPECT_EQ(a.StragglerDelayMs(TaskKind::kMap, "job", task, attempt),
                 b.StragglerDelayMs(TaskKind::kMap, "job", task, attempt));
     }
-    EXPECT_EQ(a.ReadFaultAt(task, 0), b.ReadFaultAt(task, 0));
+    EXPECT_EQ(a.FailsReplicaRead(task, 0), b.FailsReplicaRead(task, 0));
   }
 }
 
@@ -58,7 +62,7 @@ TEST(FaultInjectorTest, ZeroProbabilityNeverFires) {
   for (size_t task = 0; task < 100; ++task) {
     EXPECT_FALSE(injector.ShouldFailAttempt(TaskKind::kMap, "j", task, 1));
     EXPECT_EQ(injector.StragglerDelayMs(TaskKind::kReduce, "j", task, 1), 0.0);
-    EXPECT_EQ(injector.ReadFaultAt(task, 0), FaultInjector::ReadFault::kNone);
+    EXPECT_FALSE(injector.FailsReplicaRead(task, 0));
   }
   EXPECT_FALSE(injector.policy().AnyEnabled());
 }
@@ -123,16 +127,14 @@ TaskSchedulerOptions FastOptions() {
 TEST(TaskSchedulerTest, TransientFailuresAreRetried) {
   TaskScheduler sched(FastOptions(), nullptr);
   std::vector<std::atomic<int>> committed(4);
-  sched.RunTasks(
-      4, 4,
-      [](size_t, const AttemptInfo& info, int,
-         const std::atomic<bool>&) -> AttemptOutcome {
-        if (info.id == 1) {
-          return {Status::IoError("flaky"), /*transient=*/true};
-        }
-        return {};
-      },
-      [&](size_t task, int) { committed[task].fetch_add(1); });
+  sched.RunTasks(4, 4,
+                 [&](size_t task, const AttemptInfo& info) -> AttemptOutcome {
+                   if (info.id == 1) {
+                     return {Status::IoError("flaky"), /*transient=*/true};
+                   }
+                   committed[task].fetch_add(1);
+                   return {};
+                 });
   EXPECT_TRUE(sched.ok());
   EXPECT_EQ(sched.task_retries(), 4);
   for (const auto& c : committed) EXPECT_EQ(c.load(), 1);
@@ -147,14 +149,13 @@ TEST(TaskSchedulerTest, TransientFailuresAreRetried) {
 
 TEST(TaskSchedulerTest, NonTransientFailureStopsImmediately) {
   TaskScheduler sched(FastOptions(), nullptr);
-  sched.RunTasks(
-      1, 1,
-      [](size_t, const AttemptInfo&, int,
-         const std::atomic<bool>&) -> AttemptOutcome {
-        return {Status::ParseError("bad record"), /*transient=*/false};
-      },
-      [](size_t, int) { FAIL() << "must not commit"; });
+  int runs = 0;
+  sched.RunTasks(1, 1, [&](size_t, const AttemptInfo&) -> AttemptOutcome {
+    ++runs;
+    return {Status::ParseError("bad record"), /*transient=*/false};
+  });
   EXPECT_FALSE(sched.ok());
+  EXPECT_EQ(runs, 1);
   EXPECT_EQ(sched.task_retries(), 0);
   ASSERT_EQ(sched.reports()[0].attempts.size(), 1u);
   EXPECT_TRUE(sched.MakeStatus().IsParseError());
@@ -162,14 +163,10 @@ TEST(TaskSchedulerTest, NonTransientFailureStopsImmediately) {
 
 TEST(TaskSchedulerTest, ExhaustedBudgetReportsHistory) {
   TaskScheduler sched(FastOptions(), nullptr);
-  sched.RunTasks(
-      2, 2,
-      [](size_t task, const AttemptInfo&, int,
-         const std::atomic<bool>&) -> AttemptOutcome {
-        if (task == 1) return {Status::IoError("always down"), true};
-        return {};
-      },
-      [](size_t, int) {});
+  sched.RunTasks(2, 2, [](size_t task, const AttemptInfo&) -> AttemptOutcome {
+    if (task == 1) return {Status::IoError("always down"), true};
+    return {};
+  });
   EXPECT_FALSE(sched.ok());
   const Status status = sched.MakeStatus();
   EXPECT_TRUE(status.IsIoError());
@@ -194,17 +191,17 @@ TEST(TaskSchedulerTest, StragglerTriggersSpeculationAndCommitsOnce) {
   TaskScheduler sched(options, &injector);
   std::vector<std::atomic<int>> committed(8);
   std::atomic<int> runs{0};
-  sched.RunTasks(
-      8, 4,
-      [&](size_t, const AttemptInfo&, int,
-          const std::atomic<bool>&) -> AttemptOutcome {
-        runs.fetch_add(1);
-        return {};
-      },
-      [&](size_t task, int) { committed[task].fetch_add(1); });
+  sched.RunTasks(8, 4, [&](size_t task, const AttemptInfo&) -> AttemptOutcome {
+    runs.fetch_add(1);
+    committed[task].fetch_add(1);
+    return {};
+  });
   EXPECT_TRUE(sched.ok());
   EXPECT_EQ(sched.speculative_launched(), 8);
-  for (const auto& c : committed) EXPECT_EQ(c.load(), 1);  // Commit-once.
+  // The simulated race decides each backup, so only its winner runs: one
+  // attempt-function call per task, and each task commits once.
+  EXPECT_EQ(runs.load(), 8);
+  for (const auto& c : committed) EXPECT_EQ(c.load(), 1);
   for (const auto& report : sched.reports()) {
     ASSERT_EQ(report.attempts.size(), 2u);
     int committed_count = 0, killed_count = 0;
@@ -219,8 +216,7 @@ TEST(TaskSchedulerTest, StragglerTriggersSpeculationAndCommitsOnce) {
 
 TEST(TaskSchedulerTest, SpeculativeWinnerIsDeterministic) {
   // Run the same straggler-heavy schedule twice; the simulated outcome
-  // (who won, total overhead) must be identical even though the real
-  // thread race differs run to run.
+  // (who won, total overhead) must be identical.
   FaultPolicy policy;
   policy.seed = 11;
   policy.straggler_prob = 0.6;
@@ -228,11 +224,9 @@ TEST(TaskSchedulerTest, SpeculativeWinnerIsDeterministic) {
   auto run_once = [&policy]() {
     FaultInjector injector(policy);
     TaskScheduler sched(FastOptions(), &injector);
-    sched.RunTasks(
-        16, 8,
-        [](size_t, const AttemptInfo&, int,
-           const std::atomic<bool>&) -> AttemptOutcome { return {}; },
-        [](size_t, int) {});
+    sched.RunTasks(16, 8, [](size_t, const AttemptInfo&) -> AttemptOutcome {
+      return {};
+    });
     double overhead = 0;
     std::vector<int> winners;
     for (const auto& report : sched.reports()) {
@@ -246,6 +240,37 @@ TEST(TaskSchedulerTest, SpeculativeWinnerIsDeterministic) {
   const auto second = run_once();
   EXPECT_EQ(first, second);
   EXPECT_GT(std::get<0>(first), 0);
+}
+
+TEST(TaskSchedulerTest, FailedRaceWinnerFailsItsRivalToo) {
+  // Every attempt straggles, so every task launches a backup. The primary
+  // wins each race (the backup straggles as long, after its launch), runs
+  // and fails; the backup never runs and fails with the same status.
+  FaultPolicy policy;
+  policy.seed = 5;
+  policy.straggler_prob = 1.0;
+  FaultInjector injector(policy);
+  TaskScheduler sched(FastOptions(), &injector);
+  std::atomic<int> runs{0};
+  sched.RunTasks(2, 2, [&](size_t, const AttemptInfo& info) -> AttemptOutcome {
+    runs.fetch_add(1);
+    EXPECT_FALSE(info.speculative);
+    return {Status::ParseError("bad record"), /*transient=*/false};
+  });
+  EXPECT_FALSE(sched.ok());
+  EXPECT_EQ(runs.load(), 2);
+  EXPECT_EQ(sched.speculative_launched(), 2);
+  EXPECT_EQ(sched.task_retries(), 0);
+  for (const auto& report : sched.reports()) {
+    ASSERT_EQ(report.attempts.size(), 2u);
+    for (const auto& attempt : report.attempts) {
+      EXPECT_EQ(attempt.state, AttemptState::kFailed);
+      EXPECT_TRUE(attempt.status.IsParseError());
+    }
+    EXPECT_EQ(report.History(),
+              "#1 FAILED (ParseError: bad record); #2 (speculative) FAILED "
+              "(ParseError: bad record)");
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -278,9 +303,9 @@ JobConfig WordCountJob(hdfs::FileSystem& fs, const std::string& path) {
   return job;
 }
 
-std::vector<std::string> ManyLines() {
+std::vector<std::string> WordLines(int count) {
   std::vector<std::string> lines;
-  for (int i = 0; i < 400; ++i) {
+  for (int i = 0; i < count; ++i) {
     lines.push_back("w" + std::to_string(i % 23) + " w" +
                     std::to_string(i % 7));
   }
@@ -289,7 +314,7 @@ std::vector<std::string> ManyLines() {
 
 TEST(FaultToleranceTest, InjectionPreservesOutputAcrossSeeds) {
   testing::TestCluster cluster;
-  ASSERT_TRUE(cluster.fs.WriteLines("/text", ManyLines()).ok());
+  ASSERT_TRUE(cluster.fs.WriteLines("/text", WordLines(400)).ok());
   const JobResult clean = cluster.runner.Run(WordCountJob(cluster.fs, "/text"));
   ASSERT_TRUE(clean.status.ok());
   EXPECT_EQ(clean.cost.task_retries, 0);
@@ -323,7 +348,7 @@ TEST(FaultToleranceTest, InjectionPreservesOutputAcrossSeeds) {
 
 TEST(FaultToleranceTest, FaultyCostIsReproducible) {
   testing::TestCluster cluster;
-  ASSERT_TRUE(cluster.fs.WriteLines("/text", ManyLines()).ok());
+  ASSERT_TRUE(cluster.fs.WriteLines("/text", WordLines(400)).ok());
   FaultPolicy policy;
   policy.seed = 7;
   policy.map_failure_prob = 0.25;
@@ -412,9 +437,22 @@ TEST(ReplicaFailoverTest, InjectedReadFaultsFailOverWithoutDataLoss) {
   auto read = cluster.fs.ReadLines("/data");
   ASSERT_TRUE(read.ok()) << read.status().ToString();
   EXPECT_EQ(read.value(), lines);  // Failover, never data loss.
-  EXPECT_GT(injector.replica_failovers(), 0u);
-  EXPECT_EQ(injector.replica_failovers(),
-            injector.read_io_errors() + injector.read_corruptions());
+
+  // A read counts exactly the leading replicas the injector faults; the
+  // last replica is never faulted.
+  const hdfs::FileMeta meta = cluster.fs.GetFileMeta("/data").ValueOrDie();
+  uint64_t failovers = 0;
+  uint64_t expected = 0;
+  for (size_t b = 0; b < meta.blocks.size(); ++b) {
+    ASSERT_TRUE(cluster.fs.ReadBlockRaw("/data", b, &failovers).ok());
+    const hdfs::BlockMeta& block = meta.blocks[b];
+    for (size_t r = 0; r + 1 < block.replica_nodes.size(); ++r) {
+      if (!injector.FailsReplicaRead(block.id, block.replica_nodes[r])) break;
+      ++expected;
+    }
+  }
+  EXPECT_GT(failovers, 0u);
+  EXPECT_EQ(failovers, expected);
   cluster.fs.set_fault_injector(nullptr);
 }
 
@@ -425,17 +463,119 @@ TEST(ReplicaFailoverTest, JobSurfacesReplicaFailoverCounter) {
   policy.read_io_error_prob = 0.6;
   FaultInjector injector(policy);
   cluster.fs.set_fault_injector(&injector);
-  std::vector<std::string> lines;  // Several blocks' worth of input.
-  for (int i = 0; i < 2000; ++i) {
-    lines.push_back("w" + std::to_string(i % 23) + " w" +
-                    std::to_string(i % 7));
-  }
-  ASSERT_TRUE(cluster.fs.WriteLines("/text", lines).ok());
+  // Several blocks' worth of input.
+  ASSERT_TRUE(cluster.fs.WriteLines("/text", WordLines(2000)).ok());
   const JobResult result = cluster.runner.Run(WordCountJob(cluster.fs, "/text"));
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
   EXPECT_GT(result.cost.replica_failovers, 0);
   EXPECT_EQ(result.counters.Get("fault.replica_failovers"),
             result.cost.replica_failovers);
+  cluster.fs.set_fault_injector(nullptr);
+}
+
+// ---------------------------------------------------------------------
+// Determinism of the fault counters. Map tasks that take real time give a
+// second attempt, or a second job, room to run beside the first; neither
+// may move a counter.
+
+/// Word count whose map tasks each take a few milliseconds of wall time.
+class SlowWordCountMapper : public WordCountMapper {
+ public:
+  void EndSplit(MapContext&) override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+};
+
+JobConfig SlowWordCountJob(hdfs::FileSystem& fs, const std::string& path) {
+  JobConfig job = WordCountJob(fs, path);
+  job.mapper = []() { return std::make_unique<SlowWordCountMapper>(); };
+  return job;
+}
+
+/// Every JobCost field, every counter and the output, as one string.
+std::string Fingerprint(const JobResult& result) {
+  const mapreduce::JobCost& c = result.cost;
+  std::ostringstream out;
+  out.precision(17);
+  out << result.status.ToString() << " total=" << c.total_ms
+      << " map=" << c.map_makespan_ms << " shuffle=" << c.shuffle_ms
+      << " reduce=" << c.reduce_makespan_ms << " read=" << c.bytes_read
+      << " shuffled=" << c.bytes_shuffled << " written=" << c.bytes_written
+      << " tasks=" << c.num_map_tasks << "/" << c.num_reduce_tasks
+      << " retries=" << c.task_retries
+      << " spec=" << c.speculative_launched << "/" << c.speculative_won
+      << " failovers=" << c.replica_failovers
+      << " admission=" << c.admission_queued << "/" << c.admission_wait_ms
+      << "/" << c.admission_preempted_specs;
+  for (const auto& [name, value] : result.counters.values()) {
+    out << " " << name << "=" << value;
+  }
+  for (const std::string& line : result.output) out << "\n" << line;
+  return out.str();
+}
+
+TEST(FaultDeterminismTest, SpeculationWithReadFaultsReproducesOnAnyCpuCount) {
+  // Every attempt straggles past the slack, so every task launches a
+  // backup, and read faults make each block read fail over. One map lane
+  // leaves the pool's workers free for a backup to run beside its
+  // primary, were it run.
+  testing::TestCluster cluster(4 * 1024, /*num_slots=*/1);
+  FaultPolicy policy;
+  policy.seed = 31;
+  policy.straggler_prob = 1.0;
+  policy.read_io_error_prob = 0.5;
+  FaultInjector injector(policy);
+  cluster.fs.set_fault_injector(&injector);
+  ASSERT_TRUE(cluster.fs.WriteLines("/text", WordLines(4000)).ok());
+  cluster.runner.set_fault_injector(&injector);
+  auto run = [&] {
+    return Fingerprint(
+        cluster.runner.Run(SlowWordCountJob(cluster.fs, "/text")));
+  };
+
+  std::string one_cpu;
+  {
+    testing::ScopedCpus cpus(1);
+    one_cpu = run();
+  }
+  EXPECT_NE(one_cpu.find("fault.replica_failovers="), std::string::npos);
+  EXPECT_NE(one_cpu.find("fault.speculative_launched="), std::string::npos);
+  for (int i = 0; i < 10; ++i) EXPECT_EQ(run(), one_cpu) << "run " << i;
+  cluster.fs.set_fault_injector(nullptr);
+}
+
+TEST(FaultDeterminismTest, ConcurrentJobsCountOnlyTheirOwnFailovers) {
+  // Two runners share one file system with read faults. Run together,
+  // each job reports the failovers it reports alone.
+  testing::TestCluster cluster;
+  FaultPolicy policy;
+  policy.seed = 8;
+  policy.read_io_error_prob = 0.5;
+  FaultInjector injector(policy);
+  cluster.fs.set_fault_injector(&injector);
+  ASSERT_TRUE(cluster.fs.WriteLines("/a", WordLines(3000)).ok());
+  ASSERT_TRUE(cluster.fs.WriteLines("/b", WordLines(5000)).ok());
+  mapreduce::JobRunner other(&cluster.fs, cluster.runner.cluster());
+  auto run_a = [&] {
+    return cluster.runner.Run(SlowWordCountJob(cluster.fs, "/a"))
+        .cost.replica_failovers;
+  };
+  auto run_b = [&] {
+    return other.Run(SlowWordCountJob(cluster.fs, "/b")).cost.replica_failovers;
+  };
+  const int64_t solo_a = run_a();
+  const int64_t solo_b = run_b();
+  ASSERT_GT(solo_a, 0);
+  ASSERT_GT(solo_b, 0);
+  ASSERT_NE(solo_a, solo_b);
+  for (int round = 0; round < 5; ++round) {
+    int64_t together_a = 0;
+    std::thread thread_a([&] { together_a = run_a(); });
+    const int64_t together_b = run_b();
+    thread_a.join();
+    EXPECT_EQ(together_a, solo_a) << "round " << round;
+    EXPECT_EQ(together_b, solo_b) << "round " << round;
+  }
   cluster.fs.set_fault_injector(nullptr);
 }
 

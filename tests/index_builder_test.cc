@@ -9,6 +9,7 @@
 
 #include "catalog/dataset_catalog.h"
 #include "common/string_util.h"
+#include "core/range_query.h"
 #include "fault/fault_injector.h"
 #include "geometry/wkt.h"
 #include "index/index_builder.h"
@@ -413,6 +414,56 @@ TEST(IndexBuilderCacheTest, MalformedAndMetadataLinesCountTheSame) {
   const BuildOutput built = BuildAndRead(&cluster, "/odd", "/odd.idx", options);
   EXPECT_EQ(built.info.build_counters.Get("analysis.bad_records"), malformed);
   EXPECT_EQ(built.info.build_counters.Get("partition.bad_records"), malformed);
+}
+
+TEST(IndexBuilderCacheTest, NonFiniteCoordinatesAreBadRecords) {
+  // One `inf` point among 2,000 once stretched Grid's cells to infinity,
+  // so every window query came back empty, made QuadTree store extra
+  // copies, and left masters that failed to load; a `nan` point was
+  // stored and never counted. Both are bad records now.
+  workload::PointGenOptions gen;
+  gen.count = 2000;
+  const std::vector<Point> points = workload::GeneratePoints(gen);
+  Envelope space;
+  for (const Point& p : points) space.ExpandToInclude(p);
+  const Point mid = space.Center();
+  const std::vector<Envelope> quadrants = {
+      Envelope(space.min_x(), space.min_y(), mid.x, mid.y),
+      Envelope(mid.x, space.min_y(), space.max_x(), mid.y),
+      Envelope(space.min_x(), mid.y, mid.x, space.max_y()),
+      Envelope(mid.x, mid.y, space.max_x(), space.max_y())};
+  for (const char* extra : {"inf,3", "nan,5"}) {
+    for (PartitionScheme scheme : {PartitionScheme::kGrid,
+                                   PartitionScheme::kStr,
+                                   PartitionScheme::kQuadTree}) {
+      SCOPED_TRACE(std::string(extra) + " " + PartitionSchemeName(scheme));
+      testing::TestCluster cluster;
+      std::vector<std::string> lines = workload::PointsToRecords(points);
+      lines.insert(lines.begin() + 1000, extra);
+      ASSERT_TRUE(cluster.fs.WriteLines("/pts", lines).ok());
+      const SpatialFileInfo built = testing::BuildIndex(
+          &cluster.runner, "/pts", "/pts.idx", scheme);
+      EXPECT_EQ(built.build_counters.Get("partition.bad_records"), 1);
+      auto loaded = LoadSpatialFile(cluster.fs, "/pts.idx");
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      size_t stored = 0;
+      for (const Partition& part : loaded->global_index.partitions()) {
+        stored += part.num_records;
+      }
+      EXPECT_EQ(stored, points.size());
+      for (const Envelope& window : quadrants) {
+        std::multiset<std::string> expected;
+        for (const Point& p : points) {
+          if (window.Contains(p)) expected.insert(PointToCsv(p));
+        }
+        const std::vector<std::string> rows =
+            core::RangeQuerySpatial(&cluster.runner, *loaded, window)
+                .ValueOrDie();
+        EXPECT_EQ(std::multiset<std::string>(rows.begin(), rows.end()),
+                  expected);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

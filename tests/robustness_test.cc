@@ -282,7 +282,7 @@ SweepOutcome RunFaultMatrixCell(uint64_t seed, double task_failure_rate,
   outcome.task_retries = stats.cost.task_retries;
   outcome.speculative_launched = stats.cost.speculative_launched;
   outcome.replica_failovers =
-      static_cast<int64_t>(injector.replica_failovers());
+      file.build_cost.replica_failovers + stats.cost.replica_failovers;
   return outcome;
 }
 
