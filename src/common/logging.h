@@ -8,15 +8,11 @@ namespace shadoop {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
 
-/// Process-wide minimum level; messages below it are dropped. Defaults to
-/// kWarning so tests and benchmarks stay quiet unless asked otherwise.
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
-
 namespace internal_logging {
 
 /// Stream-style log sink; flushes one line to stderr on destruction.
-/// Use via the SHADOOP_LOG macro, not directly.
+/// Messages below kWarning are dropped, so tests and benchmarks stay
+/// quiet. Use via the SHADOOP_LOG macro, not directly.
 class LogMessage {
  public:
   LogMessage(LogLevel level, const char* file, int line);

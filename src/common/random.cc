@@ -74,9 +74,4 @@ double Random::NextGaussian() {
 
 bool Random::NextBool(double p) { return NextDouble() < p; }
 
-Random Random::Fork() {
-  uint64_t seed = NextUint64() ^ SplitMix64(++fork_counter_);
-  return Random(seed);
-}
-
 }  // namespace shadoop

@@ -36,15 +36,10 @@ class Random {
   /// Bernoulli with probability p of returning true.
   bool NextBool(double p = 0.5);
 
-  /// Forks an independent stream; child streams are decorrelated from the
-  /// parent and from each other (splitmix of the fork counter).
-  Random Fork();
-
  private:
   uint64_t state_[4];
   bool have_spare_gaussian_ = false;
   double spare_gaussian_ = 0.0;
-  uint64_t fork_counter_ = 0;
 };
 
 }  // namespace shadoop

@@ -237,12 +237,6 @@ SpatialJobBuilder& SpatialJobBuilder::ParallelMerge(
   return *this;
 }
 
-SpatialJobBuilder& SpatialJobBuilder::Partition(
-    mapreduce::Partitioner partitioner) {
-  partitioner_ = std::move(partitioner);
-  return *this;
-}
-
 Result<mapreduce::JobResult> SpatialJobBuilder::Run(OpStats* stats) {
   SHADOOP_RETURN_NOT_OK(status_);
   if (!mapper_) {
@@ -254,7 +248,6 @@ Result<mapreduce::JobResult> SpatialJobBuilder::Run(OpStats* stats) {
   job.mapper = mapper_;
   job.combiner = combiner_;
   job.reducer = reducer_;
-  job.partitioner = partitioner_;
   if (parallel_merge_) {
     // Round 1 of the two-round merge: one reducer per ~4 partitions so no
     // single reducer absorbs every local result; the constant-key groups
@@ -262,12 +255,10 @@ Result<mapreduce::JobResult> SpatialJobBuilder::Run(OpStats* stats) {
     job.num_reducers = std::min<int>(
         runner_->cluster().num_slots,
         std::max<int>(1, static_cast<int>(job.splits.size()) / 4));
-    if (!job.partitioner) {
-      int counter = 0;
-      job.partitioner = [counter](std::string_view, int reducers) mutable {
-        return counter++ % reducers;
-      };
-    }
+    int counter = 0;
+    job.partitioner = [counter](std::string_view, int reducers) mutable {
+      return counter++ % reducers;
+    };
   } else {
     job.num_reducers = num_reducers_;
   }

@@ -165,8 +165,6 @@ class SpatialJobBuilder {
   /// small survivor set master-side.
   SpatialJobBuilder& ParallelMerge(mapreduce::ReducerFactory reducer);
 
-  SpatialJobBuilder& Partition(mapreduce::Partitioner partitioner);
-
   // ------------------------------------------------------------------
   // Plan inspection.
 
@@ -190,7 +188,6 @@ class SpatialJobBuilder {
   mapreduce::MapperFactory mapper_;
   mapreduce::ReducerFactory combiner_;
   mapreduce::ReducerFactory reducer_;
-  mapreduce::Partitioner partitioner_;
   int num_reducers_ = 1;
   bool parallel_merge_ = false;
 };

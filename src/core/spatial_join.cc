@@ -303,7 +303,7 @@ Result<std::vector<std::string>> SjmrJoin(mapreduce::JobRunner* runner,
   if (options.histogram_balanced) {
     // One more scan pair builds a combined density histogram; STR-style
     // quantile cells then even out the per-reducer load under skew.
-    const int res = std::max(2, options.histogram_resolution);
+    constexpr int res = 64;
     SHADOOP_ASSIGN_OR_RETURN(
         GridHistogram hist_a,
         ComputeGridHistogram(runner, path_a, shape_a, space, res, res,

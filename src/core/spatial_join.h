@@ -28,11 +28,9 @@ struct SjmrOptions {
   /// When true, the repartition cells are balanced against data skew
   /// using a density histogram (one extra scan job): cells follow
   /// STR-style quantile boundaries of the combined density instead of a
-  /// uniform grid, evening out reducer load.
+  /// uniform grid, evening out reducer load. The histogram has 64 cells
+  /// per axis.
   bool histogram_balanced = false;
-
-  /// Histogram resolution (cells per axis) for the balanced variant.
-  int histogram_resolution = 64;
 
   /// In-memory join kernel used inside each reduce cell.
   LocalJoinAlgorithm local_algorithm = LocalJoinAlgorithm::kRTreeProbe;

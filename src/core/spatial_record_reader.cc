@@ -109,22 +109,6 @@ void SpatialRecordReader::AddRecord(std::string_view stable_record) {
   InvalidateColumns();
 }
 
-void SpatialRecordReader::Clear() {
-  records_.clear();
-  preparsed_envelopes_.reset();
-  headers_ = 0;
-  bad_records_ = 0;
-  cache_ = nullptr;
-  cache_block_id_ = 0;
-  InvalidateColumns();
-  // Post-state invariant: nothing that could disagree with records_ may
-  // survive a Clear() — no stale #lidx envelopes, columns or local index.
-  SHADOOP_DCHECK(records_.empty() && preparsed_envelopes_ == nullptr &&
-                 point_column_ == nullptr && envelope_column_ == nullptr &&
-                 polygon_column_ == nullptr && local_index_ == nullptr);
-  CheckInvariants();
-}
-
 void SpatialRecordReader::InvalidateColumns() {
   point_column_.reset();
   envelope_column_.reset();

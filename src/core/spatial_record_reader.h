@@ -69,11 +69,6 @@ class SpatialRecordReader {
   /// columns are invalidated once.
   void AddBlock(const hdfs::BlockRecords& block);
 
-  /// Drops all records, parsed columns, the local index, the
-  /// local-index header and the cache attachment — the reader is
-  /// reusable as if freshly constructed.
-  void Clear();
-
   /// True when the partition carried a persisted local index, so
   /// Envelopes() needs no geometry parsing. Callers use this to charge the
   /// cost model less CPU.

@@ -54,7 +54,6 @@ struct FaultPolicy {
   bool AnyReadFaults() const {
     return read_io_error_prob > 0 || read_corruption_prob > 0;
   }
-  bool AnyEnabled() const { return AnyTaskFaults() || AnyReadFaults(); }
 };
 
 /// Deterministic, thread-safe fault source. Every decision is a pure

@@ -14,13 +14,6 @@ double Envelope::MinDistance(const Point& p) const {
   return std::sqrt(dx * dx + dy * dy);
 }
 
-double Envelope::MaxDistance(const Point& p) const {
-  if (IsEmpty()) return 0.0;
-  const double dx = std::max(std::abs(p.x - min_x_), std::abs(p.x - max_x_));
-  const double dy = std::max(std::abs(p.y - min_y_), std::abs(p.y - max_y_));
-  return std::sqrt(dx * dx + dy * dy);
-}
-
 double Envelope::MinDistance(const Envelope& other) const {
   if (IsEmpty() || other.IsEmpty()) {
     return std::numeric_limits<double>::infinity();

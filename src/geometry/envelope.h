@@ -108,9 +108,6 @@ class Envelope {
   /// Smallest distance from this envelope to point p (0 when inside).
   double MinDistance(const Point& p) const;
 
-  /// Largest distance from any point of this envelope to p.
-  double MaxDistance(const Point& p) const;
-
   /// Smallest distance between any two points of the two envelopes.
   double MinDistance(const Envelope& other) const;
 

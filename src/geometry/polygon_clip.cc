@@ -1,86 +1,6 @@
 #include "geometry/polygon_clip.h"
 
-#include <array>
-#include <cmath>
-#include <vector>
-
 namespace shadoop {
-namespace {
-
-enum class ClipEdge { kLeft, kRight, kBottom, kTop };
-
-bool Inside(const Point& p, ClipEdge edge, const Envelope& box) {
-  switch (edge) {
-    case ClipEdge::kLeft:
-      return p.x >= box.min_x();
-    case ClipEdge::kRight:
-      return p.x <= box.max_x();
-    case ClipEdge::kBottom:
-      return p.y >= box.min_y();
-    case ClipEdge::kTop:
-      return p.y <= box.max_y();
-  }
-  return false;
-}
-
-Point EdgeIntersection(const Point& a, const Point& b, ClipEdge edge,
-                       const Envelope& box) {
-  double t = 0.0;
-  switch (edge) {
-    case ClipEdge::kLeft:
-      t = (box.min_x() - a.x) / (b.x - a.x);
-      return Point(box.min_x(), a.y + t * (b.y - a.y));
-    case ClipEdge::kRight:
-      t = (box.max_x() - a.x) / (b.x - a.x);
-      return Point(box.max_x(), a.y + t * (b.y - a.y));
-    case ClipEdge::kBottom:
-      t = (box.min_y() - a.y) / (b.y - a.y);
-      return Point(a.x + t * (b.x - a.x), box.min_y());
-    case ClipEdge::kTop:
-      t = (box.max_y() - a.y) / (b.y - a.y);
-      return Point(a.x + t * (b.x - a.x), box.max_y());
-  }
-  return a;
-}
-
-}  // namespace
-
-Polygon ClipPolygonToBox(const Polygon& poly, const Envelope& box) {
-  if (poly.IsEmpty() || box.IsEmpty()) return Polygon();
-  std::vector<Point> ring = poly.ring();
-  constexpr std::array<ClipEdge, 4> kEdges = {ClipEdge::kLeft, ClipEdge::kRight,
-                                              ClipEdge::kBottom, ClipEdge::kTop};
-  for (ClipEdge edge : kEdges) {
-    if (ring.empty()) break;
-    std::vector<Point> output;
-    output.reserve(ring.size() + 4);
-    for (size_t i = 0; i < ring.size(); ++i) {
-      const Point& current = ring[i];
-      const Point& prev = ring[(i + ring.size() - 1) % ring.size()];
-      const bool current_in = Inside(current, edge, box);
-      const bool prev_in = Inside(prev, edge, box);
-      if (current_in) {
-        if (!prev_in) output.push_back(EdgeIntersection(prev, current, edge, box));
-        output.push_back(current);
-      } else if (prev_in) {
-        output.push_back(EdgeIntersection(prev, current, edge, box));
-      }
-    }
-    ring = std::move(output);
-  }
-  // Remove consecutive duplicates introduced by clipping at corners.
-  std::vector<Point> cleaned;
-  for (const Point& p : ring) {
-    if (cleaned.empty() || !(cleaned.back() == p)) cleaned.push_back(p);
-  }
-  if (cleaned.size() >= 2 && cleaned.front() == cleaned.back()) {
-    cleaned.pop_back();
-  }
-  if (cleaned.size() < 3) return Polygon();
-  Polygon result(std::move(cleaned));
-  if (result.Area() == 0.0) return Polygon();
-  return result;
-}
 
 std::optional<Segment> ClipSegmentToBox(const Segment& s, const Envelope& box) {
   if (box.IsEmpty()) return std::nullopt;

@@ -4,15 +4,9 @@
 #include <optional>
 
 #include "geometry/envelope.h"
-#include "geometry/polygon.h"
 #include "geometry/segment.h"
 
 namespace shadoop {
-
-/// Clips `poly` to the axis-aligned `box` with the Sutherland–Hodgman
-/// algorithm. Returns an empty polygon when the intersection is empty or
-/// degenerate. The clip region is convex, so the result is a single ring.
-Polygon ClipPolygonToBox(const Polygon& poly, const Envelope& box);
 
 /// Clips segment `s` to `box` (Liang–Barsky). Returns nullopt when the
 /// segment lies entirely outside, or when the clipped portion degenerates

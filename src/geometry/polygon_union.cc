@@ -3,33 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <numeric>
+#include <tuple>
 
 #include "geometry/envelope.h"
 
 namespace shadoop {
 namespace {
-
-/// Union-find over polygon indices for the grouping step.
-class DisjointSet {
- public:
-  explicit DisjointSet(size_t n) : parent_(n) {
-    std::iota(parent_.begin(), parent_.end(), 0);
-  }
-
-  size_t Find(size_t x) {
-    while (parent_[x] != x) {
-      parent_[x] = parent_[parent_[x]];
-      x = parent_[x];
-    }
-    return x;
-  }
-
-  void Merge(size_t a, size_t b) { parent_[Find(a)] = Find(b); }
-
- private:
-  std::vector<size_t> parent_;
-};
 
 /// Canonical key for duplicate-edge detection: endpoints snapped to a
 /// fixed grid and ordered, so the two directed copies of a shared border
@@ -55,28 +34,6 @@ SegmentKey MakeKey(const Segment& s) {
 }
 
 }  // namespace
-
-std::vector<std::vector<size_t>> GroupOverlappingPolygons(
-    const std::vector<Polygon>& polygons) {
-  DisjointSet sets(polygons.size());
-  std::vector<Envelope> bounds;
-  bounds.reserve(polygons.size());
-  for (const Polygon& p : polygons) bounds.push_back(p.Bounds());
-  for (size_t i = 0; i < polygons.size(); ++i) {
-    for (size_t j = i + 1; j < polygons.size(); ++j) {
-      if (!bounds[i].Intersects(bounds[j])) continue;
-      if (polygons[i].Intersects(polygons[j])) sets.Merge(i, j);
-    }
-  }
-  std::map<size_t, std::vector<size_t>> groups;
-  for (size_t i = 0; i < polygons.size(); ++i) {
-    groups[sets.Find(i)].push_back(i);
-  }
-  std::vector<std::vector<size_t>> result;
-  result.reserve(groups.size());
-  for (auto& [root, members] : groups) result.push_back(std::move(members));
-  return result;
-}
 
 std::vector<Segment> UnionBoundary(const std::vector<Polygon>& polygons) {
   std::vector<Envelope> bounds;

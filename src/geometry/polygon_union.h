@@ -29,12 +29,6 @@ std::vector<Segment> UnionBoundary(const std::vector<Polygon>& polygons);
 /// compare against.
 double UnionBoundaryLength(const std::vector<Polygon>& polygons);
 
-/// Groups polygons into connected components of the "intersects" relation
-/// (the grouping step of the single-machine union algorithm). Returns one
-/// vector of polygon indices per group.
-std::vector<std::vector<size_t>> GroupOverlappingPolygons(
-    const std::vector<Polygon>& polygons);
-
 }  // namespace shadoop
 
 #endif  // SHADOOP_GEOMETRY_POLYGON_UNION_H_

@@ -31,21 +31,6 @@ bool SegmentsIntersect(const Segment& s, const Segment& t) {
   return false;
 }
 
-std::optional<Point> SegmentIntersection(const Segment& s, const Segment& t) {
-  const double rx = s.b.x - s.a.x;
-  const double ry = s.b.y - s.a.y;
-  const double qx = t.b.x - t.a.x;
-  const double qy = t.b.y - t.a.y;
-  const double denom = rx * qy - ry * qx;
-  if (denom == 0.0) return std::nullopt;  // Parallel or collinear.
-  const double dx = t.a.x - s.a.x;
-  const double dy = t.a.y - s.a.y;
-  const double u = (dx * qy - dy * qx) / denom;
-  const double v = (dx * ry - dy * rx) / denom;
-  if (u < 0.0 || u > 1.0 || v < 0.0 || v > 1.0) return std::nullopt;
-  return Point(s.a.x + u * rx, s.a.y + u * ry);
-}
-
 std::vector<double> CrossingParameters(const Segment& s, const Segment& t_seg) {
   std::vector<double> params;
   const double rx = s.b.x - s.a.x;

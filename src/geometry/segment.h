@@ -1,7 +1,6 @@
 #ifndef SHADOOP_GEOMETRY_SEGMENT_H_
 #define SHADOOP_GEOMETRY_SEGMENT_H_
 
-#include <optional>
 #include <vector>
 
 #include "geometry/envelope.h"
@@ -30,10 +29,6 @@ struct Segment {
 
 /// True if the closed segments [a.a, a.b] and [b.a, b.b] share any point.
 bool SegmentsIntersect(const Segment& s, const Segment& t);
-
-/// Point of proper (single-point) intersection, if any. Collinear overlaps
-/// return nullopt.
-std::optional<Point> SegmentIntersection(const Segment& s, const Segment& t);
 
 /// Parameters t in (0,1) at which `s` crosses `t_seg` (proper crossings
 /// only); used by the polygon overlay to split edges.

@@ -70,12 +70,6 @@ Status AppendCoordinateList(std::string_view& text,
   return Status::OK();
 }
 
-Result<std::vector<Point>> ParseCoordinateList(std::string_view& text) {
-  std::vector<Point> points;
-  SHADOOP_RETURN_NOT_OK(AppendCoordinateList(text, &points));
-  return points;
-}
-
 /// AppendPolygonWkt's checks, in order; on failure the caller truncates
 /// what was appended.
 Status AppendPolygonRing(std::string_view text, std::vector<Point>* ring) {
@@ -98,43 +92,21 @@ Status AppendPolygonRing(std::string_view text, std::vector<Point>* ring) {
   return Status::OK();
 }
 
-std::string CoordinateListToString(const std::vector<Point>& points) {
-  std::string out;
-  for (size_t i = 0; i < points.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += FormatDouble(points[i].x);
-    out += " ";
-    out += FormatDouble(points[i].y);
-  }
-  return out;
-}
-
 }  // namespace
-
-std::string ToWkt(const Point& p) {
-  return "POINT (" + FormatDouble(p.x) + " " + FormatDouble(p.y) + ")";
-}
 
 std::string ToWkt(const Polygon& poly) {
   if (poly.IsEmpty()) return "POLYGON EMPTY";
   // WKT rings repeat the first vertex at the end.
   std::vector<Point> closed = poly.ring();
   closed.push_back(closed.front());
-  return "POLYGON ((" + CoordinateListToString(closed) + "))";
-}
-
-std::string LineStringToWkt(const std::vector<Point>& points) {
-  return "LINESTRING (" + CoordinateListToString(points) + ")";
-}
-
-Result<Point> ParsePointWkt(std::string_view text) {
-  SHADOOP_RETURN_NOT_OK(ExpectKeyword(text, "POINT"));
-  SHADOOP_RETURN_NOT_OK(ExpectChar(text, '('));
-  SHADOOP_ASSIGN_OR_RETURN(std::vector<Point> pts, ParseCoordinateList(text));
-  if (pts.size() != 1) {
-    return Status::ParseError("POINT must contain exactly one coordinate");
+  std::string out = "POLYGON ((";
+  for (size_t i = 0; i < closed.size(); ++i) {
+    if (i > 0) out += ", ";
+    out += FormatDouble(closed[i].x);
+    out += " ";
+    out += FormatDouble(closed[i].y);
   }
-  return pts.front();
+  return out + "))";
 }
 
 Status AppendPolygonWkt(std::string_view text, std::vector<Point>* ring) {
@@ -148,16 +120,6 @@ Result<Polygon> ParsePolygonWkt(std::string_view text) {
   std::vector<Point> ring;
   SHADOOP_RETURN_NOT_OK(AppendPolygonWkt(text, &ring));
   return Polygon(std::move(ring));
-}
-
-Result<std::vector<Point>> ParseLineStringWkt(std::string_view text) {
-  SHADOOP_RETURN_NOT_OK(ExpectKeyword(text, "LINESTRING"));
-  SHADOOP_RETURN_NOT_OK(ExpectChar(text, '('));
-  SHADOOP_ASSIGN_OR_RETURN(std::vector<Point> pts, ParseCoordinateList(text));
-  if (pts.size() < 2) {
-    return Status::ParseError("LINESTRING needs at least 2 points");
-  }
-  return pts;
 }
 
 std::string PointToCsv(const Point& p) {

@@ -15,23 +15,16 @@ namespace shadoop {
 /// Well-Known-Text serialization for the geometry types the system stores
 /// in its text record format (one geometry per HDFS record line).
 ///
-/// Supported forms:
-///   POINT (x y)
-///   LINESTRING (x y, x y, ...)
-///   POLYGON ((x y, x y, ...))        -- single ring; holes are rejected
-///
-/// Parsing is whitespace-tolerant and case-insensitive on keywords.
-std::string ToWkt(const Point& p);
+/// The one supported form is POLYGON ((x y, x y, ...)): a single ring;
+/// holes are rejected. Parsing is whitespace-tolerant and
+/// case-insensitive on the keyword.
 std::string ToWkt(const Polygon& poly);
-std::string LineStringToWkt(const std::vector<Point>& points);
 
-Result<Point> ParsePointWkt(std::string_view text);
 Result<Polygon> ParsePolygonWkt(std::string_view text);
 /// ParsePolygonWkt without the Polygon: appends the ring's vertices,
 /// without the repeated closing vertex, to `ring`, which may already hold
 /// other rings. On failure `ring` is truncated back to its size on entry.
 Status AppendPolygonWkt(std::string_view text, std::vector<Point>* ring);
-Result<std::vector<Point>> ParseLineStringWkt(std::string_view text);
 
 /// Compact CSV forms used by the HDFS record layer:
 ///   point:     "x,y"

@@ -234,20 +234,6 @@ Status FileSystem::Delete(const std::string& path) {
   return Status::OK();
 }
 
-Status FileSystem::Rename(const std::string& src, const std::string& dst) {
-  MutexLock lock(&mu_);
-  auto it = files_.find(src);
-  if (it == files_.end()) return Status::NotFound("no such file: " + src);
-  if (files_.count(dst) > 0) {
-    return Status::AlreadyExists("destination exists: " + dst);
-  }
-  FileMeta meta = std::move(it->second);
-  files_.erase(it);
-  meta.path = dst;
-  files_.emplace(dst, std::move(meta));
-  return Status::OK();
-}
-
 Status FileSystem::Replace(const std::string& src, const std::string& dst) {
   MutexLock lock(&mu_);
   auto it = files_.find(src);
@@ -280,12 +266,6 @@ void FileSystem::SetNodeAlive(int node_id, bool alive) {
   if (node_id >= 0 && node_id < static_cast<int>(node_alive_.size())) {
     node_alive_[node_id] = alive;
   }
-}
-
-int FileSystem::CountAliveNodes() const {
-  MutexLock lock(&mu_);
-  return static_cast<int>(
-      std::count(node_alive_.begin(), node_alive_.end(), true));
 }
 
 BlockMeta FileSystem::StoreBlock(std::string payload, size_t num_records) {

@@ -161,10 +161,6 @@ class FileSystem {
 
   Status Delete(const std::string& path) SHADOOP_EXCLUDES(mu_);
 
-  /// Renames src to dst; fails if dst exists.
-  Status Rename(const std::string& src, const std::string& dst)
-      SHADOOP_EXCLUDES(mu_);
-
   /// All paths with the given prefix, sorted.
   std::vector<std::string> ListFiles(const std::string& prefix) const
       SHADOOP_EXCLUDES(mu_);
@@ -172,7 +168,6 @@ class FileSystem {
   /// Failure injection: marks a datanode dead (its replicas unreadable) or
   /// alive again.
   void SetNodeAlive(int node_id, bool alive) SHADOOP_EXCLUDES(mu_);
-  int CountAliveNodes() const SHADOOP_EXCLUDES(mu_);
 
   /// Installs a deterministic fault source for replica reads (I/O errors,
   /// corrupt bytes caught by block checksums). Not owned; null (the

@@ -23,6 +23,9 @@ using mapreduce::JobResult;
 using mapreduce::MapContext;
 using mapreduce::Mapper;
 
+/// Hard cap on the boundary sample kept on the master.
+constexpr size_t kMaxSample = 100000;
+
 uint64_t SplitSeed(const InputSplit& split) {
   uint64_t seed = 0xa1b2c3d4e5f60718ULL;
   for (const mapreduce::BlockRef& block : split.blocks) {
@@ -304,13 +307,12 @@ Result<SpatialFileInfo> IndexBuilder::Build(const std::string& source_path,
     return Status::InvalidArgument("input file '" + source_path +
                                    "' has no valid records to index");
   }
-  if (sample.size() > options.max_sample) {
+  if (sample.size() > kMaxSample) {
     // Deterministic thinning: keep a stride subset.
     std::vector<Point> thinned;
-    thinned.reserve(options.max_sample);
-    const double stride =
-        static_cast<double>(sample.size()) / options.max_sample;
-    for (size_t i = 0; i < options.max_sample; ++i) {
+    thinned.reserve(kMaxSample);
+    const double stride = static_cast<double>(sample.size()) / kMaxSample;
+    for (size_t i = 0; i < kMaxSample; ++i) {
       thinned.push_back(sample[static_cast<size_t>(i * stride)]);
     }
     sample = std::move(thinned);
@@ -529,6 +531,14 @@ Result<SpatialFileInfo> LoadSpatialFileFromMaster(
           where, block + " holds " + std::to_string(bytes[part.block_index]) +
                      " bytes, but the line says " +
                      std::to_string(part.num_bytes));
+    }
+    // The splitter, kNN and the cost model index partitions() by the ids
+    // the partition filters return.
+    const size_t position = partitions.size() - 1;
+    if (part.id != static_cast<int>(position)) {
+      return master_error(where, "partition id " + std::to_string(part.id) +
+                                     " at position " +
+                                     std::to_string(position));
     }
   }
   // A bulk build writes one block per partition.

@@ -20,9 +20,6 @@ struct IndexBuildOptions {
   /// Fraction of records sampled for boundary computation.
   double sample_ratio = 0.02;
 
-  /// Hard cap on the sample size kept on the master.
-  size_t max_sample = 100000;
-
   /// Number of cells to create; 0 derives it from the input size and the
   /// HDFS block size (one partition per block, the paper's layout).
   int target_partitions = 0;

@@ -22,8 +22,6 @@ class QuadTreePartitioner : public Partitioner {
   Envelope CellExtent(int id) const override { return leaves_[id]; }
   int AssignPoint(const Point& p) const override;
 
-  int MaxDepth() const { return max_depth_reached_; }
-
  protected:
   void OverlappingCells(const Envelope& extent,
                         std::vector<int>* out) const override;
@@ -42,7 +40,6 @@ class QuadTreePartitioner : public Partitioner {
 
   std::unique_ptr<Node> root_;
   std::vector<Envelope> leaves_;
-  int max_depth_reached_ = 0;
 
   static constexpr int kMaxDepth = 20;
 };

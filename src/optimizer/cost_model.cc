@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <vector>
 
 #include "index/global_index.h"
@@ -86,28 +85,6 @@ double EstimateSelectivity(const index::GlobalIndex& index,
   return total > 0 ? std::min(1.0, expected / total) : 0;
 }
 
-double EstimateSelectivity(const core::GridHistogram& histogram,
-                           const Envelope& query) {
-  const int64_t total = histogram.TotalCount();
-  if (total <= 0 || histogram.cols() <= 0 || histogram.rows() <= 0) return 0;
-  const Envelope& space = histogram.space();
-  const double cell_w = space.Width() / histogram.cols();
-  const double cell_h = space.Height() / histogram.rows();
-  double expected = 0;
-  for (int row = 0; row < histogram.rows(); ++row) {
-    for (int col = 0; col < histogram.cols(); ++col) {
-      const int64_t count = histogram.At(col, row);
-      if (count == 0) continue;
-      const Envelope cell(space.min_x() + col * cell_w,
-                          space.min_y() + row * cell_h,
-                          space.min_x() + (col + 1) * cell_w,
-                          space.min_y() + (row + 1) * cell_h);
-      expected += CoverageFraction(cell, query) * static_cast<double>(count);
-    }
-  }
-  return std::min(1.0, expected / static_cast<double>(total));
-}
-
 bool IsReplicatedStorage(const index::SpatialFileInfo& info) {
   return info.global_index.IsDisjoint() &&
          info.shape != index::ShapeType::kPoint;
@@ -117,29 +94,22 @@ PlanCost CostDistributedJoin(const mapreduce::ClusterConfig& cluster,
                              const index::SpatialFileInfo& a,
                              const index::SpatialFileInfo& b,
                              bool build_right) {
-  std::map<int, const index::Partition*> parts_a;
-  for (const index::Partition& p : a.global_index.partitions()) {
-    parts_a[p.id] = &p;
-  }
-  std::map<int, const index::Partition*> parts_b;
-  for (const index::Partition& p : b.global_index.partitions()) {
-    parts_b[p.id] = &p;
-  }
-
+  const std::vector<index::Partition>& parts_a = a.global_index.partitions();
+  const std::vector<index::Partition>& parts_b = b.global_index.partitions();
   PlanCost cost;
   std::vector<double> task_ms;
   for (const auto& [id_a, id_b] :
        index::OverlappingPartitionPairs(a.global_index, b.global_index)) {
-    const index::Partition* pa = parts_a.at(id_a);
-    const index::Partition* pb = parts_b.at(id_b);
+    const index::Partition& pa = parts_a[id_a];
+    const index::Partition& pb = parts_b[id_b];
     const double bytes =
-        static_cast<double>(pa->num_bytes) + static_cast<double>(pb->num_bytes);
-    const double na = static_cast<double>(pa->num_records);
-    const double nb = static_cast<double>(pb->num_records);
+        static_cast<double>(pa.num_bytes) + static_cast<double>(pb.num_bytes);
+    const double na = static_cast<double>(pa.num_records);
+    const double nb = static_cast<double>(pb.num_records);
     const double kernel = build_right ? JoinKernelOps(nb, na)
                                       : JoinKernelOps(na, nb);
     task_ms.push_back(TaskMs(cluster, bytes, na + nb, kernel));
-    cost.bytes_read += pa->num_bytes + pb->num_bytes;
+    cost.bytes_read += pa.num_bytes + pb.num_bytes;
   }
   cost.tasks = static_cast<int>(task_ms.size());
   cost.jobs = 1;
@@ -186,17 +156,13 @@ PlanCost CostSjmrJoin(const mapreduce::ClusterConfig& cluster,
 PlanCost CostRangePruned(const mapreduce::ClusterConfig& cluster,
                          const index::SpatialFileInfo& info,
                          const Envelope& query) {
-  std::map<int, const index::Partition*> parts;
-  for (const index::Partition& p : info.global_index.partitions()) {
-    parts[p.id] = &p;
-  }
   PlanCost cost;
   std::vector<double> task_ms;
   for (int id : info.global_index.OverlappingPartitions(query)) {
-    const index::Partition* p = parts.at(id);
-    task_ms.push_back(TaskMs(cluster, static_cast<double>(p->num_bytes),
-                             static_cast<double>(p->num_records), 0));
-    cost.bytes_read += p->num_bytes;
+    const index::Partition& p = info.global_index.partitions()[id];
+    task_ms.push_back(TaskMs(cluster, static_cast<double>(p.num_bytes),
+                             static_cast<double>(p.num_records), 0));
+    cost.bytes_read += p.num_bytes;
   }
   cost.tasks = static_cast<int>(task_ms.size());
   cost.jobs = 1;

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <string>
 
-#include "core/histogram_op.h"
 #include "geometry/envelope.h"
 #include "index/index_builder.h"
 #include "mapreduce/cluster.h"
@@ -31,12 +30,6 @@ struct PlanCost {
 /// count scaled by the area fraction of its MBR covered by the query
 /// (degenerate zero-extent axes count as fully covered). In [0, 1].
 double EstimateSelectivity(const index::GlobalIndex& index,
-                           const Envelope& query);
-
-/// Same estimate from a density histogram (`histogram_op` output):
-/// cell counts scaled by the covered area fraction of each cell. The
-/// advisor and tests use this when no index exists yet.
-double EstimateSelectivity(const core::GridHistogram& histogram,
                            const Envelope& query);
 
 /// True when the layout stores some records in more than one partition

@@ -112,9 +112,8 @@ RangePlan PlanRange(const mapreduce::ClusterConfig& cluster,
 
 Result<IndexPlan> PlanIndexBuild(hdfs::FileSystem* fs, const std::string& path,
                                  index::ShapeType shape) {
-  SHADOOP_ASSIGN_OR_RETURN(
-      const AdvisorChoice choice,
-      AdvisePartitioning(fs, path, shape, AdvisorOptions()));
+  SHADOOP_ASSIGN_OR_RETURN(const AdvisorChoice choice,
+                           AdvisePartitioning(fs, path, shape));
   IndexPlan plan;
   plan.scheme = choice.scheme;
   plan.target_partitions = choice.target_partitions;

@@ -24,6 +24,11 @@ constexpr index::PartitionScheme kCandidateSchemes[] = {
 /// count (100 first, again for the tie-break).
 constexpr int kGranularityPct[] = {100, 50, 200};
 
+/// Stride-sampled records kept on the master for scoring. The stride is
+/// derived from the record count, so the sample is deterministic for a
+/// given file (no randomness anywhere in the advisor).
+constexpr size_t kMaxSample = 2000;
+
 /// Fixed 2-decimal rendering of a non-negative value, round-half-up.
 std::string Fixed2(double v) {
   const long long scaled = std::llround(v * 100);
@@ -38,8 +43,7 @@ std::string Fixed2(double v) {
 
 Result<AdvisorChoice> AdvisePartitioning(hdfs::FileSystem* fs,
                                          const std::string& path,
-                                         index::ShapeType shape,
-                                         const AdvisorOptions& options) {
+                                         index::ShapeType shape) {
   SHADOOP_ASSIGN_OR_RETURN(const std::vector<std::string> lines,
                            fs->ReadLines(path));
   std::vector<Envelope> extents;
@@ -59,8 +63,7 @@ Result<AdvisorChoice> AdvisePartitioning(hdfs::FileSystem* fs,
   // seed or clock, so the same file always yields the same sample.
   std::vector<Envelope> sample;
   const size_t stride =
-      std::max<size_t>(1, (extents.size() + options.max_sample - 1) /
-                              options.max_sample);
+      std::max<size_t>(1, (extents.size() + kMaxSample - 1) / kMaxSample);
   for (size_t i = 0; i < extents.size(); i += stride) {
     sample.push_back(extents[i]);
   }
@@ -73,15 +76,10 @@ Result<AdvisorChoice> AdvisePartitioning(hdfs::FileSystem* fs,
     centers.push_back(e.Center());
   }
 
-  int base_partitions = options.target_partitions;
-  if (base_partitions <= 0) {
-    SHADOOP_ASSIGN_OR_RETURN(const hdfs::FileMeta meta,
-                             fs->GetFileMeta(path));
-    base_partitions = static_cast<int>(
-        (meta.total_bytes + fs->config().block_size - 1) /
-        fs->config().block_size);
-    base_partitions = std::max(1, base_partitions);
-  }
+  SHADOOP_ASSIGN_OR_RETURN(const hdfs::FileMeta meta, fs->GetFileMeta(path));
+  const int base_partitions = std::max(
+      1, static_cast<int>((meta.total_bytes + fs->config().block_size - 1) /
+                          fs->config().block_size));
 
   AdvisorChoice choice;
   double best_score = 0;

@@ -11,18 +11,6 @@
 
 namespace shadoop::optimizer {
 
-/// Knobs of the advisor's candidate enumeration.
-struct AdvisorOptions {
-  /// Stride-sampled records kept on the master for scoring. The stride is
-  /// derived from the record count, so the sample is deterministic for a
-  /// given file (no randomness anywhere in the advisor).
-  size_t max_sample = 2000;
-
-  /// Base cell count; 0 derives it from the file size and the HDFS block
-  /// size, matching the index builder's one-partition-per-block layout.
-  int target_partitions = 0;
-};
-
 /// One scored candidate: a partitioning technique at a grid granularity.
 struct CandidateScore {
   index::PartitionScheme scheme = index::PartitionScheme::kStr;
@@ -47,14 +35,15 @@ struct AdvisorChoice {
 };
 
 /// Scores the candidate (scheme, granularity) grid on a deterministic
-/// sample of `path` and returns the lowest-scoring candidate. Ties keep
-/// the earlier candidate, and the first candidate enumerated is the
-/// legacy default (STR at base granularity), so "everything ties" decays
-/// to today's behavior. Fails when the file has no parseable records.
+/// sample of `path` and returns the lowest-scoring candidate. The base
+/// granularity is the file's HDFS block count, matching the index
+/// builder's one-partition-per-block layout. Ties keep the earlier
+/// candidate, and the first candidate enumerated is the legacy default
+/// (STR at base granularity), so "everything ties" decays to today's
+/// behavior. Fails when the file has no parseable records.
 Result<AdvisorChoice> AdvisePartitioning(hdfs::FileSystem* fs,
                                          const std::string& path,
-                                         index::ShapeType shape,
-                                         const AdvisorOptions& options);
+                                         index::ShapeType shape);
 
 /// Renders one candidate's scores as "balance=…,repl=…,score=…" with
 /// fixed 2-decimal formatting — deterministic across platforms. EXPLAIN

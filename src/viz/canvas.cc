@@ -31,42 +31,6 @@ void Canvas::AddPoint(const Point& p, double weight) {
   if (ToPixel(p, &x, &y)) pixels_[Index(x, y)] += weight;
 }
 
-void Canvas::DrawSegment(const Segment& s, double weight) {
-  int x0 = 0, y0 = 0, x1 = 0, y1 = 0;
-  // Clip by sampling: walk the segment at sub-pixel steps (robust against
-  // endpoints outside the world; plotting accuracy, not geometry).
-  if (!ToPixel(s.a, &x0, &y0) && !ToPixel(s.b, &x1, &y1) &&
-      !world_.Intersects(s.Bounds())) {
-    return;
-  }
-  const double length_px =
-      std::max(std::abs(s.b.x - s.a.x) / world_.Width() * width_,
-               std::abs(s.b.y - s.a.y) / world_.Height() * height_);
-  const int steps = std::max(1, static_cast<int>(std::ceil(length_px * 2)));
-  int last_x = -1;
-  int last_y = -1;
-  for (int i = 0; i <= steps; ++i) {
-    const double t = static_cast<double>(i) / steps;
-    const Point p(s.a.x + t * (s.b.x - s.a.x), s.a.y + t * (s.b.y - s.a.y));
-    int x = 0;
-    int y = 0;
-    if (!ToPixel(p, &x, &y)) continue;
-    if (x == last_x && y == last_y) continue;
-    pixels_[Index(x, y)] += weight;
-    last_x = x;
-    last_y = y;
-  }
-}
-
-Status Canvas::MergeFrom(const Canvas& other) {
-  if (other.width_ != width_ || other.height_ != height_ ||
-      other.world_ != world_) {
-    return Status::InvalidArgument("merging canvases of different geometry");
-  }
-  for (size_t i = 0; i < pixels_.size(); ++i) pixels_[i] += other.pixels_[i];
-  return Status::OK();
-}
-
 double Canvas::MaxIntensity() const {
   double max = 0;
   for (double v : pixels_) max = std::max(max, v);

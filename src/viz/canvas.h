@@ -7,7 +7,6 @@
 #include "common/result.h"
 #include "geometry/envelope.h"
 #include "geometry/point.h"
-#include "geometry/segment.h"
 
 namespace shadoop::viz {
 
@@ -33,13 +32,6 @@ class Canvas {
   /// Accumulates `weight` at the pixel covering world point `p`
   /// (no-op outside the world envelope).
   void AddPoint(const Point& p, double weight = 1.0);
-
-  /// Rasterizes a world-coordinate segment (DDA walk), accumulating
-  /// `weight` into every pixel it crosses.
-  void DrawSegment(const Segment& s, double weight = 1.0);
-
-  /// Pixel-wise sum; canvases must have identical geometry.
-  Status MergeFrom(const Canvas& other);
 
   /// Largest intensity (0 for an empty canvas).
   double MaxIntensity() const;

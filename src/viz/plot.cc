@@ -1,13 +1,11 @@
 #include "viz/plot.h"
 
-#include <cmath>
+#include <cstdio>
 #include <memory>
 
 #include "common/string_util.h"
 #include "core/file_mbr.h"
 #include "core/spatial_file_splitter.h"
-#include "geometry/polygon.h"
-#include "geometry/simplify.h"
 #include "geometry/wkt.h"
 
 namespace shadoop::viz {
@@ -17,55 +15,22 @@ using mapreduce::JobConfig;
 using mapreduce::JobResult;
 using mapreduce::MapContext;
 
-/// Rasterizes one record into `canvas`. Returns false on a parse error.
-bool RasterizeRecord(index::ShapeType shape, PlotLayer layer,
-                     double simplify_tolerance, std::string_view record,
-                     Canvas* canvas) {
-  switch (layer) {
-    case PlotLayer::kPoints: {
-      auto env = index::RecordEnvelope(shape, record);
-      if (!env.ok()) return false;
-      canvas->AddPoint(env.value().Center());
-      return true;
-    }
-    case PlotLayer::kOutlines: {
-      if (shape == index::ShapeType::kPolygon) {
-        auto poly = index::RecordPolygon(record);
-        if (!poly.ok()) return false;
-        const Polygon drawn =
-            SimplifyPolygon(poly.value(), simplify_tolerance);
-        for (const Segment& edge : drawn.Edges()) {
-          canvas->DrawSegment(edge);
-        }
-        return true;
-      }
-      auto env = index::RecordEnvelope(shape, record);
-      if (!env.ok()) return false;
-      const Envelope& e = env.value();
-      canvas->DrawSegment(Segment(e.BottomLeft(), e.BottomRight()));
-      canvas->DrawSegment(Segment(e.BottomRight(), e.TopRight()));
-      canvas->DrawSegment(Segment(e.TopRight(), e.TopLeft()));
-      canvas->DrawSegment(Segment(e.TopLeft(), e.BottomLeft()));
-      return true;
-    }
-  }
-  return false;
-}
-
 /// Map side of the single-level plot: rasterize the split into a private
 /// canvas, emit non-zero pixels keyed by row (zero-padded, so each
 /// reducer handles a band of rows).
 class PlotMapper : public mapreduce::Mapper {
  public:
-  PlotMapper(index::ShapeType shape, PlotOptions options, Envelope world)
-      : shape_(shape),
-        options_(options),
-        canvas_(options.width, options.height, world) {}
+  PlotMapper(index::ShapeType shape, const PlotOptions& options,
+             Envelope world)
+      : shape_(shape), canvas_(options.width, options.height, world) {}
 
+  /// One pixel per record center.
   void Map(std::string_view record, MapContext& ctx) override {
     if (index::IsMetadataRecord(record)) return;
-    if (!RasterizeRecord(shape_, options_.layer, options_.simplify_tolerance,
-                         record, &canvas_)) {
+    auto env = index::RecordEnvelope(shape_, record);
+    if (env.ok()) {
+      canvas_.AddPoint(env.value().Center());
+    } else {
       ctx.counters().Increment("plot.bad_records");
     }
     ctx.ChargeCpu(100);  // Rasterization per record.
@@ -85,7 +50,6 @@ class PlotMapper : public mapreduce::Mapper {
 
  private:
   index::ShapeType shape_;
-  PlotOptions options_;
   Canvas canvas_;
 };
 
@@ -257,10 +221,6 @@ Result<std::map<TileId, Canvas>> PlotPyramid(mapreduce::JobRunner* runner,
                                              const PyramidOptions& options,
                                              const std::string& output_prefix,
                                              core::OpStats* stats) {
-  if (options.layer != PlotLayer::kPoints) {
-    return Status::Unimplemented(
-        "pyramid plotting currently supports the points layer only");
-  }
   if (options.num_levels < 1 || options.num_levels > 8) {
     return Status::InvalidArgument("num_levels must be in [1, 8]");
   }

@@ -12,25 +12,15 @@
 
 namespace shadoop::viz {
 
-/// What to rasterize per record.
-enum class PlotLayer {
-  kPoints,    // One pixel per record center.
-  kOutlines,  // Polygon / rectangle boundaries as line work.
-};
-
 struct PlotOptions {
   int width = 512;
   int height = 512;
-  PlotLayer layer = PlotLayer::kPoints;
-  /// kOutlines only: Douglas–Peucker tolerance (world units) applied to
-  /// polygon rings before rasterizing — sub-pixel detail is invisible at
-  /// low zoom and costs rasterization CPU. 0 disables.
-  double simplify_tolerance = 0.0;
 };
 
-/// Single-level plot: rasterizes a whole file into one canvas with a
-/// MapReduce job (map: rasterize one split into a partial canvas; shuffle:
-/// sparse pixels keyed by row band; reduce: pixel-wise merge).
+/// Single-level plot: rasterizes a whole file into one canvas, one pixel
+/// per record center, with a MapReduce job (map: rasterize one split into
+/// a partial canvas; shuffle: sparse pixels keyed by row band; reduce:
+/// pixel-wise merge).
 ///
 /// The Hadoop flavour computes the file MBR with an extra scan job. The
 /// SpatialHadoop flavour gets the MBR from the global index for free, and
@@ -65,7 +55,6 @@ struct TileId {
 struct PyramidOptions {
   int tile_size = 256;
   int num_levels = 3;  // Levels 0 .. num_levels-1.
-  PlotLayer layer = PlotLayer::kPoints;
 };
 
 /// Multilevel plot: one MapReduce job produces every tile of every zoom

@@ -63,67 +63,4 @@ Result<std::vector<std::string>> ImportPointCsv(
   return records;
 }
 
-Result<std::vector<std::string>> ImportWktColumn(
-    const std::vector<std::string>& lines, const WktImportOptions& options,
-    index::ShapeType* shape, size_t* skipped) {
-  if (options.wkt_column < 0) {
-    return Status::InvalidArgument("bad WKT column");
-  }
-  std::vector<std::string> records;
-  records.reserve(lines.size());
-  size_t bad = 0;
-  bool shape_fixed = false;
-  index::ShapeType detected = index::ShapeType::kPoint;
-  const size_t first = options.has_header ? 1 : 0;
-  for (size_t i = first; i < lines.size(); ++i) {
-    const auto fields = SplitString(lines[i], options.delimiter);
-    Status row_status;
-    if (fields.size() <= static_cast<size_t>(options.wkt_column)) {
-      row_status = Status::ParseError("row " + std::to_string(i) +
-                                      " has too few columns");
-    } else {
-      const std::string_view wkt = StripWhitespace(fields[options.wkt_column]);
-      std::string geometry;
-      index::ShapeType row_shape = index::ShapeType::kPoint;
-      if (StartsWithIgnoreCase(wkt, "POINT")) {
-        auto p = ParsePointWkt(wkt);
-        if (p.ok()) {
-          geometry = PointToCsv(p.value());
-          row_shape = index::ShapeType::kPoint;
-        }
-      } else if (StartsWithIgnoreCase(wkt, "POLYGON")) {
-        auto poly = ParsePolygonWkt(wkt);
-        if (poly.ok()) {
-          geometry = ToWkt(poly.value());
-          row_shape = index::ShapeType::kPolygon;
-        }
-      }
-      if (geometry.empty()) {
-        row_status = Status::ParseError("row " + std::to_string(i) +
-                                        " has unsupported or invalid WKT");
-      } else if (shape_fixed && row_shape != detected) {
-        row_status = Status::ParseError(
-            "row " + std::to_string(i) + " mixes geometry types (" +
-            index::ShapeTypeName(row_shape) + " in a " +
-            index::ShapeTypeName(detected) + " file)");
-      } else {
-        detected = row_shape;
-        shape_fixed = true;
-        const std::string attrs =
-            JoinAttributes(fields, {options.wkt_column});
-        records.push_back(geometry + (attrs.empty() ? "" : "\t" + attrs));
-        continue;
-      }
-    }
-    if (!options.skip_bad_rows) return row_status;
-    ++bad;
-  }
-  if (records.empty()) {
-    return Status::InvalidArgument("no valid WKT rows found");
-  }
-  if (shape != nullptr) *shape = detected;
-  if (skipped != nullptr) *skipped = bad;
-  return records;
-}
-
 }  // namespace shadoop::workload

@@ -5,15 +5,14 @@
 #include <vector>
 
 #include "common/result.h"
-#include "index/record_shape.h"
 
 namespace shadoop::workload {
 
-/// Converters from external tabular formats into the system's record
-/// format ("<geometry>[\t<attributes>]"). Real datasets (TIGER extracts,
-/// OSM dumps) rarely put coordinates in the first columns; these import
-/// helpers do the column mapping once at load time so every operation
-/// downstream sees the canonical layout.
+/// Converter from delimited point rows into the system's record format
+/// ("<geometry>[\t<attributes>]"). Real datasets (TIGER extracts, OSM
+/// dumps) rarely put coordinates in the first columns; the import does
+/// the column mapping once at load time so every operation downstream
+/// sees the canonical layout.
 struct CsvImportOptions {
   char delimiter = ',';
   /// 0-based columns holding the x and y coordinates.
@@ -31,23 +30,6 @@ struct CsvImportOptions {
 Result<std::vector<std::string>> ImportPointCsv(
     const std::vector<std::string>& lines, const CsvImportOptions& options,
     size_t* skipped = nullptr);
-
-struct WktImportOptions {
-  char delimiter = '\t';
-  /// 0-based column holding the WKT geometry (POINT or POLYGON).
-  int wkt_column = 0;
-  bool has_header = false;
-  bool skip_bad_rows = true;
-};
-
-/// Converts rows with a WKT column to records. POINT geometries become
-/// point records ("x,y"), POLYGON geometries become polygon records; the
-/// shape of the first valid row fixes the file's shape, and rows of any
-/// other shape are treated as bad. Returns the records and reports the
-/// detected shape through *shape.
-Result<std::vector<std::string>> ImportWktColumn(
-    const std::vector<std::string>& lines, const WktImportOptions& options,
-    index::ShapeType* shape, size_t* skipped = nullptr);
 
 }  // namespace shadoop::workload
 

@@ -206,19 +206,6 @@ TEST(PolygonUnionTest, ContainedPolygonDisappears) {
   EXPECT_DOUBLE_EQ(UnionBoundaryLength({outer, inner}), 40.0);
 }
 
-TEST(PolygonUnionTest, GroupingFindsConnectedComponents) {
-  const Polygon a({{0, 0}, {2, 0}, {2, 2}, {0, 2}});
-  const Polygon b({{1, 1}, {3, 1}, {3, 3}, {1, 3}});   // Overlaps a.
-  const Polygon c({{10, 10}, {12, 10}, {11, 12}});     // Alone.
-  const auto groups = GroupOverlappingPolygons({a, b, c});
-  ASSERT_EQ(groups.size(), 2u);
-  // One group of two, one singleton.
-  const size_t max_size = std::max(groups[0].size(), groups[1].size());
-  const size_t min_size = std::min(groups[0].size(), groups[1].size());
-  EXPECT_EQ(max_size, 2u);
-  EXPECT_EQ(min_size, 1u);
-}
-
 TEST(PolygonUnionTest, UnionIsIdempotentOnItsInput) {
   // Union of a single polygon returns its own edges.
   const Polygon tri({{0, 0}, {5, 0}, {2, 4}});

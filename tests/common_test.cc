@@ -259,18 +259,6 @@ TEST(RandomTest, GaussianHasRoughlyUnitVariance) {
   EXPECT_NEAR(variance, 1.0, 0.1);
 }
 
-TEST(RandomTest, ForkedStreamsAreIndependent) {
-  Random parent(5);
-  Random child1 = parent.Fork();
-  Random child2 = parent.Fork();
-  std::set<uint64_t> values;
-  for (int i = 0; i < 50; ++i) {
-    values.insert(child1.NextUint64());
-    values.insert(child2.NextUint64());
-  }
-  EXPECT_EQ(values.size(), 100u);
-}
-
 TEST(FifoCacheTest, FirstInsertWins) {
   FifoCache<int> cache(4);
   const FifoCache<int>::Ptr first = std::make_shared<const int>(1);

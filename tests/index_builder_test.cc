@@ -518,6 +518,7 @@ class CorruptMasterTest : public ::testing::Test {
   std::vector<std::string> lines_;
 };
 
+constexpr size_t kIdField = 0;
 constexpr size_t kBlockField = 1;
 constexpr size_t kCellField = 2;  // cell x1,y1,x2,y2 in fields 2-5
 constexpr size_t kMbrField = 6;   // mbr x1,y1,x2,y2 in fields 6-9
@@ -564,6 +565,19 @@ TEST_F(CorruptMasterTest, ByteCountThatDisagreesWithItsBlockFailsTheLoad) {
 
 TEST_F(CorruptMasterTest, TwoPartitionsNamingOneBlockFailTheLoad) {
   ExpectLoadFails(WithField(3, kBlockField, Field(2, kBlockField)), "line 3");
+}
+
+TEST_F(CorruptMasterTest, PartitionIdThatIsNotItsPositionFailsTheLoad) {
+  // The splitter, kNN and the cost model index partitions() by the ids
+  // the partition filters return: with the first two ids swapped, a range
+  // query over partition 0's MBR would read partition 1's block instead.
+  std::vector<std::string> lines = WithField(2, kIdField, Field(3, kIdField));
+  lines[2] = WithField(3, kIdField, Field(2, kIdField))[2];
+  ExpectLoadFails(lines, "line 2");
+  const Status status = LoadSpatialFile(cluster_.fs, "/pts.idx").status();
+  EXPECT_NE(status.message().find("partition id 1 at position 0"),
+            std::string::npos)
+      << status.ToString();
 }
 
 TEST_F(CorruptMasterTest, ImpossibleMbrFailsTheLoad) {

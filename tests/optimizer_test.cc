@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "core/histogram_op.h"
 #include "core/spatial_join.h"
 #include "optimizer/cost_model.h"
 #include "optimizer/partitioning_advisor.h"
@@ -102,15 +101,6 @@ TEST(Selectivity, DegenerateAxisCountsAsCovered) {
   const double sel =
       EstimateSelectivity(file.global_index, Envelope(0, 0, 5, 10));
   EXPECT_NEAR(sel, 0.5, 1e-9);  // Half the x extent, full (degenerate) y.
-}
-
-TEST(Selectivity, HistogramOverloadMatchesCellCounts) {
-  core::GridHistogram hist(2, 2, Envelope(0, 0, 2, 2));
-  hist.Add(0, 0, 30);
-  hist.Add(1, 1, 10);
-  EXPECT_DOUBLE_EQ(EstimateSelectivity(hist, Envelope(0, 0, 1, 1)), 0.75);
-  EXPECT_DOUBLE_EQ(EstimateSelectivity(hist, Envelope(0, 0, 2, 2)), 1.0);
-  EXPECT_DOUBLE_EQ(EstimateSelectivity(hist, Envelope(5, 5, 6, 6)), 0.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -266,8 +256,7 @@ TEST(Advisor, UniformPointsScoreCleanly) {
   testing::WritePoints(&cluster.fs, "/uniform", 3000,
                        workload::Distribution::kUniform);
   const AdvisorChoice choice =
-      AdvisePartitioning(&cluster.fs, "/uniform", index::ShapeType::kPoint,
-                         AdvisorOptions())
+      AdvisePartitioning(&cluster.fs, "/uniform", index::ShapeType::kPoint)
           .ValueOrDie();
   ASSERT_FALSE(choice.candidates.empty());
   // The chosen candidate must carry the minimum score.
@@ -291,8 +280,7 @@ TEST(Advisor, SkewPenalizesUniformGrid) {
   testing::WritePoints(&cluster.fs, "/skewed", 3000,
                        workload::Distribution::kClustered);
   const AdvisorChoice choice =
-      AdvisePartitioning(&cluster.fs, "/skewed", index::ShapeType::kPoint,
-                         AdvisorOptions())
+      AdvisePartitioning(&cluster.fs, "/skewed", index::ShapeType::kPoint)
           .ValueOrDie();
   // Sample-adaptive techniques must beat the uniform grid on clustered
   // data: the grid piles most of the sample into a few cells.
@@ -309,8 +297,7 @@ TEST(Advisor, SkewPenalizesUniformGrid) {
   EXPECT_NE(choice.scheme, index::PartitionScheme::kGrid);
   // Determinism: advising twice yields the identical choice.
   const AdvisorChoice again =
-      AdvisePartitioning(&cluster.fs, "/skewed", index::ShapeType::kPoint,
-                         AdvisorOptions())
+      AdvisePartitioning(&cluster.fs, "/skewed", index::ShapeType::kPoint)
           .ValueOrDie();
   EXPECT_EQ(again.scheme, choice.scheme);
   EXPECT_EQ(again.target_partitions, choice.target_partitions);
@@ -324,9 +311,9 @@ TEST(Advisor, SkewPenalizesUniformGrid) {
 TEST(Advisor, ErrorsWithoutParseableRecords) {
   testing::TestCluster cluster;
   SHADOOP_CHECK_OK(cluster.fs.WriteLines("/garbage", {"#meta", "not-a-point"}));
-  EXPECT_FALSE(AdvisePartitioning(&cluster.fs, "/garbage",
-                                  index::ShapeType::kPoint, AdvisorOptions())
-                   .ok());
+  EXPECT_FALSE(
+      AdvisePartitioning(&cluster.fs, "/garbage", index::ShapeType::kPoint)
+          .ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -35,34 +35,6 @@ TEST(ImportTest, PointCsvStrictModeFailsOnBadRow) {
       ImportPointCsv({"1,2"}, same_column).status().IsInvalidArgument());
 }
 
-TEST(ImportTest, WktColumnDetectsShapeAndRejectsMixes) {
-  WktImportOptions options;
-  options.wkt_column = 1;
-  index::ShapeType shape;
-  size_t skipped = 0;
-  const auto records =
-      ImportWktColumn({"a\tPOINT (1 2)", "b\tPOINT (3 4)",
-                       "c\tPOLYGON ((0 0, 1 0, 1 1))", "d\tnot wkt"},
-                      options, &shape, &skipped)
-          .ValueOrDie();
-  EXPECT_EQ(shape, index::ShapeType::kPoint);
-  ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(skipped, 2u) << "the polygon row mixes shapes; skipped";
-  EXPECT_EQ(index::RecordPoint(records[1]).ValueOrDie(), Point(3, 4));
-  EXPECT_EQ(records[0].substr(records[0].find('\t') + 1), "a");
-
-  const auto polys = ImportWktColumn(
-      {"p\tPOLYGON ((0 0, 2 0, 1 2))"}, options, &shape, &skipped);
-  ASSERT_TRUE(polys.ok());
-  EXPECT_EQ(shape, index::ShapeType::kPolygon);
-  EXPECT_TRUE(
-      index::RecordPolygon(polys.value().front()).ok());
-
-  EXPECT_TRUE(ImportWktColumn({"x\tgarbage"}, options, &shape)
-                  .status()
-                  .IsInvalidArgument());
-}
-
 TEST(GeneratorTest, DeterministicForSameOptions) {
   PointGenOptions options;
   options.count = 200;

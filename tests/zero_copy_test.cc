@@ -93,37 +93,6 @@ TEST(SpatialRecordReaderTest, LocalIndexHeaderFeedsEnvelopesWithoutParsing) {
   EXPECT_EQ(entries[1].box, envelopes[1]);
 }
 
-TEST(SpatialRecordReaderTest, ClearDropsPreparsedEnvelopesAndColumns) {
-  const std::string header = index::EncodeLocalIndexHeader(
-      {Envelope(1, 1, 1, 1), Envelope(2, 2, 2, 2)});
-  SpatialRecordReader reader(ShapeType::kPoint);
-  reader.AddBorrowed(header);
-  reader.AddBorrowed("1,1");
-  reader.AddBorrowed("2,2");
-  ASSERT_TRUE(reader.has_local_index());
-  ASSERT_EQ(reader.Envelopes().size(), 2u);
-
-  reader.Clear();
-  EXPECT_EQ(reader.NumRecords(), 0u);
-  EXPECT_FALSE(reader.has_local_index());
-  EXPECT_EQ(reader.bad_records(), 0u);
-
-  // Reuse with a different record count and NO header: were the two
-  // stale preparsed envelopes still around, they would either be served
-  // for the wrong records or trip has_local_index() at size 2.
-  reader.AddBorrowed("10,10");
-  reader.AddBorrowed("not-a-point");
-  reader.AddBorrowed("30,30");
-  EXPECT_FALSE(reader.has_local_index());
-  const auto entries = reader.Envelopes();
-  ASSERT_EQ(entries.size(), 2u);
-  EXPECT_EQ(entries[0].box, Envelope::FromPoint(Point(10, 10)));
-  EXPECT_EQ(entries[1].box, Envelope::FromPoint(Point(30, 30)));
-  EXPECT_EQ(entries[1].payload, 2u);
-  EXPECT_EQ(reader.bad_records(), 1u);
-  EXPECT_EQ(reader.EnvelopeAt(1), nullptr);
-}
-
 // ---------------------------------------------------------------------
 // SpatialRecordReader::AddBlock: a whole block in one call leaves the
 // reader exactly as per-record AddBorrowed leaves it.
